@@ -181,11 +181,20 @@ def cmd_run(args) -> int:
     return EXIT_TRIAL_FAILURES if failures else EXIT_OK
 
 
+COMPARE_COLUMNS = ("problem", "config_id", "best_value")
+
+
 def cmd_compare(args) -> int:
     try:
-        rows = list(csv.DictReader(open(args.results)))
+        with open(args.results, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in COMPARE_COLUMNS if c not in (reader.fieldnames or ())]
+            rows = list(reader)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if missing:
+        print(f"error: {args.results} lacks column(s): {', '.join(missing)}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     groups: Dict[str, List[float]] = {}
     for row in rows:
@@ -263,6 +272,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.budget <= 0:
+        print("error: --budget must be positive", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         text = Path(args.model).read_text()
         model = parse_model(text)

@@ -141,8 +141,10 @@ def perturb_bitflip(k: int = 1) -> Component:
         while len(chosen) < k:
             idx, env = rng_below(env, n)
             chosen.add(idx)
-        bits = tuple(b ^ 1 if i in chosen else b for i, b in enumerate(sol.bits))
-        return BitVector(bits), env
+        bits = list(sol.bits)
+        for i in chosen:
+            bits[i] ^= 1
+        return BitVector(tuple(bits)), env
 
     desc = ComponentDescriptor(
         name="bitflip",

@@ -9,11 +9,10 @@ deterministically from a seed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -161,7 +160,8 @@ class Environment:
     """Immutable key-value store plus the RNG stream.
 
     All mutators return a fresh Environment; equality is determined by
-    (entries, rng) alone.
+    (entries, rng) alone. Copies keep the subclass and every field a
+    subclass adds, so a subclass's extra state follows the whole lineage.
     """
 
     entries: Mapping[EnvKey, EnvValue]
@@ -173,7 +173,13 @@ class Environment:
     def put(self, key: EnvKey, value: EnvValue) -> "Environment":
         new_entries = dict(self.entries)
         new_entries[key] = value
-        return dataclasses.replace(self, entries=new_entries)
+        return _derive(self, new_entries, self.rng)
+
+    def put_many(self, updates: Mapping[EnvKey, EnvValue]) -> "Environment":
+        """Write several keys in one copy; later keys win as with `put`."""
+        new_entries = dict(self.entries)
+        new_entries.update(updates)
+        return _derive(self, new_entries, self.rng)
 
     def __eq__(self, other):
         if not isinstance(other, Environment):
@@ -204,6 +210,20 @@ class Environment:
         return Environment.from_json(json.loads(text))
 
 
+def _derive(env: Environment, entries, rng: RngState) -> Environment:
+    """Copy `env` field for field with new entries and rng.
+
+    Cheaper than `dataclasses.replace`, which re-runs `__init__`; the copy
+    keeps the concrete class and any fields a subclass declares.
+    """
+    new = object.__new__(type(env))
+    fields = new.__dict__
+    fields.update(env.__dict__)
+    fields["entries"] = entries
+    fields["rng"] = rng
+    return new
+
+
 def env_new(seed: int) -> Environment:
     return Environment(entries={}, rng=RngState(seed, 0))
 
@@ -212,24 +232,32 @@ def rng_uniform(env: Environment) -> Tuple[float, Environment]:
     """One uniform draw in [0, 1); advances the counter by exactly 1."""
     raw = _raw64(env.rng.seed, env.rng.counter)
     value = (raw >> 11) * (2.0 ** -53)
-    nxt = dataclasses.replace(
-        env, rng=RngState(env.rng.seed, env.rng.counter + 1)
-    )
+    nxt = _derive(env, env.entries, RngState(env.rng.seed, env.rng.counter + 1))
     return value, nxt
 
 
 def rng_below(env: Environment, n: int) -> Tuple[int, Environment]:
     """Unbiased integer in [0, n) via rejection over the raw 64-bit draw."""
+    (value,), nxt = rng_below_many(env, n, 1)
+    return value, nxt
+
+
+def rng_below_many(env: Environment, n: int, count: int) -> Tuple[List[int], Environment]:
+    """`count` draws in [0, n) in one copy: the same values and final
+    counter as `count` successive `rng_below(env, n)` calls."""
     if n < 1:
         raise ValueError("rng_below requires n >= 1")
+    if count < 0:
+        raise ValueError("rng_below_many requires count >= 0")
     limit = (1 << 64) - ((1 << 64) % n)
-    counter = env.rng.counter
-    while True:
-        raw = _raw64(env.rng.seed, counter)
+    seed, counter = env.rng.seed, env.rng.counter
+    values = []
+    while len(values) < count:
+        raw = _raw64(seed, counter)
         counter += 1
         if raw < limit:
-            nxt = dataclasses.replace(env, rng=RngState(env.rng.seed, counter))
-            return raw % n, nxt
+            values.append(raw % n)
+    return values, _derive(env, env.entries, RngState(seed, counter))
 
 
 Step = Callable[[Any, Environment], Tuple[Any, Environment]]

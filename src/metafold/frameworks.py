@@ -36,14 +36,18 @@ class RunResult:
 
 
 def _publish(env, iteration, evaluations, best_value):
-    env = env.put(K_ITERATION, EnvValue.of_int(iteration))
-    env = env.put(K_EVALUATIONS, EnvValue.of_int(evaluations))
-    return env.put(K_BEST_VALUE, EnvValue.of_real(best_value))
+    return env.put_many({
+        K_ITERATION: EnvValue.of_int(iteration),
+        K_EVALUATIONS: EnvValue.of_int(evaluations),
+        K_BEST_VALUE: EnvValue.of_real(best_value),
+    })
 
 
 def _publish_pair(env, incumbent_value, incoming_value):
-    env = env.put(K_INCUMBENT_VALUE, EnvValue.of_real(incumbent_value))
-    return env.put(K_INCOMING_VALUE, EnvValue.of_real(incoming_value))
+    return env.put_many({
+        K_INCUMBENT_VALUE: EnvValue.of_real(incumbent_value),
+        K_INCOMING_VALUE: EnvValue.of_real(incoming_value),
+    })
 
 
 def local_search(
@@ -144,11 +148,14 @@ def iterated_local_search(
 
 
 def crossover_one_point():
-    """Bit-vector one-point crossover at a cut in 1..n-1."""
+    """Bit-vector one-point crossover at a cut in 1..n-1. A 1-bit vector
+    has no cut, so its parents pass through unchanged and nothing is drawn."""
 
     def step(pair, env):
         a, b = pair
         n = len(a)
+        if n < 2:
+            return (a, b), env
         cut, env = rng_below(env, n - 1)
         cut += 1
         c1 = BitVector(a.bits[:cut] + b.bits[cut:])

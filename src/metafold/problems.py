@@ -8,11 +8,18 @@ initial solutions replay from the seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from .components import Component, ComponentDescriptor
-from .env import ComponentContractError, Environment, rng_below, rng_uniform
+from .env import (
+    ComponentContractError,
+    Environment,
+    rng_below,
+    rng_below_many,
+    rng_uniform,
+)
 from .solutions import BitVector, Permutation, RealVector, Solution
 
 
@@ -44,10 +51,7 @@ def _evaluator(name: str, expected, fn) -> Component:
 
 def sample_bits(n: int):
     def sample(env):
-        bits = []
-        for _ in range(n):
-            b, env = rng_below(env, 2)
-            bits.append(b)
+        bits, env = rng_below_many(env, 2, n)
         return BitVector(tuple(bits)), env
 
     return sample
@@ -271,16 +275,23 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
             header_line,
         )
 
+    # Each literal becomes an index into `bits + negated bits`: variable v
+    # true is index v-1, variable v false is index num_vars + v-1.
+    compiled = tuple(
+        tuple(lit - 1 if lit > 0 else num_vars - lit - 1 for lit in clause)
+        for clause in clauses
+    )
+
     def value(sol: BitVector) -> int:
         if len(sol) != num_vars:
             raise ComponentContractError(
                 f"maxsat: expected {num_vars} bits, got {len(sol)}"
             )
+        truth = sol.bits + tuple(map(operator.not_, sol.bits))
         unsat = 0
-        for clause in clauses:
-            for lit in clause:
-                bit = sol.bits[abs(lit) - 1]
-                if (lit > 0 and bit) or (lit < 0 and not bit):
+        for clause in compiled:
+            for i in clause:
+                if truth[i]:
                     break
             else:
                 unsat += 1

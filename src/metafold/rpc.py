@@ -59,6 +59,8 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
         request = json.loads(body)
     except json.JSONDecodeError as exc:
         return _error(None, ERR_PARSE, f"parse error: {exc}")
+    if not isinstance(request, dict):
+        return _error(None, ERR_INVALID_REQUEST, "request must be a JSON object")
     req_id = request.get("id")
     if request.get("jsonrpc") != "2.0" or "method" not in request:
         return _error(req_id, ERR_INVALID_REQUEST, "not a JSON-RPC 2.0 request")

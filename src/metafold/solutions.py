@@ -22,7 +22,12 @@ class BitVector:
     bits: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.bits) < 1 or any(b not in (0, 1) for b in self.bits):
+        bits = self.bits
+        try:
+            valid = len(bits) >= 1 and bits.count(0) + bits.count(1) == len(bits)
+        except (AttributeError, TypeError):  # not a sequence of numbers
+            valid = False
+        if not valid:
             raise ValueError("bits must be a nonempty 0/1 sequence")
 
     @staticmethod

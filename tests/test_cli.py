@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -209,6 +211,28 @@ class TestCompare:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["compare", str(tmp_path / "nope.csv"), "--problem", "p"]) == 2
 
+    @pytest.mark.parametrize("column", ["problem", "config_id", "best_value"])
+    def test_missing_column_exit_2(self, tmp_path, capsys, column):
+        path = tmp_path / "results.csv"
+        header = [c for c in ("problem", "config_id", "seed", "best_value") if c != column]
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for seed in range(5):
+                w.writerow(["x"] * len(header))
+        assert main(["compare", str(path), "--problem", "p"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and column in err
+
+    def test_results_file_is_closed(self, tmp_path):
+        xs = [1.0, 2.0, 3.0, 4.0, 5.0]
+        path = self.make_results(tmp_path, {"a": xs, "b": xs})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["compare", path, "--problem", "p"]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
 
 class TestEnumerate:
     def registry_file(self, tmp_path):
@@ -313,6 +337,15 @@ class TestSolve:
         write_json(model, doc)
         assert main(["solve", str(model)]) == 2
         assert "$.variables[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_nonpositive_budget_exit_2(self, tmp_path, capsys, budget):
+        model = tmp_path / "m.json"
+        write_json(model, self.tsp_doc())
+        assert main(["solve", str(model), "--budget", budget]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "budget" in err
+        assert not (tmp_path / "m.tsplib").exists()
 
 
 class TestServe:

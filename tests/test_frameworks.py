@@ -363,3 +363,19 @@ class TestGeneticAlgorithm:
             perturb_swap(), terminate_iterations(25), env_new(14),
         )
         assert sorted(r.best.order) == list(range(9))
+
+    def test_one_bit_problem_runs_to_completion(self):
+        p = onemax(1)
+        r = genetic_algorithm(
+            4, p.sample_initial, p.evaluate, 2, crossover_one_point(),
+            perturb_bitflip(1), terminate_iterations(5), env_new(15),
+        )
+        assert len(r.trace) == 5
+        assert r.best_value == 0.0
+
+    def test_one_point_on_one_bit_passes_parents_without_drawing(self):
+        a, b = BitVector.from_string("0"), BitVector.from_string("1")
+        env = env_new(16)
+        children, out = crossover_one_point()((a, b), env)
+        assert children == (a, b)
+        assert out.rng == env.rng

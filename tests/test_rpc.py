@@ -16,6 +16,7 @@ from metafold.palette import default_registry
 from metafold.problems import onemax
 from metafold.rpc import (
     ERR_INVALID_PARAMS,
+    ERR_INVALID_REQUEST,
     ERR_UNKNOWN_COMPONENT,
     RemoteUnavailableError,
     handle_rpc,
@@ -89,6 +90,17 @@ class TestServer:
     def test_handle_rpc_parse_error(self):
         response = handle_rpc(default_registry(), b"{not json")
         assert response["error"]["code"] == -32700
+
+    @pytest.mark.parametrize("body", [b"[1,2]", b'"x"', b"3", b"null"])
+    def test_non_object_body_is_invalid_request(self, server, body):
+        req = urllib.request.Request(
+            server.endpoint, data=body, headers={"Content-Type": "application/json"}
+        )
+        with urllib.request.urlopen(req) as resp:
+            response = json.loads(resp.read())
+        assert response == handle_rpc(default_registry(), body)
+        assert response["jsonrpc"] == "2.0" and response["id"] is None
+        assert response["error"]["code"] == ERR_INVALID_REQUEST
 
     def test_component_failure_names_component(self, server):
         # permutation component on a bit vector
