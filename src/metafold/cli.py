@@ -197,10 +197,19 @@ def cmd_compare(args) -> int:
         print(f"error: {args.results} lacks column(s): {', '.join(missing)}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     groups: Dict[str, List[float]] = {}
-    for row in rows:
+    for number, row in enumerate(rows, start=1):
         if row["problem"] != args.problem or row["best_value"] == "FAILED":
             continue
-        groups.setdefault(row["config_id"], []).append(float(row["best_value"]))
+        try:
+            value = float(row["best_value"])
+        except (TypeError, ValueError):  # None when the row is short
+            print(
+                f"error: {args.results} row {number}: best_value "
+                f"{row['best_value']!r} is not a number",
+                file=sys.stderr,
+            )
+            return EXIT_INPUT_ERROR
+        groups.setdefault(row["config_id"], []).append(value)
     config_ids = sorted(groups)
     if len(config_ids) < 2:
         print("error: need at least 2 configs for the named problem", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Benchmark problems: evaluators, instance parsers, initial-solution samplers.
 
 All objectives are minimized with known optimum 0 where stated. Evaluators
-are plain components; samplers draw exclusively from the threaded RNG so
-initial solutions replay from the seed.
+are plain components that reject a solution of the wrong representation or
+length with ComponentContractError; samplers draw exclusively from the
+threaded RNG so initial solutions replay from the seed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, Optional, Tuple
 
 from .components import Component, ComponentDescriptor
@@ -38,11 +40,18 @@ class ProblemInstance:
     metadata: Dict = field(default_factory=dict)
 
 
-def _evaluator(name: str, expected, fn) -> Component:
+def _evaluator(name: str, expected, size: int, fn) -> Component:
+    """Evaluate component that rejects anything but an `expected` of
+    length `size` with ComponentContractError before calling `fn`."""
+
     def step(sol, env):
         if not isinstance(sol, expected):
             raise ComponentContractError(
                 f"{name}: expected {expected.__name__}, got {type(sol).__name__}"
+            )
+        if len(sol) != size:
+            raise ComponentContractError(
+                f"{name}: expected length {size}, got {len(sol)}"
             )
         return float(fn(sol)), env
 
@@ -90,7 +99,7 @@ def onemax(n: int) -> ProblemInstance:
     return ProblemInstance(
         name=f"onemax_{n}",
         representation="bits",
-        evaluate=_evaluator("onemax", BitVector, lambda s: n - sum(s.bits)),
+        evaluate=_evaluator("onemax", BitVector, n, lambda s: n - sum(s.bits)),
         sample_initial=sample_bits(n),
         metadata={"n": n, "optimum_value": 0.0},
     )
@@ -104,10 +113,6 @@ def checkerboard(s: int) -> ProblemInstance:
     n = s * s
 
     def value(sol: BitVector) -> int:
-        if len(sol) != n:
-            raise ComponentContractError(
-                f"checkerboard: expected {n} bits, got {len(sol)}"
-            )
         g = sol.bits
         equal = 0
         for r in range(s):
@@ -121,7 +126,7 @@ def checkerboard(s: int) -> ProblemInstance:
     return ProblemInstance(
         name=f"checkerboard_{s}",
         representation="bits",
-        evaluate=_evaluator("checkerboard", BitVector, value),
+        evaluate=_evaluator("checkerboard", BitVector, n, value),
         sample_initial=sample_bits(n),
         metadata={"n": n, "s": s, "optimum_value": 0.0},
     )
@@ -143,7 +148,7 @@ def royal_road(n: int, b: int) -> ProblemInstance:
     return ProblemInstance(
         name=f"royal_road_{n}_{b}",
         representation="bits",
-        evaluate=_evaluator("royal_road", BitVector, value),
+        evaluate=_evaluator("royal_road", BitVector, n, value),
         sample_initial=sample_bits(n),
         metadata={"n": n, "b": b, "optimum_value": 0.0},
     )
@@ -156,18 +161,17 @@ def trap(n: int, b: int) -> ProblemInstance:
     if b < 1 or n % b != 0:
         raise ValueError("b must divide n")
 
+    # cost[ones] = b - score; a dict so that float bits (1.0) look up too.
+    cost = {ones: b - (b if ones == b else b - 1 - ones) for ones in range(b + 1)}
+
     def value(sol: BitVector) -> int:
-        total = 0
-        for i in range(0, n, b):
-            ones = sum(sol.bits[i : i + b])
-            score = b if ones == b else (b - 1 - ones)
-            total += b - score
-        return total
+        # zip over b copies of one iterator yields the n/b blocks in order.
+        return sum(map(cost.__getitem__, map(sum, zip(*[iter(sol.bits)] * b))))
 
     return ProblemInstance(
         name=f"trap_{n}_{b}",
         representation="bits",
-        evaluate=_evaluator("trap", BitVector, value),
+        evaluate=_evaluator("trap", BitVector, n, value),
         sample_initial=sample_bits(n),
         metadata={"n": n, "b": b, "optimum_value": 0.0},
     )
@@ -194,7 +198,7 @@ def hiff(n: int) -> ProblemInstance:
     return ProblemInstance(
         name=f"hiff_{n}",
         representation="bits",
-        evaluate=_evaluator("hiff", BitVector, value),
+        evaluate=_evaluator("hiff", BitVector, n, value),
         sample_initial=sample_bits(n),
         metadata={"n": n, "optimum_value": 0.0},
     )
@@ -217,7 +221,7 @@ def sphere(d: int, lo: float, hi: float) -> ProblemInstance:
     return ProblemInstance(
         name=f"sphere_{d}",
         representation="real",
-        evaluate=_evaluator("sphere", RealVector, value),
+        evaluate=_evaluator("sphere", RealVector, d, value),
         sample_initial=sample_box(d, lo, hi),
         metadata=meta,
     )
@@ -277,30 +281,23 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
 
     # Each literal becomes an index into `bits + negated bits`: variable v
     # true is index v-1, variable v false is index num_vars + v-1.
-    compiled = tuple(
-        tuple(lit - 1 if lit > 0 else num_vars - lit - 1 for lit in clause)
-        for clause in clauses
-    )
+    # satisfies[i] holds the clauses that literal index i satisfies, so the
+    # satisfied clauses are the union over the true literals; an empty
+    # clause is in no set and stays unsatisfied. Memory is O(literals).
+    occurrences = [[] for _ in range(2 * num_vars)]
+    for c, clause in enumerate(clauses):
+        for lit in clause:
+            occurrences[lit - 1 if lit > 0 else num_vars - lit - 1].append(c)
+    satisfies = tuple(map(frozenset, occurrences))
 
     def value(sol: BitVector) -> int:
-        if len(sol) != num_vars:
-            raise ComponentContractError(
-                f"maxsat: expected {num_vars} bits, got {len(sol)}"
-            )
         truth = sol.bits + tuple(map(operator.not_, sol.bits))
-        unsat = 0
-        for clause in compiled:
-            for i in clause:
-                if truth[i]:
-                    break
-            else:
-                unsat += 1
-        return unsat
+        return num_clauses - len(set().union(*compress(satisfies, truth)))
 
     return ProblemInstance(
         name=f"maxsat_{num_vars}v_{num_clauses}c",
         representation="bits",
-        evaluate=_evaluator("maxsat", BitVector, value),
+        evaluate=_evaluator("maxsat", BitVector, num_vars, value),
         sample_initial=sample_bits(num_vars),
         metadata={"n": num_vars, "clauses": clauses},
     )
@@ -380,16 +377,12 @@ def parse_tsplib(text: str) -> ProblemInstance:
     city_coords = tuple(coords[c] for c in range(dimension))
 
     def value(sol: Permutation) -> int:
-        if len(sol) != dimension:
-            raise ComponentContractError(
-                f"tsp: expected permutation of {dimension} cities"
-            )
         return tour_length(sol.order, city_coords)
 
     return ProblemInstance(
         name=name,
         representation="perm",
-        evaluate=_evaluator("tsp", Permutation, value),
+        evaluate=_evaluator("tsp", Permutation, dimension, value),
         sample_initial=sample_permutation(dimension),
         metadata={"n": dimension, "coords": city_coords},
     )
@@ -408,8 +401,6 @@ def magic_square(k: int) -> ProblemInstance:
     magic = k * (n + 1) // 2
 
     def value(sol: Permutation) -> int:
-        if len(sol) != n:
-            raise ComponentContractError(f"magic_square: expected {n} cells")
         grid = [[sol.order[r * k + c] + 1 for c in range(k)] for r in range(k)]
         total = 0
         for r in range(k):
@@ -423,7 +414,7 @@ def magic_square(k: int) -> ProblemInstance:
     return ProblemInstance(
         name=f"magic_square_{k}",
         representation="perm",
-        evaluate=_evaluator("magic_square", Permutation, value),
+        evaluate=_evaluator("magic_square", Permutation, n, value),
         sample_initial=sample_permutation(n),
         metadata={"k": k, "n": n, "optimum_value": 0.0},
     )

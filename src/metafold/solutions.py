@@ -2,7 +2,17 @@
 
 Three closed representations: bit vectors, permutations, and real vectors.
 The JSON serialization here is the wire/digest canonical form used by both
-the RPC tier and tabu digests.
+the RPC tier and tabu digests. A solution travels as
+``{"t": tag, "v": payload}``:
+
+- ``bits``: ``v`` is a string of ``0``/``1`` characters, one per bit
+  (``{"t": "bits", "v": "0110"}``); any other payload, a list of numbers
+  included, is a `SolutionFormatError`.
+- ``perm``: ``v`` is a list of the integers ``0..n-1`` in tour order.
+- ``real``: ``v`` is a list of finite numbers.
+
+Every bit tuple the constructor accepts serializes to this form and parses
+back to an equal vector (bools and floats equal to 0/1 come back as ints).
 """
 
 from __future__ import annotations
@@ -15,6 +25,10 @@ from typing import Tuple, Union
 
 class SolutionFormatError(Exception):
     """Serialized solution text violates the representation invariants."""
+
+
+_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_TEXT_TO_BITS = bytes(0 if c == ord("0") else 1 if c == ord("1") else 2 for c in range(256))
 
 
 @dataclass(frozen=True)
@@ -36,7 +50,16 @@ class BitVector:
 
     @staticmethod
     def from_string(text: str) -> "BitVector":
-        return BitVector.of(int(c) for c in text)
+        # Any byte but '0'/'1' maps to 2, which the constructor rejects;
+        # non-ASCII text raises UnicodeEncodeError, a ValueError.
+        return BitVector(tuple(text.encode("ascii").translate(_TEXT_TO_BITS)))
+
+    def to_string(self) -> str:
+        try:
+            raw = bytes(self.bits)
+        except TypeError:  # floats (and other numbers) equal to 0 or 1
+            raw = bytes(map(bool, self.bits))
+        return raw.translate(_BITS_TO_TEXT).decode("ascii")
 
     def __len__(self):
         return len(self.bits)
@@ -92,7 +115,7 @@ def representation_of(sol: Solution) -> str:
 def solution_to_json(sol: Solution) -> dict:
     tag = representation_of(sol)
     if tag == "bits":
-        return {"t": "bits", "v": "".join(str(b) for b in sol.bits)}
+        return {"t": "bits", "v": sol.to_string()}
     if tag == "perm":
         return {"t": "perm", "v": list(sol.order)}
     return {"t": "real", "v": list(sol.coords)}
@@ -109,6 +132,10 @@ def solution_from_json(obj: dict) -> Solution:
         raise SolutionFormatError(f"malformed solution object: {obj!r}") from exc
     try:
         if tag == "bits":
+            if not isinstance(payload, str):
+                raise SolutionFormatError(
+                    f"bits payload must be a 0/1 string, got {type(payload).__name__}"
+                )
             return BitVector.from_string(payload)
         if tag == "perm":
             return Permutation.of(payload)

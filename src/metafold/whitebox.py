@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass, field
+from operator import mul
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .components import (
     Component,
@@ -41,6 +43,11 @@ class Constraint:
     type: str  # "all_different" | "table"
     vars: Tuple[str, ...]
     tuples: Tuple[Tuple[int, ...], ...] = ()
+    # The allowed tuples as a set, for O(1) membership tests.
+    allowed: FrozenSet[Tuple[int, ...]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "allowed", frozenset(self.tuples))
 
 
 @dataclass(frozen=True)
@@ -250,15 +257,14 @@ def count_violations(model: ModelDescription, assignment: Dict[str, int]) -> int
     count assignments outside the allowed tuple set."""
     violations = 0
     for con in model.constraints:
-        values = [assignment[v] for v in con.vars]
+        values = tuple(map(assignment.__getitem__, con.vars))
         if con.type == "all_different":
-            for i in range(len(values)):
-                for j in range(i + 1, len(values)):
-                    if values[i] == values[j]:
-                        violations += 1
-        else:
-            if tuple(values) not in con.tuples:
-                violations += 1
+            # A value taken c times makes c(c-1)/2 equal pairs, and
+            # sum c = len(values), so the pairs are (sum c^2 - len) / 2.
+            counts = Counter(values).values()
+            violations += (sum(map(mul, counts, counts)) - len(values)) // 2
+        elif values not in con.allowed:
+            violations += 1
     return violations
 
 
@@ -270,7 +276,7 @@ def objective_value(model: ModelDescription, assignment: Dict[str, int]) -> floa
     if obj.type == "circuit_sum":
         n = len(values)
         return float(sum(obj.weights[values[i]][values[(i + 1) % n]] for i in range(n)))
-    return float(sum(c * v for c, v in zip(obj.coeffs, values)))
+    return float(sum(map(mul, obj.coeffs, values)))
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,27 @@ class TestCompare:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+    @pytest.mark.parametrize(
+        "bad_row",
+        [["p", "a", "9", "not-a-number"], ["p", "a", "9"], ["p", "a"]],
+        ids=["non_numeric", "short_row", "shorter_row"],
+    )
+    def test_malformed_best_value_exit_2(self, tmp_path, capsys, bad_row):
+        path = self.make_results(tmp_path, {"a": [1, 2, 3, 4, 5], "b": [6, 7, 8, 9, 10]})
+        with open(path, "a", newline="") as fh:
+            csv.writer(fh).writerow(bad_row)
+        assert main(["compare", path, "--problem", "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "best_value" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_malformed_row_of_another_problem_is_ignored(self, tmp_path):
+        path = self.make_results(tmp_path, {"a": [1, 2, 3, 4, 5], "b": [6, 7, 8, 9, 10]})
+        with open(path, "a", newline="") as fh:
+            csv.writer(fh).writerow(["q", "a", "9", "junk"])
+        assert main(["compare", path, "--problem", "p"]) == 0
+
+
 class TestEnumerate:
     def registry_file(self, tmp_path):
         doc = {

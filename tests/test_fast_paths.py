@@ -5,6 +5,8 @@ library now computes faster; the fast version must agree with it exactly,
 RNG counter included, or replay would change.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +24,16 @@ from metafold.env import (
     rng_below_many,
     rng_uniform,
 )
-from metafold.problems import parse_dimacs_cnf
-from metafold.solutions import BitVector
+from metafold.problems import parse_dimacs_cnf, trap
+from metafold.solutions import BitVector, solution_digest, solution_from_json, solution_to_json
+from metafold.whitebox import (
+    Constraint,
+    ModelDescription,
+    Objective,
+    Variable,
+    count_violations,
+    objective_value,
+)
 
 seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
 counters = st.integers(min_value=0, max_value=1 << 62)
@@ -191,3 +201,125 @@ def test_bitvector_accepts_what_the_membership_check_accepted(bits):
     except ValueError:
         accepted = False
     assert accepted == ref_bits_valid(bits)
+
+
+def ref_bits_to_text(bits):
+    return "".join(str(b) for b in bits)
+
+
+def ref_text_to_bitvector(text):
+    return BitVector.of(int(c) for c in text)
+
+
+def ref_digest(text):
+    data = json.dumps({"t": "bits", "v": text}, sort_keys=True, separators=(",", ":"))
+    h = 0xCBF29CE484222325
+    for byte in data.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_bit_codec_equals_genexpr_codec(bits):
+    sol = BitVector(tuple(bits))
+    text = ref_bits_to_text(sol.bits)
+    assert solution_to_json(sol) == {"t": "bits", "v": text}
+    assert solution_from_json({"t": "bits", "v": text}) == ref_text_to_bitvector(text) == sol
+    assert solution_digest(sol) == ref_digest(text)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet=st.characters(max_codepoint=127), max_size=12))
+def test_bit_parser_accepts_what_the_genexpr_parser_accepted(text):
+    # ASCII only: int() also reads non-ASCII digits, which the wire form
+    # never contains and the parser now rejects.
+    assert outcome(BitVector.from_string, text) == outcome(ref_text_to_bitvector, text)
+
+
+def ref_trap(n, b, bits):
+    total = 0
+    for i in range(0, n, b):
+        ones = sum(bits[i : i + b])
+        score = b if ones == b else (b - 1 - ones)
+        total += b - score
+    return total
+
+
+@st.composite
+def trap_case(draw):
+    b = draw(st.integers(min_value=1, max_value=6))
+    n = b * draw(st.integers(min_value=1, max_value=12))
+    value = st.one_of(st.integers(0, 1), st.booleans(), st.sampled_from([0.0, 1.0]))
+    bits = draw(st.lists(value, min_size=n, max_size=n))
+    return n, b, tuple(bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trap_case())
+def test_zip_chunked_trap_equals_block_loop(case):
+    n, b, bits = case
+    value, _ = trap(n, b).evaluate(BitVector(bits), env_new(0))
+    assert value == float(ref_trap(n, b, bits))
+
+
+def ref_count_violations(model, assignment):
+    violations = 0
+    for con in model.constraints:
+        values = [assignment[v] for v in con.vars]
+        if con.type == "all_different":
+            for i in range(len(values)):
+                for j in range(i + 1, len(values)):
+                    if values[i] == values[j]:
+                        violations += 1
+        else:
+            if tuple(values) not in con.tuples:
+                violations += 1
+    return violations
+
+
+@st.composite
+def model_and_assignment(draw):
+    names = [f"x{i}" for i in range(draw(st.integers(min_value=1, max_value=10)))]
+    domain = st.integers(min_value=-2, max_value=3)
+    scope = st.lists(st.sampled_from(names), min_size=1, max_size=8).map(tuple)
+    constraints = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        vs = draw(scope)
+        if draw(st.booleans()):
+            constraints.append(Constraint("all_different", vs))
+        else:
+            row = st.lists(domain, min_size=len(vs), max_size=len(vs)).map(tuple)
+            constraints.append(Constraint("table", vs, tuple(draw(st.lists(row, max_size=8)))))
+    coeffs = tuple(draw(st.lists(st.floats(-1e3, 1e3), min_size=len(names), max_size=len(names))))
+    model = ModelDescription(
+        tuple(Variable(v, -2, 3) for v in names),
+        tuple(constraints),
+        Objective("linear_sum", tuple(names), coeffs=coeffs),
+    )
+    assignment = {v: draw(domain) for v in names}
+    return model, assignment
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_and_assignment())
+def test_count_violations_equals_pairwise_and_linear_scan(case):
+    model, assignment = case
+    assert count_violations(model, assignment) == ref_count_violations(model, assignment)
+    obj = model.objective
+    ref_value = float(sum(c * assignment[v] for c, v in zip(obj.coeffs, obj.vars)))
+    assert objective_value(model, assignment) == ref_value
+
+
+def test_table_set_is_derived_not_compared():
+    a = Constraint("table", ("x", "y"), ((0, 1), (1, 0)))
+    assert a.allowed == {(0, 1), (1, 0)}
+    assert a == Constraint("table", ("x", "y"), ((0, 1), (1, 0)))
+    assert "allowed" not in repr(a)

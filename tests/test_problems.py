@@ -358,3 +358,28 @@ class TestSamplers:
         p = sphere(4, -2.0, 3.0)
         sol, _ = p.sample_initial(env_new(8))
         assert all(-2.0 <= c <= 3.0 for c in sol.coords)
+
+
+class TestWrongLength:
+    @pytest.mark.parametrize(
+        "problem, sol",
+        [
+            (onemax(4), BitVector.of([1] * 8)),
+            (onemax(4), BitVector.of([1] * 3)),
+            (trap(8, 4), BitVector.of([1] * 4)),
+            (trap(8, 4), BitVector.of([1] * 10)),
+            (royal_road(8, 4), BitVector.of([1] * 4)),
+            (royal_road(8, 4), BitVector.of([1] * 12)),
+            (hiff(4), BitVector.of([0, 0])),
+            (hiff(4), BitVector.of([0] * 8)),
+            (sphere(3, -5.0, 5.0), RealVector.of([0.0, 0.0])),
+        ],
+        ids=lambda x: getattr(x, "name", None) or str(len(x)),
+    )
+    def test_rejected(self, problem, sol):
+        with pytest.raises(ComponentContractError):
+            value_of(problem, sol)
+
+    def test_right_length_still_evaluates(self):
+        assert value_of(onemax(4), BitVector.of([1] * 4)) == 0
+        assert value_of(hiff(4), BitVector.of([0] * 4)) == 0

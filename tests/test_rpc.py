@@ -102,6 +102,23 @@ class TestServer:
         assert response["jsonrpc"] == "2.0" and response["id"] is None
         assert response["error"]["code"] == ERR_INVALID_REQUEST
 
+    @pytest.mark.parametrize("method", ["perturb", "accept"])
+    @pytest.mark.parametrize("payload", [[0, 1], [1], 1, None, "0121", "01 "])
+    def test_bits_payload_must_be_a_0_1_string(self, method, payload):
+        bad = {"t": "bits", "v": payload}
+        params = {"component": "bitflip", "params": {}, "env": env_new(0).to_json()}
+        if method == "accept":
+            params["component"] = "improving"
+            params["solutions"] = [solution_to_json(BitVector.from_string("01")), bad]
+        else:
+            params["solution"] = bad
+        body = json.dumps(
+            {"jsonrpc": "2.0", "id": 4, "method": method, "params": params}
+        ).encode()
+        response = handle_rpc(default_registry(), body)
+        assert response["id"] == 4
+        assert response["error"]["code"] == ERR_INVALID_PARAMS
+
     def test_component_failure_names_component(self, server):
         # permutation component on a bit vector
         response = rpc(

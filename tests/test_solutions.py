@@ -13,6 +13,7 @@ from metafold.solutions import (
     serialize_solution,
     solution_digest,
     solution_from_json,
+    solution_to_json,
 )
 
 
@@ -77,3 +78,29 @@ def test_solution_from_json_rejects_garbage():
         solution_from_json({"t": "matrix", "v": []})
     with pytest.raises(SolutionFormatError):
         solution_from_json(["not", "an", "object"])
+
+
+@pytest.mark.parametrize("payload", [[0, 1], [1], (0, 1), 1, None, b"01", {"0": 1}])
+def test_bits_payload_must_be_a_string(payload):
+    with pytest.raises(SolutionFormatError):
+        solution_from_json({"t": "bits", "v": payload})
+
+
+@pytest.mark.parametrize("text", ["", "012", "01 ", " 01", "0b1", "١", "1\n"])
+def test_bits_string_rejects_anything_but_0_1(text):
+    with pytest.raises(SolutionFormatError):
+        solution_from_json({"t": "bits", "v": text})
+
+
+bit_values = st.one_of(
+    st.sampled_from([0, 1]), st.booleans(), st.sampled_from([0.0, 1.0, -0.0])
+)
+
+
+@given(st.lists(bit_values, min_size=1, max_size=70).map(tuple))
+def test_every_accepted_bitvector_round_trips_as_0_1_text(bits):
+    sol = BitVector(bits)
+    payload = solution_to_json(sol)["v"]
+    assert set(payload) <= {"0", "1"} and len(payload) == len(bits)
+    assert deserialize_solution(serialize_solution(sol), "bits") == sol
+    assert BitVector.from_string(payload) == sol
