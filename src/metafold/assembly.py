@@ -20,16 +20,10 @@ from .components import (
     ComponentDescriptor,
     FRAMEWORK_KEYS,
     K_BOUNDS,
+    Param,
 )
-from .env import EnvKey, EnvValue, Environment, env_new
-from .frameworks import (
-    InnerSearch,
-    RunResult,
-    crossover_for,
-    genetic_algorithm,
-    iterated_local_search,
-    local_search,
-)
+from .env import EnvKey, EnvValue, env_new
+from .frameworks import FRAMEWORKS, Framework, RunResult, terminate_any
 from .problems import ProblemInstance
 
 
@@ -45,28 +39,6 @@ class InvalidConfigurationError(Exception):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-# slot name -> component kind, per framework template
-FRAMEWORK_SLOTS: Dict[str, Tuple[Tuple[str, str], ...]] = {
-    "local_search": (
-        ("perturb", "perturb"),
-        ("accept", "accept"),
-        ("terminate", "terminate"),
-    ),
-    "ils": (
-        ("kick", "perturb"),
-        ("inner_perturb", "perturb"),
-        ("inner_accept", "accept"),
-        ("inner_terminate", "terminate"),
-        ("outer_accept", "accept"),
-        ("terminate", "terminate"),
-    ),
-    "ga": (
-        ("mutate", "perturb"),
-        ("terminate", "terminate"),
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -168,18 +140,28 @@ class ConfigurationSpec:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()[:16]
 
 
-def _check_bounds(desc: ComponentDescriptor, bindings: Dict) -> List[str]:
+def _framework(name: str) -> Framework:
+    try:
+        return FRAMEWORKS[name]
+    except KeyError:
+        raise UnknownComponentError(f"unknown framework {name!r}") from None
+
+
+def _check_bounds(who: str, params: Sequence[Param], bindings: Dict) -> List[str]:
     problems = []
-    known = {p.name: p for p in desc.params}
+    known = {p.name: p for p in params}
     for pname, value in bindings.items():
         p = known.get(pname)
         if p is None:
-            problems.append(f"{desc.name}: unknown parameter {pname!r}")
+            problems.append(f"{who}: unknown parameter {pname!r}")
+            continue
+        if not isinstance(value, (int, float)):
+            problems.append(f"{who}.{pname}={value!r} is not a number")
             continue
         if p.min is not None and value < p.min:
-            problems.append(f"{desc.name}.{pname}={value} below minimum {p.min}")
+            problems.append(f"{who}.{pname}={value} below minimum {p.min}")
         if p.max is not None and value > p.max:
-            problems.append(f"{desc.name}.{pname}={value} above maximum {p.max}")
+            problems.append(f"{who}.{pname}={value} above maximum {p.max}")
     return problems
 
 
@@ -189,11 +171,10 @@ def validate(spec: ConfigurationSpec, reg: Registry) -> List[str]:
     A key provided only by the requiring component itself (read-modify-write)
     does not satisfy that component's own initial read.
     """
-    if spec.framework not in FRAMEWORK_SLOTS:
-        raise UnknownComponentError(f"unknown framework {spec.framework!r}")
-    slot_kinds = dict(FRAMEWORK_SLOTS[spec.framework])
+    framework = _framework(spec.framework)
+    slot_kinds = dict(framework.slots)
     slot_map = spec.slot_map()
-    violations: List[str] = []
+    violations = _check_bounds(spec.framework, framework.params, dict(spec.framework_params))
     bound = []  # (slot, descriptor)
     for slot, kind in slot_kinds.items():
         if slot not in slot_map:
@@ -201,7 +182,7 @@ def validate(spec: ConfigurationSpec, reg: Registry) -> List[str]:
             continue
         name, bindings = slot_map[slot]
         desc = reg.lookup(kind, name)  # raises UnknownComponentError
-        violations.extend(_check_bounds(desc, bindings))
+        violations.extend(_check_bounds(desc.name, desc.params, bindings))
         bound.append((slot, desc))
     for slot in slot_map:
         if slot not in slot_kinds:
@@ -230,10 +211,15 @@ def enumerate_valid(
     framework_params: Dict = (),
 ) -> List[ConfigurationSpec]:
     """All valid configurations, ordered lexicographically by component
-    names then grid indices."""
-    if framework not in FRAMEWORK_SLOTS:
-        raise UnknownComponentError(f"unknown framework {framework!r}")
-    slots = FRAMEWORK_SLOTS[framework]
+    names then grid indices.
+
+    `framework_params` are shared by every configuration, so invalid ones
+    raise InvalidConfigurationError instead of yielding an empty list."""
+    template = _framework(framework)
+    violations = _check_bounds(framework, template.params, dict(framework_params))
+    if violations:
+        raise InvalidConfigurationError(violations)
+    slots = template.slots
     per_slot = []
     for slot, kind in slots:
         candidates = reg.of_kind(kind)
@@ -276,16 +262,16 @@ def instantiate(
     violations = validate(spec, reg)
     if violations:
         raise InvalidConfigurationError(violations)
-    slot_kinds = dict(FRAMEWORK_SLOTS[spec.framework])
+    framework = FRAMEWORKS[spec.framework]
+    slot_kinds = dict(framework.slots)
     parts = {
         slot: reg.build(slot_kinds[slot], name, bindings)
         for slot, (name, bindings) in spec.slot_map().items()
     }
     if extra_terminate is not None:
-        from .frameworks import terminate_any
-
         parts["terminate"] = terminate_any(parts["terminate"], extra_terminate)
-    fw_params = dict(spec.framework_params)
+    params = {p.name: p.default for p in framework.params}
+    params.update(spec.framework_params)
 
     def run() -> RunResult:
         env = env_new(seed)
@@ -294,40 +280,6 @@ def instantiate(
             env = env.put(K_BOUNDS, EnvValue.of_rseq(bounds))
         for key, value in spec.initializers:
             env = env.put(key, value)
-        if spec.framework == "ga":
-            return genetic_algorithm(
-                int(fw_params.get("pop_size", 20)),
-                problem.sample_initial,
-                problem.evaluate,
-                int(fw_params.get("tournament_size", 2)),
-                crossover_for(problem.representation),
-                parts["mutate"],
-                parts["terminate"],
-                env,
-            )
-        start, env = problem.sample_initial(env)
-        if spec.framework == "local_search":
-            return local_search(
-                start,
-                problem.evaluate,
-                parts["perturb"],
-                parts["accept"],
-                parts["terminate"],
-                env,
-            )
-        if spec.framework == "ils":
-            inner = InnerSearch(
-                parts["inner_perturb"], parts["inner_accept"], parts["inner_terminate"]
-            )
-            return iterated_local_search(
-                start,
-                problem.evaluate,
-                parts["kick"],
-                inner,
-                parts["outer_accept"],
-                parts["terminate"],
-                env,
-            )
-        raise UnknownComponentError(f"unknown framework {spec.framework!r}")
+        return framework.run(problem, parts, params, env)
 
     return run

@@ -24,15 +24,15 @@ from .assembly import (
     UnknownComponentError,
     enumerate_valid,
     instantiate,
+    validate,
 )
 from .components import terminate_evaluations, terminate_iterations
-from .env import EnvKey, EnvValue
+from .env import EnvKey, EnvValue, env_new
 from .frameworks import terminate_any
-from .palette import default_registry, load_registry, registry_to_json
+from .palette import default_registry, load_registry
 from .problems import ParseError, ProblemInstance
 from .stats import interquartile_range, mann_whitney_u, median
-from .whitebox import dispatch_solve, parse_model, ModelError
-from .env import env_new
+from .whitebox import dispatch_solve, match_tsp, parse_model, tsplib_explicit_text, ModelError
 
 EXIT_OK = 0
 EXIT_TRIAL_FAILURES = 1
@@ -84,6 +84,8 @@ def _budget_terminate(budget: Optional[Dict]):
 
 
 def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, ConfigurationSpec]]:
+    """Numbered configurations, every one valid; raises
+    InvalidConfigurationError naming each violation otherwise."""
     if "configs" in spec:
         configs = [ConfigurationSpec.from_json(c) for c in spec["configs"]]
     else:
@@ -94,7 +96,11 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
             initializers=_parse_initializers(spec.get("initializers")),
             framework_params=spec.get("framework_params", {}),
         )
-    return [(f"{i:04d}-{c.content_hash()}", c) for i, c in enumerate(configs)]
+    numbered = [(f"{i:04d}-{c.content_hash()}", c) for i, c in enumerate(configs)]
+    violations = [f"config {cid}: {v}" for cid, c in numbered for v in validate(c, registry)]
+    if violations:
+        raise InvalidConfigurationError(violations)
+    return numbered
 
 
 def cmd_run(args) -> int:
@@ -114,7 +120,8 @@ def cmd_run(args) -> int:
             raise ValueError("trace_stride must be >= 1")
         out_dir = Path(spec["out"])
         workers = int(spec.get("workers", 1))
-    except (OSError, KeyError, ValueError, ParseError, UnknownComponentError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, ParseError, UnknownComponentError,
+            InvalidConfigurationError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -292,8 +299,6 @@ def cmd_solve(args) -> int:
         return EXIT_INPUT_ERROR
     result, _env = dispatch_solve(model, args.budget, env_new(args.seed), penalty=args.penalty)
     if result.route == "tsp":
-        from .whitebox import match_tsp, tsplib_explicit_text
-
         audit_path = Path(args.model).with_suffix(".tsplib")
         audit_path.write_text(tsplib_explicit_text(match_tsp(model)))
     print(

@@ -9,7 +9,7 @@ the configuration space derivable: a component reads only its declared
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from .env import (
@@ -25,7 +25,6 @@ from .solutions import (
     BitVector,
     Permutation,
     RealVector,
-    Solution,
     solution_digest,
 )
 
@@ -115,10 +114,10 @@ def descriptor_of(component: Component) -> ComponentDescriptor:
     return component.descriptor
 
 
-def _require_real(env: Environment, key: EnvKey, who: str) -> float:
+def _require(env: Environment, key: EnvKey, tag: str, who: str):
     v = env.get(key)
-    if v is None or v.tag != "real":
-        raise ConfigurationError(f"{who}: missing real env key {key.render()}")
+    if v is None or v.tag != tag:
+        raise ConfigurationError(f"{who}: missing {tag} env key {key.render()}")
     return v.value
 
 
@@ -241,8 +240,8 @@ def perturb_gaussian(sigma: float) -> Component:
 
 def _framework_values(env: Environment, who: str) -> Tuple[float, float]:
     return (
-        _require_real(env, K_INCUMBENT_VALUE, who),
-        _require_real(env, K_INCOMING_VALUE, who),
+        _require(env, K_INCUMBENT_VALUE, "real", who),
+        _require(env, K_INCOMING_VALUE, "real", who),
     )
 
 
@@ -274,7 +273,7 @@ def accept_metropolis(cooling: float) -> Component:
     def step(pair, env):
         incumbent, incoming = pair
         incumbent_value, incoming_value = _framework_values(env, "metropolis")
-        temperature = _require_real(env, K_TEMPERATURE, "metropolis")
+        temperature = _require(env, K_TEMPERATURE, "real", "metropolis")
         delta = incoming_value - incumbent_value
         if delta <= 0:
             chosen = incoming
@@ -326,19 +325,12 @@ def accept_tabu(tenure: int) -> Component:
 # Termination
 
 
-def _require_counter(env: Environment, key: EnvKey, who: str) -> int:
-    v = env.get(key)
-    if v is None or v.tag != "int":
-        raise ConfigurationError(f"{who}: missing int env key {key.render()}")
-    return v.value
-
-
 def terminate_iterations(max_iterations: int) -> Component:
     if max_iterations < 0:
         raise ValueError("max_iterations must be nonnegative")
 
     def step(sol, env):
-        it = _require_counter(env, K_ITERATION, "max_iterations")
+        it = _require(env, K_ITERATION, "int", "max_iterations")
         return it >= max_iterations, env
 
     desc = ComponentDescriptor(
@@ -355,7 +347,7 @@ def terminate_evaluations(max_evaluations: int) -> Component:
         raise ValueError("max_evaluations must be nonnegative")
 
     def step(sol, env):
-        evals = _require_counter(env, K_EVALUATIONS, "max_evaluations")
+        evals = _require(env, K_EVALUATIONS, "int", "max_evaluations")
         return evals >= max_evaluations, env
 
     desc = ComponentDescriptor(
@@ -369,7 +361,7 @@ def terminate_evaluations(max_evaluations: int) -> Component:
 
 def terminate_target(target: float) -> Component:
     def step(sol, env):
-        best = _require_real(env, K_BEST_VALUE, "target_value")
+        best = _require(env, K_BEST_VALUE, "real", "target_value")
         return best <= target, env
 
     desc = ComponentDescriptor(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -112,23 +112,10 @@ class EnvValue:
     @staticmethod
     def from_json(obj: dict) -> "EnvValue":
         tag, payload = obj["t"], obj["v"]
-        if tag == "int":
-            return EnvValue.of_int(payload)
-        if tag == "real":
-            return EnvValue.of_real(payload)
-        if tag == "bool":
-            return EnvValue.of_bool(payload)
-        if tag == "text":
-            return EnvValue.of_text(payload)
-        if tag == "rseq":
-            return EnvValue.of_rseq(payload)
-        if tag == "iseq":
-            return EnvValue.of_iseq(payload)
-        if tag == "dseq":
-            return EnvValue.of_dseq(int(d) for d in payload)
-        if tag == "sol":
-            return EnvValue.of_sol(payload)
-        raise ValueError(f"unknown EnvValue tag: {tag!r}")
+        if tag not in VALUE_TAGS:
+            raise ValueError(f"unknown EnvValue tag: {tag!r}")
+        # each tag has its `of_<tag>` constructor; dseq parses its strings
+        return getattr(EnvValue, f"of_{tag}")(payload)
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,29 @@
 """Algorithm templates as higher-order compositions of components.
 
 Each template threads one Environment lineage through every component call
-and maintains the framework counters (iteration, evaluations, best value)
-that components may read. Templates return the best-so-far solution, not
-merely the final incumbent, since acceptance rules like Metropolis or tabu
-may walk away from the best.
+and is one step function over the shared loop `_search`, which alone
+maintains the framework counters (iteration, evaluations, best value) that
+components may read. Templates return the best-so-far solution, not merely
+the final incumbent, since acceptance rules like Metropolis or tabu may walk
+away from the best. `FRAMEWORKS` declares each template's slots and
+parameters once for assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .components import (
     Component,
+    ComponentDescriptor,
     K_BEST_VALUE,
     K_EVALUATIONS,
     K_INCOMING_VALUE,
     K_INCUMBENT_VALUE,
     K_ITERATION,
     K_TEMPERATURE,
+    Param,
     accept_metropolis,
     initializer,
 )
@@ -43,11 +47,41 @@ def _publish(env, iteration, evaluations, best_value):
     })
 
 
-def _publish_pair(env, incumbent_value, incoming_value):
-    return env.put_many({
-        K_INCUMBENT_VALUE: EnvValue.of_real(incumbent_value),
+def _choose(accept, incumbent, value, incoming, incoming_value, env):
+    """Publish both values, let `accept` pick, return the survivor and its value."""
+    env = env.put_many({
+        K_INCUMBENT_VALUE: EnvValue.of_real(value),
         K_INCOMING_VALUE: EnvValue.of_real(incoming_value),
     })
+    chosen, env = accept((incumbent, incoming), env)
+    if chosen == incoming:
+        return incoming, incoming_value, env
+    return incumbent, value, env
+
+
+def _search(focus, value, evaluations, advance, terminate, env) -> RunResult:
+    """The loop every template runs. It alone keeps the iteration and
+    evaluation counters, publishes them, asks `terminate` about `focus`,
+    tracks the best-so-far and records the trace.
+
+    `advance(focus, value, env)` makes one step and returns the next
+    `(focus, value, evaluations spent, env)`.
+    """
+    iteration = 0
+    best, best_value = focus, value
+    trace = []
+    while True:
+        env = _publish(env, iteration, evaluations, best_value)
+        done, env = terminate(focus, env)
+        if done:
+            break
+        focus, value, spent, env = advance(focus, value, env)
+        evaluations += spent
+        iteration += 1
+        if value < best_value:
+            best, best_value = focus, value
+        trace.append((iteration, evaluations, best_value))
+    return RunResult(best, best_value, env, tuple(trace))
 
 
 def local_search(
@@ -58,32 +92,17 @@ def local_search(
     terminate: Component,
     env: Environment,
 ) -> RunResult:
-    """Core loop: while not finished, perturb the incumbent, publish both
+    """Until `terminate` says stop, perturb the incumbent, publish both
     objective values, and let the acceptance rule pick the survivor."""
-    value, env = evaluate(incumbent, env)
-    iteration, evaluations = 0, 1
-    best, best_value = incumbent, value
-    env = _publish(env, iteration, evaluations, best_value)
-    trace = []
-    while True:
-        done, env = terminate(incumbent, env)
-        if done:
-            break
+
+    def advance(incumbent, value, env):
         incoming, env = perturb(incumbent, env)
         incoming_value, env = evaluate(incoming, env)
-        evaluations += 1
-        env = _publish_pair(env, value, incoming_value)
-        chosen, env = accept((incumbent, incoming), env)
-        if chosen == incoming:
-            incumbent, value = incoming, incoming_value
-        else:
-            incumbent = chosen
-        iteration += 1
-        if value < best_value:
-            best, best_value = incumbent, value
-        env = _publish(env, iteration, evaluations, best_value)
-        trace.append((iteration, evaluations, best_value))
-    return RunResult(best, best_value, env, tuple(trace))
+        incumbent, value, env = _choose(accept, incumbent, value, incoming, incoming_value, env)
+        return incumbent, value, 1, env
+
+    value, env = evaluate(incumbent, env)
+    return _search(incumbent, value, 1, advance, terminate, env)
 
 
 def simulated_annealing_preset(t0: float, cooling: float):
@@ -114,33 +133,21 @@ def iterated_local_search(
 ) -> RunResult:
     """Kick the current solution, descend with the inner search, then apply
     the outer acceptance. Counters and trace live at outer granularity."""
-    value, env = evaluate(start, env)
-    iteration, evaluations = 0, 1
-    current, current_value = start, value
-    best, best_value = start, value
-    env = _publish(env, iteration, evaluations, best_value)
-    trace = []
-    while True:
-        done, env = terminate(current, env)
-        if done:
-            break
+
+    def advance(current, current_value, env):
         kicked, env = kick(current, env)
         inner_result = local_search(
             kicked, evaluate, inner.perturb, inner.accept, inner.terminate, env
         )
-        env = inner_result.final_env
-        evaluations += len(inner_result.trace) + 1  # inner evals: initial + 1/iter
-        candidate, candidate_value = inner_result.best, inner_result.best_value
-        env = _publish_pair(env, current_value, candidate_value)
-        chosen, env = outer_accept((current, candidate), env)
-        if chosen == candidate:
-            current, current_value = candidate, candidate_value
-        iteration += 1
-        if current_value < best_value:
-            best, best_value = current, current_value
-        env = _publish(env, iteration, evaluations, best_value)
-        trace.append((iteration, evaluations, best_value))
-    return RunResult(best, best_value, env, tuple(trace))
+        current, current_value, env = _choose(
+            outer_accept, current, current_value,
+            inner_result.best, inner_result.best_value, inner_result.final_env,
+        )
+        # inner evaluations: the start plus one per inner iteration
+        return current, current_value, len(inner_result.trace) + 1, env
+
+    value, env = evaluate(start, env)
+    return _search(start, value, 1, advance, terminate, env)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +223,14 @@ def crossover_for(representation: str):
     raise ValueError(f"no crossover for representation {representation!r}")
 
 
+def _evaluate_all(evaluate, solutions, env):
+    values = []
+    for sol in solutions:
+        v, env = evaluate(sol, env)
+        values.append(v)
+    return values, env
+
+
 def genetic_algorithm(
     pop_size: int,
     init: Callable[[Environment], Tuple[Solution, Environment]],
@@ -226,7 +241,9 @@ def genetic_algorithm(
     terminate: Component,
     env: Environment,
 ) -> RunResult:
-    """Generational GA with size-t tournaments and elitism of 1."""
+    """Generational GA with size-t tournaments and elitism of 1.
+
+    The search focus is the best-so-far, so that is what `terminate` sees."""
     if pop_size < 2 or pop_size % 2 != 0:
         raise ValueError("pop_size must be even and positive")
     if tournament_size < 1:
@@ -236,16 +253,8 @@ def genetic_algorithm(
     for _ in range(pop_size):
         sol, env = init(env)
         population.append(sol)
-    values = []
-    for sol in population:
-        v, env = evaluate(sol, env)
-        values.append(v)
-    evaluations = pop_size
-    generation = 0
+    values, env = _evaluate_all(evaluate, population, env)
     best_idx = min(range(pop_size), key=lambda i: values[i])
-    best, best_value = population[best_idx], values[best_idx]
-    env = _publish(env, generation, evaluations, best_value)
-    trace = []
 
     def tournament(env):
         # ties go to the first-drawn contestant for replay determinism
@@ -257,10 +266,8 @@ def genetic_algorithm(
                 winner, winner_value = idx, values[idx]
         return winner, env
 
-    while True:
-        done, env = terminate(best, env)
-        if done:
-            break
+    def advance(best, best_value, env):
+        nonlocal population, values
         children = []
         for _ in range(pop_size // 2):
             p1, env = tournament(env)
@@ -269,28 +276,23 @@ def genetic_algorithm(
             c1, env = mutate(c1, env)
             c2, env = mutate(c2, env)
             children.extend((c1, c2))
-        child_values = []
-        for child in children:
-            v, env = evaluate(child, env)
-            child_values.append(v)
-        evaluations += pop_size
+        child_values, env = _evaluate_all(evaluate, children, env)
         # elitism of 1: the best-so-far replaces the worst child verbatim
         worst = max(range(pop_size), key=lambda i: child_values[i])
         children[worst], child_values[worst] = best, best_value
         population, values = children, child_values
-        generation += 1
         gen_best = min(range(pop_size), key=lambda i: values[i])
         if values[gen_best] < best_value:
-            best, best_value = population[gen_best], values[gen_best]
-        env = _publish(env, generation, evaluations, best_value)
-        trace.append((generation, evaluations, best_value))
-    return RunResult(best, best_value, env, tuple(trace))
+            return population[gen_best], values[gen_best], pop_size, env
+        return best, best_value, pop_size, env
+
+    return _search(
+        population[best_idx], values[best_idx], pop_size, advance, terminate, env
+    )
 
 
 def terminate_any(*terminates: Component) -> Component:
     """True as soon as any constituent condition is true (budget caps)."""
-    from .components import ComponentDescriptor
-
     requires = frozenset().union(*(t.descriptor.requires for t in terminates))
 
     def step(sol, env):
@@ -302,3 +304,73 @@ def terminate_any(*terminates: Component) -> Component:
 
     desc = ComponentDescriptor("any_of", "terminate", requires=requires)
     return Component(desc, step)
+
+
+# ---------------------------------------------------------------------------
+# The template table: each framework's slots, its own parameters and how
+# it runs a problem. Assembly validates, enumerates and instantiates from
+# this table alone, so a new template is one entry here.
+
+
+@dataclass(frozen=True)
+class Framework:
+    slots: Tuple[Tuple[str, str], ...]  # (slot name, component kind)
+    # run(problem, parts by slot, params by name with defaults filled, env)
+    run: Callable[..., RunResult]
+    params: Tuple[Param, ...] = ()
+
+
+def _run_local_search(problem, parts, params, env):
+    start, env = problem.sample_initial(env)
+    return local_search(
+        start, problem.evaluate, parts["perturb"], parts["accept"], parts["terminate"], env
+    )
+
+
+def _run_ils(problem, parts, params, env):
+    start, env = problem.sample_initial(env)
+    inner = InnerSearch(
+        parts["inner_perturb"], parts["inner_accept"], parts["inner_terminate"]
+    )
+    return iterated_local_search(
+        start, problem.evaluate, parts["kick"], inner, parts["outer_accept"],
+        parts["terminate"], env,
+    )
+
+
+def _run_ga(problem, parts, params, env):
+    return genetic_algorithm(
+        int(params["pop_size"]),
+        problem.sample_initial,
+        problem.evaluate,
+        int(params["tournament_size"]),
+        crossover_for(problem.representation),
+        parts["mutate"],
+        parts["terminate"],
+        env,
+    )
+
+
+FRAMEWORKS: Dict[str, Framework] = {
+    "local_search": Framework(
+        slots=(("perturb", "perturb"), ("accept", "accept"), ("terminate", "terminate")),
+        run=_run_local_search,
+    ),
+    "ils": Framework(
+        slots=(
+            ("kick", "perturb"),
+            ("inner_perturb", "perturb"),
+            ("inner_accept", "accept"),
+            ("inner_terminate", "terminate"),
+            ("outer_accept", "accept"),
+            ("terminate", "terminate"),
+        ),
+        run=_run_ils,
+    ),
+    "ga": Framework(
+        slots=(("mutate", "perturb"), ("terminate", "terminate")),
+        run=_run_ga,
+        # pop_size must also be even; genetic_algorithm raises on odd sizes
+        params=(Param("pop_size", "int", 20, min=2), Param("tournament_size", "int", 2, min=1)),
+    ),
+}

@@ -17,7 +17,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 
 from .assembly import Registry, UnknownComponentError
-from .components import Component
+from .components import Component, ComponentDescriptor
 from .env import Environment
 from .solutions import solution_from_json, solution_to_json
 
@@ -27,12 +27,8 @@ ERR_INVALID_PARAMS = -32602
 ERR_UNKNOWN_COMPONENT = -32001
 ERR_COMPONENT_FAILURE = -32002
 
-_METHOD_KINDS = {
-    "perturb": "perturb",
-    "accept": "accept",
-    "evaluate": "evaluate",
-    "terminate": "terminate",
-}
+# Each component method is named after the component kind it calls.
+_METHODS = ("perturb", "accept", "evaluate", "terminate")
 
 
 class RemoteUnavailableError(Exception):
@@ -67,7 +63,7 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
     method = request["method"]
     if method == "describe":
         return _result(req_id, registry.to_json())
-    if method not in _METHOD_KINDS:
+    if method not in _METHODS:
         return _error(req_id, ERR_INVALID_REQUEST, f"unknown method {method!r}")
     params = request.get("params")
     if not isinstance(params, dict):
@@ -83,7 +79,7 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
     except Exception as exc:
         return _error(req_id, ERR_INVALID_PARAMS, f"malformed params: {exc}")
     try:
-        component = registry.build(_METHOD_KINDS[method], name, params.get("params", {}))
+        component = registry.build(method, name, params.get("params", {}))
     except UnknownComponentError as exc:
         return _error(req_id, ERR_UNKNOWN_COMPONENT, str(exc))
     except Exception as exc:
@@ -183,8 +179,6 @@ class _RequestIds:
 
 
 def _fetch_descriptor(endpoint: str, kind: str, name: str, ids: _RequestIds):
-    from .components import ComponentDescriptor
-
     result = _post(endpoint, {"jsonrpc": "2.0", "id": ids.take(), "method": "describe"})
     for obj in result["components"]:
         if obj["kind"] == kind and obj["name"] == name:
@@ -193,9 +187,8 @@ def _fetch_descriptor(endpoint: str, kind: str, name: str, ids: _RequestIds):
 
 
 def _remote(endpoint: str, method: str, name: str, params: Optional[Dict]) -> Component:
-    kind = _METHOD_KINDS[method]
     ids = _RequestIds()
-    descriptor = _fetch_descriptor(endpoint, kind, name, ids)
+    descriptor = _fetch_descriptor(endpoint, method, name, ids)
     bindings = dict(params or {})
 
     def step(payload, env):

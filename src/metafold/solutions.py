@@ -43,6 +43,8 @@ class BitVector:
             valid = False
         if not valid:
             raise ValueError("bits must be a nonempty 0/1 sequence")
+        if not isinstance(bits, tuple):  # a list: keep it hashable and comparable
+            object.__setattr__(self, "bits", tuple(bits))
 
     @staticmethod
     def of(bits) -> "BitVector":
@@ -98,8 +100,6 @@ class RealVector:
 
 
 Solution = Union[BitVector, Permutation, RealVector]
-
-REPRESENTATION_TAGS = ("bits", "perm", "real")
 
 
 def representation_of(sol: Solution) -> str:

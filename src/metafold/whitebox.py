@@ -9,21 +9,15 @@ penalty-based local search over full assignments.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .components import (
-    Component,
-    accept_improving,
-    perturb_two_opt,
-    terminate_evaluations,
-)
+from .components import accept_improving, perturb_two_opt, terminate_evaluations
 from .env import Environment, rng_below
 from .frameworks import local_search
-from .problems import ProblemInstance, sample_permutation
+from .problems import ProblemInstance, _evaluator, sample_permutation
 from .solutions import Permutation
 
 
@@ -222,24 +216,20 @@ def tsplib_explicit_text(match: TspMatch, name: str = "rewritten") -> str:
     return "\n".join(lines) + "\n"
 
 
+def circuit_sum(weights, order) -> int:
+    """Length of the closed tour that visits `order` and returns to its start."""
+    return sum(weights[a][b] for a, b in zip(order, order[1:] + order[:1]))
+
+
 def rewrite_to_tsp(match: TspMatch) -> ProblemInstance:
     """Permutation problem whose objective is the circuit sum over W; the
     TSPLIB audit text rides along in metadata."""
     n = match.n
     W = match.weights
-
-    def step(sol, env):
-        order = sol.order
-        total = sum(W[order[i]][order[(i + 1) % n]] for i in range(n))
-        return float(total), env
-
-    from .components import ComponentDescriptor
-
-    evaluate = Component(ComponentDescriptor("circuit_sum", "evaluate"), step)
     return ProblemInstance(
         name=f"rewritten_tsp_{n}",
         representation="perm",
-        evaluate=evaluate,
+        evaluate=_evaluator("circuit_sum", Permutation, n, lambda s: circuit_sum(W, s.order)),
         sample_initial=sample_permutation(n),
         metadata={"n": n, "tsplib_text": tsplib_explicit_text(match)},
     )
@@ -274,8 +264,7 @@ def objective_value(model: ModelDescription, assignment: Dict[str, int]) -> floa
         return 0.0
     values = [assignment[v] for v in obj.vars]
     if obj.type == "circuit_sum":
-        n = len(values)
-        return float(sum(obj.weights[values[i]][values[(i + 1) % n]] for i in range(n)))
+        return float(circuit_sum(obj.weights, values))
     return float(sum(map(mul, obj.coeffs, values)))
 
 

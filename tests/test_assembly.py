@@ -245,3 +245,85 @@ class TestInstantiate:
         spec = spec_for("metropolis", (SA_INIT,))
         assert ConfigurationSpec.from_json(spec.to_json()) == spec
         assert spec.content_hash() == ConfigurationSpec.from_json(spec.to_json()).content_hash()
+
+
+def ga_spec(**framework_params):
+    return ConfigurationSpec.make(
+        "ga",
+        {"mutate": ("bitflip", {"k": 1}), "terminate": ("max_iterations", {"max": 3})},
+        framework_params=framework_params,
+    )
+
+
+ILS_SLOTS = {
+    "kick": ("bitflip", {"k": 3}),
+    "inner_perturb": ("bitflip", {"k": 1}),
+    "inner_accept": ("improving", {}),
+    "inner_terminate": ("max_iterations", {"max": 5}),
+    "outer_accept": ("improving", {}),
+    "terminate": ("max_iterations", {"max": 3}),
+}
+
+
+class TestFrameworkParams:
+    def test_misspelt_ga_param_is_a_violation(self):
+        violations = validate(ga_spec(pop_sise=8), default_registry())
+        assert violations == ["ga: unknown parameter 'pop_sise'"]
+
+    @pytest.mark.parametrize(
+        "params, fragment",
+        [
+            ({"pop_size": 0}, "ga.pop_size=0 below minimum 2"),
+            ({"pop_size": 1}, "ga.pop_size=1 below minimum 2"),
+            ({"tournament_size": 0}, "ga.tournament_size=0 below minimum 1"),
+            ({"pop_size": "8"}, "ga.pop_size='8' is not a number"),
+        ],
+    )
+    def test_out_of_range_ga_params_are_violations(self, params, fragment):
+        assert validate(ga_spec(**params), default_registry()) == [fragment]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ConfigurationSpec.make(
+                "local_search",
+                {
+                    "perturb": ("bitflip", {"k": 1}),
+                    "accept": ("improving", {}),
+                    "terminate": ("max_iterations", {"max": 3}),
+                },
+                framework_params={"pop_size": 8},
+            ),
+            ConfigurationSpec.make("ils", ILS_SLOTS, framework_params={"pop_size": 8}),
+        ],
+    )
+    def test_templates_without_params_reject_any(self, spec):
+        violations = validate(spec, default_registry())
+        assert violations == [f"{spec.framework}: unknown parameter 'pop_size'"]
+
+    def test_valid_ga_params(self):
+        assert validate(ga_spec(pop_size=8, tournament_size=3), default_registry()) == []
+
+    def test_instantiate_refuses_bad_framework_params(self):
+        with pytest.raises(InvalidConfigurationError):
+            instantiate(ga_spec(pop_size=0), default_registry(), onemax(8), 1)
+
+    def test_enumerate_valid_raises_instead_of_yielding_nothing(self):
+        with pytest.raises(InvalidConfigurationError) as info:
+            enumerate_valid(small_registry(), "ga", {}, framework_params={"pop_sise": 8})
+        assert info.value.violations == ["ga: unknown parameter 'pop_sise'"]
+
+    def test_ga_defaults(self):
+        # pop_size 20 and tournament_size 2 unless the spec says otherwise
+        r = instantiate(ga_spec(), default_registry(), onemax(8), 1)()
+        explicit = instantiate(
+            ga_spec(pop_size=20, tournament_size=2), default_registry(), onemax(8), 1
+        )()
+        assert [row[1] for row in r.trace] == [40, 60, 80]
+        assert r.trace == explicit.trace and r.final_env == explicit.final_env
+
+    def test_odd_pop_size_is_still_a_run_time_error(self):
+        spec = ga_spec(pop_size=3)
+        assert validate(spec, default_registry()) == []
+        with pytest.raises(ValueError):
+            instantiate(spec, default_registry(), onemax(8), 1)()

@@ -378,3 +378,68 @@ class TestServe:
             port = s.getsockname()[1]
             assert main(["serve", "--port", str(port)]) == 3
         assert "cannot bind" in capsys.readouterr().err
+
+
+class TestRunChecksEveryConfigFirst:
+    def ga_config(self, **framework_params):
+        return {
+            "framework": "ga",
+            "slots": {
+                "mutate": {"component": "bitflip", "params": {"k": 1}},
+                "terminate": {"component": "max_iterations", "params": {"max": 3}},
+            },
+            "framework_params": framework_params,
+        }
+
+    def listed(self, tmp_path, out, configs):
+        return write_json(
+            tmp_path / "e.json",
+            {
+                "problems": [{"kind": "onemax", "n": 8}],
+                "configs": configs,
+                "seeds": [1],
+                "out": str(out),
+            },
+        )
+
+    def test_misspelt_framework_param_on_enumerated_configs_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = experiment(tmp_path, out, [1], framework="ga", framework_params={"pop_sise": 8})
+        assert main(["run", write_json(tmp_path / "e.json", doc)]) == 2
+        assert "unknown parameter 'pop_sise'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_pop_size_on_a_listed_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        exp = self.listed(tmp_path, out, [self.ga_config(pop_size=8), self.ga_config(pop_size=0)])
+        assert main(["run", exp]) == 2
+        err = capsys.readouterr().err
+        assert "config 0001-" in err and "ga.pop_size=0 below minimum 2" in err
+        assert not out.exists()
+
+    def test_framework_param_on_local_search_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = {
+            "framework": "local_search",
+            "slots": {
+                "perturb": {"component": "bitflip", "params": {"k": 1}},
+                "accept": {"component": "improving", "params": {}},
+                "terminate": {"component": "max_iterations", "params": {"max": 3}},
+            },
+            "framework_params": {"pop_size": 8},
+        }
+        assert main(["run", self.listed(tmp_path, out, [config])]) == 2
+        assert "local_search: unknown parameter 'pop_size'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unbound_slot_on_a_listed_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = self.ga_config()
+        del config["slots"]["terminate"]
+        assert main(["run", self.listed(tmp_path, out, [config])]) == 2
+        assert "slot 'terminate' is unbound" in capsys.readouterr().err
+
+    def test_valid_ga_params_run(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", self.listed(tmp_path, out, [self.ga_config(pop_size=4)])]) == 0
+        assert read_results(out)[0]["evaluations"] == "16"

@@ -236,3 +236,15 @@ class TestStepThen:
         left = step_then(step_then(a, b), c)(None, e)
         right = step_then(a, step_then(b, c))(None, e)
         assert left == right
+
+
+@pytest.mark.parametrize("tag", ["matrix", "of_int", "INT", "", "__class__"])
+def test_from_json_rejects_unknown_tag(tag):
+    with pytest.raises(ValueError, match="unknown EnvValue tag"):
+        EnvValue.from_json({"t": tag, "v": 1})
+
+
+def test_from_json_parses_dseq_strings():
+    assert EnvValue.from_json({"t": "dseq", "v": [str(2**64 - 1), "0"]}) == EnvValue.of_dseq(
+        [2**64 - 1, 0]
+    )

@@ -379,3 +379,102 @@ class TestGeneticAlgorithm:
         children, out = crossover_one_point()((a, b), env)
         assert children == (a, b)
         assert out.rng == env.rng
+
+
+# ---------------------------------------------------------------------------
+# What each template hands to `terminate`, and the counters it publishes
+
+
+def sequence(name, kind, solutions):
+    """Stub that ignores its input and returns `solutions` in order."""
+    pending = list(solutions)
+    return stub(name, kind, lambda s, e: (pending.pop(0), e))
+
+
+def recording_terminate(calls, stop_after):
+    """Records (solution, published evaluations) per call; stops once
+    `stop_after` iterations have run."""
+    from metafold.components import K_EVALUATIONS
+
+    def step(sol, env):
+        calls.append((sol, env.get(K_EVALUATIONS).value))
+        return env.get(K_ITERATION).value >= stop_after, env
+
+    return stub("recording", "terminate", step)
+
+
+ALWAYS_INCOMING = stub("always", "accept", lambda pair, e: (pair[1], e))
+B = BitVector.from_string
+
+
+class TestWhatTerminateReceives:
+    def test_local_search_passes_the_incumbent(self):
+        p = onemax(4)
+        calls = []
+        r = local_search(
+            B("0000"),
+            p.evaluate,
+            sequence("seq", "perturb", [B("1000"), B("1100"), B("0000")]),
+            ALWAYS_INCOMING,
+            recording_terminate(calls, 3),
+            env_new(1),
+        )
+        assert calls == [(B("0000"), 1), (B("1000"), 2), (B("1100"), 3), (B("0000"), 4)]
+        assert r.trace == ((1, 2, 3.0), (2, 3, 2.0), (3, 4, 2.0))
+        assert r.best == B("1100") and r.best_value == 2.0
+        assert r.final_env.get(K_ITERATION).value == 3
+
+    def test_ils_passes_the_current_solution(self):
+        p = onemax(4)
+        calls = []
+        r = iterated_local_search(
+            B("0000"),
+            p.evaluate,
+            sequence("kick", "perturb", [B("1000"), B("1110"), B("0000")]),
+            InnerSearch(perturb_bitflip(1), accept_improving(), terminate_iterations(0)),
+            ALWAYS_INCOMING,
+            recording_terminate(calls, 3),
+            env_new(2),
+        )
+        # zero inner steps: each outer step spends the inner start evaluation
+        assert calls == [(B("0000"), 1), (B("1000"), 2), (B("1110"), 3), (B("0000"), 4)]
+        assert r.trace == ((1, 2, 3.0), (2, 3, 1.0), (3, 4, 1.0))
+        assert r.best == B("1110") and r.best_value == 1.0
+
+    def test_ils_counts_inner_evaluations(self):
+        p = onemax(4)
+        calls = []
+        r = iterated_local_search(
+            B("0000"),
+            p.evaluate,
+            stub("identity", "perturb", lambda s, e: (s, e)),
+            InnerSearch(
+                sequence("seq", "perturb", [B("1000"), B("0000"), B("1100")]),
+                accept_improving(),
+                terminate_iterations(1),
+            ),
+            accept_improving(),
+            recording_terminate(calls, 3),
+            env_new(3),
+        )
+        assert calls == [(B("0000"), 1), (B("1000"), 3), (B("1000"), 5), (B("1100"), 7)]
+        assert r.trace == ((1, 3, 3.0), (2, 5, 3.0), (3, 7, 2.0))
+
+    def test_ga_passes_the_best_so_far(self):
+        p = onemax(16)
+        pop = 6
+        calls = []
+        r = genetic_algorithm(
+            pop, p.sample_initial, p.evaluate, 2, crossover_one_point(),
+            perturb_bitflip(2), recording_terminate(calls, 8), env_new(4),
+        )
+        assert [evals for _, evals in calls] == [pop * (g + 1) for g in range(9)]
+        assert [row[1] for row in r.trace] == [pop * (g + 2) for g in range(8)]
+        values = [p.evaluate(sol, env_new(0))[0] for sol, _ in calls]
+        # the initial best, then the best value the trace shows after each generation
+        env, initial = env_new(4), []
+        for _ in range(pop):
+            sol, env = p.sample_initial(env)
+            initial.append(p.evaluate(sol, env_new(0))[0])
+        assert values == [min(initial)] + [row[2] for row in r.trace]
+        assert calls[-1][0] == r.best

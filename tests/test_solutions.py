@@ -104,3 +104,12 @@ def test_every_accepted_bitvector_round_trips_as_0_1_text(bits):
     assert set(payload) <= {"0", "1"} and len(payload) == len(bits)
     assert deserialize_solution(serialize_solution(sol), "bits") == sol
     assert BitVector.from_string(payload) == sol
+
+
+def test_list_built_bitvector_is_hashable_and_equal_to_the_parsed_one():
+    built = BitVector([0, 1])
+    parsed = BitVector.from_string("01")
+    assert built.bits == (0, 1) and isinstance(built.bits, tuple)
+    assert built == parsed and hash(built) == hash(parsed)
+    assert len({built, parsed}) == 1
+    assert solution_from_json(solution_to_json(built)) == built

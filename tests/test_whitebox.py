@@ -241,3 +241,29 @@ class TestDispatch:
             if result.value == brute:
                 wins += 1
         assert wins >= 18
+
+
+from metafold.env import ComponentContractError
+from metafold.solutions import BitVector
+
+
+class TestRewrittenEvaluatorContract:
+    def problem(self):
+        ones = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
+        return rewrite_to_tsp(match_tsp(tsp_model(3, ones)))
+
+    def test_wrong_length_permutation_is_a_contract_error(self):
+        with pytest.raises(ComponentContractError, match="expected length 3, got 2"):
+            self.problem().evaluate(Permutation.of([0, 1]), env_new(0))
+
+    def test_bit_vector_is_a_contract_error(self):
+        with pytest.raises(ComponentContractError, match="expected Permutation"):
+            self.problem().evaluate(BitVector.from_string("010"), env_new(0))
+
+    def test_objective_value_agrees_with_the_rewritten_evaluator(self):
+        model = tsp_model()
+        problem = rewrite_to_tsp(match_tsp(model))
+        names = [v.name for v in model.variables]
+        for perm in itertools.permutations(range(4)):
+            value, _ = problem.evaluate(Permutation.of(perm), env_new(0))
+            assert objective_value(model, dict(zip(names, perm))) == value
