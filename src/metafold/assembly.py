@@ -41,6 +41,18 @@ class InvalidConfigurationError(Exception):
         super().__init__("; ".join(self.violations))
 
 
+_JSON_SHAPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def require_shape(value, shape: type, where: str):
+    """`value` itself when it is a `shape` (dict, list or str); raises
+    ValueError naming `where` otherwise. Guards JSON read from files."""
+    if not isinstance(value, shape):
+        got = type(value).__name__
+        raise ValueError(f"{where} must be {_JSON_SHAPES[shape]}, got {got}")
+    return value
+
+
 @dataclass(frozen=True)
 class Registry:
     descriptors: Dict[Tuple[str, str], ComponentDescriptor] = field(default_factory=dict)
@@ -54,7 +66,11 @@ class Registry:
             raise UnknownComponentError(f"no {kind} component named {name!r}")
 
     def build(self, kind: str, name: str, bindings: Dict) -> Component:
-        self.lookup(kind, name)
+        """Build a component; refuses bindings its Params reject."""
+        desc = self.lookup(kind, name)
+        violations = _check_bounds(desc.name, desc.params, bindings)
+        if violations:
+            raise InvalidConfigurationError(violations)
         return self.factories[(kind, name)](bindings)
 
     def of_kind(self, kind: str) -> List[ComponentDescriptor]:
@@ -120,17 +136,23 @@ class ConfigurationSpec:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "ConfigurationSpec":
-        slots = {
-            slot: (entry["component"], dict(entry.get("params", {})))
-            for slot, entry in obj["slots"].items()
-        }
-        initializers = tuple(
-            (EnvKey.parse(e["key"]), EnvValue.from_json(e["value"]))
-            for e in obj.get("initializers", [])
-        )
+    def from_json(obj: dict, where: str = "config") -> "ConfigurationSpec":
+        """Raises ValueError naming the path of any part of `obj` whose
+        JSON shape is wrong."""
+        require_shape(obj, dict, where)
+        slots = {}
+        for slot, entry in require_shape(obj["slots"], dict, f"{where}.slots").items():
+            at = f"{where}.slots.{slot}"
+            require_shape(entry, dict, at)
+            slots[slot] = (
+                require_shape(entry["component"], str, f"{at}.component"),
+                require_shape(entry.get("params", {}), dict, f"{at}.params"),
+            )
         return ConfigurationSpec.make(
-            obj["framework"], slots, initializers, obj.get("framework_params", {})
+            require_shape(obj["framework"], str, f"{where}.framework"),
+            slots,
+            parse_initializers(obj.get("initializers", []), f"{where}.initializers"),
+            require_shape(obj.get("framework_params", {}), dict, f"{where}.framework_params"),
         )
 
     def serialize(self) -> str:
@@ -138,6 +160,17 @@ class ConfigurationSpec:
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()[:16]
+
+
+def parse_initializers(entries, where: str = "initializers") -> Tuple[Tuple[EnvKey, EnvValue], ...]:
+    """A JSON list of {"key", "value"} objects as (EnvKey, EnvValue) pairs."""
+    out = []
+    for i, e in enumerate(require_shape(entries, list, where)):
+        at = f"{where}[{i}]"
+        require_shape(e, dict, at)
+        key = EnvKey.parse(require_shape(e["key"], str, f"{at}.key"))
+        out.append((key, EnvValue.from_json(require_shape(e["value"], dict, f"{at}.value"))))
+    return tuple(out)
 
 
 def _framework(name: str) -> Framework:
@@ -152,16 +185,11 @@ def _check_bounds(who: str, params: Sequence[Param], bindings: Dict) -> List[str
     known = {p.name: p for p in params}
     for pname, value in bindings.items():
         p = known.get(pname)
-        if p is None:
-            problems.append(f"{who}: unknown parameter {pname!r}")
-            continue
-        if not isinstance(value, (int, float)):
-            problems.append(f"{who}.{pname}={value!r} is not a number")
-            continue
-        if p.min is not None and value < p.min:
-            problems.append(f"{who}.{pname}={value} below minimum {p.min}")
-        if p.max is not None and value > p.max:
-            problems.append(f"{who}.{pname}={value} above maximum {p.max}")
+        problem = (
+            f"{who}: unknown parameter {pname!r}" if p is None else p.violation(who, value)
+        )
+        if problem is not None:
+            problems.append(problem)
     return problems
 
 

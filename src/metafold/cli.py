@@ -14,7 +14,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import problems as prob
 from .assembly import (
@@ -24,10 +24,12 @@ from .assembly import (
     UnknownComponentError,
     enumerate_valid,
     instantiate,
+    parse_initializers,
+    require_shape,
     validate,
 )
-from .components import terminate_evaluations, terminate_iterations
-from .env import EnvKey, EnvValue, env_new
+from .components import PARAM_TYPES, Param, terminate_evaluations, terminate_iterations
+from .env import env_new
 from .frameworks import terminate_any
 from .palette import default_registry, load_registry
 from .problems import ParseError, ProblemInstance
@@ -42,42 +44,68 @@ EXIT_ENVIRONMENT_ERROR = 3
 MIN_SEEDS_FOR_COMPARE = 5
 
 
-def _build_problem(entry: Dict) -> ProblemInstance:
+# kind -> (constructor, its fields in call order); a "path" field hands the
+# constructor the text of the named file
+PROBLEM_KINDS = {
+    "onemax": (prob.onemax, (Param("n", "int", None),)),
+    "checkerboard": (prob.checkerboard, (Param("s", "int", None),)),
+    "royal_road": (prob.royal_road, (Param("n", "int", None), Param("b", "int", None))),
+    "trap": (prob.trap, (Param("n", "int", None), Param("b", "int", None))),
+    "hiff": (prob.hiff, (Param("n", "int", None),)),
+    "sphere": (
+        prob.sphere,
+        (Param("d", "int", None), Param("lo", "real", None), Param("hi", "real", None)),
+    ),
+    "magic_square": (prob.magic_square, (Param("k", "int", None),)),
+    "dimacs": (prob.parse_dimacs_cnf, (Param("path", "path", None),)),
+    "tsplib": (prob.parse_tsplib, (Param("path", "path", None),)),
+}
+
+
+# experiment fields that are integers
+SEED = Param("seed", "int", None, min=0, max=2**64 - 1)
+TRACE_STRIDE = Param("trace_stride", "int", None, min=1)
+WORKERS = Param("workers", "int", None)
+
+
+def _checked(param: Param, who: str, value):
+    """`value` coerced to `param`'s type; raises ValueError if `param` rejects it."""
+    problem = param.violation(who, value)
+    if problem is not None:
+        raise ValueError(problem)
+    return PARAM_TYPES[param.type](value)
+
+
+def _build_problem(entry: Dict, where: str) -> ProblemInstance:
+    require_shape(entry, dict, where)
     kind = entry.get("kind")
-    if kind == "onemax":
-        return prob.onemax(int(entry["n"]))
-    if kind == "checkerboard":
-        return prob.checkerboard(int(entry["s"]))
-    if kind == "royal_road":
-        return prob.royal_road(int(entry["n"]), int(entry["b"]))
-    if kind == "trap":
-        return prob.trap(int(entry["n"]), int(entry["b"]))
-    if kind == "hiff":
-        return prob.hiff(int(entry["n"]))
-    if kind == "sphere":
-        return prob.sphere(int(entry["d"]), float(entry["lo"]), float(entry["hi"]))
-    if kind == "magic_square":
-        return prob.magic_square(int(entry["k"]))
-    if kind == "dimacs":
-        return prob.parse_dimacs_cnf(Path(entry["path"]).read_text())
-    if kind == "tsplib":
-        return prob.parse_tsplib(Path(entry["path"]).read_text())
-    raise ValueError(f"unknown problem kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in PROBLEM_KINDS:
+        raise ValueError(f"unknown problem kind: {kind!r}")
+    ctor, fields = PROBLEM_KINDS[kind]
+    args = []
+    for field in fields:
+        value = entry[field.name]
+        if field.type == "path":
+            args.append(Path(require_shape(value, str, f"{where}.{field.name}")).read_text())
+        else:
+            args.append(_checked(field, where, value))
+    return ctor(*args)
 
 
-def _parse_initializers(entries) -> Tuple[Tuple[EnvKey, EnvValue], ...]:
-    return tuple(
-        (EnvKey.parse(e["key"]), EnvValue.from_json(e["value"])) for e in entries or ()
-    )
+def _grids(obj) -> Dict[str, Dict[str, list]]:
+    """Parameter grids read from JSON: component -> param -> list of values."""
+    for name, grid in require_shape(obj, dict, "grids").items():
+        for pname, values in require_shape(grid, dict, f"grids.{name}").items():
+            require_shape(values, list, f"grids.{name}.{pname}")
+    return obj
 
 
-def _budget_terminate(budget: Optional[Dict]):
+def _budget_terminate(budget: Dict):
     parts = []
-    if budget:
-        if "iterations" in budget:
-            parts.append(terminate_iterations(int(budget["iterations"])))
-        if "evaluations" in budget:
-            parts.append(terminate_evaluations(int(budget["evaluations"])))
+    if "iterations" in budget:
+        parts.append(terminate_iterations(budget["iterations"]))
+    if "evaluations" in budget:
+        parts.append(terminate_evaluations(budget["evaluations"]))
     if not parts:
         return None
     return parts[0] if len(parts) == 1 else terminate_any(*parts)
@@ -87,14 +115,19 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
     """Numbered configurations, every one valid; raises
     InvalidConfigurationError naming each violation otherwise."""
     if "configs" in spec:
-        configs = [ConfigurationSpec.from_json(c) for c in spec["configs"]]
+        configs = [
+            ConfigurationSpec.from_json(c, f"configs[{i}]")
+            for i, c in enumerate(require_shape(spec["configs"], list, "configs"))
+        ]
     else:
         configs = enumerate_valid(
             registry,
-            spec["framework"],
-            spec.get("grids", {}),
-            initializers=_parse_initializers(spec.get("initializers")),
-            framework_params=spec.get("framework_params", {}),
+            require_shape(spec["framework"], str, "framework"),
+            _grids(spec.get("grids", {})),
+            initializers=parse_initializers(spec.get("initializers", [])),
+            framework_params=require_shape(
+                spec.get("framework_params", {}), dict, "framework_params"
+            ),
         )
     numbered = [(f"{i:04d}-{c.content_hash()}", c) for i, c in enumerate(configs)]
     violations = [f"config {cid}: {v}" for cid, c in numbered for v in validate(c, registry)]
@@ -105,21 +138,26 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
 
 def cmd_run(args) -> int:
     try:
-        spec = json.loads(Path(args.experiment).read_text())
-        problems = [( _build_problem(e)) for e in spec["problems"]]
-        seeds = [int(s) for s in spec["seeds"]]
+        spec = require_shape(json.loads(Path(args.experiment).read_text()), dict, "experiment")
+        problems = [
+            _build_problem(e, f"problems[{i}]")
+            for i, e in enumerate(require_shape(spec["problems"], list, "problems"))
+        ]
+        seeds = [
+            _checked(SEED, "experiment", s) for s in require_shape(spec["seeds"], list, "seeds")
+        ]
         if not problems or not seeds:
             raise ValueError("problems and seeds must be nonempty")
         registry = (
-            load_registry(spec["registry"]) if spec.get("registry") else default_registry()
+            load_registry(require_shape(spec["registry"], str, "registry"))
+            if spec.get("registry")
+            else default_registry()
         )
         configs = _configs_for(spec, registry)
-        budget = _budget_terminate(spec.get("budget"))
-        stride = int(spec.get("trace_stride", 1))
-        if stride < 1:
-            raise ValueError("trace_stride must be >= 1")
-        out_dir = Path(spec["out"])
-        workers = int(spec.get("workers", 1))
+        budget = _budget_terminate(require_shape(spec.get("budget") or {}, dict, "budget"))
+        stride = _checked(TRACE_STRIDE, "experiment", spec.get("trace_stride", 1))
+        out_dir = Path(require_shape(spec["out"], str, "out"))
+        workers = _checked(WORKERS, "experiment", spec.get("workers", 1))
     except (OSError, KeyError, ValueError, ParseError, UnknownComponentError,
             InvalidConfigurationError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -245,9 +283,9 @@ def cmd_compare(args) -> int:
 def cmd_enumerate(args) -> int:
     try:
         registry = load_registry(args.registry)
-        grids = json.loads(Path(args.grids).read_text()) if args.grids else {}
+        grids = _grids(json.loads(Path(args.grids).read_text())) if args.grids else {}
         initializers = (
-            _parse_initializers(json.loads(Path(args.initializers).read_text()))
+            parse_initializers(json.loads(Path(args.initializers).read_text()))
             if args.initializers
             else ()
         )

@@ -9,7 +9,8 @@ the configuration space derivable: a component reads only its declared
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from .env import (
@@ -45,26 +46,40 @@ K_BOUNDS = EnvKey("problem", "bounds")
 KINDS = ("perturb", "accept", "terminate", "evaluate", "initializer")
 
 
+PARAM_TYPES = {"int": int, "real": float}  # Param.type -> the type values are coerced to
+
+
 @dataclass(frozen=True)
 class Param:
     name: str
-    type: str  # "int" | "real"
+    type: str  # a key of PARAM_TYPES
     default: Any
     min: Optional[float] = None
     max: Optional[float] = None
+    min_exclusive: bool = False  # the value must lie strictly above `min`
+
+    def violation(self, who: str, value) -> Optional[str]:
+        """What is wrong with `value` for this parameter, or None. A bool and
+        a number no finite float holds are not numbers; an "int" takes no
+        fraction."""
+        at = f"{who}.{self.name}={value!r}"
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and abs(value) <= sys.float_info.max):
+            return f"{at} is not a number"
+        if self.type == "int" and value != int(value):
+            return f"{at} is not an integer"
+        if self.min is not None and (value <= self.min if self.min_exclusive else value < self.min):
+            return f"{at} {'not above' if self.min_exclusive else 'below'} minimum {self.min}"
+        if self.max is not None and value > self.max:
+            return f"{at} above maximum {self.max}"
+        return None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "type": self.type,
-            "default": self.default,
-            "min": self.min,
-            "max": self.max,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "Param":
-        return Param(obj["name"], obj["type"], obj["default"], obj.get("min"), obj.get("max"))
+        return Param(**obj)
 
 
 @dataclass(frozen=True)
@@ -76,8 +91,13 @@ class ComponentDescriptor:
     provides: frozenset = frozenset()
 
     def __post_init__(self):
+        # a constructor's range checks are its Params, applied to its defaults
         if self.kind not in KINDS:
             raise ValueError(f"unknown component kind: {self.kind!r}")
+        for p in self.params:
+            problem = p.violation(self.name, p.default)
+            if problem is not None:
+                raise ValueError(problem)
 
     def to_json(self) -> dict:
         return {
@@ -127,8 +147,6 @@ def _require(env: Environment, key: EnvKey, tag: str, who: str):
 
 def perturb_bitflip(k: int = 1) -> Component:
     """Flip k distinct uniformly chosen bits."""
-    if k < 1:
-        raise ValueError("k must be positive")
 
     def step(sol, env):
         if not isinstance(sol, BitVector):
@@ -209,10 +227,8 @@ def _box_muller_pairs(env: Environment, count: int):
     return out[:count], env
 
 
-def perturb_gaussian(sigma: float) -> Component:
+def perturb_gaussian(sigma: float = 0.1) -> Component:
     """Add N(0, sigma^2) noise per coordinate; clamps to problem.bounds when set."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
 
     def step(sol, env):
         if not isinstance(sol, RealVector):
@@ -228,7 +244,7 @@ def perturb_gaussian(sigma: float) -> Component:
     desc = ComponentDescriptor(
         name="gaussian",
         kind="perturb",
-        params=(Param("sigma", "real", sigma, min=0.0),),
+        params=(Param("sigma", "real", sigma, min=0.0, min_exclusive=True),),
         requires=frozenset({K_BOUNDS}),
     )
     return Component(desc, step)
@@ -261,14 +277,12 @@ def accept_improving() -> Component:
     return Component(desc, step)
 
 
-def accept_metropolis(cooling: float) -> Component:
+def accept_metropolis(cooling: float = 0.99) -> Component:
     """Metropolis rule with geometrically cooled sa.temperature.
 
     Improving moves accept without drawing; temperature 0 rejects worsening
     moves without drawing (no randomness consumed in either case).
     """
-    if not (0.0 < cooling <= 1.0):
-        raise ValueError("cooling must be in (0, 1]")
 
     def step(pair, env):
         incumbent, incoming = pair
@@ -288,17 +302,15 @@ def accept_metropolis(cooling: float) -> Component:
     desc = ComponentDescriptor(
         name="metropolis",
         kind="accept",
-        params=(Param("cooling", "real", cooling, min=0.0, max=1.0),),
+        params=(Param("cooling", "real", cooling, min=0.0, max=1.0, min_exclusive=True),),
         requires=frozenset({K_TEMPERATURE, K_INCUMBENT_VALUE, K_INCOMING_VALUE}),
         provides=frozenset({K_TEMPERATURE}),
     )
     return Component(desc, step)
 
 
-def accept_tabu(tenure: int) -> Component:
+def accept_tabu(tenure: int = 5) -> Component:
     """Reject solutions whose digest is among the last `tenure` acceptances."""
-    if tenure < 1:
-        raise ValueError("tenure must be positive")
 
     def step(pair, env):
         incumbent, incoming = pair
@@ -325,10 +337,7 @@ def accept_tabu(tenure: int) -> Component:
 # Termination
 
 
-def terminate_iterations(max_iterations: int) -> Component:
-    if max_iterations < 0:
-        raise ValueError("max_iterations must be nonnegative")
-
+def terminate_iterations(max_iterations: int = 1000) -> Component:
     def step(sol, env):
         it = _require(env, K_ITERATION, "int", "max_iterations")
         return it >= max_iterations, env
@@ -342,10 +351,7 @@ def terminate_iterations(max_iterations: int) -> Component:
     return Component(desc, step)
 
 
-def terminate_evaluations(max_evaluations: int) -> Component:
-    if max_evaluations < 0:
-        raise ValueError("max_evaluations must be nonnegative")
-
+def terminate_evaluations(max_evaluations: int = 1000) -> Component:
     def step(sol, env):
         evals = _require(env, K_EVALUATIONS, "int", "max_evaluations")
         return evals >= max_evaluations, env
@@ -359,7 +365,7 @@ def terminate_evaluations(max_evaluations: int) -> Component:
     return Component(desc, step)
 
 
-def terminate_target(target: float) -> Component:
+def terminate_target(target: float = 0.0) -> Component:
     def step(sol, env):
         best = _require(env, K_BEST_VALUE, "real", "target_value")
         return best <= target, env

@@ -12,53 +12,40 @@ import json
 from typing import Dict
 
 from . import components as c
-from .assembly import Registry, register
-from .components import Component, ComponentDescriptor
+from .assembly import Registry, _check_bounds, register, require_shape
+from .components import PARAM_TYPES, Component
 
-# impl name -> (kind, constructor taking a bindings dict)
+# impl name -> constructor; kind, parameters and defaults are what the
+# constructor, called with no arguments, declares
 BUILTIN_IMPLS = {
-    "bitflip": ("perturb", lambda p: c.perturb_bitflip(int(p.get("k", 1)))),
-    "swap": ("perturb", lambda p: c.perturb_swap()),
-    "two_opt": ("perturb", lambda p: c.perturb_two_opt()),
-    "gaussian": ("perturb", lambda p: c.perturb_gaussian(float(p.get("sigma", 0.1)))),
-    "improving": ("accept", lambda p: c.accept_improving()),
-    "metropolis": ("accept", lambda p: c.accept_metropolis(float(p.get("cooling", 0.99)))),
-    "tabu": ("accept", lambda p: c.accept_tabu(int(p.get("tenure", 5)))),
-    "max_iterations": ("terminate", lambda p: c.terminate_iterations(int(p.get("max", 1000)))),
-    "max_evaluations": ("terminate", lambda p: c.terminate_evaluations(int(p.get("max", 1000)))),
-    "target_value": ("terminate", lambda p: c.terminate_target(float(p.get("target", 0.0)))),
+    ctor().descriptor.name: ctor
+    for ctor in (
+        c.perturb_bitflip, c.perturb_swap, c.perturb_two_opt, c.perturb_gaussian,
+        c.accept_improving, c.accept_metropolis, c.accept_tabu,
+        c.terminate_iterations, c.terminate_evaluations, c.terminate_target,
+    )
 }
 
 
-def _descriptor_for(impl: str, name: str, defaults: Dict) -> ComponentDescriptor:
-    kind, ctor = BUILTIN_IMPLS[impl]
-    base = ctor(defaults).descriptor
-    params = tuple(
-        dataclasses.replace(p, default=defaults.get(p.name, p.default))
-        for p in base.params
-    )
-    return dataclasses.replace(base, name=name, params=params)
-
-
-def _factory_for(impl: str, defaults: Dict):
-    _, ctor = BUILTIN_IMPLS[impl]
-
-    def factory(bindings: Dict) -> Component:
-        merged = dict(defaults)
-        merged.update(bindings)
-        return ctor(merged)
-
-    return factory
-
-
 def add_builtin(reg: Registry, impl: str, name: str = None, defaults: Dict = None) -> Registry:
-    """Register a built-in implementation under `name` with default params."""
+    """Register a built-in implementation under `name` with default params;
+    raises ValueError naming each default its declared Params reject."""
     if impl not in BUILTIN_IMPLS:
         raise KeyError(f"unknown built-in implementation {impl!r}")
-    defaults = dict(defaults or {})
+    ctor = BUILTIN_IMPLS[impl]
     name = name or impl
-    desc = _descriptor_for(impl, name, defaults)
-    return register(reg, desc, _factory_for(impl, defaults), impl=impl)
+    declared = ctor().descriptor.params
+    defaults = dict(defaults or {})
+    violations = _check_bounds(name, declared, defaults)
+    if violations:
+        raise ValueError("; ".join(violations))
+
+    def factory(bindings: Dict) -> Component:
+        merged = {**defaults, **bindings}
+        return ctor(*(PARAM_TYPES[p.type](merged.get(p.name, p.default)) for p in declared))
+
+    desc = dataclasses.replace(factory({}).descriptor, name=name)
+    return register(reg, desc, factory, impl=impl)
 
 
 def default_registry() -> Registry:
@@ -84,10 +71,13 @@ def registry_to_json(reg: Registry) -> dict:
 
 def registry_from_json(obj: dict) -> Registry:
     reg = Registry()
-    for entry in obj["components"]:
-        reg = add_builtin(
-            reg, entry["impl"], entry.get("name", entry["impl"]), entry.get("defaults", {})
-        )
+    entries = require_shape(require_shape(obj, dict, "registry")["components"], list, "components")
+    for i, entry in enumerate(entries):
+        at = f"components[{i}]"
+        impl = require_shape(require_shape(entry, dict, at)["impl"], str, f"{at}.impl")
+        name = require_shape(entry.get("name", impl), str, f"{at}.name")
+        defaults = require_shape(entry.get("defaults", {}), dict, f"{at}.defaults")
+        reg = add_builtin(reg, impl, name, defaults)
     return reg
 
 

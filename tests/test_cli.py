@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from metafold import problems as prob
 from metafold.cli import main
 from metafold.stats import median
 
@@ -443,3 +444,166 @@ class TestRunChecksEveryConfigFirst:
         out = tmp_path / "out"
         assert main(["run", self.listed(tmp_path, out, [self.ga_config(pop_size=4)])]) == 0
         assert read_results(out)[0]["evaluations"] == "16"
+
+
+def minimal_run(tmp_path, **extra):
+    doc = {
+        "problems": [{"kind": "onemax", "n": 8}],
+        "framework": "local_search",
+        "seeds": [1],
+        "budget": {"iterations": 5},
+        "out": str(tmp_path / "out"),
+    }
+    doc.update(extra)
+    return write_json(tmp_path / "e.json", doc)
+
+
+def exits_2_naming(capsys, argv, *words):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for word in words:
+        assert word in err
+
+
+class TestRegistryDefaultsAreChecked:
+    @pytest.mark.parametrize(
+        "impl, defaults, message",
+        [
+            ("bitflip", {"kk": 3}, "bitflip: unknown parameter 'kk'"),
+            ("bitflip", {"k": 2.7}, "bitflip.k=2.7 is not an integer"),
+            ("bitflip", {"k": "3"}, "bitflip.k='3' is not a number"),
+            ("bitflip", {"k": 0}, "bitflip.k=0 below minimum 1"),
+            ("gaussian", {"sigma": 0}, "gaussian.sigma=0 not above minimum 0.0"),
+            ("metropolis", {"cooling": 0}, "metropolis.cooling=0 not above minimum 0.0"),
+        ],
+    )
+    def test_invalid_default_exits_2_from_enumerate_and_run(
+        self, tmp_path, capsys, impl, defaults, message
+    ):
+        doc = {"components": [dict(c) for c in BIT_REGISTRY["components"]]}
+        doc["components"].append({"name": "bad", "impl": impl, "defaults": defaults})
+        reg = write_json(tmp_path / "registry.json", doc)
+        exits_2_naming(
+            capsys, ["enumerate", reg, "--framework", "local_search"], message.replace(impl, "bad", 1)
+        )
+        exits_2_naming(capsys, ["run", minimal_run(tmp_path, registry=reg)], "bad")
+        assert not (tmp_path / "out").exists()
+
+
+GOOD_CONFIG = {
+    "framework": "local_search",
+    "slots": {
+        "perturb": {"component": "bitflip", "params": {"k": 1}},
+        "accept": {"component": "improving", "params": {}},
+        "terminate": {"component": "max_iterations", "params": {"max": 3}},
+    },
+}
+
+
+class TestWrongJsonShapesExit2:
+    @pytest.mark.parametrize(
+        "extra, where",
+        [
+            ({"configs": [{**GOOD_CONFIG, "slots": []}]}, "configs[0].slots"),
+            ({"configs": [{**GOOD_CONFIG, "framework_params": [1]}]}, "configs[0].framework_params"),
+            ({"configs": {"a": GOOD_CONFIG}}, "configs"),
+            ({"framework_params": [1]}, "framework_params"),
+            ({"problems": [5]}, "problems[0]"),
+            ({"problems": 5}, "problems"),
+            ({"grids": [1]}, "grids"),
+            ({"grids": {"bitflip": {"k": 3}}}, "grids.bitflip.k"),
+            ({"seeds": 5}, "seeds"),
+            ({"framework": ["ga"]}, "framework"),
+            ({"initializers": {"key": "sa.temperature"}}, "initializers"),
+            ({"initializers": [{"key": 5, "value": {"t": "real", "v": 1.0}}]}, "initializers[0].key"),
+            ({"budget": [1]}, "budget"),
+        ],
+    )
+    def test_run(self, tmp_path, capsys, extra, where):
+        exits_2_naming(capsys, ["run", minimal_run(tmp_path, **extra)], f"{where} must be")
+
+    @pytest.mark.parametrize("budget", [{"iterations": 2.5}, {"evaluations": [10]}])
+    def test_run_budget_values(self, tmp_path, capsys, budget):
+        exits_2_naming(capsys, ["run", minimal_run(tmp_path, budget=budget)], "max_")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"seeds": [-1]}, "experiment.seed=-1 below minimum 0"),
+            ({"seeds": ["3"]}, "experiment.seed='3' is not a number"),
+            ({"seeds": [2**64]}, "above maximum"),
+            ({"trace_stride": [1]}, "experiment.trace_stride=[1] is not a number"),
+            ({"trace_stride": 0}, "experiment.trace_stride=0 below minimum 1"),
+            ({"workers": 1.5}, "experiment.workers=1.5 is not an integer"),
+        ],
+    )
+    def test_run_integer_fields(self, tmp_path, capsys, extra, message):
+        exits_2_naming(capsys, ["run", minimal_run(tmp_path, **extra)], message)
+
+    def test_run_on_a_document_that_is_not_an_object(self, tmp_path, capsys):
+        path = write_json(tmp_path / "e.json", [{"problems": []}])
+        exits_2_naming(capsys, ["run", path], "experiment must be an object")
+
+    @pytest.mark.parametrize(
+        "grids, where", [([1], "grids"), ({"bitflip": {"k": 3}}, "grids.bitflip.k")]
+    )
+    def test_enumerate_grids(self, tmp_path, capsys, grids, where):
+        reg = write_json(tmp_path / "registry.json", BIT_REGISTRY)
+        grids_path = write_json(tmp_path / "grids.json", grids)
+        argv = ["enumerate", reg, "--framework", "local_search", "--grids", grids_path]
+        exits_2_naming(capsys, argv, f"{where} must be")
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"components": 5}, "components"),
+            ({"components": [5]}, "components[0]"),
+            ({"components": [{"impl": "bitflip", "defaults": [1]}]}, "components[0].defaults"),
+            ({"components": [{"impl": ["bitflip"]}]}, "components[0].impl"),
+            ([1], "registry"),
+        ],
+    )
+    def test_registry_files(self, tmp_path, capsys, doc, where):
+        reg = write_json(tmp_path / "registry.json", doc)
+        exits_2_naming(capsys, ["enumerate", reg, "--framework", "local_search"], f"{where} must be")
+        exits_2_naming(capsys, ["run", minimal_run(tmp_path, registry=reg)], f"{where} must be")
+
+
+class TestProblemTable:
+    def test_fractional_integer_field_exits_2(self, tmp_path, capsys):
+        path = minimal_run(tmp_path, problems=[{"kind": "onemax", "n": 8.7}])
+        exits_2_naming(capsys, ["run", path], "problems[0].n=8.7 is not an integer")
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"kind": "trap", "n": 8, "b": True}, "problems[0].b=True is not a number"),
+            ({"kind": "sphere", "d": 2, "lo": "a", "hi": 1}, "problems[0].lo='a' is not a number"),
+            ({"kind": "dimacs", "path": 3}, "problems[0].path must be a string"),
+            ({"kind": ["onemax"]}, "unknown problem kind"),
+            ({"kind": "onemax"}, "'n'"),
+        ],
+    )
+    def test_bad_fields_exit_2(self, tmp_path, capsys, entry, message):
+        exits_2_naming(capsys, ["run", minimal_run(tmp_path, problems=[entry])], message)
+
+    def test_every_kind_keeps_its_problem_name(self, tmp_path):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+        entries_and_names = [
+            ({"kind": "onemax", "n": 8.0}, prob.onemax(8).name),
+            ({"kind": "checkerboard", "s": 4}, prob.checkerboard(4).name),
+            ({"kind": "royal_road", "n": 8, "b": 4}, prob.royal_road(8, 4).name),
+            ({"kind": "trap", "n": 8, "b": 4}, prob.trap(8, 4).name),
+            ({"kind": "hiff", "n": 8}, prob.hiff(8).name),
+            ({"kind": "sphere", "d": 2, "lo": -1, "hi": 1}, prob.sphere(2, -1.0, 1.0).name),
+            ({"kind": "magic_square", "k": 3}, prob.magic_square(3).name),
+            ({"kind": "dimacs", "path": str(cnf)}, prob.parse_dimacs_cnf(cnf.read_text()).name),
+        ]
+        path = minimal_run(
+            tmp_path, problems=[e for e, _ in entries_and_names], configs=[GOOD_CONFIG]
+        )
+        assert main(["run", path]) in (0, 1)  # bitflip fails on the non-bit problems
+        names = {row["problem"] for row in read_results(tmp_path / "out")}
+        assert names == {name for _, name in entries_and_names}

@@ -249,3 +249,32 @@ class TestTrajectoryEquivalence:
             },
         )
         assert response["error"]["code"] == ERR_UNKNOWN_COMPONENT
+
+
+@pytest.mark.parametrize(
+    "component, params, code",
+    [
+        ("bitflip", {"kk": 9}, ERR_INVALID_PARAMS),
+        ("bitflip", {"k": 2.7}, ERR_INVALID_PARAMS),
+        ("bitflip", {"k": "2"}, ERR_INVALID_PARAMS),
+        ("bitflip", {"k": 0}, ERR_INVALID_PARAMS),
+        ("warp_drive", {"kk": 9}, ERR_UNKNOWN_COMPONENT),
+    ],
+)
+def test_component_params_are_checked_before_the_build(component, params, code):
+    body = json.dumps(
+        {
+            "jsonrpc": "2.0",
+            "id": 5,
+            "method": "perturb",
+            "params": {
+                "component": component,
+                "params": params,
+                "solution": solution_to_json(BitVector.from_string("0000")),
+                "env": env_new(0).to_json(),
+            },
+        }
+    ).encode()
+    response = handle_rpc(default_registry(), body)
+    assert response["id"] == 5
+    assert response["error"]["code"] == code
