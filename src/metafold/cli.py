@@ -21,6 +21,7 @@ from .assembly import (
     ConfigurationSpec,
     InvalidConfigurationError,
     Registry,
+    RegistrationError,
     UnknownComponentError,
     enumerate_valid,
     instantiate,
@@ -28,7 +29,7 @@ from .assembly import (
     require_shape,
     validate,
 )
-from .components import PARAM_TYPES, Param, terminate_evaluations, terminate_iterations
+from .components import Param, terminate_evaluations, terminate_iterations
 from .env import env_new
 from .frameworks import terminate_any
 from .palette import default_registry, load_registry
@@ -68,14 +69,6 @@ TRACE_STRIDE = Param("trace_stride", "int", None, min=1)
 WORKERS = Param("workers", "int", None)
 
 
-def _checked(param: Param, who: str, value):
-    """`value` coerced to `param`'s type; raises ValueError if `param` rejects it."""
-    problem = param.violation(who, value)
-    if problem is not None:
-        raise ValueError(problem)
-    return PARAM_TYPES[param.type](value)
-
-
 def _build_problem(entry: Dict, where: str) -> ProblemInstance:
     require_shape(entry, dict, where)
     kind = entry.get("kind")
@@ -88,7 +81,7 @@ def _build_problem(entry: Dict, where: str) -> ProblemInstance:
         if field.type == "path":
             args.append(Path(require_shape(value, str, f"{where}.{field.name}")).read_text())
         else:
-            args.append(_checked(field, where, value))
+            args.append(field.checked(where, value))
     return ctor(*args)
 
 
@@ -144,7 +137,7 @@ def cmd_run(args) -> int:
             for i, e in enumerate(require_shape(spec["problems"], list, "problems"))
         ]
         seeds = [
-            _checked(SEED, "experiment", s) for s in require_shape(spec["seeds"], list, "seeds")
+            SEED.checked("experiment", s) for s in require_shape(spec["seeds"], list, "seeds")
         ]
         if not problems or not seeds:
             raise ValueError("problems and seeds must be nonempty")
@@ -155,11 +148,11 @@ def cmd_run(args) -> int:
         )
         configs = _configs_for(spec, registry)
         budget = _budget_terminate(require_shape(spec.get("budget") or {}, dict, "budget"))
-        stride = _checked(TRACE_STRIDE, "experiment", spec.get("trace_stride", 1))
+        stride = TRACE_STRIDE.checked("experiment", spec.get("trace_stride", 1))
         out_dir = Path(require_shape(spec["out"], str, "out"))
-        workers = _checked(WORKERS, "experiment", spec.get("workers", 1))
-    except (OSError, KeyError, ValueError, ParseError, UnknownComponentError,
-            InvalidConfigurationError, json.JSONDecodeError) as exc:
+        workers = WORKERS.checked("experiment", spec.get("workers", 1))
+    except (OSError, KeyError, ValueError, ParseError, RegistrationError,
+            UnknownComponentError, InvalidConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -290,7 +283,7 @@ def cmd_enumerate(args) -> int:
             else ()
         )
         configs = enumerate_valid(registry, args.framework, grids, initializers)
-    except (OSError, KeyError, ValueError, UnknownComponentError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, RegistrationError, UnknownComponentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out = {
@@ -309,7 +302,7 @@ def cmd_serve(args) -> int:
 
     try:
         registry = load_registry(args.registry) if args.registry else default_registry()
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, RegistrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
@@ -329,13 +322,16 @@ def cmd_solve(args) -> int:
     if args.budget <= 0:
         print("error: --budget must be positive", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    seed_problem = SEED.violation("solve", args.seed)
+    if seed_problem is not None:
+        print(f"error: {seed_problem}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
-        text = Path(args.model).read_text()
-        model = parse_model(text)
-    except (OSError, ModelError) as exc:
+        model = parse_model(Path(args.model).read_text())
+        result, _env = dispatch_solve(model, args.budget, env_new(args.seed), penalty=args.penalty)
+    except (OSError, UnicodeDecodeError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    result, _env = dispatch_solve(model, args.budget, env_new(args.seed), penalty=args.penalty)
     if result.route == "tsp":
         audit_path = Path(args.model).with_suffix(".tsplib")
         audit_path.write_text(tsplib_explicit_text(match_tsp(model)))

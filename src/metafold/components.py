@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Optional, Tuple
 
 from .env import (
@@ -74,6 +74,14 @@ class Param:
             return f"{at} above maximum {self.max}"
         return None
 
+    def checked(self, who: str, value):
+        """`value` as this parameter's type; raises ValueError naming what
+        is wrong with it otherwise."""
+        problem = self.violation(who, value)
+        if problem is not None:
+            raise ValueError(problem)
+        return PARAM_TYPES[self.type](value)
+
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -91,13 +99,12 @@ class ComponentDescriptor:
     provides: frozenset = frozenset()
 
     def __post_init__(self):
-        # a constructor's range checks are its Params, applied to its defaults
+        # a constructor's range checks are its Params, applied to its
+        # defaults, which are then held as their Param's type
         if self.kind not in KINDS:
             raise ValueError(f"unknown component kind: {self.kind!r}")
-        for p in self.params:
-            problem = p.violation(self.name, p.default)
-            if problem is not None:
-                raise ValueError(problem)
+        params = tuple(replace(p, default=p.checked(self.name, p.default)) for p in self.params)
+        object.__setattr__(self, "params", params)
 
     def to_json(self) -> dict:
         return {
@@ -147,6 +154,12 @@ def _require(env: Environment, key: EnvKey, tag: str, who: str):
 
 def perturb_bitflip(k: int = 1) -> Component:
     """Flip k distinct uniformly chosen bits."""
+    desc = ComponentDescriptor(
+        name="bitflip",
+        kind="perturb",
+        params=(Param("k", "int", k, min=1),),
+    )
+    k = desc.params[0].default
 
     def step(sol, env):
         if not isinstance(sol, BitVector):
@@ -163,11 +176,6 @@ def perturb_bitflip(k: int = 1) -> Component:
             bits[i] ^= 1
         return BitVector(tuple(bits)), env
 
-    desc = ComponentDescriptor(
-        name="bitflip",
-        kind="perturb",
-        params=(Param("k", "int", k, min=1),),
-    )
     return Component(desc, step)
 
 
@@ -229,6 +237,13 @@ def _box_muller_pairs(env: Environment, count: int):
 
 def perturb_gaussian(sigma: float = 0.1) -> Component:
     """Add N(0, sigma^2) noise per coordinate; clamps to problem.bounds when set."""
+    desc = ComponentDescriptor(
+        name="gaussian",
+        kind="perturb",
+        params=(Param("sigma", "real", sigma, min=0.0, min_exclusive=True),),
+        requires=frozenset({K_BOUNDS}),
+    )
+    sigma = desc.params[0].default
 
     def step(sol, env):
         if not isinstance(sol, RealVector):
@@ -241,12 +256,6 @@ def perturb_gaussian(sigma: float = 0.1) -> Component:
             coords = [min(max(c, lo), hi) for c in coords]
         return RealVector(tuple(coords)), env
 
-    desc = ComponentDescriptor(
-        name="gaussian",
-        kind="perturb",
-        params=(Param("sigma", "real", sigma, min=0.0, min_exclusive=True),),
-        requires=frozenset({K_BOUNDS}),
-    )
     return Component(desc, step)
 
 
@@ -283,6 +292,14 @@ def accept_metropolis(cooling: float = 0.99) -> Component:
     Improving moves accept without drawing; temperature 0 rejects worsening
     moves without drawing (no randomness consumed in either case).
     """
+    desc = ComponentDescriptor(
+        name="metropolis",
+        kind="accept",
+        params=(Param("cooling", "real", cooling, min=0.0, max=1.0, min_exclusive=True),),
+        requires=frozenset({K_TEMPERATURE, K_INCUMBENT_VALUE, K_INCOMING_VALUE}),
+        provides=frozenset({K_TEMPERATURE}),
+    )
+    cooling = desc.params[0].default
 
     def step(pair, env):
         incumbent, incoming = pair
@@ -299,18 +316,19 @@ def accept_metropolis(cooling: float = 0.99) -> Component:
         env = env.put(K_TEMPERATURE, EnvValue.of_real(temperature * cooling))
         return chosen, env
 
-    desc = ComponentDescriptor(
-        name="metropolis",
-        kind="accept",
-        params=(Param("cooling", "real", cooling, min=0.0, max=1.0, min_exclusive=True),),
-        requires=frozenset({K_TEMPERATURE, K_INCUMBENT_VALUE, K_INCOMING_VALUE}),
-        provides=frozenset({K_TEMPERATURE}),
-    )
     return Component(desc, step)
 
 
 def accept_tabu(tenure: int = 5) -> Component:
     """Reject solutions whose digest is among the last `tenure` acceptances."""
+    desc = ComponentDescriptor(
+        name="tabu",
+        kind="accept",
+        params=(Param("tenure", "int", tenure, min=1),),
+        requires=frozenset({K_TABU_LIST}),
+        provides=frozenset({K_TABU_LIST}),
+    )
+    tenure = desc.params[0].default
 
     def step(pair, env):
         incumbent, incoming = pair
@@ -323,13 +341,6 @@ def accept_tabu(tenure: int = 5) -> Component:
         env = env.put(K_TABU_LIST, EnvValue.of_dseq(updated))
         return incoming, env
 
-    desc = ComponentDescriptor(
-        name="tabu",
-        kind="accept",
-        params=(Param("tenure", "int", tenure, min=1),),
-        requires=frozenset({K_TABU_LIST}),
-        provides=frozenset({K_TABU_LIST}),
-    )
     return Component(desc, step)
 
 
@@ -338,44 +349,50 @@ def accept_tabu(tenure: int = 5) -> Component:
 
 
 def terminate_iterations(max_iterations: int = 1000) -> Component:
-    def step(sol, env):
-        it = _require(env, K_ITERATION, "int", "max_iterations")
-        return it >= max_iterations, env
-
     desc = ComponentDescriptor(
         name="max_iterations",
         kind="terminate",
         params=(Param("max", "int", max_iterations, min=0),),
         requires=frozenset({K_ITERATION}),
     )
+    max_iterations = desc.params[0].default
+
+    def step(sol, env):
+        it = _require(env, K_ITERATION, "int", "max_iterations")
+        return it >= max_iterations, env
+
     return Component(desc, step)
 
 
 def terminate_evaluations(max_evaluations: int = 1000) -> Component:
-    def step(sol, env):
-        evals = _require(env, K_EVALUATIONS, "int", "max_evaluations")
-        return evals >= max_evaluations, env
-
     desc = ComponentDescriptor(
         name="max_evaluations",
         kind="terminate",
         params=(Param("max", "int", max_evaluations, min=0),),
         requires=frozenset({K_EVALUATIONS}),
     )
+    max_evaluations = desc.params[0].default
+
+    def step(sol, env):
+        evals = _require(env, K_EVALUATIONS, "int", "max_evaluations")
+        return evals >= max_evaluations, env
+
     return Component(desc, step)
 
 
 def terminate_target(target: float = 0.0) -> Component:
-    def step(sol, env):
-        best = _require(env, K_BEST_VALUE, "real", "target_value")
-        return best <= target, env
-
     desc = ComponentDescriptor(
         name="target_value",
         kind="terminate",
         params=(Param("target", "real", target),),
         requires=frozenset({K_BEST_VALUE}),
     )
+    target = desc.params[0].default
+
+    def step(sol, env):
+        best = _require(env, K_BEST_VALUE, "real", "target_value")
+        return best <= target, env
+
     return Component(desc, step)
 
 

@@ -13,7 +13,7 @@ from typing import Dict
 
 from . import components as c
 from .assembly import Registry, _check_bounds, register, require_shape
-from .components import PARAM_TYPES, Component
+from .components import Component
 
 # impl name -> constructor; kind, parameters and defaults are what the
 # constructor, called with no arguments, declares
@@ -42,7 +42,7 @@ def add_builtin(reg: Registry, impl: str, name: str = None, defaults: Dict = Non
 
     def factory(bindings: Dict) -> Component:
         merged = {**defaults, **bindings}
-        return ctor(*(PARAM_TYPES[p.type](merged.get(p.name, p.default)) for p in declared))
+        return ctor(*(merged.get(p.name, p.default) for p in declared))
 
     desc = dataclasses.replace(factory({}).descriptor, name=name)
     return register(reg, desc, factory, impl=impl)

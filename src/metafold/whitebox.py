@@ -9,14 +9,15 @@ penalty-based local search over full assignments.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
-from typing import Dict, FrozenSet, Optional, Tuple
+from operator import itemgetter, mul
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from .components import accept_improving, perturb_two_opt, terminate_evaluations
 from .env import Environment, rng_below
-from .frameworks import local_search
+from .frameworks import RunResult, local_search
 from .problems import ProblemInstance, _evaluator, sample_permutation
 from .solutions import Permutation
 
@@ -39,9 +40,18 @@ class Constraint:
     tuples: Tuple[Tuple[int, ...], ...] = ()
     # The allowed tuples as a set, for O(1) membership tests.
     allowed: FrozenSet[Tuple[int, ...]] = field(init=False, compare=False, repr=False)
+    # Reads the values of `vars` from an assignment, as a tuple.
+    values_of: Callable[[Dict[str, int]], Tuple[int, ...]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "allowed", frozenset(self.tuples))
+        # itemgetter of one key returns the bare value, and of none it raises
+        values_of = itemgetter(*self.vars) if len(self.vars) >= 2 else (
+            lambda assignment: tuple(map(assignment.__getitem__, self.vars))
+        )
+        object.__setattr__(self, "values_of", values_of)
 
 
 @dataclass(frozen=True)
@@ -65,52 +75,74 @@ class ModelDescription:
         raise KeyError(name)
 
 
-def _expect(obj, key, path):
+_INT64 = 1 << 63  # model integers are 64-bit signed, so a domain size fits one RNG draw
+
+
+def _shaped(value, shape, path):
+    """`value` if it is a `shape`; raises ModelError naming `path` otherwise."""
+    if not isinstance(value, shape):
+        raise ModelError(f"{path} must be a {shape.__name__}")
+    return value
+
+
+def _expect(obj, key, path, shape=None):
     if not isinstance(obj, dict) or key not in obj:
         raise ModelError(f"missing {path}.{key}")
-    return obj[key]
+    return obj[key] if shape is None else _shaped(obj[key], shape, f"{path}.{key}")
+
+
+def _int64(x) -> bool:
+    return type(x) is int and -_INT64 <= x < _INT64  # a bool is not an int here
+
+
+def _integer_rows(rows, width: int, path: str) -> Tuple[Tuple[int, ...], ...]:
+    """`rows`, a list of lists of `width` 64-bit integers, as tuples;
+    raises ModelError naming the first row that is not one."""
+    for j, row in enumerate(_shaped(rows, list, path)):
+        if not isinstance(row, list) or len(row) != width or not all(map(_int64, row)):
+            raise ModelError(f"{path}[{j}] must be a list of {width} 64-bit integers")
+    return tuple(map(tuple, rows))
 
 
 def parse_model(text: str) -> ModelDescription:
+    """The model that `text` describes; raises ModelError naming the JSON
+    path of the first part that breaks the schema."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also ints too long to read
         raise ModelError(f"not valid JSON: {exc}") from exc
-    variables = []
-    names = set()
-    for i, v in enumerate(_expect(doc, "variables", "$")):
+    declared = {}
+    for i, v in enumerate(_expect(doc, "variables", "$", list)):
         path = f"$.variables[{i}]"
-        name = _expect(v, "name", path)
+        name = _expect(v, "name", path, str)
         lo = _expect(v, "lo", path)
         hi = _expect(v, "hi", path)
-        if not isinstance(lo, int) or not isinstance(hi, int) or lo > hi:
-            raise ModelError(f"bad domain at {path}")
-        if name in names:
+        if not _int64(lo) or not _int64(hi) or lo > hi:
+            raise ModelError(f"bad domain at {path}: want 64-bit integers lo <= hi")
+        if name in declared:
             raise ModelError(f"duplicate variable {name!r} at {path}")
-        names.add(name)
-        variables.append(Variable(name, lo, hi))
+        declared[name] = Variable(name, lo, hi)
+    if not declared:
+        raise ModelError("$.variables must not be empty")
+    variables = tuple(declared.values())
 
-    def check_vars(vs, path):
+    def read_vars(obj, path):
+        vs = tuple(_expect(obj, "vars", path, list))
         for vn in vs:
-            if vn not in names:
+            if not isinstance(vn, str) or vn not in declared:
                 raise ModelError(f"dangling variable reference {vn!r} at {path}")
+        return vs
 
     constraints = []
-    for i, con in enumerate(doc.get("constraints", [])):
+    for i, con in enumerate(_shaped(doc.get("constraints", []), list, "$.constraints")):
         path = f"$.constraints[{i}]"
         ctype = _expect(con, "type", path)
-        vs = tuple(_expect(con, "vars", path))
-        check_vars(vs, path)
+        vs = read_vars(con, path)
         if ctype == "all_different":
             constraints.append(Constraint("all_different", vs))
         elif ctype == "table":
-            rows = _expect(con, "tuples", path)
-            for j, row in enumerate(rows):
-                if len(row) != len(vs):
-                    raise ModelError(f"ragged tuple at {path}.tuples[{j}]")
-            constraints.append(
-                Constraint("table", vs, tuple(tuple(int(x) for x in row) for row in rows))
-            )
+            rows = _integer_rows(_expect(con, "tuples", path), len(vs), f"{path}.tuples")
+            constraints.append(Constraint("table", vs, rows))
         else:
             raise ModelError(f"unknown constraint type {ctype!r} at {path}")
 
@@ -119,26 +151,38 @@ def parse_model(text: str) -> ModelDescription:
     if raw_obj is not None:
         path = "$.objective"
         otype = _expect(raw_obj, "type", path)
-        vs = tuple(_expect(raw_obj, "vars", path))
-        check_vars(vs, path)
+        vs = read_vars(raw_obj, path)
+        n = len(vs)
         if otype == "circuit_sum":
-            weights = _expect(raw_obj, "weights", path)
-            n = len(vs)
-            if len(weights) != n or any(len(row) != n for row in weights):
+            weights = _integer_rows(_expect(raw_obj, "weights", path), n, f"{path}.weights")
+            if len(weights) != n:
                 raise ModelError(f"weight matrix must be {n}x{n} at {path}.weights")
             if any(w < 0 for row in weights for w in row):
                 raise ModelError(f"negative weight at {path}.weights")
-            objective = Objective(
-                "circuit_sum", vs, tuple(tuple(int(w) for w in row) for row in weights)
-            )
+            objective = Objective("circuit_sum", vs, weights)
         elif otype == "linear_sum":
-            coeffs = _expect(raw_obj, "coeffs", path)
-            if len(coeffs) != len(vs):
+            coeffs = _expect(raw_obj, "coeffs", path, list)
+            if len(coeffs) != n:
                 raise ModelError(f"coeffs/vars length mismatch at {path}")
-            objective = Objective("linear_sum", vs, coeffs=tuple(float(x) for x in coeffs))
+            for k, x in enumerate(coeffs):
+                if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+                    raise ModelError(f"{path}.coeffs[{k}] must be a finite number")
+            objective = Objective("linear_sum", vs, coeffs=tuple(map(float, coeffs)))
         else:
             raise ModelError(f"unknown objective type {otype!r} at {path}")
-    return ModelDescription(tuple(variables), tuple(constraints), objective)
+    return ModelDescription(variables, tuple(constraints), objective)
+
+
+def _check_circuit_domains(model: ModelDescription) -> None:
+    """Raise ModelError unless each circuit_sum variable's domain lies in
+    0..n-1, as its values index the n x n weights. A well-formed model may
+    break this: `match_tsp` must see such a model to refuse it."""
+    obj = model.objective
+    if obj is not None and obj.type == "circuit_sum":
+        for vn in obj.vars:
+            v = model.variable(vn)
+            if v.lo < 0 or v.hi >= len(obj.vars):
+                raise ModelError(f"domain of {vn!r} exceeds the rows of $.objective.weights")
 
 
 def serialize_model(model: ModelDescription) -> str:
@@ -247,7 +291,7 @@ def count_violations(model: ModelDescription, assignment: Dict[str, int]) -> int
     count assignments outside the allowed tuple set."""
     violations = 0
     for con in model.constraints:
-        values = tuple(map(assignment.__getitem__, con.vars))
+        values = con.values_of(assignment)
         if con.type == "all_different":
             # A value taken c times makes c(c-1)/2 equal pairs, and
             # sum c = len(values), so the pairs are (sum c^2 - len) / 2.
@@ -262,9 +306,9 @@ def objective_value(model: ModelDescription, assignment: Dict[str, int]) -> floa
     obj = model.objective
     if obj is None:
         return 0.0
-    values = [assignment[v] for v in obj.vars]
+    values = map(assignment.__getitem__, obj.vars)
     if obj.type == "circuit_sum":
-        return float(circuit_sum(obj.weights, values))
+        return float(circuit_sum(obj.weights, tuple(values)))
     return float(sum(map(mul, obj.coeffs, values)))
 
 
@@ -276,56 +320,52 @@ class SolveResult:
     route: str  # "tsp" | "generic"
 
 
+def _descend(start, evaluate, perturb, budget: int, env: Environment) -> RunResult:
+    """The search both routes run: from `start`, keep each perturbed move
+    that is no worse, until `budget` evaluations are spent."""
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    return local_search(
+        start, evaluate, perturb, accept_improving(), terminate_evaluations(budget), env
+    )
+
+
 def generic_solve(
     model: ModelDescription,
     budget: int,
     env: Environment,
     penalty: float = DEFAULT_PENALTY,
 ) -> Tuple[SolveResult, Environment]:
-    """Penalty local search over full assignments: reassign one variable
-    uniformly in its domain per move, improving acceptance."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    names = [v.name for v in model.variables]
-    domains = {v.name: (v.lo, v.hi) for v in model.variables}
+    """Penalty local search over full assignments: each move reassigns one
+    variable uniformly in its domain."""
+    _check_circuit_domains(model)
+    start = {}
+    for v in model.variables:
+        offset, env = rng_below(env, v.hi - v.lo + 1)
+        start[v.name] = v.lo + offset
 
-    def sample(env):
-        assignment = {}
-        for name in names:
-            lo, hi = domains[name]
-            offset, env = rng_below(env, hi - lo + 1)
-            assignment[name] = lo + offset
-        return assignment, env
-
-    def score(assignment) -> float:
+    def score(assignment, env):
         return objective_value(model, assignment) + penalty * count_violations(
             model, assignment
-        )
+        ), env
 
-    current, env = sample(env)
-    current_score = score(current)
-    best, best_score = dict(current), current_score
-    evaluations = 1
-    while evaluations < budget:
-        idx, env = rng_below(env, len(names))
-        name = names[idx]
-        lo, hi = domains[name]
-        offset, env = rng_below(env, hi - lo + 1)
-        candidate = dict(current)
-        candidate[name] = lo + offset
-        candidate_score = score(candidate)
-        evaluations += 1
-        if candidate_score <= current_score:
-            current, current_score = candidate, candidate_score
-        if current_score < best_score:
-            best, best_score = dict(current), current_score
-    result = SolveResult(
+    def reassign(assignment, env):
+        idx, env = rng_below(env, len(model.variables))
+        v = model.variables[idx]
+        offset, env = rng_below(env, v.hi - v.lo + 1)
+        moved = dict(assignment)
+        moved[v.name] = v.lo + offset
+        return moved, env
+
+    result = _descend(start, score, reassign, budget, env)
+    best = result.best
+    solved = SolveResult(
         assignment=best,
         value=objective_value(model, best),
         violations=count_violations(model, best),
         route="generic",
     )
-    return result, env
+    return solved, result.final_env
 
 
 def dispatch_solve(
@@ -336,21 +376,12 @@ def dispatch_solve(
 ) -> Tuple[SolveResult, Environment]:
     """Analytic route selection: TSP-shaped models get 2-opt local search
     on the rewritten instance, everything else the generic penalty search."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
     match = match_tsp(model)
     if match is None:
         return generic_solve(model, budget, env, penalty)
     problem = rewrite_to_tsp(match)
     start, env = problem.sample_initial(env)
-    result = local_search(
-        start,
-        problem.evaluate,
-        perturb_two_opt(),
-        accept_improving(),
-        terminate_evaluations(budget),
-        env,
-    )
+    result = _descend(start, problem.evaluate, perturb_two_opt(), budget, env)
     tour = result.best.order
     assignment = {name: tour[i] for i, name in enumerate(match.variables)}
     solved = SolveResult(

@@ -1,9 +1,12 @@
 import csv
 import gc
 import json
+import math
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from metafold import problems as prob
 from metafold.cli import main
@@ -607,3 +610,199 @@ class TestProblemTable:
         assert main(["run", path]) in (0, 1)  # bitflip fails on the non-bit problems
         names = {row["problem"] for row in read_results(tmp_path / "out")}
         assert names == {name for _, name in entries_and_names}
+
+
+class TestRegistrationErrorsExit2:
+    DUPLICATE = {"components": [{"impl": "bitflip"}, {"impl": "bitflip"}]}
+    NO_ACCEPT = {"components": [{"impl": "bitflip"}, {"impl": "max_iterations"}]}
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (DUPLICATE, "duplicate component"),
+            (NO_ACCEPT, "no registered components of kind 'accept'"),
+        ],
+    )
+    def test_enumerate_and_run(self, tmp_path, capsys, doc, message):
+        reg = write_json(tmp_path / "registry.json", doc)
+        exits_2_naming(capsys, ["enumerate", reg, "--framework", "local_search"], message)
+        exits_2_naming(capsys, ["run", minimal_run(tmp_path, registry=reg)], message)
+        assert not (tmp_path / "out").exists()
+
+    def test_serve_duplicate(self, tmp_path, capsys):
+        reg = write_json(tmp_path / "registry.json", self.DUPLICATE)
+        exits_2_naming(capsys, ["serve", "--port", "0", "--registry", reg], "duplicate component")
+
+    def test_serve_hosts_a_registry_without_an_accept(self, tmp_path, capsys):
+        # Serving needs no complete template, so this registry loads and
+        # the run gets as far as binding the port.
+        import socket
+
+        reg = write_json(tmp_path / "registry.json", self.NO_ACCEPT)
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+            assert main(["serve", "--port", str(port), "--registry", reg]) == 3
+        assert "cannot bind" in capsys.readouterr().err
+
+
+def generic_doc():
+    return {
+        "variables": [{"name": n, "lo": 0, "hi": 2} for n in ("a", "b", "c")],
+        "constraints": [
+            {"type": "all_different", "vars": ["a", "b", "c"]},
+            {"type": "table", "vars": ["a", "b"], "tuples": [[0, 1], [1, 2]]},
+        ],
+        "objective": {"type": "linear_sum", "vars": ["a", "b", "c"], "coeffs": [1, 2, 3]},
+    }
+
+
+def circuit_doc():
+    doc = generic_doc()
+    doc["objective"] = {
+        "type": "circuit_sum",
+        "vars": ["a", "b", "c"],
+        "weights": [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
+    }
+    return doc
+
+
+def with_(doc, path, value):
+    """`doc` with the entry at `path` (a list of keys and indices) replaced."""
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+class TestSolveModelBoundary:
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            (with_(generic_doc(), ["constraints", 1, "tuples", 0], 5), "$.constraints[1].tuples[0]"),
+            (with_(generic_doc(), ["constraints", 1, "tuples", 1, 0], "x"), "$.constraints[1].tuples[1]"),
+            (with_(generic_doc(), ["constraints", 1, "tuples", 0, 1], 1.0), "$.constraints[1].tuples[0]"),
+            (with_(generic_doc(), ["constraints", 1, "tuples"], {"0": [0, 1]}), "$.constraints[1].tuples"),
+            (with_(circuit_doc(), ["objective", "weights", 1, 2], "far"), "$.objective.weights[1]"),
+            (with_(circuit_doc(), ["objective", "weights", 0, 1], 0.5), "$.objective.weights[0]"),
+            (with_(circuit_doc(), ["objective", "weights", 2], 7), "$.objective.weights[2]"),
+            (with_(generic_doc(), ["variables", 0, "name"], ["a"]), "$.variables[0].name"),
+            (with_(generic_doc(), ["variables", 1, "name"], 5), "$.variables[1].name"),
+            (with_(generic_doc(), ["variables"], []), "$.variables"),
+            (with_(generic_doc(), ["variables"], {"a": 1}), "$.variables"),
+            (with_(generic_doc(), ["variables", 0, "lo"], True), "$.variables[0]"),
+            (with_(generic_doc(), ["variables", 0, "hi"], 2**63), "$.variables[0]"),
+            (with_(generic_doc(), ["constraints", 0, "vars"], "ab"), "$.constraints[0].vars"),
+            (with_(generic_doc(), ["constraints", 0, "vars", 0], ["a"]), "$.constraints[0]"),
+            (with_(generic_doc(), ["constraints"], {"type": "table"}), "$.constraints"),
+            (with_(generic_doc(), ["objective", "coeffs", 1], math.nan), "$.objective.coeffs[1]"),
+            (with_(generic_doc(), ["objective", "coeffs", 2], "1.5"), "$.objective.coeffs[2]"),
+            (with_(generic_doc(), ["objective", "coeffs", 0], 10**400), "$.objective.coeffs[0]"),
+            (with_(generic_doc(), ["objective", "vars"], "abc"), "$.objective.vars"),
+            # parses (the TSP matcher must see it to refuse it), but its
+            # values would index past the weight matrix on the generic route
+            (with_(circuit_doc(), ["variables", 2, "hi"], 3), "$.objective.weights"),
+        ],
+    )
+    def test_malformed_model_exits_2_naming_its_path(self, tmp_path, capsys, doc, where):
+        model = write_json(tmp_path / "m.json", doc)
+        exits_2_naming(capsys, ["solve", model, "--budget", "50"], where)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"variables": [{"name": "a", "lo": ' + "1" * 5000 + ', "hi": 1}]}', "[" * 100_000],
+    )
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, text):
+        model = tmp_path / "m.json"
+        model.write_text(text)
+        exits_2_naming(capsys, ["solve", str(model)], "not valid JSON")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        model = write_json(tmp_path / "m.json", generic_doc())
+        exits_2_naming(capsys, ["solve", model, "--seed", seed], "solve.seed=")
+
+    @pytest.mark.parametrize("doc, route", [(generic_doc(), "generic"), (circuit_doc(), "generic")])
+    def test_well_formed_models_solve(self, tmp_path, capsys, doc, route):
+        model = write_json(tmp_path / "m.json", doc)
+        assert main(["solve", model, "--budget", "200"]) == 0
+        assert json.loads(capsys.readouterr().out)["route_taken"] == route
+
+
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)
+)
+json_values = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    ),
+    max_leaves=10,
+)
+
+
+def node_paths(node, path=()):
+    """The path of `node` and of every entry below it."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from node_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            yield from node_paths(child, path + (k,))
+
+
+@st.composite
+def model_docs(draw):
+    """A well-formed model, then up to two of its parts replaced by any
+    JSON value."""
+    names = [f"x{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    variables = []
+    for name in names:
+        lo = draw(st.integers(min_value=-1, max_value=2))
+        variables.append({"name": name, "lo": lo, "hi": lo + draw(st.integers(0, 3))})
+    constraints = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        vs = draw(st.lists(st.sampled_from(names), max_size=len(names)))
+        if draw(st.booleans()):
+            constraints.append({"type": "all_different", "vars": vs})
+        else:
+            row = st.lists(st.integers(-1, 4), min_size=len(vs), max_size=len(vs))
+            tuples = draw(st.lists(row, max_size=4))
+            constraints.append({"type": "table", "vars": vs, "tuples": tuples})
+    n = len(names)
+    objective = draw(st.sampled_from([None, "linear_sum", "circuit_sum"]))
+    if objective == "linear_sum":
+        coeffs = draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+        objective = {"type": objective, "vars": names, "coeffs": coeffs}
+    elif objective == "circuit_sum":
+        row = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+        weights = draw(st.lists(row, min_size=n, max_size=n))
+        objective = {"type": objective, "vars": names, "weights": weights}
+    doc = {"variables": variables, "constraints": constraints, "objective": objective}
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        path = draw(st.sampled_from(list(node_paths(doc))))
+        value = draw(json_values)
+        if not path:
+            doc = value
+            continue
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=st.one_of(model_docs(), json_values))
+def test_solve_on_any_json_document_exits_0_or_2(tmp_path, capsys, doc):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    code = main(["solve", str(model), "--budget", "20"])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert (code == 2) == err.startswith("error: ")

@@ -2,6 +2,7 @@
 holds the defaults and its `Param`s hold type and range. `validate`, the
 registry and the constructor must therefore agree on every value."""
 
+import json
 import math
 
 import pytest
@@ -9,9 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metafold.assembly import ConfigurationSpec, InvalidConfigurationError, validate
-from metafold.components import K_TABU_LIST, K_TEMPERATURE, ComponentDescriptor
-from metafold.env import EnvValue
+from metafold.components import (
+    K_EVALUATIONS,
+    K_INCOMING_VALUE,
+    K_INCUMBENT_VALUE,
+    K_ITERATION,
+    K_TABU_LIST,
+    K_TEMPERATURE,
+    ComponentDescriptor,
+)
+from metafold.env import EnvValue, env_new
 from metafold.palette import BUILTIN_IMPLS, default_registry
+from metafold.solutions import BitVector
 
 REGISTRY = default_registry()
 # local_search has one slot per kind a built-in can have
@@ -124,3 +134,44 @@ def test_fractional_framework_param_is_a_violation():
         framework_params={"pop_size": 8.5},
     )
     assert validate(spec, REGISTRY) == ["ga.pop_size=8.5 is not an integer"]
+
+
+INT_PARAMETERS = [
+    (impl, i)
+    for impl, i in PARAMETERS
+    if BUILTIN_IMPLS[impl]().descriptor.params[i].type == "int"
+]
+
+
+def built_with(impl, index, value):
+    ctor = BUILTIN_IMPLS[impl]
+    args = [p.default for p in ctor().descriptor.params]
+    args[index] = value
+    return ctor(*args)
+
+
+def three_steps(component):
+    """What three successive steps return on fixed inputs of the
+    component's kind, threading one Environment."""
+    a, b = BitVector.from_string("01101001"), BitVector.from_string("11100010")
+    env = env_new(3).put_many({
+        K_ITERATION: EnvValue.of_int(2),
+        K_EVALUATIONS: EnvValue.of_int(2),
+        K_INCUMBENT_VALUE: EnvValue.of_real(1.0),
+        K_INCOMING_VALUE: EnvValue.of_real(0.0),
+    })
+    x = {"perturb": a, "accept": (a, b), "terminate": a}[component.descriptor.kind]
+    outs = []
+    for _ in range(3):
+        out, env = component(x, env)
+        outs.append(out)
+    return outs, env
+
+
+@pytest.mark.parametrize("impl, index", INT_PARAMETERS)
+@pytest.mark.parametrize("value", [1, 2, 3])
+def test_integral_float_builds_what_the_int_builds(impl, index, value):
+    as_int = built_with(impl, index, value)
+    as_float = built_with(impl, index, float(value))
+    assert json.dumps(as_float.descriptor.to_json()) == json.dumps(as_int.descriptor.to_json())
+    assert three_steps(as_float) == three_steps(as_int)

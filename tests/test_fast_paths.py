@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TrackingEnvironment, tracking_env
-from metafold.components import perturb_bitflip
+from metafold.components import FRAMEWORK_KEYS, K_EVALUATIONS, perturb_bitflip
 from metafold.env import (
     EnvKey,
     EnvValue,
@@ -27,11 +27,14 @@ from metafold.env import (
 from metafold.problems import parse_dimacs_cnf, trap
 from metafold.solutions import BitVector, solution_digest, solution_from_json, solution_to_json
 from metafold.whitebox import (
+    DEFAULT_PENALTY,
     Constraint,
     ModelDescription,
     Objective,
+    SolveResult,
     Variable,
     count_violations,
+    generic_solve,
     objective_value,
 )
 
@@ -323,3 +326,94 @@ def test_table_set_is_derived_not_compared():
     assert a.allowed == {(0, 1), (1, 0)}
     assert a == Constraint("table", ("x", "y"), ((0, 1), (1, 0)))
     assert "allowed" not in repr(a)
+
+
+def ref_generic_solve(model, budget, env, penalty=DEFAULT_PENALTY):
+    """The generic route's own search loop, as it was before it ran on
+    `local_search`."""
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    names = [v.name for v in model.variables]
+    domains = {v.name: (v.lo, v.hi) for v in model.variables}
+
+    def sample(env):
+        assignment = {}
+        for name in names:
+            lo, hi = domains[name]
+            offset, env = rng_below(env, hi - lo + 1)
+            assignment[name] = lo + offset
+        return assignment, env
+
+    def score(assignment) -> float:
+        return objective_value(model, assignment) + penalty * count_violations(
+            model, assignment
+        )
+
+    current, env = sample(env)
+    current_score = score(current)
+    best, best_score = dict(current), current_score
+    evaluations = 1
+    while evaluations < budget:
+        idx, env = rng_below(env, len(names))
+        name = names[idx]
+        lo, hi = domains[name]
+        offset, env = rng_below(env, hi - lo + 1)
+        candidate = dict(current)
+        candidate[name] = lo + offset
+        candidate_score = score(candidate)
+        evaluations += 1
+        if candidate_score <= current_score:
+            current, current_score = candidate, candidate_score
+        if current_score < best_score:
+            best, best_score = dict(current), current_score
+    result = SolveResult(
+        assignment=best,
+        value=objective_value(model, best),
+        violations=count_violations(model, best),
+        route="generic",
+    )
+    return result, env
+
+
+@st.composite
+def small_model(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    variables = []
+    for i in range(n):
+        lo = draw(st.integers(min_value=-2, max_value=2))
+        variables.append(Variable(f"x{i}", lo, lo + draw(st.integers(min_value=0, max_value=4))))
+    names = [v.name for v in variables]
+    scope = st.lists(st.sampled_from(names), min_size=1, max_size=n).map(tuple)
+    constraints = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        vs = draw(scope)
+        if draw(st.booleans()):
+            constraints.append(Constraint("all_different", vs))
+        else:
+            row = st.lists(st.integers(-2, 6), min_size=len(vs), max_size=len(vs)).map(tuple)
+            constraints.append(Constraint("table", vs, tuple(draw(st.lists(row, max_size=6)))))
+    objective = None
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-9, 9).map(float), min_size=n, max_size=n))
+        objective = Objective("linear_sum", tuple(names), coeffs=tuple(coeffs))
+    return ModelDescription(tuple(variables), tuple(constraints), objective)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=small_model(), budget=st.integers(min_value=1, max_value=80), seed=seeds)
+def test_generic_route_on_local_search_equals_its_own_loop(model, budget, seed):
+    solved, env = generic_solve(model, budget, env_new(seed))
+    ref, ref_env = ref_generic_solve(model, budget, env_new(seed))
+    assert solved == ref
+    assert env.rng == ref_env.rng
+    # The loop kept its counters outside the Environment; local_search
+    # publishes them, so the final env also carries the framework.* keys,
+    # as the TSP route's already did.
+    assert ref_env.entries == {}
+    assert K_EVALUATIONS in env.entries and set(env.entries) <= FRAMEWORK_KEYS
+
+
+@pytest.mark.parametrize("vars_", [(), ("x",)])
+def test_constraint_over_fewer_than_two_variables_reads_a_tuple(vars_):
+    con = Constraint("table", vars_, (tuple(range(len(vars_))),))
+    assert con.values_of({"x": 0, "y": 1}) == tuple(range(len(vars_)))
