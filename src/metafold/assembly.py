@@ -193,6 +193,26 @@ def _check_bounds(who: str, params: Sequence[Param], bindings: Dict) -> List[str
     return problems
 
 
+def _check_grids(reg: Registry, param_grids: Dict[str, Dict[str, Sequence]]) -> List[str]:
+    """Each grid entry that names no registered component, a parameter its
+    component does not declare, or a value that parameter rejects."""
+    params_of: Dict[str, List[Param]] = {}
+    for desc in reg.descriptors.values():
+        params_of.setdefault(desc.name, []).extend(desc.params)
+    problems = []
+    for name, grid in param_grids.items():
+        if name not in params_of:
+            problems.append(f"grids.{name}: no registered component has this name")
+            continue
+        for pname, values in grid.items():
+            declared = [p for p in params_of[name] if p.name == pname]
+            if not declared:
+                problems.append(f"grids.{name}: unknown parameter {pname!r}")
+            for p in declared:
+                problems.extend(filter(None, (p.violation(f"grids.{name}", v) for v in values)))
+    return problems
+
+
 def validate(spec: ConfigurationSpec, reg: Registry) -> List[str]:
     """Return a list of violations; empty means valid.
 
@@ -241,10 +261,12 @@ def enumerate_valid(
     """All valid configurations, ordered lexicographically by component
     names then grid indices.
 
-    `framework_params` are shared by every configuration, so invalid ones
-    raise InvalidConfigurationError instead of yielding an empty list."""
+    `framework_params` are shared by every configuration and grids name
+    components and values directly, so invalid ones raise
+    InvalidConfigurationError instead of silently narrowing the list."""
     template = _framework(framework)
     violations = _check_bounds(framework, template.params, dict(framework_params))
+    violations += _check_grids(reg, param_grids)
     if violations:
         raise InvalidConfigurationError(violations)
     slots = template.slots

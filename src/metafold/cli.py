@@ -183,7 +183,7 @@ def cmd_run(args) -> int:
             config_id,
             seed,
             result.best_value,
-            result.trace[-1][1] if result.trace else 1,
+            result.evaluations,
             wall_ms,
             rows,
         )
@@ -206,6 +206,7 @@ def cmd_run(args) -> int:
             problem_id, config_id, seed = outcome[:3]
             if outcome[3] is None:
                 failures += 1
+                print(f"error: trial {problem_id} {config_id} {seed}: {outcome[6]}", file=sys.stderr)
                 writer.writerow([problem_id, config_id, seed, "FAILED", "", ""])
                 continue
             best_value, evaluations, wall_ms, rows = outcome[3:]
@@ -283,7 +284,8 @@ def cmd_enumerate(args) -> int:
             else ()
         )
         configs = enumerate_valid(registry, args.framework, grids, initializers)
-    except (OSError, KeyError, ValueError, RegistrationError, UnknownComponentError) as exc:
+    except (OSError, KeyError, ValueError, RegistrationError, UnknownComponentError,
+            InvalidConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out = {
@@ -334,7 +336,11 @@ def cmd_solve(args) -> int:
         return EXIT_INPUT_ERROR
     if result.route == "tsp":
         audit_path = Path(args.model).with_suffix(".tsplib")
-        audit_path.write_text(tsplib_explicit_text(match_tsp(model)))
+        try:
+            audit_path.write_text(tsplib_explicit_text(match_tsp(model)))
+        except OSError as exc:
+            print(f"error: cannot write the audit file: {exc}", file=sys.stderr)
+            return EXIT_ENVIRONMENT_ERROR
     print(
         json.dumps(
             {

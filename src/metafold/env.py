@@ -232,8 +232,8 @@ def rng_below(env: Environment, n: int) -> Tuple[int, Environment]:
 def rng_below_many(env: Environment, n: int, count: int) -> Tuple[List[int], Environment]:
     """`count` draws in [0, n) in one copy: the same values and final
     counter as `count` successive `rng_below(env, n)` calls."""
-    if n < 1:
-        raise ValueError("rng_below requires n >= 1")
+    if not 1 <= n <= 1 << 64:  # above 2^64 no raw draw would be accepted
+        raise ValueError("rng_below requires 1 <= n <= 2^64")
     if count < 0:
         raise ValueError("rng_below_many requires count >= 0")
     limit = (1 << 64) - ((1 << 64) % n)

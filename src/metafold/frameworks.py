@@ -37,6 +37,7 @@ class RunResult:
     best_value: float
     final_env: Environment
     trace: Tuple[Tuple[int, int, float], ...]  # (iteration, evaluations, best_value)
+    evaluations: int  # spent in all, the start's included
 
 
 def _publish(env, iteration, evaluations, best_value):
@@ -81,7 +82,7 @@ def _search(focus, value, evaluations, advance, terminate, env) -> RunResult:
         if value < best_value:
             best, best_value = focus, value
         trace.append((iteration, evaluations, best_value))
-    return RunResult(best, best_value, env, tuple(trace))
+    return RunResult(best, best_value, env, tuple(trace), evaluations)
 
 
 def local_search(
@@ -143,8 +144,7 @@ def iterated_local_search(
             outer_accept, current, current_value,
             inner_result.best, inner_result.best_value, inner_result.final_env,
         )
-        # inner evaluations: the start plus one per inner iteration
-        return current, current_value, len(inner_result.trace) + 1, env
+        return current, current_value, inner_result.evaluations, env
 
     value, env = evaluate(start, env)
     return _search(start, value, 1, advance, terminate, env)

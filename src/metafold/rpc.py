@@ -8,13 +8,14 @@ ordinary components, so a framework cannot tell local from remote.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from .assembly import Registry, UnknownComponentError
 from .components import Component, ComponentDescriptor
@@ -27,8 +28,30 @@ ERR_INVALID_PARAMS = -32602
 ERR_UNKNOWN_COMPONENT = -32001
 ERR_COMPONENT_FAILURE = -32002
 
-# Each component method is named after the component kind it calls.
-_METHODS = ("perturb", "accept", "evaluate", "terminate")
+# The largest request body the server reads. A call carries one Environment
+# and at most two solutions, a few KiB at n=1024; the cap bounds what one
+# request can make the server allocate while leaving room for solutions
+# thousands of times larger.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
+
+def _pair_from_json(obj):
+    incumbent, incoming = obj
+    return solution_from_json(incumbent), solution_from_json(incoming)
+
+
+# The wire table. Each component method is named after the component kind
+# it calls and maps to its request field and its reply field, each given as
+# (name, to JSON, from JSON). A request's params are {"component",
+# "params", "env", <request field>}; its result is {"env", <reply field>}.
+_SOLUTION = ("solution", solution_to_json, solution_from_json)
+_PAIR = ("solutions", lambda pair: [solution_to_json(s) for s in pair], _pair_from_json)
+_METHODS = {
+    "perturb": (_SOLUTION, _SOLUTION),
+    "accept": (_PAIR, _SOLUTION),
+    "evaluate": (_SOLUTION, ("value", float, float)),
+    "terminate": (_SOLUTION, ("flag", bool, bool)),
+}
 
 
 class RemoteUnavailableError(Exception):
@@ -53,29 +76,28 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
     """Pure request handler: one JSON-RPC request in, one response out."""
     try:
         request = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         return _error(None, ERR_PARSE, f"parse error: {exc}")
     if not isinstance(request, dict):
         return _error(None, ERR_INVALID_REQUEST, "request must be a JSON object")
     req_id = request.get("id")
+    if not isinstance(req_id, (str, int, float, type(None))):
+        return _error(None, ERR_INVALID_REQUEST, "id must be a string, a number or null")
     if request.get("jsonrpc") != "2.0" or "method" not in request:
         return _error(req_id, ERR_INVALID_REQUEST, "not a JSON-RPC 2.0 request")
     method = request["method"]
     if method == "describe":
         return _result(req_id, registry.to_json())
-    if method not in _METHODS:
+    if not isinstance(method, str) or method not in _METHODS:
         return _error(req_id, ERR_INVALID_REQUEST, f"unknown method {method!r}")
+    (in_name, _, decode_in), (out_name, encode_out, _) = _METHODS[method]
     params = request.get("params")
     if not isinstance(params, dict):
         return _error(req_id, ERR_INVALID_PARAMS, "params must be an object")
     name = params.get("component")
     try:
         env = Environment.from_json(params["env"])
-        if method == "accept":
-            incumbent, incoming = params["solutions"]
-            payload = (solution_from_json(incumbent), solution_from_json(incoming))
-        else:
-            payload = solution_from_json(params["solution"])
+        payload = decode_in(params[in_name])
     except Exception as exc:
         return _error(req_id, ERR_INVALID_PARAMS, f"malformed params: {exc}")
     try:
@@ -86,15 +108,9 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
         return _error(req_id, ERR_INVALID_PARAMS, f"malformed params: {exc}")
     try:
         out, env = component(payload, env)
+        result = {"env": env.to_json(), out_name: encode_out(out)}
     except Exception as exc:
         return _error(req_id, ERR_COMPONENT_FAILURE, f"{name}: {exc}")
-    result: Dict = {"env": env.to_json()}
-    if method in ("perturb", "accept"):
-        result["solution"] = solution_to_json(out)
-    elif method == "evaluate":
-        result["value"] = out
-    else:
-        result["flag"] = bool(out)
     return _result(req_id, result)
 
 
@@ -109,8 +125,14 @@ class RpcServer:
                 if self.path != "/rpc":
                     self.send_error(404)
                     return
-                length = int(self.headers.get("Content-Length", 0))
-                response = handle_rpc(reg, self.rfile.read(length))
+                length = self.headers.get("Content-Length", "")
+                if length.isascii() and length.isdigit() and int(length) <= MAX_REQUEST_BYTES:
+                    response = handle_rpc(reg, self.rfile.read(int(length)))
+                else:  # the body is left unread
+                    response = _error(
+                        None, ERR_INVALID_REQUEST,
+                        f"Content-Length must be an integer in [0, {MAX_REQUEST_BYTES}]",
+                    )
                 data = json.dumps(response).encode("utf-8")
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
@@ -167,19 +189,8 @@ def _post(endpoint: str, request: dict, retries: int = 2, backoff: float = 0.1) 
     return response["result"]
 
 
-class _RequestIds:
-    def __init__(self):
-        self._next = 0
-        self._lock = threading.Lock()
-
-    def take(self) -> int:
-        with self._lock:
-            self._next += 1
-            return self._next
-
-
-def _fetch_descriptor(endpoint: str, kind: str, name: str, ids: _RequestIds):
-    result = _post(endpoint, {"jsonrpc": "2.0", "id": ids.take(), "method": "describe"})
+def _fetch_descriptor(endpoint: str, kind: str, name: str, ids: Iterator[int]):
+    result = _post(endpoint, {"jsonrpc": "2.0", "id": next(ids), "method": "describe"})
     for obj in result["components"]:
         if obj["kind"] == kind and obj["name"] == name:
             return ComponentDescriptor.from_json(obj)
@@ -187,30 +198,20 @@ def _fetch_descriptor(endpoint: str, kind: str, name: str, ids: _RequestIds):
 
 
 def _remote(endpoint: str, method: str, name: str, params: Optional[Dict]) -> Component:
-    ids = _RequestIds()
+    ids = itertools.count(1)  # no lock: replies are never matched by id
     descriptor = _fetch_descriptor(endpoint, method, name, ids)
     bindings = dict(params or {})
+    (in_name, encode_in, _), (out_name, _, decode_out) = _METHODS[method]
 
     def step(payload, env):
-        req_params: Dict = {"component": name, "params": bindings, "env": env.to_json()}
-        if method == "accept":
-            incumbent, incoming = payload
-            req_params["solutions"] = [
-                solution_to_json(incumbent),
-                solution_to_json(incoming),
-            ]
-        else:
-            req_params["solution"] = solution_to_json(payload)
+        req_params = {"component": name, "params": bindings, "env": env.to_json()}
+        req_params[in_name] = encode_in(payload)
         result = _post(
             endpoint,
-            {"jsonrpc": "2.0", "id": ids.take(), "method": method, "params": req_params},
+            {"jsonrpc": "2.0", "id": next(ids), "method": method, "params": req_params},
         )
         env = Environment.from_json(result["env"])
-        if method in ("perturb", "accept"):
-            return solution_from_json(result["solution"]), env
-        if method == "evaluate":
-            return float(result["value"]), env
-        return bool(result["flag"]), env
+        return decode_out(result[out_name]), env
 
     return Component(descriptor, step)
 

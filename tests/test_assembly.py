@@ -327,3 +327,33 @@ class TestFrameworkParams:
         assert validate(spec, default_registry()) == []
         with pytest.raises(ValueError):
             instantiate(spec, default_registry(), onemax(8), 1)()
+
+
+class TestGridsAreChecked:
+    """A grid names components and values directly, so a name, parameter
+    or value that cannot take part is an error, not a narrower product."""
+
+    @pytest.mark.parametrize(
+        "grids, violation",
+        [
+            ({"bitflip": {"k": [0]}}, "grids.bitflip.k=0 below minimum 1"),
+            ({"bitflip": {"k": [0, 2]}}, "grids.bitflip.k=0 below minimum 1"),
+            ({"bitflp": {"k": [2]}}, "grids.bitflp: no registered component has this name"),
+            ({"bitflip": {"kk": [2]}}, "grids.bitflip: unknown parameter 'kk'"),
+            ({"bitflip": {"k": [2.5]}}, "grids.bitflip.k=2.5 is not an integer"),
+        ],
+    )
+    def test_bad_grid_raises_naming_it(self, grids, violation):
+        with pytest.raises(InvalidConfigurationError) as info:
+            enumerate_valid(default_registry(), "local_search", grids)
+        assert info.value.violations == [violation]
+
+    def test_every_violation_is_named(self):
+        grids = {"bitflp": {"k": [2]}, "metropolis": {"cooling": [0.5, 2.0], "t": []}}
+        with pytest.raises(InvalidConfigurationError) as info:
+            enumerate_valid(default_registry(), "local_search", grids)
+        assert info.value.violations == [
+            "grids.bitflp: no registered component has this name",
+            "grids.metropolis.cooling=2.0 above maximum 1.0",
+            "grids.metropolis: unknown parameter 't'",
+        ]

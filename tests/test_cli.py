@@ -806,3 +806,106 @@ def test_solve_on_any_json_document_exits_0_or_2(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert code in (0, 2)
     assert (code == 2) == err.startswith("error: ")
+
+
+ENUMERATE_REGISTRY = {
+    "components": [
+        {"name": "bitflip", "impl": "bitflip", "defaults": {"k": 1}},
+        {"name": "improving", "impl": "improving", "defaults": {}},
+        {"name": "metropolis", "impl": "metropolis", "defaults": {"cooling": 1.0}},
+        {"name": "max_iterations", "impl": "max_iterations", "defaults": {"max": 10}},
+    ]
+}
+
+
+class TestGridsAreChecked:
+    @pytest.mark.parametrize(
+        "grids, words",
+        [
+            ({"bitflip": {"k": [0, 2]}}, ("grids.bitflip.k=0",)),
+            ({"bitflp": {"k": [2]}}, ("grids.bitflp",)),
+            ({"bitflip": {"kk": [2]}}, ("grids.bitflip", "'kk'")),
+            ({"bitflip": {"k": [2.5]}}, ("grids.bitflip.k=2.5",)),
+        ],
+    )
+    def test_enumerate_and_run_exit_2(self, tmp_path, capsys, grids, words):
+        reg = write_json(tmp_path / "registry.json", ENUMERATE_REGISTRY)
+        grids_path = write_json(tmp_path / "grids.json", grids)
+        argv = ["enumerate", reg, "--framework", "local_search", "--grids", grids_path]
+        exits_2_naming(capsys, argv, *words)
+        exits_2_naming(capsys, ["run", minimal_run(tmp_path, grids=grids)], *words)
+
+
+grid_docs = st.one_of(
+    json_values,
+    st.dictionaries(
+        st.one_of(st.sampled_from(["bitflip", "metropolis", "max_iterations", "bitflp"]),
+                  st.text(max_size=3)),
+        st.one_of(
+            st.dictionaries(
+                st.one_of(st.sampled_from(["k", "cooling", "max", "kk"]), st.text(max_size=2)),
+                st.one_of(st.lists(leaves, max_size=3), json_values),
+                max_size=3,
+            ),
+            json_values,
+        ),
+        max_size=3,
+    ),
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(grids=grid_docs)
+def test_enumerate_on_any_json_grids_exits_0_or_2(tmp_path, capsys, grids):
+    reg = write_json(tmp_path / "registry.json", ENUMERATE_REGISTRY)
+    grids_path = write_json(tmp_path / "grids.json", grids)
+    code = main(["enumerate", reg, "--framework", "local_search", "--grids", grids_path])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert (code == 2) == err.startswith("error: ")
+
+
+class TestRunReportsEachTrial:
+    def test_evaluations_is_what_the_trial_spent(self, tmp_path):
+        # the GA spends its population of 10 on the start, then the budget stops it
+        spec = {
+            "framework": "ga",
+            "slots": {
+                "mutate": {"component": "bitflip", "params": {"k": 1}},
+                "terminate": {"component": "max_iterations", "params": {"max": 100}},
+            },
+            "framework_params": {"pop_size": 10},
+        }
+        exp = minimal_run(
+            tmp_path, configs=[spec], seeds=[1, 2], budget={"evaluations": 10},
+            problems=[{"kind": "onemax", "n": 16}],
+        )
+        assert main(["run", exp]) == 0
+        rows = read_results(tmp_path / "out")
+        assert [r["evaluations"] for r in rows] == ["10", "10"]
+
+    def test_failed_trial_reason_goes_to_stderr(self, tmp_path, capsys):
+        spec = {
+            "framework": "local_search",
+            "slots": {
+                "perturb": {"component": "gaussian", "params": {"sigma": 0.1}},
+                "accept": {"component": "improving", "params": {}},
+                "terminate": {"component": "max_iterations", "params": {"max": 10}},
+            },
+        }
+        assert main(["run", minimal_run(tmp_path, configs=[spec])]) == 1
+        (row,) = read_results(tmp_path / "out")
+        assert row["best_value"] == "FAILED"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: trial onemax_8 {row['config_id']} 1: ")
+        assert "gaussian" in err
+
+
+def test_solve_exits_3_when_the_audit_file_cannot_be_written(tmp_path, capsys):
+    model = write_json(tmp_path / "m.json", TestSolve().tsp_doc())  # the tsp route
+    (tmp_path / "m.tsplib").mkdir()
+    assert main(["solve", model, "--budget", "50"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "m.tsplib" in captured.err

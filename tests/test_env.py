@@ -248,3 +248,14 @@ def test_from_json_parses_dseq_strings():
     assert EnvValue.from_json({"t": "dseq", "v": [str(2**64 - 1), "0"]}) == EnvValue.of_dseq(
         [2**64 - 1, 0]
     )
+
+
+class TestRngBelowRange:
+    def test_above_two_to_the_64_raises_instead_of_spinning(self):
+        with pytest.raises(ValueError):
+            rng_below(env_new(1), 2**64 + 1)
+
+    def test_two_to_the_64_accepts_every_draw(self):
+        v, e = rng_below(env_new(1), 2**64)
+        assert 0 <= v < 2**64
+        assert e.rng.counter == 1

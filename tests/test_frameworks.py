@@ -478,3 +478,31 @@ class TestWhatTerminateReceives:
             initial.append(p.evaluate(sol, env_new(0))[0])
         assert values == [min(initial)] + [row[2] for row in r.trace]
         assert calls[-1][0] == r.best
+
+
+class TestRunResultEvaluations:
+    """`RunResult.evaluations` is what the search spent, start included."""
+
+    def test_ga_that_stops_at_once_spent_its_population(self):
+        p = onemax(16)
+        r = genetic_algorithm(
+            10, p.sample_initial, p.evaluate, 2, crossover_one_point(),
+            perturb_bitflip(1), terminate_iterations(0), env_new(1),
+        )
+        assert r.trace == () and r.evaluations == 10
+
+    def test_agrees_with_the_last_trace_row(self):
+        p = onemax(8)
+        start, env = p.sample_initial(env_new(4))
+        ls = local_search(
+            start, p.evaluate, perturb_bitflip(1), accept_improving(),
+            terminate_iterations(7), env,
+        )
+        inner = InnerSearch(perturb_bitflip(1), accept_improving(), terminate_iterations(4))
+        ils = iterated_local_search(
+            start, p.evaluate, perturb_bitflip(2), inner, accept_improving(),
+            terminate_iterations(3), env,
+        )
+        assert ls.evaluations == ls.trace[-1][1] == 8
+        # per outer step: the kicked start plus 4 inner moves
+        assert ils.evaluations == ils.trace[-1][1] == 1 + 3 * 5
