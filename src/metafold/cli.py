@@ -229,8 +229,8 @@ def cmd_compare(args) -> int:
             reader = csv.DictReader(fh)
             missing = [c for c in COMPARE_COLUMNS if c not in (reader.fieldnames or ())]
             rows = list(reader)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8
+        print(f"error: {args.results}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if missing:
         print(f"error: {args.results} lacks column(s): {', '.join(missing)}", file=sys.stderr)
@@ -247,6 +247,9 @@ def cmd_compare(args) -> int:
                 f"{row['best_value']!r} is not a number",
                 file=sys.stderr,
             )
+            return EXIT_INPUT_ERROR
+        if row["config_id"] is None:  # a short row whose header puts config_id last
+            print(f"error: {args.results} row {number}: no config_id", file=sys.stderr)
             return EXIT_INPUT_ERROR
         groups.setdefault(row["config_id"], []).append(value)
     config_ids = sorted(groups)

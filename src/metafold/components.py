@@ -174,7 +174,7 @@ def perturb_bitflip(k: int = 1) -> Component:
         bits = list(sol.bits)
         for i in chosen:
             bits[i] ^= 1
-        return BitVector(tuple(bits)), env
+        return BitVector._unchecked(tuple(bits)), env
 
     return Component(desc, step)
 
@@ -194,7 +194,7 @@ def perturb_swap() -> Component:
             j += 1
         order = list(sol.order)
         order[i], order[j] = order[j], order[i]
-        return Permutation(tuple(order)), env
+        return Permutation._unchecked(tuple(order)), env
 
     return Component(ComponentDescriptor("swap", "perturb"), step)
 
@@ -216,7 +216,7 @@ def perturb_two_opt() -> Component:
             i, j = j, i
         order = list(sol.order)
         order[i : j + 1] = reversed(order[i : j + 1])
-        return Permutation(tuple(order)), env
+        return Permutation._unchecked(tuple(order)), env
 
     return Component(ComponentDescriptor("two_opt", "perturb"), step)
 

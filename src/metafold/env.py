@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
@@ -18,6 +20,8 @@ _TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Where a lane's low 64 bits sit among the native-order words of its 128 bits.
+_LOW_WORD = 0 if sys.byteorder == "little" else 1
 
 
 class ConfigurationError(Exception):
@@ -223,28 +227,67 @@ def rng_uniform(env: Environment) -> Tuple[float, Environment]:
     return value, nxt
 
 
+def _limit(n: int) -> int:
+    """The bound below which a raw draw maps to [0, n) without bias."""
+    if not 1 <= n <= 1 << 64:  # above 2^64 no raw draw would be accepted
+        raise ValueError("rng_below requires 1 <= n <= 2^64")
+    return (1 << 64) - ((1 << 64) % n)
+
+
 def rng_below(env: Environment, n: int) -> Tuple[int, Environment]:
     """Unbiased integer in [0, n) via rejection over the raw 64-bit draw."""
-    (value,), nxt = rng_below_many(env, n, 1)
-    return value, nxt
+    limit = _limit(n)
+    seed, counter = env.rng.seed, env.rng.counter
+    while True:
+        raw = _raw64(seed, counter)
+        counter += 1
+        if raw < limit:
+            return raw % n, _derive(env, env.entries, RngState(seed, counter))
+
+
+# Lanes: `count` 64-bit words held as one int, word i in the low half of
+# the int's i-th 128-bit lane. A lane-wise xor-shift masked back to the low
+# halves, or a product with a number below 2^64, stays inside each lane, so
+# one big-int operation acts on every word at once.
+
+
+def _to_lanes(words: array) -> int:
+    """The words of an `array("Q")` as lanes."""
+    native = array("Q", bytes(16 * len(words)))
+    native[_LOW_WORD::2] = words
+    return int.from_bytes(native, sys.byteorder)
+
+
+def _from_lanes(x: int, count: int) -> memoryview:
+    """The `count` words held in the lanes of `x`, whatever its high halves hold."""
+    return memoryview(x.to_bytes(16 * count, sys.byteorder)).cast("Q")[_LOW_WORD::2]
+
+
+def _raw64_lanes(seed: int, counter: int, count: int) -> memoryview:
+    """The raw draws at counters counter..counter+count-1, mixed at once."""
+    ones = _to_lanes(array("Q", [1]) * count)
+    low = ones * _MASK64
+    x = _to_lanes(array("Q", range(counter + 1, counter + 1 + count)))
+    x = ((x * _GOLDEN & low) + seed * ones) & low
+    x = ((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    x = ((x ^ (x >> 27)) & low) * 0x94D049BB133111EB & low
+    return _from_lanes(x ^ (x >> 31), count)
 
 
 def rng_below_many(env: Environment, n: int, count: int) -> Tuple[List[int], Environment]:
     """`count` draws in [0, n) in one copy: the same values and final
     counter as `count` successive `rng_below(env, n)` calls."""
-    if not 1 <= n <= 1 << 64:  # above 2^64 no raw draw would be accepted
-        raise ValueError("rng_below requires 1 <= n <= 2^64")
+    limit = _limit(n)
     if count < 0:
         raise ValueError("rng_below_many requires count >= 0")
-    limit = (1 << 64) - ((1 << 64) % n)
-    seed, counter = env.rng.seed, env.rng.counter
-    values = []
+    rng = env.rng
+    values: List[int] = []
     while len(values) < count:
-        raw = _raw64(seed, counter)
-        counter += 1
-        if raw < limit:
-            values.append(raw % n)
-    return values, _derive(env, env.entries, RngState(seed, counter))
+        # every draw of a batch is needed, as at most all of them are accepted
+        start, need = rng.counter, count - len(values)
+        rng = RngState(rng.seed, start + need)  # past the stream's end: ValueError
+        values += map(n.__rmod__, filter(limit.__gt__, _raw64_lanes(rng.seed, start, need)))
+    return values, _derive(env, env.entries, rng)
 
 
 Step = Callable[[Any, Environment], Tuple[Any, Environment]]

@@ -165,8 +165,8 @@ def crossover_one_point():
             return (a, b), env
         cut, env = rng_below(env, n - 1)
         cut += 1
-        c1 = BitVector(a.bits[:cut] + b.bits[cut:])
-        c2 = BitVector(b.bits[:cut] + a.bits[cut:])
+        c1 = BitVector._unchecked(a.bits[:cut] + b.bits[cut:])
+        c2 = BitVector._unchecked(b.bits[:cut] + a.bits[cut:])
         return (c1, c2), env
 
     return step

@@ -61,7 +61,7 @@ def _evaluator(name: str, expected, size: int, fn) -> Component:
 def sample_bits(n: int):
     def sample(env):
         bits, env = rng_below_many(env, 2, n)
-        return BitVector(tuple(bits)), env
+        return BitVector._unchecked(tuple(bits)), env
 
     return sample
 
@@ -73,7 +73,7 @@ def sample_permutation(n: int):
         for i in range(n - 1, 0, -1):
             j, env = rng_below(env, i + 1)
             order[i], order[j] = order[j], order[i]
-        return Permutation(tuple(order)), env
+        return Permutation._unchecked(tuple(order)), env
 
     return sample
 

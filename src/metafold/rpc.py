@@ -34,6 +34,12 @@ ERR_COMPONENT_FAILURE = -32002
 # thousands of times larger.
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
+# Seconds a server thread waits on one read or write of a connection. A
+# client sends its whole request at once, so a body shorter than its
+# Content-Length would otherwise hold the thread until the client leaves;
+# a wait this long only ends such a stalled request.
+REQUEST_TIMEOUT_S = 10.0
+
 
 def _pair_from_json(obj):
     incumbent, incoming = obj
@@ -121,6 +127,8 @@ class RpcServer:
         reg = registry
 
         class Handler(BaseHTTPRequestHandler):
+            timeout = REQUEST_TIMEOUT_S  # a read past it closes the connection
+
             def do_POST(self):  # noqa: N802 (http.server naming)
                 if self.path != "/rpc":
                     self.send_error(404)
@@ -139,6 +147,12 @@ class RpcServer:
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
+
+            def handle(self):
+                try:
+                    super().handle()
+                except ConnectionError:  # the client left before its reply
+                    pass
 
             def log_message(self, *args):
                 pass

@@ -13,14 +13,27 @@ the RPC tier and tabu digests. A solution travels as
 
 Every bit tuple the constructor accepts serializes to this form and parses
 back to an equal vector (bools and floats equal to 0/1 come back as ints).
+
+Checks sit at the boundaries. Every path that takes outside values checks
+them: the `BitVector`, `Permutation` and `RealVector` constructors, `.of`,
+`BitVector.from_string` and `solution_from_json`. An internal producer that
+can only yield a valid vector from a valid one (bitflip, one-point
+crossover, `sample_bits`, swap, two_opt, the Fisher-Yates
+`sample_permutation`) builds its result with `_unchecked`, which skips the
+check. Real vectors and order-1 crossover stay checked, as their outputs
+can be invalid (an overflow to inf, parents of unequal length).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Tuple, Union
+
+from .env import _from_lanes, _to_lanes
 
 
 class SolutionFormatError(Exception):
@@ -45,6 +58,13 @@ class BitVector:
             raise ValueError("bits must be a nonempty 0/1 sequence")
         if not isinstance(bits, tuple):  # a list: keep it hashable and comparable
             object.__setattr__(self, "bits", tuple(bits))
+
+    @classmethod
+    def _unchecked(cls, bits: Tuple[int, ...]) -> "BitVector":
+        """A vector an internal producer built from valid bits; not checked."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "bits", bits)
+        return new
 
     @staticmethod
     def of(bits) -> "BitVector":
@@ -74,6 +94,13 @@ class Permutation:
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError("not a permutation of 0..n-1")
+
+    @classmethod
+    def _unchecked(cls, order: Tuple[int, ...]) -> "Permutation":
+        """A permutation an internal producer built from valid input; not checked."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "order", order)
+        return new
 
     @staticmethod
     def of(order) -> "Permutation":
@@ -160,9 +187,52 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
-def solution_digest(sol: Solution) -> int:
-    """Stable 64-bit FNV-1a over the canonical serialization."""
-    h = _FNV_OFFSET
-    for byte in serialize_solution(sol).encode("utf-8"):
+def _fnv(h: int, data: bytes) -> int:
+    """FNV-1a over `data`, starting from state `h`."""
+    for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
+
+
+# A bit vector serializes as this prefix, one "0"/"1" byte per bit, then '"}'.
+_BITS_PREFIX = _fnv(_FNV_OFFSET, b'{"t":"bits","v":"')
+_PRIME_8 = pow(_FNV_PRIME, 8, 1 << 64)
+
+
+@functools.lru_cache(maxsize=1)
+def _bits_step_table() -> array:
+    """FNV-1a over 8 bit characters as one step: the state h goes to
+    `h * _PRIME_8 + table[p << 8 | (h & 0xFF)]` (mod 2^64), where the 8 bits
+    of p are the characters, first one highest.
+
+    A byte xor changes only the state's low byte, and a product's low byte
+    depends only on its factors' low bytes, so the low byte evolves on its
+    own and what the 8 steps add to `h * _PRIME_8` depends on (p, h & 0xFF)
+    alone. Each entry is the run from the low byte l alone, minus
+    l * _PRIME_8; the 256 values of l run at once, as lanes.
+    """
+    ones = _to_lanes(array("Q", [1]) * 256)
+    low = ones * _MASK64
+    starts = _to_lanes(array("Q", range(256)))
+    minus_starts = _to_lanes(array("Q", (-l * _PRIME_8 & _MASK64 for l in range(256))))
+    table = array("Q")
+    for p in range(256):
+        h = starts
+        for shift in range(7, -1, -1):
+            h = (h ^ (0x30 | (p >> shift) & 1) * ones) * _FNV_PRIME & low
+        table.extend(_from_lanes(h + minus_starts, 256))
+    return table
+
+
+def solution_digest(sol: Solution) -> int:
+    """Stable 64-bit FNV-1a over the canonical serialization."""
+    if not isinstance(sol, BitVector):
+        return _fnv(_FNV_OFFSET, serialize_solution(sol).encode("utf-8"))
+    text = sol.to_string()
+    whole = len(text) - len(text) % 8
+    h = _BITS_PREFIX
+    if whole:
+        table = _bits_step_table()
+        for p in int(text[:whole], 2).to_bytes(whole // 8, "big"):
+            h = (h * _PRIME_8 + table[p << 8 | (h & 0xFF)]) & _MASK64
+    return _fnv(h, (text[whole:] + '"}').encode("ascii"))

@@ -258,6 +258,47 @@ class TestCompare:
             csv.writer(fh).writerow(["q", "a", "9", "junk"])
         assert main(["compare", path, "--problem", "p"]) == 0
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"problem,config_id,best_value\np,a,1\n\xff\xfe\n",
+            b"problem,config_id,best_value\np,a," + b"1" * 131073 + b"\n",
+        ],
+        ids=["not_utf8", "field_over_the_csv_limit"],
+    )
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "results.csv"
+        path.write_bytes(content)
+        assert main(["compare", str(path), "--problem", "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    def test_short_row_without_config_id_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        rows = [f"p,{v},{c}" for c in "ab" for v in range(5)]
+        path.write_text("\n".join(["problem,best_value,config_id", *rows, "p,3"]) + "\n")
+        assert main(["compare", str(path), "--problem", "p"]) == 2
+        assert "config_id" in capsys.readouterr().err
+
+
+_csv_cells = st.sampled_from(
+    ["p", "q", "a", "b", "1", "2.5", "nan", "-inf", "FAILED", "", '"', "x\ny"]
+)
+_csv_texts = st.tuples(
+    st.permutations(["problem", "config_id", "seed", "best_value"]).map(",".join),
+    st.lists(st.lists(_csv_cells, max_size=5).map(",".join), max_size=16),
+).map(lambda doc: "\n".join([doc[0], *doc[1]]))
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(content=st.one_of(st.binary(max_size=200), _csv_texts.map(str.encode)))
+def test_compare_on_any_bytes_exits_0_or_2(tmp_path, content):
+    path = tmp_path / "results.csv"
+    path.write_bytes(content)
+    assert main(["compare", str(path), "--problem", "p"]) in (0, 2)
+
 
 class TestEnumerate:
     def registry_file(self, tmp_path):

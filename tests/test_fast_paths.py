@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TrackingEnvironment, tracking_env
-from metafold.components import FRAMEWORK_KEYS, K_EVALUATIONS, perturb_bitflip
+from metafold.components import (
+    FRAMEWORK_KEYS,
+    K_EVALUATIONS,
+    perturb_bitflip,
+    perturb_swap,
+    perturb_two_opt,
+)
 from metafold.env import (
     EnvKey,
     EnvValue,
@@ -24,8 +30,16 @@ from metafold.env import (
     rng_below_many,
     rng_uniform,
 )
-from metafold.problems import parse_dimacs_cnf, trap
-from metafold.solutions import BitVector, solution_digest, solution_from_json, solution_to_json
+from metafold.frameworks import crossover_one_point
+from metafold.problems import parse_dimacs_cnf, sample_bits, sample_permutation, trap
+from metafold.solutions import (
+    BitVector,
+    Permutation,
+    SolutionFormatError,
+    solution_digest,
+    solution_from_json,
+    solution_to_json,
+)
 from metafold.whitebox import (
     DEFAULT_PENALTY,
     Constraint,
@@ -64,8 +78,8 @@ def ref_below_loop(env, n, count):
 @given(
     seed=seeds,
     counter=counters,
-    n=st.sampled_from([2, 3, 2**63 + 1]),
-    count=st.integers(min_value=0, max_value=40),
+    n=st.sampled_from([1, 2, 3, 2**32, 2**63 + 1, 2**64]),
+    count=st.integers(min_value=0, max_value=2100),
 )
 def test_rng_below_many_equals_rng_below_loop(seed, counter, n, count):
     env = Environment(entries={}, rng=RngState(seed, counter))
@@ -88,6 +102,20 @@ def test_rng_below_many_counts_rejections():
     _, out = rng_below_many(env, 2**63 + 1, 64)
     _, ref_out = ref_below_loop(env, 2**63 + 1, 64)
     assert out.rng.counter == ref_out.rng.counter > 64
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    to_end=st.integers(min_value=0, max_value=2100),
+    n=st.sampled_from([1, 2, 3, 2**63 + 1, 2**64]),
+    count=st.integers(min_value=0, max_value=2100),
+)
+def test_rng_below_many_at_the_end_of_the_stream(seed, to_end, n, count):
+    # The last counter is 2^64 - 1; a call that would pass it raises the
+    # loop's ValueError, and one that stops short returns the loop's values.
+    env = Environment(entries={}, rng=RngState(seed, (1 << 64) - 1 - to_end))
+    assert outcome(rng_below_many, env, n, count) == outcome(ref_below_loop, env, n, count)
 
 
 def test_rng_below_many_rejects_bad_arguments():
@@ -181,7 +209,7 @@ def test_bitflip_equals_tuple_rebuild(k, bits, seed):
     assert out_env == ref_env
 
 
-@pytest.mark.parametrize("bits", [(), (2,), (0, -1)])
+@pytest.mark.parametrize("bits", [(), (2,), (0, -1), "01"])
 def test_bitvector_still_rejects(bits):
     with pytest.raises(ValueError):
         BitVector(bits)
@@ -223,13 +251,26 @@ def ref_digest(text):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=2100))
 def test_bit_codec_equals_genexpr_codec(bits):
     sol = BitVector(tuple(bits))
     text = ref_bits_to_text(sol.bits)
     assert solution_to_json(sol) == {"t": "bits", "v": text}
     assert solution_from_json({"t": "bits", "v": text}) == ref_text_to_bitvector(text) == sol
     assert solution_digest(sol) == ref_digest(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2100).flatmap(
+        lambda n: st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)
+    ),
+    st.sampled_from([bool, float]),
+)
+def test_bit_digest_of_bool_and_float_bits_equals_byte_loop(bits, kind):
+    # lengths 1-2100 cross every remainder mod 8 of the 8-character steps
+    sol = BitVector(tuple(map(kind, bits)))
+    assert solution_digest(sol) == ref_digest(ref_bits_to_text(bits))
 
 
 def outcome(fn, *args):
@@ -417,3 +458,41 @@ def test_generic_route_on_local_search_equals_its_own_loop(model, budget, seed):
 def test_constraint_over_fewer_than_two_variables_reads_a_tuple(vars_):
     con = Constraint("table", vars_, (tuple(range(len(vars_))),))
     assert con.values_of({"x": 0, "y": 1}) == tuple(range(len(vars_)))
+
+
+def checked(sol):
+    """The same vector through its public, checked constructor."""
+    return BitVector(sol.bits) if isinstance(sol, BitVector) else Permutation(sol.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=2, max_value=64), seed=seeds, k=st.sampled_from([1, 3]))
+def test_unchecked_producers_build_what_the_checked_constructor_builds(n, seed, k):
+    env = env_new(seed)
+    bits, env = sample_bits(n)(env)
+    other, env = sample_bits(n)(env)
+    order, env = sample_permutation(n)(env)
+    outputs = [bits, other, order]
+    outputs.append(perturb_bitflip(min(k, n))(bits, env)[0])
+    outputs.extend(crossover_one_point()((bits, other), env)[0])
+    outputs.append(perturb_swap()(order, env)[0])
+    outputs.append(perturb_two_opt()(order, env)[0])
+    for sol in outputs:
+        assert type(sol) is type(checked(sol))
+        assert sol == checked(sol) and hash(sol) == hash(checked(sol))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: BitVector.of([0, 2]), ValueError),
+        (lambda: BitVector.from_string("012"), ValueError),
+        (lambda: Permutation((0, 0, 1)), ValueError),
+        (lambda: Permutation.of([1, 2]), ValueError),
+        (lambda: solution_from_json({"t": "perm", "v": [0, 2]}), SolutionFormatError),
+        (lambda: solution_from_json({"t": "bits", "v": "2"}), SolutionFormatError),
+    ],
+)
+def test_public_constructors_still_check(build, error):
+    with pytest.raises(error):
+        build()

@@ -3,11 +3,14 @@ dropped connection, for any body or Content-Length."""
 
 import json
 import socket
+import struct
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metafold import rpc
 from metafold.env import env_new
 from metafold.palette import default_registry
 from metafold.rpc import ERR_INVALID_REQUEST, ERR_PARSE, MAX_REQUEST_BYTES, handle_rpc, serve
@@ -183,3 +186,45 @@ def test_invalid_utf8_body_is_a_parse_error_then_service_continues(server):
     body = b'{"jsonrpc": "2.0", "id": 9, "method": "describe"}'
     good = raw_post(server.endpoint, b"Content-Length: %d\r\n" % len(body), body)
     assert good["id"] == 9 and good["result"]["components"]
+
+
+DESCRIBE = b'{"jsonrpc": "2.0", "id": 1, "method": "describe"}'
+
+
+def open_short_body(endpoint):
+    """A connection that announces a 100-byte body and sends 10 bytes."""
+    host, port = endpoint.split("//")[1].split("/")[0].split(":")
+    sock = socket.create_connection((host, int(port)), timeout=5.0)
+    sock.sendall(b"POST /rpc HTTP/1.0\r\nHost: x\r\nContent-Length: 100\r\n\r\n" + b"{" * 10)
+    return sock
+
+
+def test_body_shorter_than_its_length_times_out_then_service_continues(monkeypatch, capfd):
+    monkeypatch.setattr(rpc, "REQUEST_TIMEOUT_S", 0.2)
+    s = serve(REGISTRY)
+    try:
+        with open_short_body(s.endpoint) as sock:
+            started = time.monotonic()
+            assert sock.recv(65536) == b""  # closed without a reply
+            assert time.monotonic() - started < 4.0
+        good = raw_post(s.endpoint, b"Content-Length: %d\r\n" % len(DESCRIBE), DESCRIBE)
+        assert good["result"]["components"]
+    finally:
+        s.close()
+    assert capfd.readouterr().err == ""
+
+
+def test_client_gone_before_the_reply_prints_nothing(capfd):
+    s = serve(REGISTRY)
+    try:
+        sock = open_short_body(s.endpoint)
+        time.sleep(0.1)
+        # close with a reset, as a client that is killed does
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        time.sleep(0.3)
+        good = raw_post(s.endpoint, b"Content-Length: %d\r\n" % len(DESCRIBE), DESCRIBE)
+        assert good["result"]["components"]
+    finally:
+        s.close()
+    assert capfd.readouterr().err == ""
