@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -66,6 +65,8 @@ PROBLEM_KINDS = {
 # experiment fields that are integers
 SEED = Param("seed", "int", None, min=0, max=2**64 - 1)
 TRACE_STRIDE = Param("trace_stride", "int", None, min=1)
+# still checked, but trials run one after another: each is pure Python that
+# never waits on I/O, so threads under the GIL would only interleave them
 WORKERS = Param("workers", "int", None)
 
 
@@ -150,11 +151,17 @@ def cmd_run(args) -> int:
         budget = _budget_terminate(require_shape(spec.get("budget") or {}, dict, "budget"))
         stride = TRACE_STRIDE.checked("experiment", spec.get("trace_stride", 1))
         out_dir = Path(require_shape(spec["out"], str, "out"))
-        workers = WORKERS.checked("experiment", spec.get("workers", 1))
+        WORKERS.checked("experiment", spec.get("workers", 1))
     except (OSError, KeyError, ValueError, ParseError, RegistrationError,
             UnknownComponentError, InvalidConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    traces_dir = out_dir / "traces"
+    try:
+        traces_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create the output directory: {exc}", file=sys.stderr)
+        return EXIT_ENVIRONMENT_ERROR
 
     trials = [
         (problem, config_id, config, seed)
@@ -188,15 +195,8 @@ def cmd_run(args) -> int:
             rows,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, trials))
-    else:
-        outcomes = [execute(t) for t in trials]
+    outcomes = [execute(t) for t in trials]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traces_dir = out_dir / "traces"
-    traces_dir.mkdir(exist_ok=True)
     failures = 0
     outcomes.sort(key=lambda o: (o[0], o[1], o[2]))
     with open(out_dir / "results.csv", "w", newline="") as fh:

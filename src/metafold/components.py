@@ -173,7 +173,7 @@ def perturb_bitflip(k: int = 1) -> Component:
             chosen.add(idx)
         bits = list(sol.bits)
         for i in chosen:
-            bits[i] ^= 1
+            bits[i] = 1 - bits[i]  # also flips bool and float bits
         return BitVector._unchecked(tuple(bits)), env
 
     return Component(desc, step)

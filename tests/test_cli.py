@@ -2,12 +2,14 @@ import csv
 import gc
 import json
 import math
+import threading
 import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from metafold import cli
 from metafold import problems as prob
 from metafold.cli import main
 from metafold.stats import median
@@ -96,16 +98,46 @@ class TestRun:
             assert lines[-1]["best_value"] == row["best_value"]
 
     def test_workers_do_not_change_results(self, tmp_path):
-        results = []
-        for tag, workers in (("w1", 1), ("w4", 4)):
-            out = tmp_path / tag
+        results, traces = [], []
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
             exp = write_json(
-                tmp_path / f"{tag}.json", experiment(tmp_path, out, [1, 2, 3], workers=workers)
+                tmp_path / f"w{workers}.json",
+                experiment(tmp_path, out, [3, 1, 2], trace_stride=7, workers=workers),
             )
             assert main(["run", exp]) == 0
             rows = read_results(out)
             results.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in rows])
-        assert results[0] == results[1]
+            traces.append({p.name: p.read_bytes() for p in (out / "traces").iterdir()})
+        assert len(traces[0]) == len(results[0]) == 12
+        assert results[0] == results[1] == results[2]
+        assert traces[0] == traces[1] == traces[2]
+
+    def test_workers_start_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"metafold run started a thread: {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = tmp_path / "out"
+        exp = write_json(tmp_path / "e.json", experiment(tmp_path, out, [1, 2], workers=4))
+        assert main(["run", exp]) == 0
+        assert len(read_results(out)) == 8
+
+    @pytest.mark.parametrize("out, a_file", [("afile", "afile"), ("out", "out/traces")])
+    def test_unusable_output_directory_exits_3_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, out, a_file
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "instantiate", refuse)
+        (tmp_path / "out").mkdir()
+        (tmp_path / a_file).write_text("a file, not a directory")
+        exp = write_json(tmp_path / "e.json", experiment(tmp_path, tmp_path / out, [1]))
+        assert main(["run", exp]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create the output directory")
+        assert "Traceback" not in err
 
     def test_explicit_configs_and_initializers(self, tmp_path):
         out = tmp_path / "out"

@@ -74,6 +74,16 @@ class TestBitflip:
         with pytest.raises(ComponentContractError):
             perturb_bitflip(5)(BitVector.from_string("0000"), env_new(0))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bool_and_float_bits_flip_like_int_bits(self, seed):
+        ints = (1, 0, 1, 1, 0, 0)
+        want, want_env = perturb_bitflip(2)(BitVector(ints), env_new(seed))
+        for bits in (tuple(map(bool, ints)), tuple(map(float, ints))):
+            out, env = perturb_bitflip(2)(BitVector(bits), env_new(seed))
+            assert out == want
+            assert out.to_string() == want.to_string()
+            assert env.rng.counter == want_env.rng.counter
+
 
 class TestPermutationPerturbs:
     def test_swap_two_elements(self):
