@@ -196,17 +196,26 @@ def cmd_run(args) -> int:
         )
 
     outcomes = [execute(t) for t in trials]
-
-    failures = 0
     outcomes.sort(key=lambda o: (o[0], o[1], o[2]))
+    failures = [o for o in outcomes if o[3] is None]
+    for problem_id, config_id, seed, *_, reason in failures:
+        print(f"error: trial {problem_id} {config_id} {seed}: {reason}", file=sys.stderr)
+    try:
+        _write_results(out_dir, traces_dir, outcomes)
+    except OSError as exc:  # say, results.csv is a directory
+        print(f"error: cannot write the results: {exc}", file=sys.stderr)
+        return EXIT_ENVIRONMENT_ERROR
+    return EXIT_TRIAL_FAILURES if failures else EXIT_OK
+
+
+def _write_results(out_dir: Path, traces_dir: Path, outcomes) -> None:
+    """`results.csv`, one row per trial, and one trace file per trial that ran."""
     with open(out_dir / "results.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["problem", "config_id", "seed", "best_value", "evaluations", "wall_ms"])
         for outcome in outcomes:
             problem_id, config_id, seed = outcome[:3]
             if outcome[3] is None:
-                failures += 1
-                print(f"error: trial {problem_id} {config_id} {seed}: {outcome[6]}", file=sys.stderr)
                 writer.writerow([problem_id, config_id, seed, "FAILED", "", ""])
                 continue
             best_value, evaluations, wall_ms, rows = outcome[3:]
@@ -217,7 +226,6 @@ def cmd_run(args) -> int:
                 twriter.writerow(["iteration", "evaluations", "best_value"])
                 for iteration, evals, value in rows:
                     twriter.writerow([iteration, evals, repr(value)])
-    return EXIT_TRIAL_FAILURES if failures else EXIT_OK
 
 
 COMPARE_COLUMNS = ("problem", "config_id", "best_value")

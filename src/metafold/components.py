@@ -142,7 +142,7 @@ def descriptor_of(component: Component) -> ComponentDescriptor:
 
 
 def _require(env: Environment, key: EnvKey, tag: str, who: str):
-    v = env.get(key)
+    v = env.entries.get(key)
     if v is None or v.tag != tag:
         raise ConfigurationError(f"{who}: missing {tag} env key {key.render()}")
     return v.value
@@ -171,10 +171,10 @@ def perturb_bitflip(k: int = 1) -> Component:
         while len(chosen) < k:
             idx, env = rng_below(env, n)
             chosen.add(idx)
-        bits = list(sol.bits)
+        bits = bytearray(sol.packed)
         for i in chosen:
-            bits[i] = 1 - bits[i]  # also flips bool and float bits
-        return BitVector._unchecked(tuple(bits)), env
+            bits[i] ^= 1
+        return BitVector._unchecked(bytes(bits)), env
 
     return Component(desc, step)
 

@@ -74,11 +74,11 @@ class EnvValue:
 
     @staticmethod
     def of_int(x: int) -> "EnvValue":
-        return EnvValue("int", int(x))
+        return _tagged("int", int(x))
 
     @staticmethod
     def of_real(x: float) -> "EnvValue":
-        return EnvValue("real", float(x))
+        return _tagged("real", float(x))
 
     @staticmethod
     def of_bool(x: bool) -> "EnvValue":
@@ -122,6 +122,16 @@ class EnvValue:
         return getattr(EnvValue, f"of_{tag}")(payload)
 
 
+def _tagged(tag: str, value) -> EnvValue:
+    """An EnvValue under a constant tag from VALUE_TAGS, built without
+    re-running `__post_init__`; `of_int` and `of_real` sit on the hot path."""
+    new = object.__new__(EnvValue)
+    fields = new.__dict__
+    fields["tag"] = tag
+    fields["value"] = value
+    return new
+
+
 @dataclass(frozen=True)
 class RngState:
     """Counter-based generator state; each draw is a pure function of (seed, counter)."""
@@ -132,6 +142,19 @@ class RngState:
     def __post_init__(self):
         if not (0 <= self.seed <= _MASK64 and 0 <= self.counter <= _MASK64):
             raise ValueError("seed and counter must be 64-bit unsigned")
+
+
+def _advanced(seed: int, counter: int) -> RngState:
+    """The state at `counter` of a stream whose seed an RngState already
+    checked. Only the counter can leave its range, past the end of the
+    2^64 stream, so only it is checked, with RngState's message."""
+    if counter > _MASK64:
+        raise ValueError("seed and counter must be 64-bit unsigned")
+    new = object.__new__(RngState)
+    fields = new.__dict__
+    fields["seed"] = seed
+    fields["counter"] = counter
+    return new
 
 
 def _mix64(x: int) -> int:
@@ -223,7 +246,7 @@ def rng_uniform(env: Environment) -> Tuple[float, Environment]:
     """One uniform draw in [0, 1); advances the counter by exactly 1."""
     raw = _raw64(env.rng.seed, env.rng.counter)
     value = (raw >> 11) * (2.0 ** -53)
-    nxt = _derive(env, env.entries, RngState(env.rng.seed, env.rng.counter + 1))
+    nxt = _derive(env, env.entries, _advanced(env.rng.seed, env.rng.counter + 1))
     return value, nxt
 
 
@@ -242,7 +265,7 @@ def rng_below(env: Environment, n: int) -> Tuple[int, Environment]:
         raw = _raw64(seed, counter)
         counter += 1
         if raw < limit:
-            return raw % n, _derive(env, env.entries, RngState(seed, counter))
+            return raw % n, _derive(env, env.entries, _advanced(seed, counter))
 
 
 # Lanes: `count` 64-bit words held as one int, word i in the low half of
@@ -285,7 +308,7 @@ def rng_below_many(env: Environment, n: int, count: int) -> Tuple[List[int], Env
     while len(values) < count:
         # every draw of a batch is needed, as at most all of them are accepted
         start, need = rng.counter, count - len(values)
-        rng = RngState(rng.seed, start + need)  # past the stream's end: ValueError
+        rng = _advanced(rng.seed, start + need)  # past the stream's end: ValueError
         values += map(n.__rmod__, filter(limit.__gt__, _raw64_lanes(rng.seed, start, need)))
     return values, _derive(env, env.entries, rng)
 

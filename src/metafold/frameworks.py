@@ -165,8 +165,9 @@ def crossover_one_point():
             return (a, b), env
         cut, env = rng_below(env, n - 1)
         cut += 1
-        c1 = BitVector._unchecked(a.bits[:cut] + b.bits[cut:])
-        c2 = BitVector._unchecked(b.bits[:cut] + a.bits[cut:])
+        pa, pb = a.packed, b.packed
+        c1 = BitVector._unchecked(pa[:cut] + pb[cut:])
+        c2 = BitVector._unchecked(pb[:cut] + pa[cut:])
         return (c1, c2), env
 
     return step

@@ -9,7 +9,7 @@ threaded RNG so initial solutions replay from the seed.
 from __future__ import annotations
 
 import math
-import operator
+import struct
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Dict, Optional, Tuple
@@ -61,7 +61,7 @@ def _evaluator(name: str, expected, size: int, fn) -> Component:
 def sample_bits(n: int):
     def sample(env):
         bits, env = rng_below_many(env, 2, n)
-        return BitVector._unchecked(tuple(bits)), env
+        return BitVector._unchecked(bytes(bits)), env
 
     return sample
 
@@ -99,7 +99,7 @@ def onemax(n: int) -> ProblemInstance:
     return ProblemInstance(
         name=f"onemax_{n}",
         representation="bits",
-        evaluate=_evaluator("onemax", BitVector, n, lambda s: n - sum(s.bits)),
+        evaluate=_evaluator("onemax", BitVector, n, lambda s: n - s.packed.count(1)),
         sample_initial=sample_bits(n),
         metadata={"n": n, "optimum_value": 0.0},
     )
@@ -113,7 +113,7 @@ def checkerboard(s: int) -> ProblemInstance:
     n = s * s
 
     def value(sol: BitVector) -> int:
-        g = sol.bits
+        g = sol.packed
         equal = 0
         for r in range(s):
             for c in range(s):
@@ -132,18 +132,21 @@ def checkerboard(s: int) -> ProblemInstance:
     )
 
 
+def _full_blocks(b: int) -> Callable[[bytes], int]:
+    """Counts the all-ones blocks of b bits in a packed vector whose length
+    b divides; the blocks are cut and compared in C."""
+    unpack, full = struct.Struct(f"{b}s").iter_unpack, (b"\x01" * b,)
+    return lambda packed: list(unpack(packed)).count(full)
+
+
 def royal_road(n: int, b: int) -> ProblemInstance:
     """Objective n - b * (number of all-ones blocks); optimum 0 at all-ones."""
     if b < 1 or n % b != 0:
         raise ValueError("b must divide n")
+    full_blocks = _full_blocks(b)
 
     def value(sol: BitVector) -> int:
-        complete = sum(
-            1
-            for i in range(0, n, b)
-            if all(sol.bits[i : i + b])
-        )
-        return n - b * complete
+        return n - b * full_blocks(sol.packed)
 
     return ProblemInstance(
         name=f"royal_road_{n}_{b}",
@@ -161,12 +164,12 @@ def trap(n: int, b: int) -> ProblemInstance:
     if b < 1 or n % b != 0:
         raise ValueError("b must divide n")
 
-    # cost[ones] = b - score; a dict so that float bits (1.0) look up too.
-    cost = {ones: b - (b if ones == b else b - 1 - ones) for ones in range(b + 1)}
+    full_blocks = _full_blocks(b)
 
     def value(sol: BitVector) -> int:
-        # zip over b copies of one iterator yields the n/b blocks in order.
-        return sum(map(cost.__getitem__, map(sum, zip(*[iter(sol.bits)] * b))))
+        # A block costs 0 when all ones, else 1 + its ones; summed over the
+        # n/b blocks, that is n/b + all ones - (b + 1) per all-ones block.
+        return n // b + sol.packed.count(1) - (b + 1) * full_blocks(sol.packed)
 
     return ProblemInstance(
         name=f"trap_{n}_{b}",
@@ -190,7 +193,7 @@ def hiff(n: int) -> ProblemInstance:
         for level in range(k + 1):
             size = 1 << level
             for start in range(0, n, size):
-                block = sol.bits[start : start + size]
+                block = sol.packed[start : start + size]
                 if all(b == block[0] for b in block):
                     f += size
         return n * (k + 1) - f
@@ -229,6 +232,8 @@ def sphere(d: int, lo: float, hi: float) -> ProblemInstance:
 
 # ---------------------------------------------------------------------------
 # MAX-SAT (DIMACS CNF)
+
+_NOT_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def parse_dimacs_cnf(text: str) -> ProblemInstance:
@@ -292,7 +297,7 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
     satisfies = tuple(map(tuple, occurrences))
 
     def value(sol: BitVector) -> int:
-        truth = sol.bits + tuple(map(operator.not_, sol.bits))
+        truth = sol.packed + sol.packed.translate(_NOT_BITS)
         return num_clauses - len(set().union(*compress(satisfies, truth)))
 
     return ProblemInstance(

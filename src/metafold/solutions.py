@@ -11,8 +11,14 @@ the RPC tier and tabu digests. A solution travels as
 - ``perm``: ``v`` is a list of the integers ``0..n-1`` in tour order.
 - ``real``: ``v`` is a list of finite numbers.
 
-Every bit tuple the constructor accepts serializes to this form and parses
-back to an equal vector (bools and floats equal to 0/1 come back as ints).
+A `BitVector` stores its bits in one `bytes` object, `packed`, one 0 or 1
+byte per bit. The constructor takes a tuple, list, `bytes` or `bytearray`
+(any sized sequence with `count`) of ints, bools, floats or other numbers
+equal to 0 or 1, and normalises it to those bytes, so vectors built from
+`[1, 0]`, `(True, False)`, `bytes((1, 0))` and `(1.0, 0.0)` are equal, hash
+alike, and serialize and parse back to an equal vector. `.bits` builds a
+new tuple of ints on each access; it is there for callers outside the
+package, and no internal hot path reads it.
 
 Checks sit at the boundaries. Every path that takes outside values checks
 them: the `BitVector`, `Permutation` and `RealVector` constructors, `.of`,
@@ -44,27 +50,39 @@ _BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 _TEXT_TO_BITS = bytes(0 if c == ord("0") else 1 if c == ord("1") else 2 for c in range(256))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BitVector:
-    bits: Tuple[int, ...]
+    """A bit vector stored as `packed`, one 0 or 1 byte per bit."""
 
-    def __post_init__(self):
-        bits = self.bits
+    packed: bytes
+
+    def __init__(self, bits):
         try:
             valid = len(bits) >= 1 and bits.count(0) + bits.count(1) == len(bits)
         except (AttributeError, TypeError):  # not a sequence of numbers
             valid = False
         if not valid:
             raise ValueError("bits must be a nonempty 0/1 sequence")
-        if not isinstance(bits, tuple):  # a list: keep it hashable and comparable
-            object.__setattr__(self, "bits", tuple(bits))
+        try:
+            # ints and bools; bytearray reads a tuple 3x faster than bytes does
+            packed = bytes(bytearray(bits))
+        except (TypeError, ValueError):  # floats (and other numbers) equal to 0 or 1
+            packed = b""
+        if len(packed) != len(bits):  # also a buffer of wider items, say array("d")
+            packed = bytes(1 if b == 1 else 0 for b in bits)
+        object.__setattr__(self, "packed", packed)
 
     @classmethod
-    def _unchecked(cls, bits: Tuple[int, ...]) -> "BitVector":
-        """A vector an internal producer built from valid bits; not checked."""
+    def _unchecked(cls, packed: bytes) -> "BitVector":
+        """A vector an internal producer built from valid 0/1 bytes; not checked."""
         new = object.__new__(cls)
-        object.__setattr__(new, "bits", bits)
+        object.__setattr__(new, "packed", packed)
         return new
+
+    @property
+    def bits(self) -> Tuple[int, ...]:
+        """The bits as a new tuple of ints, built on each access."""
+        return tuple(self.packed)
 
     @staticmethod
     def of(bits) -> "BitVector":
@@ -74,17 +92,13 @@ class BitVector:
     def from_string(text: str) -> "BitVector":
         # Any byte but '0'/'1' maps to 2, which the constructor rejects;
         # non-ASCII text raises UnicodeEncodeError, a ValueError.
-        return BitVector(tuple(text.encode("ascii").translate(_TEXT_TO_BITS)))
+        return BitVector(text.encode("ascii").translate(_TEXT_TO_BITS))
 
     def to_string(self) -> str:
-        try:
-            raw = bytes(self.bits)
-        except TypeError:  # floats (and other numbers) equal to 0 or 1
-            raw = bytes(map(bool, self.bits))
-        return raw.translate(_BITS_TO_TEXT).decode("ascii")
+        return self.packed.translate(_BITS_TO_TEXT).decode("ascii")
 
     def __len__(self):
-        return len(self.bits)
+        return len(self.packed)
 
 
 @dataclass(frozen=True)

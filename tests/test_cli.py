@@ -982,3 +982,91 @@ def test_solve_exits_3_when_the_audit_file_cannot_be_written(tmp_path, capsys):
     assert main(["solve", model, "--budget", "50"]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "m.tsplib" in captured.err
+
+
+@pytest.mark.parametrize("blocked", ["results.csv", "traces/onemax_8__{config_id}__1.csv"])
+def test_run_exits_3_when_an_output_file_cannot_be_written(tmp_path, capsys, blocked):
+    # the first run finds the config id; the second finds a directory in
+    # place of one of its output files
+    exp = minimal_run(tmp_path, configs=[ONE_CONFIG])
+    assert main(["run", exp]) == 0
+    (row,) = read_results(tmp_path / "out")
+    target = tmp_path / "out" / blocked.format(config_id=row["config_id"])
+    target.unlink()
+    target.mkdir()
+    capsys.readouterr()
+    assert main(["run", exp]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the results") and target.name in err
+    assert "Traceback" not in err
+
+
+ONE_CONFIG = {
+    "framework": "local_search",
+    "slots": {
+        "perturb": {"component": "bitflip", "params": {"k": 1}},
+        "accept": {"component": "improving", "params": {}},
+        "terminate": {"component": "max_iterations", "params": {"max": 10}},
+    },
+}
+# Small numbers only: a problem size has no upper bound, and onemax with
+# n = 10**9 would try to hold gigabytes of bits.
+run_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(-3, 40),
+    st.sampled_from([float("nan"), float("inf"), 2**64, -(2**63)]), st.text(max_size=3),
+)
+run_values = st.recursive(
+    run_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def run_docs(draw):
+    """A tiny valid experiment (onemax 8, 5 iterations), then up to two of
+    its parts replaced by a JSON value."""
+    doc = {
+        "problems": [{"kind": "onemax", "n": 8}],
+        "framework": "local_search",
+        "grids": {"bitflip": {"k": [1, 2]}},
+        "configs": [json.loads(json.dumps(ONE_CONFIG))],  # a copy the draws may change
+        "seeds": [1, 2],
+        "budget": {"iterations": 5},
+        "trace_stride": 2,
+        "workers": 1,
+        "out": "out",
+    }
+    if draw(st.booleans()):
+        del doc["configs"]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        path = draw(st.sampled_from(list(node_paths(doc))))
+        value = draw(run_values)
+        if not path:
+            doc = value
+            continue
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=run_docs())
+def test_run_on_mutated_experiments_exits_0_to_3(tmp_path, capsys, monkeypatch, doc):
+    monkeypatch.chdir(tmp_path)  # relative paths in the document stay in here
+    if isinstance(doc, dict) and isinstance(doc.get("out"), str):
+        doc["out"] = f"{tmp_path / 'out'}/{doc['out']}"  # so is the output
+    exp = tmp_path / "e.json"
+    exp.write_text(json.dumps(doc))
+    code = main(["run", str(exp)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert (code == 0) == (err == "")
+    assert code == 0 or err.startswith("error: ")
+    assert "Traceback" not in err

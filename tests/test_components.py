@@ -29,6 +29,7 @@ from metafold.env import (
     ComponentContractError,
     ConfigurationError,
     EnvValue,
+    Environment,
     env_new,
     rng_below,
     rng_uniform,
@@ -382,3 +383,41 @@ class TestInstrumentedAccess:
             env.log.reads.clear()
             env.log.writes.clear()
             self._check(component, A, env)
+
+
+class RecordingEntries(dict):
+    """Entries that record every key read through `get`."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.reads = set()
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize(
+    "component, payload",
+    [
+        (accept_improving(), (A, B)),
+        (accept_metropolis(0.9), (A, B)),
+        (terminate_iterations(5), A),
+        (terminate_evaluations(5), A),
+        (terminate_target(0.0), A),
+    ],
+)
+def test_required_keys_are_read_from_the_entries_and_declared(component, payload):
+    # These components read their keys from `env.entries`, which a
+    # TrackingEnvironment's `get` does not see; the entries record them here.
+    env = with_values(env_new(1), 3.0, 5.0)
+    env = env.put_many({
+        K_TEMPERATURE: EnvValue.of_real(1.0),
+        K_ITERATION: EnvValue.of_int(1),
+        K_EVALUATIONS: EnvValue.of_int(1),
+        K_BEST_VALUE: EnvValue.of_real(1.0),
+    })
+    entries = RecordingEntries(env.entries)
+    component(payload, Environment(entries=entries, rng=env.rng))
+    assert entries.reads
+    assert entries.reads <= set(component.descriptor.requires) | set(FRAMEWORK_KEYS)

@@ -259,3 +259,46 @@ class TestRngBelowRange:
         v, e = rng_below(env_new(1), 2**64)
         assert 0 <= v < 2**64
         assert e.rng.counter == 1
+
+
+class TestUncheckedInternals:
+    """The hot-path constructors skip checks only where nothing can fail."""
+
+    LAST = 2**64 - 1
+
+    @pytest.mark.parametrize("draw", [rng_uniform, lambda env: rng_below(env, 3)])
+    def test_the_end_of_the_stream_still_raises(self, draw):
+        env = Environment(entries={}, rng=RngState(7, self.LAST))
+        with pytest.raises(ValueError, match="^seed and counter must be 64-bit unsigned$"):
+            draw(env)
+
+    @pytest.mark.parametrize("draw", [rng_uniform, lambda env: rng_below(env, 2**64)])
+    def test_the_last_but_one_counter_still_draws(self, draw):
+        env = Environment(entries={}, rng=RngState(7, self.LAST - 1))
+        _, out = draw(env)
+        assert out.rng == RngState(7, self.LAST)
+        assert type(out.rng) is RngState and hash(out.rng) == hash(RngState(7, self.LAST))
+
+    @given(
+        x=st.one_of(
+            st.integers(), st.booleans(), st.floats(allow_nan=False),
+            st.integers(-(2**53), 2**53).map(float),
+        )
+    )
+    def test_of_int_and_of_real_equal_the_checked_constructor(self, x):
+        built = [(EnvValue.of_real(x), EnvValue("real", float(x)))]
+        if not isinstance(x, float) or x.is_integer():
+            built.append((EnvValue.of_int(x), EnvValue("int", int(x))))
+        for fast, checked in built:
+            assert fast == checked and hash(fast) == hash(checked)
+            assert type(fast) is EnvValue and type(fast.value) is type(checked.value)
+            assert fast.to_json() == checked.to_json()
+            with pytest.raises(AttributeError):  # still frozen
+                fast.tag = "text"
+
+    def test_public_constructors_keep_their_checks(self):
+        with pytest.raises(ValueError, match="unknown EnvValue tag"):
+            EnvValue("matrix", 1)
+        for seed, counter in [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)]:
+            with pytest.raises(ValueError):
+                RngState(seed, counter)
