@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -44,19 +45,32 @@ EXIT_ENVIRONMENT_ERROR = 3
 MIN_SEEDS_FOR_COMPARE = 5
 
 
+# what a bad input file raises at the `run`, `enumerate` and `serve`
+# boundaries; RecursionError is JSON nested too deep to read
+INPUT_ERRORS = (
+    OSError, KeyError, ValueError, RecursionError, ParseError, RegistrationError,
+    UnknownComponentError, InvalidConfigurationError,
+)
+
 # kind -> (constructor, its fields in call order); a "path" field hands the
-# constructor the text of the named file
+# constructor the text of the named file. Sizes are capped so that no
+# problem has more than prob.MAX_SIZE elements; s and k are squared.
+SIZE_MAX = prob.MAX_SIZE
+SIDE_MAX = math.isqrt(prob.MAX_SIZE)
 PROBLEM_KINDS = {
-    "onemax": (prob.onemax, (Param("n", "int", None),)),
-    "checkerboard": (prob.checkerboard, (Param("s", "int", None),)),
-    "royal_road": (prob.royal_road, (Param("n", "int", None), Param("b", "int", None))),
-    "trap": (prob.trap, (Param("n", "int", None), Param("b", "int", None))),
-    "hiff": (prob.hiff, (Param("n", "int", None),)),
+    "onemax": (prob.onemax, (Param("n", "int", None, max=SIZE_MAX),)),
+    "checkerboard": (prob.checkerboard, (Param("s", "int", None, max=SIDE_MAX),)),
+    "royal_road": (
+        prob.royal_road, (Param("n", "int", None, max=SIZE_MAX), Param("b", "int", None))
+    ),
+    "trap": (prob.trap, (Param("n", "int", None, max=SIZE_MAX), Param("b", "int", None))),
+    "hiff": (prob.hiff, (Param("n", "int", None, max=SIZE_MAX),)),
     "sphere": (
         prob.sphere,
-        (Param("d", "int", None), Param("lo", "real", None), Param("hi", "real", None)),
+        (Param("d", "int", None, max=SIZE_MAX), Param("lo", "real", None),
+         Param("hi", "real", None)),
     ),
-    "magic_square": (prob.magic_square, (Param("k", "int", None),)),
+    "magic_square": (prob.magic_square, (Param("k", "int", None, max=SIDE_MAX),)),
     "dimacs": (prob.parse_dimacs_cnf, (Param("path", "path", None),)),
     "tsplib": (prob.parse_tsplib, (Param("path", "path", None),)),
 }
@@ -65,9 +79,6 @@ PROBLEM_KINDS = {
 # experiment fields that are integers
 SEED = Param("seed", "int", None, min=0, max=2**64 - 1)
 TRACE_STRIDE = Param("trace_stride", "int", None, min=1)
-# still checked, but trials run one after another: each is pure Python that
-# never waits on I/O, so threads under the GIL would only interleave them
-WORKERS = Param("workers", "int", None)
 
 
 def _build_problem(entry: Dict, where: str) -> ProblemInstance:
@@ -124,9 +135,10 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
             ),
         )
     numbered = [(f"{i:04d}-{c.content_hash()}", c) for i, c in enumerate(configs)]
-    violations = [f"config {cid}: {v}" for cid, c in numbered for v in validate(c, registry)]
-    if violations:
-        raise InvalidConfigurationError(violations)
+    if "configs" in spec:  # enumerate_valid yields valid configurations only
+        violations = [f"config {cid}: {v}" for cid, c in numbered for v in validate(c, registry)]
+        if violations:
+            raise InvalidConfigurationError(violations)
     return numbered
 
 
@@ -137,6 +149,11 @@ def cmd_run(args) -> int:
             _build_problem(e, f"problems[{i}]")
             for i, e in enumerate(require_shape(spec["problems"], list, "problems"))
         ]
+        names = [p.name for p in problems]  # a name keys each row and trace file
+        for i, name in enumerate(names):
+            first = names.index(name)
+            if first < i:
+                raise ValueError(f"problems[{i}] repeats the name {name!r} of problems[{first}]")
         seeds = [
             SEED.checked("experiment", s) for s in require_shape(spec["seeds"], list, "seeds")
         ]
@@ -151,9 +168,7 @@ def cmd_run(args) -> int:
         budget = _budget_terminate(require_shape(spec.get("budget") or {}, dict, "budget"))
         stride = TRACE_STRIDE.checked("experiment", spec.get("trace_stride", 1))
         out_dir = Path(require_shape(spec["out"], str, "out"))
-        WORKERS.checked("experiment", spec.get("workers", 1))
-    except (OSError, KeyError, ValueError, ParseError, RegistrationError,
-            UnknownComponentError, InvalidConfigurationError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     traces_dir = out_dir / "traces"
@@ -163,69 +178,42 @@ def cmd_run(args) -> int:
         print(f"error: cannot create the output directory: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT_ERROR
 
-    trials = [
-        (problem, config_id, config, seed)
-        for problem in problems
-        for config_id, config in configs
-        for seed in seeds
-    ]
-
-    def execute(trial):
-        problem, config_id, config, seed = trial
-        start_clock = time.perf_counter()
-        try:
-            result = instantiate(
-                config, registry, problem, seed, extra_terminate=budget
-            )()
-        except Exception as exc:
-            return (problem.name, config_id, seed, None, None, None, str(exc))
-        wall_ms = int((time.perf_counter() - start_clock) * 1000)
-        rows = [
-            row
-            for i, row in enumerate(result.trace)
-            if (i + 1) % stride == 0 or i == len(result.trace) - 1
-        ]
-        return (
-            problem.name,
-            config_id,
-            seed,
-            result.best_value,
-            result.evaluations,
-            wall_ms,
-            rows,
-        )
-
-    outcomes = [execute(t) for t in trials]
-    outcomes.sort(key=lambda o: (o[0], o[1], o[2]))
-    failures = [o for o in outcomes if o[3] is None]
-    for problem_id, config_id, seed, *_, reason in failures:
-        print(f"error: trial {problem_id} {config_id} {seed}: {reason}", file=sys.stderr)
+    # in output order, so each trial's row and trace are written as it ends
+    trials = sorted(
+        ((problem, config_id, config, seed)
+         for problem in problems for config_id, config in configs for seed in seeds),
+        key=lambda t: (t[0].name, t[1], t[3]),
+    )
+    failed = False
     try:
-        _write_results(out_dir, traces_dir, outcomes)
+        with open(out_dir / "results.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["problem", "config_id", "seed", "best_value", "evaluations", "wall_ms"])
+            for problem, config_id, config, seed in trials:
+                start_clock = time.perf_counter()
+                try:
+                    run = instantiate(config, registry, problem, seed, extra_terminate=budget)
+                    result = run()
+                except Exception as exc:
+                    failed = True
+                    print(f"error: trial {problem.name} {config_id} {seed}: {exc}", file=sys.stderr)
+                    writer.writerow([problem.name, config_id, seed, "FAILED", "", ""])
+                    continue
+                wall_ms = int((time.perf_counter() - start_clock) * 1000)
+                best = repr(result.best_value)
+                writer.writerow([problem.name, config_id, seed, best, result.evaluations, wall_ms])
+                trace_path = traces_dir / f"{problem.name}__{config_id}__{seed}.csv"
+                with open(trace_path, "w", newline="") as tfh:
+                    twriter = csv.writer(tfh)
+                    twriter.writerow(["iteration", "evaluations", "best_value"])
+                    last = len(result.trace) - 1
+                    for i, (iteration, evals, value) in enumerate(result.trace):
+                        if (i + 1) % stride == 0 or i == last:
+                            twriter.writerow([iteration, evals, repr(value)])
     except OSError as exc:  # say, results.csv is a directory
         print(f"error: cannot write the results: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT_ERROR
-    return EXIT_TRIAL_FAILURES if failures else EXIT_OK
-
-
-def _write_results(out_dir: Path, traces_dir: Path, outcomes) -> None:
-    """`results.csv`, one row per trial, and one trace file per trial that ran."""
-    with open(out_dir / "results.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["problem", "config_id", "seed", "best_value", "evaluations", "wall_ms"])
-        for outcome in outcomes:
-            problem_id, config_id, seed = outcome[:3]
-            if outcome[3] is None:
-                writer.writerow([problem_id, config_id, seed, "FAILED", "", ""])
-                continue
-            best_value, evaluations, wall_ms, rows = outcome[3:]
-            writer.writerow([problem_id, config_id, seed, repr(best_value), evaluations, wall_ms])
-            trace_path = traces_dir / f"{problem_id}__{config_id}__{seed}.csv"
-            with open(trace_path, "w", newline="") as tfh:
-                twriter = csv.writer(tfh)
-                twriter.writerow(["iteration", "evaluations", "best_value"])
-                for iteration, evals, value in rows:
-                    twriter.writerow([iteration, evals, repr(value)])
+    return EXIT_TRIAL_FAILURES if failed else EXIT_OK
 
 
 COMPARE_COLUMNS = ("problem", "config_id", "best_value")
@@ -286,25 +274,20 @@ def cmd_compare(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    spec = {"framework": args.framework}
     try:
         registry = load_registry(args.registry)
-        grids = _grids(json.loads(Path(args.grids).read_text())) if args.grids else {}
-        initializers = (
-            parse_initializers(json.loads(Path(args.initializers).read_text()))
-            if args.initializers
-            else ()
-        )
-        configs = enumerate_valid(registry, args.framework, grids, initializers)
-    except (OSError, KeyError, ValueError, RegistrationError, UnknownComponentError,
-            InvalidConfigurationError) as exc:
+        if args.grids:
+            spec["grids"] = json.loads(Path(args.grids).read_text())
+        if args.initializers:
+            spec["initializers"] = json.loads(Path(args.initializers).read_text())
+        configs = _configs_for(spec, registry)
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out = {
         "count": len(configs),
-        "configs": [
-            {"id": f"{i:04d}-{c.content_hash()}", "spec": c.to_json()}
-            for i, c in enumerate(configs)
-        ],
+        "configs": [{"id": config_id, "spec": c.to_json()} for config_id, c in configs],
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
@@ -315,11 +298,14 @@ def cmd_serve(args) -> int:
 
     try:
         registry = load_registry(args.registry) if args.registry else default_registry()
-    except (OSError, KeyError, ValueError, RegistrationError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         server = serve(registry, host=args.host, port=args.port)
+    except (ValueError, OverflowError) as exc:  # an empty registry, a port past 0-65535
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except OSError as exc:
         print(f"error: cannot bind port {args.port}: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT_ERROR

@@ -25,6 +25,13 @@ from .env import (
 from .solutions import BitVector, Permutation, RealVector, Solution
 
 
+# The most elements (bits, reals, permutation entries) a problem that
+# `metafold run` builds may have: the CLI caps its size fields with it and
+# parse_dimacs_cnf its header, which is all a 17-byte file needs to ask for
+# gigabytes. Library constructors take any size.
+MAX_SIZE = 2**20
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
@@ -258,6 +265,8 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
                 raise ParseError(f"malformed header: {line!r}", lineno)
             if num_vars < 1 or num_clauses < 0:
                 raise ParseError("header counts must be positive", lineno)
+            if num_vars > MAX_SIZE:
+                raise ParseError(f"header declares {num_vars} variables; at most {MAX_SIZE}", lineno)
             header_line = lineno
             continue
         if num_vars is None:

@@ -1,17 +1,20 @@
 import csv
 import gc
+import hashlib
+import io
 import json
 import math
 import threading
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from metafold import cli
 from metafold import problems as prob
 from metafold.cli import main
+from metafold.rpc import RpcServer
 from metafold.stats import median
 
 
@@ -611,7 +614,6 @@ class TestWrongJsonShapesExit2:
             ({"seeds": [2**64]}, "above maximum"),
             ({"trace_stride": [1]}, "experiment.trace_stride=[1] is not a number"),
             ({"trace_stride": 0}, "experiment.trace_stride=0 below minimum 1"),
-            ({"workers": 1.5}, "experiment.workers=1.5 is not an integer"),
         ],
     )
     def test_run_integer_fields(self, tmp_path, capsys, extra, message):
@@ -1009,8 +1011,7 @@ ONE_CONFIG = {
         "terminate": {"component": "max_iterations", "params": {"max": 10}},
     },
 }
-# Small numbers only: a problem size has no upper bound, and onemax with
-# n = 10**9 would try to hold gigabytes of bits.
+# Small numbers only, so that every trial that runs ends quickly.
 run_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40), st.floats(-3, 40),
     st.sampled_from([float("nan"), float("inf"), 2**64, -(2**63)]), st.text(max_size=3),
@@ -1070,3 +1071,263 @@ def test_run_on_mutated_experiments_exits_0_to_3(tmp_path, capsys, monkeypatch, 
     assert (code == 0) == (err == "")
     assert code == 0 or err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def slot(component, **params):
+    return {"component": component, "params": params}
+
+
+MIXED_SWEEP_CONFIGS = [  # listed ILS, LS, GA, LS+tabu: not in framework order
+    {"framework": "ils", "slots": {
+        "kick": slot("bitflip", k=3), "inner_perturb": slot("bitflip", k=1),
+        "inner_accept": slot("improving"), "inner_terminate": slot("max_iterations", max=10),
+        "outer_accept": slot("improving"), "terminate": slot("max_iterations", max=1000)}},
+    {"framework": "local_search", "slots": {
+        "perturb": slot("bitflip", k=1), "accept": slot("improving"),
+        "terminate": slot("max_iterations", max=1000)}},
+    {"framework": "ga", "slots": {
+        "mutate": slot("bitflip", k=2), "terminate": slot("max_iterations", max=1000)},
+     "framework_params": {"pop_size": 6}},
+    {"framework": "local_search", "slots": {
+        "perturb": slot("bitflip", k=1), "accept": slot("tabu", tenure=5),
+        "terminate": slot("max_iterations", max=1000)},
+     "initializers": [{"key": "tabu.list", "value": {"t": "dseq", "v": []}}]},
+]
+
+
+def test_mixed_sweep_output_is_byte_identical_to_the_recorded_digests(tmp_path, capsys):
+    # 4 problems listed out of name order (every config fails on the
+    # permutation problem) x 4 configs x seeds out of order, with a budget
+    # and a stride; the digests were recorded before trials were written
+    # as they end, when every row was held until the sweep was over
+    out = tmp_path / "out"
+    exp = minimal_run(
+        tmp_path,
+        problems=[{"kind": "trap", "n": 12, "b": 4}, {"kind": "onemax", "n": 16},
+                  {"kind": "magic_square", "k": 3}, {"kind": "onemax", "n": 12}],
+        configs=MIXED_SWEEP_CONFIGS, seeds=[9, 2, 5], budget={"evaluations": 150},
+        trace_stride=3, out=str(out),
+    )
+    assert main(["run", exp]) == 1
+    err = capsys.readouterr().err
+    with open(out / "results.csv", newline="") as fh:
+        rows = [row[:5] for row in csv.reader(fh)]  # wall_ms is last
+    assert len(rows) == 1 + 48 and sum(row[3] == "FAILED" for row in rows) == 12
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    traces = sorted((out / "traces").iterdir())
+    assert len(traces) == 36
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert sha(text.getvalue().encode()) == (
+        "53bc62eb62e9785ab37601651fadb529c18bcebf34ed5ad97d6d7d088333c927"
+    )
+    assert sha(b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in traces)) == (
+        "7d8e143d9c4e490862c518ff1e7e0ffc7ee52d5e53febfc1158089c1a604f2cc"
+    )
+    assert sha(err.encode()) == "8daca46f0f5d8ef705ea33b7f27bf99d5d7f168f714ca415dd8bf8a133b2da60"
+
+
+def test_unwritable_results_csv_exits_3_before_any_trial(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "instantiate", refuse)
+    (tmp_path / "out" / "results.csv").mkdir(parents=True)
+    assert main(["run", minimal_run(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the results") and "results.csv" in err
+    assert list((tmp_path / "out" / "traces").iterdir()) == []
+
+
+def test_rows_of_finished_trials_survive_an_interrupted_sweep(tmp_path, monkeypatch):
+    calls, instantiate = [], cli.instantiate
+
+    def interrupt_the_third(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return instantiate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "instantiate", interrupt_the_third)
+    exp = minimal_run(tmp_path, configs=[ONE_CONFIG], seeds=[4, 3, 2, 1])
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", exp])
+    rows = read_results(tmp_path / "out")
+    assert [row["seed"] for row in rows] == ["1", "2"]  # in output order
+    traces = sorted(p.name for p in (tmp_path / "out" / "traces").iterdir())
+    assert traces == [f"onemax_8__{rows[0]['config_id']}__{seed}.csv" for seed in (1, 2)]
+
+
+def test_each_failed_trial_is_reported_as_it_ends(tmp_path, capsys, monkeypatch):
+    # the trial that runs after a failed one sees the failure on stderr
+    # and its row in the results already
+    seen, instantiate = [], cli.instantiate
+
+    def watch(*args, **kwargs):
+        seen.append(capsys.readouterr().err)
+        return instantiate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "instantiate", watch)
+    gaussian = json.loads(json.dumps(ONE_CONFIG))
+    gaussian["slots"]["perturb"] = slot("gaussian", sigma=0.1)
+    exp = minimal_run(tmp_path, configs=[gaussian, ONE_CONFIG])
+    assert main(["run", exp]) == 1
+    assert seen[0] == "" and seen[1].startswith("error: trial onemax_8 0000-")
+    assert [row["best_value"] == "FAILED" for row in read_results(tmp_path / "out")] == [
+        True, False,
+    ]
+
+
+class TestProblemNamesAndSizes:
+    def test_two_problems_with_one_name_exit_2(self, tmp_path, capsys):
+        first, second = tmp_path / "a.cnf", tmp_path / "b.cnf"
+        first.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+        second.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
+        problems = [
+            {"kind": "onemax", "n": 8},
+            {"kind": "dimacs", "path": str(first)},
+            {"kind": "dimacs", "path": str(second)},
+        ]
+        exits_2_naming(
+            capsys, ["run", minimal_run(tmp_path, problems=problems)],
+            "problems[2] repeats the name 'maxsat_3v_2c' of problems[1]",
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_a_repeated_entry_exits_2(self, tmp_path, capsys):
+        problems = [{"kind": "onemax", "n": 8}, {"kind": "onemax", "n": 8.0}]
+        exits_2_naming(
+            capsys, ["run", minimal_run(tmp_path, problems=problems)],
+            "problems[1] repeats the name 'onemax_8' of problems[0]",
+        )
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"kind": "onemax", "n": 10**9}, "problems[0].n=1000000000 above maximum 1048576"),
+            ({"kind": "royal_road", "n": 2**20 + 8, "b": 8}, "problems[0].n=1048584 above"),
+            ({"kind": "trap", "n": 2**21, "b": 4}, "problems[0].n=2097152 above"),
+            ({"kind": "hiff", "n": 2**21}, "problems[0].n=2097152 above"),
+            ({"kind": "sphere", "d": 2**20 + 1, "lo": 0, "hi": 1}, "problems[0].d=1048577 above"),
+            ({"kind": "checkerboard", "s": 1025}, "problems[0].s=1025 above maximum 1024"),
+            ({"kind": "magic_square", "k": 1025}, "problems[0].k=1025 above maximum 1024"),
+        ],
+    )
+    def test_a_size_above_the_cap_exits_2(self, tmp_path, capsys, entry, message):
+        exits_2_naming(capsys, ["run", minimal_run(tmp_path, problems=[entry])], message)
+
+    def test_a_dimacs_header_above_the_cap_exits_2(self, tmp_path, capsys):
+        cnf = tmp_path / "big.cnf"
+        cnf.write_text("p cnf 100000000 0")
+        problems = [{"kind": "dimacs", "path": str(cnf)}]
+        exits_2_naming(
+            capsys, ["run", minimal_run(tmp_path, problems=problems)],
+            "line 1: header declares 100000000 variables",
+        )
+
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+class TestOneInputErrorSet:
+    def test_deep_experiment_exits_2(self, tmp_path, capsys):
+        exp = tmp_path / "e.json"
+        exp.write_text(DEEP_JSON)
+        exits_2_naming(capsys, ["run", str(exp)], "recursion")
+
+    @pytest.mark.parametrize("flag", ["registry", "grids", "initializers"])
+    def test_deep_enumerate_inputs_exit_2(self, tmp_path, capsys, flag):
+        files = {"registry": write_json(tmp_path / "registry.json", BIT_REGISTRY)}
+        files[flag] = str(tmp_path / "deep.json")
+        (tmp_path / "deep.json").write_text(DEEP_JSON)
+        argv = ["enumerate", files.pop("registry"), "--framework", "local_search"]
+        for name, path in files.items():
+            argv += [f"--{name}", path]
+        exits_2_naming(capsys, argv, "recursion")
+
+    def test_deep_experiment_registry_exits_2(self, tmp_path, capsys):
+        (tmp_path / "deep.json").write_text(DEEP_JSON)
+        path = minimal_run(tmp_path, registry=str(tmp_path / "deep.json"))
+        exits_2_naming(capsys, ["run", path], "recursion")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(DEEP_JSON, "recursion"), ('{"components": []}', "registry is empty")],
+        ids=["deep", "empty"],
+    )
+    def test_serve_registry_exits_2(self, tmp_path, capsys, text, message):
+        (tmp_path / "registry.json").write_text(text)
+        argv = ["serve", "--port", "0", "--registry", str(tmp_path / "registry.json")]
+        exits_2_naming(capsys, argv, message)
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_port_outside_the_range_exits_2(self, capsys, port):
+        exits_2_naming(capsys, ["serve", "--port", port], "port")
+
+
+registry_entries = st.fixed_dictionaries(
+    {"impl": st.sampled_from(["bitflip", "swap", "improving", "tabu", "max_iterations", "nope"])},
+    optional={
+        "name": st.one_of(st.sampled_from(["a", "b"]), run_values),
+        "defaults": st.one_of(
+            st.dictionaries(st.sampled_from(["k", "max", "tenure", "kk"]), run_leaves, max_size=2),
+            run_values,
+        ),
+    },
+)
+
+
+@st.composite
+def registry_docs(draw):
+    """A list of registry entries, then up to two of its parts replaced by
+    a JSON value."""
+    doc = {"components": draw(st.lists(registry_entries, max_size=4))}
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        path = draw(st.sampled_from(list(node_paths(doc))))
+        value = draw(run_values)
+        if not path:
+            doc = value
+            continue
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(text=registry_docs().map(json.dumps))
+@example(text=DEEP_JSON)
+@example(text='{"components": []}')
+@example(text=json.dumps(BIT_REGISTRY))
+def test_serve_on_mutated_registries_exits_0_2_or_3(tmp_path, capsys, monkeypatch, text):
+    def stop(server):  # as if the operator pressed Ctrl-C at once
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(RpcServer, "serve_forever", stop)
+    registry = tmp_path / "registry.json"
+    registry.write_text(text)
+    code = main(["serve", "--port", "0", "--registry", str(registry)])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3)
+    assert (code == 0) == captured.out.startswith("serving on ")
+    assert code == 0 or captured.err.startswith("error: ")
+
+
+def test_enumerate_ids_are_the_config_ids_run_writes(tmp_path, capsys):
+    reg = write_json(tmp_path / "registry.json", ENUMERATE_REGISTRY)
+    grids = {"bitflip": {"k": [1, 3]}, "max_iterations": {"max": [5, 7]}}
+    argv = ["enumerate", reg, "--framework", "local_search",
+            "--grids", write_json(tmp_path / "grids.json", grids),
+            "--initializers", write_json(tmp_path / "inits.json", SA_INIT)]
+    assert main(argv) == 0
+    ids = [c["id"] for c in json.loads(capsys.readouterr().out)["configs"]]
+    assert len(ids) == 8
+    exp = minimal_run(tmp_path, registry=reg, grids=grids, initializers=SA_INIT)
+    assert main(["run", exp]) == 0
+    assert [row["config_id"] for row in read_results(tmp_path / "out")] == ids

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from metafold import problems
 from metafold.env import ComponentContractError, env_new, rng_below
 from metafold.problems import (
     ParseError,
@@ -223,6 +224,14 @@ class TestDimacs:
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             parse_dimacs_cnf(text)
+
+    def test_variable_count_above_max_size_is_refused_at_its_header(self, monkeypatch):
+        with pytest.raises(ParseError, match=r"^line 1: header declares 100000000 variables"):
+            parse_dimacs_cnf("p cnf 100000000 0")
+        monkeypatch.setattr(problems, "MAX_SIZE", 4)
+        assert parse_dimacs_cnf("p cnf 4 1\n1 -4 0\n").name == "maxsat_4v_1c"
+        with pytest.raises(ParseError, match=r"^line 2: header declares 5 variables; at most 4$"):
+            parse_dimacs_cnf("c five\np cnf 5 1\n1 -4 0\n")
 
     def test_fuzz_token_deletion(self):
         tokens = CNF.split()
