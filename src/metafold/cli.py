@@ -35,7 +35,9 @@ from .frameworks import terminate_any
 from .palette import default_registry, load_registry
 from .problems import ParseError, ProblemInstance
 from .stats import interquartile_range, mann_whitney_u, median
-from .whitebox import dispatch_solve, match_tsp, parse_model, tsplib_explicit_text, ModelError
+from .whitebox import (
+    DEFAULT_PENALTY, ModelError, dispatch_solve, match_tsp, parse_model, tsplib_explicit_text,
+)
 
 EXIT_OK = 0
 EXIT_TRIAL_FAILURES = 1
@@ -106,6 +108,9 @@ def _grids(obj) -> Dict[str, Dict[str, list]]:
 
 
 def _budget_terminate(budget: Dict):
+    for key in budget:
+        if key not in ("iterations", "evaluations"):
+            raise ValueError(f"budget: unknown key {key!r}; want iterations or evaluations")
     parts = []
     if "iterations" in budget:
         parts.append(terminate_iterations(budget["iterations"]))
@@ -151,12 +156,17 @@ def cmd_run(args) -> int:
         ]
         names = [p.name for p in problems]  # a name keys each row and trace file
         for i, name in enumerate(names):
+            if "/" in name or "\0" in name:
+                raise ValueError(f"problems[{i}]: name {name!r} cannot name a trace file")
             first = names.index(name)
             if first < i:
                 raise ValueError(f"problems[{i}] repeats the name {name!r} of problems[{first}]")
         seeds = [
             SEED.checked("experiment", s) for s in require_shape(spec["seeds"], list, "seeds")
         ]
+        for i, seed in enumerate(seeds):
+            if seeds.index(seed) < i:
+                raise ValueError(f"seeds[{i}] repeats seed {seed}")
         if not problems or not seeds:
             raise ValueError("problems and seeds must be nonempty")
         registry = (
@@ -325,6 +335,9 @@ def cmd_solve(args) -> int:
     if seed_problem is not None:
         print(f"error: {seed_problem}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if not 0.0 <= args.penalty < math.inf:  # NaN fails both
+        print(f"error: --penalty must be finite and >= 0, not {args.penalty}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         model = parse_model(Path(args.model).read_text())
         result, _env = dispatch_solve(model, args.budget, env_new(args.seed), penalty=args.penalty)
@@ -383,7 +396,7 @@ def main(argv=None) -> int:
     p_solve.add_argument("model")
     p_solve.add_argument("--budget", type=int, default=10000)
     p_solve.add_argument("--seed", type=int, default=1)
-    p_solve.add_argument("--penalty", type=float, default=1000.0)
+    p_solve.add_argument("--penalty", type=float, default=DEFAULT_PENALTY)
     p_solve.set_defaults(func=cmd_solve)
 
     args = parser.parse_args(argv)

@@ -242,11 +242,13 @@ def genetic_algorithm(
     terminate: Component,
     env: Environment,
 ) -> RunResult:
-    """Generational GA with size-t tournaments and elitism of 1.
+    """Generational GA with size-t tournaments and elitism of 1. Each
+    generation breeds pairs of children until it has `pop_size`; an odd
+    size drops the second child of the last pair.
 
     The search focus is the best-so-far, so that is what `terminate` sees."""
-    if pop_size < 2 or pop_size % 2 != 0:
-        raise ValueError("pop_size must be even and positive")
+    if pop_size < 2:
+        raise ValueError("pop_size must be at least 2")
     if tournament_size < 1:
         raise ValueError("tournament_size must be positive")
 
@@ -270,13 +272,14 @@ def genetic_algorithm(
     def advance(best, best_value, env):
         nonlocal population, values
         children = []
-        for _ in range(pop_size // 2):
+        for _ in range((pop_size + 1) // 2):
             p1, env = tournament(env)
             p2, env = tournament(env)
             (c1, c2), env = crossover((population[p1], population[p2]), env)
             c1, env = mutate(c1, env)
             c2, env = mutate(c2, env)
             children.extend((c1, c2))
+        del children[pop_size:]
         child_values, env = _evaluate_all(evaluate, children, env)
         # elitism of 1: the best-so-far replaces the worst child verbatim
         worst = max(range(pop_size), key=lambda i: child_values[i])
@@ -371,7 +374,6 @@ FRAMEWORKS: Dict[str, Framework] = {
     "ga": Framework(
         slots=(("mutate", "perturb"), ("terminate", "terminate")),
         run=_run_ga,
-        # pop_size must also be even; genetic_algorithm raises on odd sizes
         params=(Param("pop_size", "int", 20, min=2), Param("tournament_size", "int", 2, min=1)),
     ),
 }

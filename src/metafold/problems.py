@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Dict, Optional, Tuple
 
@@ -44,25 +44,7 @@ class ProblemInstance:
     representation: str  # "bits" | "perm" | "real"
     evaluate: Component
     sample_initial: Callable[[Environment], Tuple[Solution, Environment]]
-    metadata: Dict = field(default_factory=dict)
-
-
-def _evaluator(name: str, expected, size: int, fn) -> Component:
-    """Evaluate component that rejects anything but an `expected` of
-    length `size` with ComponentContractError before calling `fn`."""
-
-    def step(sol, env):
-        if not isinstance(sol, expected):
-            raise ComponentContractError(
-                f"{name}: expected {expected.__name__}, got {type(sol).__name__}"
-            )
-        if len(sol) != size:
-            raise ComponentContractError(
-                f"{name}: expected length {size}, got {len(sol)}"
-            )
-        return float(fn(sol)), env
-
-    return Component(ComponentDescriptor(name, "evaluate"), step)
+    metadata: Dict
 
 
 def sample_bits(n: int):
@@ -96,6 +78,38 @@ def sample_box(d: int, lo: float, hi: float):
     return sample
 
 
+# representation -> (the Solution class its evaluators take, the start
+# sampler for a problem of that many elements and that metadata)
+REPRESENTATIONS = {
+    "bits": (BitVector, lambda n, metadata: sample_bits(n)),
+    "perm": (Permutation, lambda n, metadata: sample_permutation(n)),
+    "real": (RealVector, lambda d, metadata: sample_box(d, *metadata["bounds"])),
+}
+
+
+def problem_instance(
+    kind: str, name: str, representation: str, size: int, value, **metadata
+) -> ProblemInstance:
+    """The problem `name` over `representation` solutions of `size`
+    elements, each scored by `value`. Its evaluator, the component `kind`,
+    rejects any other solution with ComponentContractError; its start
+    sampler is the representation's; `metadata["n"]` is `size`."""
+    expected, sampler = REPRESENTATIONS[representation]
+
+    def step(sol, env):
+        if not isinstance(sol, expected):
+            raise ComponentContractError(
+                f"{kind}: expected {expected.__name__}, got {type(sol).__name__}"
+            )
+        if len(sol) != size:
+            raise ComponentContractError(f"{kind}: expected length {size}, got {len(sol)}")
+        return float(value(sol)), env
+
+    metadata = {"n": size, **metadata}
+    evaluate = Component(ComponentDescriptor(kind, "evaluate"), step)
+    return ProblemInstance(name, representation, evaluate, sampler(size, metadata), metadata)
+
+
 # ---------------------------------------------------------------------------
 # Bit-vector problems
 
@@ -103,12 +117,8 @@ def sample_box(d: int, lo: float, hi: float):
 def onemax(n: int) -> ProblemInstance:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return ProblemInstance(
-        name=f"onemax_{n}",
-        representation="bits",
-        evaluate=_evaluator("onemax", BitVector, n, lambda s: n - s.packed.count(1)),
-        sample_initial=sample_bits(n),
-        metadata={"n": n, "optimum_value": 0.0},
+    return problem_instance(
+        "onemax", f"onemax_{n}", "bits", n, lambda s: n - s.packed.count(1), optimum_value=0.0
     )
 
 
@@ -130,12 +140,8 @@ def checkerboard(s: int) -> ProblemInstance:
                     equal += 1
         return equal
 
-    return ProblemInstance(
-        name=f"checkerboard_{s}",
-        representation="bits",
-        evaluate=_evaluator("checkerboard", BitVector, n, value),
-        sample_initial=sample_bits(n),
-        metadata={"n": n, "s": s, "optimum_value": 0.0},
+    return problem_instance(
+        "checkerboard", f"checkerboard_{s}", "bits", n, value, s=s, optimum_value=0.0
     )
 
 
@@ -151,16 +157,9 @@ def royal_road(n: int, b: int) -> ProblemInstance:
     if b < 1 or n % b != 0:
         raise ValueError("b must divide n")
     full_blocks = _full_blocks(b)
-
-    def value(sol: BitVector) -> int:
-        return n - b * full_blocks(sol.packed)
-
-    return ProblemInstance(
-        name=f"royal_road_{n}_{b}",
-        representation="bits",
-        evaluate=_evaluator("royal_road", BitVector, n, value),
-        sample_initial=sample_bits(n),
-        metadata={"n": n, "b": b, "optimum_value": 0.0},
+    return problem_instance(
+        "royal_road", f"royal_road_{n}_{b}", "bits", n,
+        lambda s: n - b * full_blocks(s.packed), b=b, optimum_value=0.0,
     )
 
 
@@ -170,7 +169,6 @@ def trap(n: int, b: int) -> ProblemInstance:
     deceptive cliff sits next to it."""
     if b < 1 or n % b != 0:
         raise ValueError("b must divide n")
-
     full_blocks = _full_blocks(b)
 
     def value(sol: BitVector) -> int:
@@ -178,13 +176,7 @@ def trap(n: int, b: int) -> ProblemInstance:
         # n/b blocks, that is n/b + all ones - (b + 1) per all-ones block.
         return n // b + sol.packed.count(1) - (b + 1) * full_blocks(sol.packed)
 
-    return ProblemInstance(
-        name=f"trap_{n}_{b}",
-        representation="bits",
-        evaluate=_evaluator("trap", BitVector, n, value),
-        sample_initial=sample_bits(n),
-        metadata={"n": n, "b": b, "optimum_value": 0.0},
-    )
+    return problem_instance("trap", f"trap_{n}_{b}", "bits", n, value, b=b, optimum_value=0.0)
 
 
 def hiff(n: int) -> ProblemInstance:
@@ -205,13 +197,7 @@ def hiff(n: int) -> ProblemInstance:
                     f += size
         return n * (k + 1) - f
 
-    return ProblemInstance(
-        name=f"hiff_{n}",
-        representation="bits",
-        evaluate=_evaluator("hiff", BitVector, n, value),
-        sample_initial=sample_bits(n),
-        metadata={"n": n, "optimum_value": 0.0},
-    )
+    return problem_instance("hiff", f"hiff_{n}", "bits", n, value, optimum_value=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +207,12 @@ def hiff(n: int) -> ProblemInstance:
 def sphere(d: int, lo: float, hi: float) -> ProblemInstance:
     if d < 1 or not lo < hi:
         raise ValueError("need d >= 1 and lo < hi")
-
-    def value(sol: RealVector) -> float:
-        return sum(c * c for c in sol.coords)
-
-    meta = {"d": d, "bounds": (lo, hi)}
-    if lo <= 0.0 <= hi:
-        meta["optimum_value"] = 0.0
-    return ProblemInstance(
-        name=f"sphere_{d}",
-        representation="real",
-        evaluate=_evaluator("sphere", RealVector, d, value),
-        sample_initial=sample_box(d, lo, hi),
-        metadata=meta,
+    if not math.isfinite(hi - lo):  # the start sampler scales by it
+        raise ValueError(f"hi - lo must be finite, not {hi - lo}")
+    optimum = {"optimum_value": 0.0} if lo <= 0.0 <= hi else {}
+    return problem_instance(
+        "sphere", f"sphere_{d}", "real", d, lambda s: sum(c * c for c in s.coords),
+        d=d, bounds=(lo, hi), **optimum,
     )
 
 
@@ -309,12 +288,8 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
         truth = sol.packed + sol.packed.translate(_NOT_BITS)
         return num_clauses - len(set().union(*compress(satisfies, truth)))
 
-    return ProblemInstance(
-        name=f"maxsat_{num_vars}v_{num_clauses}c",
-        representation="bits",
-        evaluate=_evaluator("maxsat", BitVector, num_vars, value),
-        sample_initial=sample_bits(num_vars),
-        metadata={"n": num_vars, "clauses": clauses},
+    return problem_instance(
+        "maxsat", f"maxsat_{num_vars}v_{num_clauses}c", "bits", num_vars, value, clauses=clauses
     )
 
 
@@ -390,16 +365,9 @@ def parse_tsplib(text: str) -> ProblemInstance:
             f"expected coordinates for cities 1..{dimension}, got {len(coords)}", 1
         )
     city_coords = tuple(coords[c] for c in range(dimension))
-
-    def value(sol: Permutation) -> int:
-        return tour_length(sol.order, city_coords)
-
-    return ProblemInstance(
-        name=name,
-        representation="perm",
-        evaluate=_evaluator("tsp", Permutation, dimension, value),
-        sample_initial=sample_permutation(dimension),
-        metadata={"n": dimension, "coords": city_coords},
+    return problem_instance(
+        "tsp", name, "perm", dimension, lambda s: tour_length(s.order, city_coords),
+        coords=city_coords,
     )
 
 
@@ -426,10 +394,6 @@ def magic_square(k: int) -> ProblemInstance:
         total += abs(sum(grid[i][k - 1 - i] for i in range(k)) - magic)
         return total
 
-    return ProblemInstance(
-        name=f"magic_square_{k}",
-        representation="perm",
-        evaluate=_evaluator("magic_square", Permutation, n, value),
-        sample_initial=sample_permutation(n),
-        metadata={"k": k, "n": n, "optimum_value": 0.0},
+    return problem_instance(
+        "magic_square", f"magic_square_{k}", "perm", n, value, k=k, optimum_value=0.0
     )

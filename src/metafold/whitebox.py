@@ -18,8 +18,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Tuple
 from .components import accept_improving, perturb_two_opt, terminate_evaluations
 from .env import Environment, rng_below
 from .frameworks import RunResult, local_search
-from .problems import ProblemInstance, _evaluator, sample_permutation
-from .solutions import Permutation
+from .problems import ProblemInstance, problem_instance
 
 
 class ModelError(Exception):
@@ -266,16 +265,11 @@ def circuit_sum(weights, order) -> int:
 
 
 def rewrite_to_tsp(match: TspMatch) -> ProblemInstance:
-    """Permutation problem whose objective is the circuit sum over W; the
-    TSPLIB audit text rides along in metadata."""
-    n = match.n
+    """Permutation problem whose objective is the circuit sum over W."""
     W = match.weights
-    return ProblemInstance(
-        name=f"rewritten_tsp_{n}",
-        representation="perm",
-        evaluate=_evaluator("circuit_sum", Permutation, n, lambda s: circuit_sum(W, s.order)),
-        sample_initial=sample_permutation(n),
-        metadata={"n": n, "tsplib_text": tsplib_explicit_text(match)},
+    return problem_instance(
+        "circuit_sum", f"rewritten_tsp_{match.n}", "perm", match.n,
+        lambda s: circuit_sum(W, s.order),
     )
 
 

@@ -322,11 +322,11 @@ class TestFrameworkParams:
         assert [row[1] for row in r.trace] == [40, 60, 80]
         assert r.trace == explicit.trace and r.final_env == explicit.final_env
 
-    def test_odd_pop_size_is_still_a_run_time_error(self):
+    def test_odd_pop_size_runs(self):
         spec = ga_spec(pop_size=3)
         assert validate(spec, default_registry()) == []
-        with pytest.raises(ValueError):
-            instantiate(spec, default_registry(), onemax(8), 1)()
+        r = instantiate(spec, default_registry(), onemax(8), 1)()
+        assert [row[1] for row in r.trace] == [6, 9, 12]
 
 
 class TestGridsAreChecked:

@@ -614,10 +614,21 @@ class TestWrongJsonShapesExit2:
             ({"seeds": [2**64]}, "above maximum"),
             ({"trace_stride": [1]}, "experiment.trace_stride=[1] is not a number"),
             ({"trace_stride": 0}, "experiment.trace_stride=0 below minimum 1"),
+            # five copies of one seed would count as five samples in compare
+            ({"seeds": [1, 1, 1, 1, 1]}, "seeds[1] repeats seed 1"),
         ],
     )
     def test_run_integer_fields(self, tmp_path, capsys, extra, message):
         exits_2_naming(capsys, ["run", minimal_run(tmp_path, **extra)], message)
+
+    @pytest.mark.parametrize(
+        "budget, key", [({"evaluation": 5}, "'evaluation'"), ({"iterations": 5, "max": 3}, "'max'")]
+    )
+    def test_run_unknown_budget_key(self, tmp_path, capsys, budget, key):
+        # a misspelt cap would otherwise leave every trial uncapped
+        path = minimal_run(tmp_path, budget=budget)
+        exits_2_naming(capsys, ["run", path], f"budget: unknown key {key}")
+        assert not (tmp_path / "out").exists()
 
     def test_run_on_a_document_that_is_not_an_object(self, tmp_path, capsys):
         path = write_json(tmp_path / "e.json", [{"problems": []}])
@@ -665,6 +676,13 @@ class TestProblemTable:
     )
     def test_bad_fields_exit_2(self, tmp_path, capsys, entry, message):
         exits_2_naming(capsys, ["run", minimal_run(tmp_path, problems=[entry])], message)
+
+    def test_sphere_whose_span_overflows_exits_2(self, tmp_path, capsys):
+        # hi - lo is inf, so every start the sampler drew would be inf
+        entry = {"kind": "sphere", "d": 2, "lo": -1e308, "hi": 1e308}
+        exits_2_naming(
+            capsys, ["run", minimal_run(tmp_path, problems=[entry])], "hi - lo must be finite"
+        )
 
     def test_every_kind_keeps_its_problem_name(self, tmp_path):
         cnf = tmp_path / "f.cnf"
@@ -793,6 +811,18 @@ class TestSolveModelBoundary:
         model = tmp_path / "m.json"
         model.write_text(text)
         exits_2_naming(capsys, ["solve", str(model)], "not valid JSON")
+
+    @pytest.mark.parametrize("penalty", ["-5", "nan", "inf", "-inf"])
+    def test_penalty_not_finite_and_nonnegative_exits_2(self, tmp_path, capsys, penalty):
+        model = write_json(tmp_path / "m.json", generic_doc())
+        exits_2_naming(
+            capsys, ["solve", model, f"--penalty={penalty}"], "--penalty must be finite and >= 0"
+        )
+
+    def test_zero_penalty_solves(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", generic_doc())
+        assert main(["solve", model, "--budget", "50", "--penalty", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["route_taken"] == "generic"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
@@ -1203,6 +1233,32 @@ class TestProblemNamesAndSizes:
             capsys, ["run", minimal_run(tmp_path, problems=problems)],
             "problems[1] repeats the name 'onemax_8' of problems[0]",
         )
+
+    @pytest.mark.parametrize("name", ["../../escaped", "no/such/dir", "nul\0byte"])
+    def test_a_name_that_cannot_name_a_trace_file_exits_2(self, tmp_path, capsys, name):
+        # a TSPLIB NAME becomes the problem name, and so part of each trace path
+        tsp = tmp_path / "a.tsp"
+        tsp.write_text(
+            f"NAME : {name}\nTYPE : TSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+            "NODE_COORD_SECTION\n1 0 0\n2 0 3\n3 4 0\nEOF\n"
+        )
+        swap_config = {
+            "framework": "local_search",
+            "slots": {
+                "perturb": {"component": "swap", "params": {}},
+                "accept": {"component": "improving", "params": {}},
+                "terminate": {"component": "max_iterations", "params": {"max": 3}},
+            },
+        }
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        problems = [{"kind": "onemax", "n": 8}, {"kind": "tsplib", "path": str(tsp)}]
+        path = minimal_run(run_dir, problems=problems, configs=[swap_config])
+        exits_2_naming(
+            capsys, ["run", path], f"problems[1]: name {name!r} cannot name a trace file"
+        )
+        assert not (run_dir / "out").exists()
+        assert [p.name for p in tmp_path.rglob("*escaped*")] == []
 
     @pytest.mark.parametrize(
         "entry, message",

@@ -295,11 +295,20 @@ class TestCrossovers:
 
 
 class TestGeneticAlgorithm:
-    def test_rejects_odd_pop_size(self):
+    def test_odd_pop_size_runs(self):
+        # 3 pairs are bred and 5 children kept, so each generation spends 5
         p = onemax(8)
-        with pytest.raises(ValueError):
+        r = genetic_algorithm(
+            5, p.sample_initial, p.evaluate, 2, crossover_one_point(),
+            perturb_bitflip(1), terminate_iterations(3), env_new(1),
+        )
+        assert [row[1] for row in r.trace] == [10, 15, 20]
+
+    def test_rejects_pop_size_below_2(self):
+        p = onemax(8)
+        with pytest.raises(ValueError, match="at least 2"):
             genetic_algorithm(
-                5, p.sample_initial, p.evaluate, 2, crossover_one_point(),
+                1, p.sample_initial, p.evaluate, 2, crossover_one_point(),
                 perturb_bitflip(1), terminate_iterations(1), env_new(1),
             )
 

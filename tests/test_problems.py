@@ -166,6 +166,13 @@ class TestSphere:
             )
         assert grad == pytest.approx([2.0, 4.0], abs=1e-5)
 
+    def test_span_must_be_finite(self):
+        # the start sampler scales by hi - lo
+        with pytest.raises(ValueError, match="hi - lo must be finite"):
+            sphere(2, -1e308, 1e308)
+        with pytest.raises(ValueError, match="hi - lo must be finite"):
+            sphere(2, -math.inf, 0.0)
+
 
 CNF = """c tiny instance
 p cnf 2 2

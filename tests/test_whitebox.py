@@ -138,7 +138,6 @@ class TestRewrite:
         text = tsplib_explicit_text(match)
         assert "EDGE_WEIGHT_TYPE : EXPLICIT" in text
         assert "EDGE_WEIGHT_FORMAT : FULL_MATRIX" in text
-        assert rewrite_to_tsp(match).metadata["tsplib_text"] == text
 
 
 class TestGenericSolve:
