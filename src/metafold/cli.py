@@ -209,7 +209,8 @@ def cmd_run(args) -> int:
                     print(f"error: trial {problem.name} {config_id} {seed}: {exc}", file=sys.stderr)
                     writer.writerow([problem.name, config_id, seed, "FAILED", "", ""])
                     continue
-                wall_ms = int((time.perf_counter() - start_clock) * 1000)
+                # to the microsecond: many trials take less than a millisecond
+                wall_ms = round((time.perf_counter() - start_clock) * 1000, 3)
                 best = repr(result.best_value)
                 writer.writerow([problem.name, config_id, seed, best, result.evaluations, wall_ms])
                 trace_path = traces_dir / f"{problem.name}__{config_id}__{seed}.csv"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 from typing import Any, Callable, Optional, Tuple
 
 from .env import (
@@ -133,8 +134,9 @@ class Component:
     descriptor: ComponentDescriptor
     step: Callable[[Any, Environment], Tuple[Any, Environment]]
 
-    def __call__(self, x, env):
-        return self.step(x, env)
+    # Calling a component calls its step. As a property, `__call__` hands
+    # the call straight to `step`, so no frame of its own runs per call.
+    __call__ = property(attrgetter("step"))
 
 
 def descriptor_of(component: Component) -> ComponentDescriptor:

@@ -5,6 +5,12 @@ an immutable `Environment`: typed, namespaced entries plus a counter-based
 RNG stream. Components never touch hidden state; each step takes an
 Environment and returns a (possibly) new one, so whole runs replay
 deterministically from a seed.
+
+The records an Environment holds, `EnvKey`, `EnvValue` and `RngState`, are
+immutable tuples (namedtuple subclasses) whose constructors check their
+fields. They hash, compare and order as the tuple of their fields, so a
+record also equals a plain tuple of the same fields; tuples make building,
+hashing and reading them C-level work on the hot path.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 import re
 import sys
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
@@ -22,6 +29,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Where a lane's low 64 bits sit among the native-order words of its 128 bits.
 _LOW_WORD = 0 if sys.byteorder == "little" else 1
+# Builds a record from its fields without its class's checks; a caller
+# whose fields are already known to be valid uses it on the hot path.
+_new = tuple.__new__
 
 
 class ConfigurationError(Exception):
@@ -32,17 +42,16 @@ class ComponentContractError(Exception):
     """A component received input violating its stated preconditions."""
 
 
-@dataclass(frozen=True, order=True)
-class EnvKey:
+class EnvKey(namedtuple("EnvKey", "namespace name")):
     """Namespaced address of one Environment entry, rendered "namespace.name"."""
 
-    namespace: str
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        for token in (self.namespace, self.name):
+    def __new__(cls, namespace: str, name: str):
+        for token in (namespace, name):
             if not _TOKEN_RE.match(token):
                 raise ValueError(f"invalid env key token: {token!r}")
+        return _new(cls, (namespace, name))
 
     def render(self) -> str:
         return f"{self.namespace}.{self.name}"
@@ -56,8 +65,7 @@ class EnvKey:
 VALUE_TAGS = ("int", "real", "bool", "text", "rseq", "iseq", "dseq", "sol")
 
 
-@dataclass(frozen=True)
-class EnvValue:
+class EnvValue(namedtuple("EnvValue", "tag value")):
     """Closed tagged union of storable values.
 
     Sequences are kept as tuples so values are hashable and safely
@@ -65,20 +73,20 @@ class EnvValue:
     holds an opaque serialized solution.
     """
 
-    tag: str
-    value: Any
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in VALUE_TAGS:
-            raise ValueError(f"unknown EnvValue tag: {self.tag!r}")
+    def __new__(cls, tag: str, value: Any):
+        if tag not in VALUE_TAGS:
+            raise ValueError(f"unknown EnvValue tag: {tag!r}")
+        return _new(cls, (tag, value))
 
     @staticmethod
     def of_int(x: int) -> "EnvValue":
-        return _tagged("int", int(x))
+        return _new(EnvValue, ("int", int(x)))
 
     @staticmethod
     def of_real(x: float) -> "EnvValue":
-        return _tagged("real", float(x))
+        return _new(EnvValue, ("real", float(x)))
 
     @staticmethod
     def of_bool(x: bool) -> "EnvValue":
@@ -115,33 +123,84 @@ class EnvValue:
 
     @staticmethod
     def from_json(obj: dict) -> "EnvValue":
+        """The value `to_json` wrote, as its tag's `of_<tag>` builds it. A
+        payload whose JSON type does not fit its tag raises ValueError
+        instead of being coerced."""
         tag, payload = obj["t"], obj["v"]
         if tag not in VALUE_TAGS:
             raise ValueError(f"unknown EnvValue tag: {tag!r}")
-        # each tag has its `of_<tag>` constructor; dseq parses its strings
-        return getattr(EnvValue, f"of_{tag}")(payload)
+        want, read = _PAYLOADS[tag]
+        value = read(payload)
+        if value is None:
+            raise ValueError(f"EnvValue {tag} payload must be {want}")
+        return _new(EnvValue, (tag, value))
 
 
-def _tagged(tag: str, value) -> EnvValue:
-    """An EnvValue under a constant tag from VALUE_TAGS, built without
-    re-running `__post_init__`; `of_int` and `of_real` sit on the hot path."""
-    new = object.__new__(EnvValue)
-    fields = new.__dict__
-    fields["tag"] = tag
-    fields["value"] = value
-    return new
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class RngState:
+def _is_number(x) -> bool:
+    # an int a float cannot hold would overflow in `float`
+    return isinstance(x, float) or (_is_int(x) and abs(x) <= sys.float_info.max)
+
+
+def _is_digest(x) -> bool:
+    if isinstance(x, str) and x.isascii() and x.isdigit():
+        x = int(x)
+    return _is_int(x) and 0 <= x <= _MASK64
+
+
+def _digests(xs):
+    """The digests a dseq payload lists as decimal strings or integers in
+    [0, 2^64), or None if it is anything else."""
+    if not isinstance(xs, list):
+        return None
+    try:
+        # the strings `to_json` writes, checked at once rather than one by one
+        text = "".join(xs)
+    except TypeError:  # not every item is a string
+        return tuple(map(int, xs)) if all(map(_is_digest, xs)) else None
+    if not (all(xs) and text.isascii() and (text.isdigit() or not xs)):
+        return None
+    values = tuple(map(int, xs))
+    return values if max(values, default=0) <= _MASK64 else None
+
+
+def _scalar(convert, fits):
+    return lambda x: convert(x) if fits(x) else None
+
+
+def _sequence(convert, fits):
+    return lambda xs: tuple(map(convert, xs)) if isinstance(xs, list) and all(map(fits, xs)) else None
+
+
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+# tag -> (what its JSON payload must be, the payload's value or None if it is not that)
+_PAYLOADS = {
+    "int": ("an integer", _scalar(int, _is_int)),
+    "real": ("a number", _scalar(float, _is_number)),
+    "bool": ("true or false", _scalar(bool, lambda x: isinstance(x, bool))),
+    "text": ("a string", _scalar(str, _is_str)),
+    "sol": ("a string", _scalar(str, _is_str)),
+    "iseq": ("a list of integers", _sequence(int, _is_int)),
+    "rseq": ("a list of numbers", _sequence(float, _is_number)),
+    "dseq": ("a list of integers or decimal strings in [0, 2^64)", _digests),
+}
+
+
+class RngState(namedtuple("RngState", "seed counter")):
     """Counter-based generator state; each draw is a pure function of (seed, counter)."""
 
-    seed: int
-    counter: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.seed <= _MASK64 and 0 <= self.counter <= _MASK64):
+    def __new__(cls, seed: int, counter: int = 0):
+        if not (0 <= seed <= _MASK64 and 0 <= counter <= _MASK64):
             raise ValueError("seed and counter must be 64-bit unsigned")
+        return _new(cls, (seed, counter))
 
 
 def _advanced(seed: int, counter: int) -> RngState:
@@ -150,23 +209,15 @@ def _advanced(seed: int, counter: int) -> RngState:
     2^64 stream, so only it is checked, with RngState's message."""
     if counter > _MASK64:
         raise ValueError("seed and counter must be 64-bit unsigned")
-    new = object.__new__(RngState)
-    fields = new.__dict__
-    fields["seed"] = seed
-    fields["counter"] = counter
-    return new
-
-
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+    return _new(RngState, (seed, counter))
 
 
 def _raw64(seed: int, counter: int) -> int:
-    return _mix64((seed + (counter + 1) * _GOLDEN) & _MASK64)
+    # splitmix64: the counter's point on the golden-ratio sequence, finalized
+    x = (seed + (counter + 1) * _GOLDEN) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 @dataclass(frozen=True)
@@ -244,10 +295,9 @@ def env_new(seed: int) -> Environment:
 
 def rng_uniform(env: Environment) -> Tuple[float, Environment]:
     """One uniform draw in [0, 1); advances the counter by exactly 1."""
-    raw = _raw64(env.rng.seed, env.rng.counter)
-    value = (raw >> 11) * (2.0 ** -53)
-    nxt = _derive(env, env.entries, _advanced(env.rng.seed, env.rng.counter + 1))
-    return value, nxt
+    seed, counter = env.rng
+    value = (_raw64(seed, counter) >> 11) * (2.0 ** -53)
+    return value, _derive(env, env.entries, _advanced(seed, counter + 1))
 
 
 def _limit(n: int) -> int:
@@ -260,7 +310,7 @@ def _limit(n: int) -> int:
 def rng_below(env: Environment, n: int) -> Tuple[int, Environment]:
     """Unbiased integer in [0, n) via rejection over the raw 64-bit draw."""
     limit = _limit(n)
-    seed, counter = env.rng.seed, env.rng.counter
+    seed, counter = env.rng
     while True:
         raw = _raw64(seed, counter)
         counter += 1

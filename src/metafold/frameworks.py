@@ -27,7 +27,7 @@ from .components import (
     accept_metropolis,
     initializer,
 )
-from .env import EnvValue, Environment, rng_below, rng_uniform
+from .env import EnvValue, Environment, _new, rng_below, rng_uniform
 from .solutions import BitVector, Permutation, RealVector, Solution
 
 
@@ -40,22 +40,24 @@ class RunResult:
     evaluations: int  # spent in all, the start's included
 
 
+# `_publish` and `_choose` build their values as `EnvValue.of_int` and
+# `of_real` would, without the calls: the counters are ints already.
 def _publish(env, iteration, evaluations, best_value):
     return env.put_many({
-        K_ITERATION: EnvValue.of_int(iteration),
-        K_EVALUATIONS: EnvValue.of_int(evaluations),
-        K_BEST_VALUE: EnvValue.of_real(best_value),
+        K_ITERATION: _new(EnvValue, ("int", iteration)),
+        K_EVALUATIONS: _new(EnvValue, ("int", evaluations)),
+        K_BEST_VALUE: _new(EnvValue, ("real", float(best_value))),
     })
 
 
 def _choose(accept, incumbent, value, incoming, incoming_value, env):
     """Publish both values, let `accept` pick, return the survivor and its value."""
     env = env.put_many({
-        K_INCUMBENT_VALUE: EnvValue.of_real(value),
-        K_INCOMING_VALUE: EnvValue.of_real(incoming_value),
+        K_INCUMBENT_VALUE: _new(EnvValue, ("real", float(value))),
+        K_INCOMING_VALUE: _new(EnvValue, ("real", float(incoming_value))),
     })
     chosen, env = accept((incumbent, incoming), env)
-    if chosen == incoming:
+    if chosen is incoming or chosen == incoming:
         return incoming, incoming_value, env
     return incumbent, value, env
 

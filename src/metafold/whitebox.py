@@ -224,11 +224,11 @@ class TspMatch:
 
 
 def match_tsp(model: ModelDescription) -> Optional[TspMatch]:
-    """Structural match: one all_different over all n variables, every
-    domain exactly 0..n-1, and a circuit_sum objective over the same
-    variable list with an n x n matrix."""
+    """Structural match: n >= 2 variables (2-opt needs two cities), one
+    all_different over all of them, every domain exactly 0..n-1, and a
+    circuit_sum objective over the same variable list with an n x n matrix."""
     n = len(model.variables)
-    if n == 0 or len(model.constraints) != 1:
+    if n < 2 or len(model.constraints) != 1:
         return None
     con = model.constraints[0]
     if con.type != "all_different" or set(con.vars) != {v.name for v in model.variables}:

@@ -82,6 +82,13 @@ class TestRun:
             outs.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in rows])
         assert outs[0] == outs[1]
 
+    def test_wall_ms_resolves_trials_under_a_millisecond(self, tmp_path):
+        # an onemax_16 trial of 2 iterations takes well under 1 ms
+        out = tmp_path / "out"
+        doc = experiment(tmp_path, out, [1, 2], budget={"iterations": 2})
+        assert main(["run", write_json(tmp_path / "e.json", doc)]) == 0
+        assert all(float(r["wall_ms"]) > 0 for r in read_results(out))
+
     def test_traces_written_with_stride(self, tmp_path):
         out = tmp_path / "out"
         exp = write_json(
@@ -630,6 +637,19 @@ class TestWrongJsonShapesExit2:
         exits_2_naming(capsys, ["run", path], f"budget: unknown key {key}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"t": "real", "v": "5"}, "EnvValue real payload must be a number"),
+            ({"t": "dseq", "v": ["-1"]}, "EnvValue dseq payload must be"),
+        ],
+    )
+    def test_run_initializer_payload_must_fit_its_tag(self, tmp_path, capsys, value, message):
+        initializers = [{"key": "sa.temperature", "value": value}]
+        path = minimal_run(tmp_path, initializers=initializers)
+        exits_2_naming(capsys, ["run", path], message)
+        assert not (tmp_path / "out").exists()
+
     def test_run_on_a_document_that_is_not_an_object(self, tmp_path, capsys):
         path = write_json(tmp_path / "e.json", [{"problems": []}])
         exits_2_naming(capsys, ["run", path], "experiment must be an object")
@@ -904,6 +924,11 @@ def model_docs(draw):
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(doc=st.one_of(model_docs(), json_values))
+@example(doc={  # a 1-city tour: 2-opt needs two cities, so it solves generically
+    "variables": [{"name": "x0", "lo": 0, "hi": 0}],
+    "constraints": [{"type": "all_different", "vars": ["x0"]}],
+    "objective": {"type": "circuit_sum", "vars": ["x0"], "weights": [[0]]},
+})
 def test_solve_on_any_json_document_exits_0_or_2(tmp_path, capsys, doc):
     model = tmp_path / "m.json"
     model.write_text(json.dumps(doc))

@@ -1,10 +1,14 @@
 import json
+import re
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metafold.env import (
+    VALUE_TAGS,
     EnvKey,
     EnvValue,
     Environment,
@@ -302,3 +306,239 @@ class TestUncheckedInternals:
         for seed, counter in [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)]:
             with pytest.raises(ValueError):
                 RngState(seed, counter)
+
+
+class TestFromJsonChecksPayloadTypes:
+    """A payload whose JSON type does not fit its tag is an error, not a
+    coercion: `int` 2.7 used to read as 2, `bool` "no" as True."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"t": "int", "v": 2.7},
+            {"t": "int", "v": "3"},
+            {"t": "int", "v": True},
+            {"t": "int", "v": None},
+            {"t": "real", "v": "1.5"},
+            {"t": "real", "v": False},
+            {"t": "real", "v": 10**400},  # no float holds it
+            {"t": "bool", "v": "no"},
+            {"t": "bool", "v": 0},
+            {"t": "text", "v": 5},
+            {"t": "sol", "v": ["01"]},
+            {"t": "iseq", "v": [1, 2.5]},
+            {"t": "iseq", "v": "12"},
+            {"t": "iseq", "v": [True]},
+            {"t": "rseq", "v": [1.0, "2"]},
+            {"t": "rseq", "v": {"0": 1.0}},
+            {"t": "dseq", "v": ["-1"]},
+            {"t": "dseq", "v": [-1]},
+            {"t": "dseq", "v": [str(2**64)]},
+            {"t": "dseq", "v": [2**64]},
+            {"t": "dseq", "v": ["0x10"]},
+            {"t": "dseq", "v": [" 1"]},
+            {"t": "dseq", "v": ["1\n"]},
+            {"t": "dseq", "v": ["١"]},  # a digit, but not an ASCII one
+            {"t": "dseq", "v": [1.0]},
+            {"t": "dseq", "v": "12"},
+        ],
+    )
+    def test_a_mistyped_payload_is_a_value_error(self, obj):
+        with pytest.raises(ValueError, match=f"^EnvValue {obj['t']} payload must be "):
+            EnvValue.from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj, value",
+        [
+            ({"t": "real", "v": 2}, EnvValue.of_real(2.0)),
+            ({"t": "rseq", "v": [1, 0.5]}, EnvValue.of_rseq([1.0, 0.5])),
+            ({"t": "dseq", "v": [0, str(2**64 - 1), 2**64 - 1, "007"]},
+             EnvValue.of_dseq([0, 2**64 - 1, 2**64 - 1, 7])),
+            ({"t": "real", "v": float("inf")}, EnvValue.of_real(float("inf"))),
+        ],
+    )
+    def test_payloads_that_fit_their_tag_parse(self, obj, value):
+        parsed = EnvValue.from_json(obj)
+        assert parsed == value and type(parsed.value) is type(value.value)
+
+    def test_constructors_still_coerce(self):
+        assert EnvValue.of_int(2.7) == EnvValue("int", 2)
+        assert EnvValue.of_bool("no") == EnvValue("bool", True)
+        assert EnvValue.of_dseq([-1]) == EnvValue("dseq", (2**64 - 1,))
+
+
+# ---------------------------------------------------------------------------
+# The records as they were before they became tuples: frozen dataclasses.
+# Each keeps the public name in its repr.
+
+_REF_TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_REF_MASK64 = (1 << 64) - 1
+
+
+@dataclass(frozen=True, order=True)
+class RefEnvKey:
+    __qualname__ = "EnvKey"
+
+    namespace: str
+    name: str
+
+    def __post_init__(self):
+        for token in (self.namespace, self.name):
+            if not _REF_TOKEN_RE.match(token):
+                raise ValueError(f"invalid env key token: {token!r}")
+
+    def render(self) -> str:
+        return f"{self.namespace}.{self.name}"
+
+
+@dataclass(frozen=True)
+class RefEnvValue:
+    __qualname__ = "EnvValue"
+
+    tag: str
+    value: Any
+
+    def __post_init__(self):
+        if self.tag not in VALUE_TAGS:
+            raise ValueError(f"unknown EnvValue tag: {self.tag!r}")
+
+    CONSTRUCTORS = {
+        "int": int,
+        "real": float,
+        "bool": bool,
+        "text": str,
+        "sol": str,
+        "rseq": lambda xs: tuple(float(x) for x in xs),
+        "iseq": lambda xs: tuple(int(x) for x in xs),
+        "dseq": lambda xs: tuple(int(x) & _REF_MASK64 for x in xs),
+    }
+
+    @staticmethod
+    def of(tag, x):
+        return RefEnvValue(tag, RefEnvValue.CONSTRUCTORS[tag](x))
+
+    def to_json(self) -> dict:
+        if self.tag == "dseq":
+            payload = [str(d) for d in self.value]
+        elif self.tag in ("rseq", "iseq"):
+            payload = list(self.value)
+        else:
+            payload = self.value
+        return {"t": self.tag, "v": payload}
+
+
+@dataclass(frozen=True)
+class RefRngState:
+    __qualname__ = "RngState"
+
+    seed: int
+    counter: int = 0
+
+    def __post_init__(self):
+        if not (0 <= self.seed <= _REF_MASK64 and 0 <= self.counter <= _REF_MASK64):
+            raise ValueError("seed and counter must be 64-bit unsigned")
+
+
+def _outcome(make, *args):
+    """What `make(*args)` gives: ("ok", the record) or ("error", its message)."""
+    try:
+        return "ok", make(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _same_record(new, ref, fields):
+    assert repr(new) == repr(ref)
+    assert hash(new) == hash(ref)
+    assert new == type(new)(*(getattr(ref, f) for f in fields))
+    for f in fields:
+        assert getattr(new, f) == getattr(ref, f)
+        assert type(getattr(new, f)) is type(getattr(ref, f))
+        with pytest.raises(AttributeError):
+            setattr(new, f, getattr(new, f))
+
+
+TOKENS = st.one_of(
+    st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True),
+    st.text(max_size=4),
+    st.sampled_from(["a.b", "a\n", "", "x y"]),
+)
+# with a NaN field, `==` turns on whether both sides hold the same float
+# object rather than on the records, so the payloads hold no NaN
+PAYLOADS = {
+    "int": st.integers() | st.booleans() | st.floats(-1e18, 1e18),
+    "real": st.floats(allow_nan=False) | st.integers(-(2**70), 2**70),
+    "bool": st.booleans() | st.integers(-2, 2) | st.text(max_size=2),
+    "text": st.text(max_size=6) | st.integers(),
+    "sol": st.text(max_size=6),
+    "rseq": st.lists(st.floats(allow_nan=False) | st.integers(-9, 9), max_size=4),
+    "iseq": st.lists(st.integers() | st.booleans(), max_size=4),
+    "dseq": st.lists(
+        st.integers(-(2**65), 2**65) | st.integers(0, 2**64 - 1).map(str), max_size=4
+    ),
+}
+TAGGED = st.sampled_from(VALUE_TAGS).flatmap(lambda t: st.tuples(st.just(t), PAYLOADS[t]))
+WORDS = st.integers(-2, 2**64 + 1) | st.integers(2**64 - 2, 2**64 + 1)
+
+
+class TestRecordsMatchTheirDataclassReferences:
+    """The tuple records keep every observable of the dataclasses they
+    replaced, bar one: a record also equals the plain tuple of its fields."""
+
+    @given(TOKENS, TOKENS, TOKENS, TOKENS)
+    def test_env_key(self, ns, name, ns2, name2):
+        new, ref = _outcome(EnvKey, ns, name), _outcome(RefEnvKey, ns, name)
+        assert new[0] == ref[0]
+        if new[0] == "error":
+            assert new == ref
+            return
+        new, ref = new[1], ref[1]
+        _same_record(new, ref, ("namespace", "name"))
+        assert new.render() == ref.render() and EnvKey.parse(new.render()) == new
+        other, other_ref = _outcome(EnvKey, ns2, name2), _outcome(RefEnvKey, ns2, name2)
+        if other[0] == "ok":
+            other, other_ref = other[1], other_ref[1]
+            for op in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+                assert getattr(new, op)(other) == getattr(ref, op)(other_ref), op
+            assert sorted([other, new]) == [
+                EnvKey(k.namespace, k.name) for k in sorted([other_ref, ref])
+            ]
+
+    @given(st.sampled_from(VALUE_TAGS) | st.text(max_size=5), st.integers())
+    def test_env_value_constructor(self, tag, x):
+        new, ref = _outcome(EnvValue, tag, x), _outcome(RefEnvValue, tag, x)
+        assert new[0] == ref[0]
+        if new[0] == "error":
+            assert new == ref
+        else:
+            _same_record(new[1], ref[1], ("tag", "value"))
+
+    @given(TAGGED, TAGGED)
+    def test_env_value_of_each_tag(self, tagged, tagged2):
+        (tag, x), (tag2, x2) = tagged, tagged2
+        new, ref = getattr(EnvValue, f"of_{tag}")(x), RefEnvValue.of(tag, x)
+        _same_record(new, ref, ("tag", "value"))
+        other, other_ref = getattr(EnvValue, f"of_{tag2}")(x2), RefEnvValue.of(tag2, x2)
+        assert (new == other) == (ref == other_ref)
+        assert new.to_json() == ref.to_json()
+        parsed = EnvValue.from_json(json.loads(json.dumps(new.to_json())))
+        assert parsed == new and repr(parsed) == repr(ref)
+
+    @given(WORDS, WORDS)
+    def test_rng_state(self, seed, counter):
+        new, ref = _outcome(RngState, seed, counter), _outcome(RefRngState, seed, counter)
+        assert new[0] == ref[0]
+        if new[0] == "error":
+            assert new == ref
+            return
+        _same_record(new[1], ref[1], ("seed", "counter"))
+        if counter == 0:
+            assert RngState(seed) == new[1] and repr(RngState(seed)) == repr(RefRngState(seed))
+        env = Environment(entries={}, rng=new[1])
+        assert Environment.deserialize(env.serialize()).rng == new[1]
+
+    def test_a_record_equals_the_plain_tuple_of_its_fields(self):
+        # the one difference from the dataclasses, which equal only their own class
+        assert EnvKey("sa", "temperature") == ("sa", "temperature")
+        assert RefEnvKey("sa", "temperature") != ("sa", "temperature")
+        assert EnvValue.of_int(3) == ("int", 3) and RngState(7, 1) == (7, 1)

@@ -119,6 +119,24 @@ class TestServer:
         assert response["id"] == 4
         assert response["error"]["code"] == ERR_INVALID_PARAMS
 
+    @pytest.mark.parametrize(
+        "value", [{"t": "int", "v": 2.7}, {"t": "bool", "v": "no"}, {"t": "dseq", "v": ["-1"]}]
+    )
+    def test_env_payload_must_fit_its_tag(self, value):
+        env = env_new(0).to_json()
+        env["entries"]["framework.iteration"] = value
+        params = {
+            "component": "bitflip",
+            "params": {},
+            "solution": solution_to_json(BitVector.from_string("01")),
+            "env": env,
+        }
+        body = json.dumps({"jsonrpc": "2.0", "id": 5, "method": "perturb", "params": params})
+        response = handle_rpc(default_registry(), body.encode())
+        assert response["id"] == 5
+        assert response["error"]["code"] == ERR_INVALID_PARAMS
+        assert f"EnvValue {value['t']} payload must be" in response["error"]["message"]
+
     def test_component_failure_names_component(self, server):
         # permutation component on a bit vector
         response = rpc(

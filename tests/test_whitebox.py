@@ -104,6 +104,11 @@ class TestMatchTsp:
         doc2["variables"] = list(reversed(doc2["variables"]))
         assert match_tsp(parse_model(json.dumps(doc2))) is not None
 
+    def test_one_city_is_not_a_tour(self):
+        # 2-opt needs two cities, so a 1-city model takes the generic route
+        assert match_tsp(tsp_model(1, [[0]])) is None
+        assert match_tsp(tsp_model(2, [[0, 3], [3, 0]])) is not None
+
 
 class TestRewrite:
     def test_uniform_weights_constant_tours(self):
@@ -203,6 +208,11 @@ class TestDispatch:
         doc["constraints"].append({"type": "table", "vars": ["x0"], "tuples": [[0]]})
         result, _ = dispatch_solve(parse_model(json.dumps(doc)), 1000, env_new(1))
         assert result.route == "generic"
+
+    @pytest.mark.parametrize("w", [0, 7])
+    def test_one_city_model_solves_generically(self, w):
+        result, _ = dispatch_solve(tsp_model(1, [[w]]), 20, env_new(1))
+        assert (result.route, result.assignment, result.value) == ("generic", {"x0": 0}, w)
 
     def test_tsp_soundness(self):
         model = tsp_model()
