@@ -6,11 +6,13 @@ RNG stream. Components never touch hidden state; each step takes an
 Environment and returns a (possibly) new one, so whole runs replay
 deterministically from a seed.
 
-The records an Environment holds, `EnvKey`, `EnvValue` and `RngState`, are
-immutable tuples (namedtuple subclasses) whose constructors check their
-fields. They hash, compare and order as the tuple of their fields, so a
-record also equals a plain tuple of the same fields; tuples make building,
-hashing and reading them C-level work on the hot path.
+`Environment` and the records it holds, `EnvKey`, `EnvValue` and
+`RngState`, are immutable tuples (namedtuple subclasses); the three
+records' constructors check their fields. Each compares and orders as the
+tuple of its fields, so it also equals a plain tuple of the same fields,
+and the records hash as that tuple (an Environment holds a dict, so it
+does not hash). Tuples make building, hashing and reading them C-level
+work on the hot path.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import re
 import sys
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
-_TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -49,7 +50,7 @@ class EnvKey(namedtuple("EnvKey", "namespace name")):
 
     def __new__(cls, namespace: str, name: str):
         for token in (namespace, name):
-            if not _TOKEN_RE.match(token):
+            if not _TOKEN_RE.fullmatch(token):
                 raise ValueError(f"invalid env key token: {token!r}")
         return _new(cls, (namespace, name))
 
@@ -220,17 +221,14 @@ def _raw64(seed: int, counter: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(namedtuple("Environment", "entries rng")):
     """Immutable key-value store plus the RNG stream.
 
-    All mutators return a fresh Environment; equality is determined by
-    (entries, rng) alone. Copies keep the subclass and every field a
-    subclass adds, so a subclass's extra state follows the whole lineage.
+    Every put and draw returns a fresh, plain Environment; the source is
+    never changed.
     """
 
-    entries: Mapping[EnvKey, EnvValue]
-    rng: RngState
+    __slots__ = ()
 
     def get(self, key: EnvKey) -> Optional[EnvValue]:
         return self.entries.get(key)
@@ -238,20 +236,13 @@ class Environment:
     def put(self, key: EnvKey, value: EnvValue) -> "Environment":
         new_entries = dict(self.entries)
         new_entries[key] = value
-        return _derive(self, new_entries, self.rng)
+        return _new(Environment, (new_entries, self.rng))
 
     def put_many(self, updates: Mapping[EnvKey, EnvValue]) -> "Environment":
         """Write several keys in one copy; later keys win as with `put`."""
         new_entries = dict(self.entries)
         new_entries.update(updates)
-        return _derive(self, new_entries, self.rng)
-
-    def __eq__(self, other):
-        if not isinstance(other, Environment):
-            return NotImplemented
-        return dict(self.entries) == dict(other.entries) and self.rng == other.rng
-
-    __hash__ = None  # type: ignore[assignment]
+        return _new(Environment, (new_entries, self.rng))
 
     def to_json(self) -> dict:
         return {
@@ -264,29 +255,22 @@ class Environment:
 
     @staticmethod
     def from_json(obj: dict) -> "Environment":
-        rng = RngState(int(obj["rng"]["seed"]), int(obj["rng"]["counter"]))
+        """The Environment `to_json` wrote. The rng seed and counter must
+        each be an integer or a decimal string in [0, 2^64); anything else
+        raises ValueError instead of being coerced."""
+        seed, counter = obj["rng"]["seed"], obj["rng"]["counter"]
+        if not (_is_digest(seed) and _is_digest(counter)):
+            raise ValueError(
+                "rng seed and counter must be integers or decimal strings in [0, 2^64)"
+            )
         entries = {
             EnvKey.parse(k): EnvValue.from_json(v) for k, v in obj["entries"].items()
         }
-        return Environment(entries=entries, rng=rng)
+        return Environment(entries, RngState(int(seed), int(counter)))
 
     @staticmethod
     def deserialize(text: str) -> "Environment":
         return Environment.from_json(json.loads(text))
-
-
-def _derive(env: Environment, entries, rng: RngState) -> Environment:
-    """Copy `env` field for field with new entries and rng.
-
-    Cheaper than `dataclasses.replace`, which re-runs `__init__`; the copy
-    keeps the concrete class and any fields a subclass declares.
-    """
-    new = object.__new__(type(env))
-    fields = new.__dict__
-    fields.update(env.__dict__)
-    fields["entries"] = entries
-    fields["rng"] = rng
-    return new
 
 
 def env_new(seed: int) -> Environment:
@@ -297,7 +281,7 @@ def rng_uniform(env: Environment) -> Tuple[float, Environment]:
     """One uniform draw in [0, 1); advances the counter by exactly 1."""
     seed, counter = env.rng
     value = (_raw64(seed, counter) >> 11) * (2.0 ** -53)
-    return value, _derive(env, env.entries, _advanced(seed, counter + 1))
+    return value, _new(Environment, (env.entries, _advanced(seed, counter + 1)))
 
 
 def _limit(n: int) -> int:
@@ -315,7 +299,7 @@ def rng_below(env: Environment, n: int) -> Tuple[int, Environment]:
         raw = _raw64(seed, counter)
         counter += 1
         if raw < limit:
-            return raw % n, _derive(env, env.entries, _advanced(seed, counter))
+            return raw % n, _new(Environment, (env.entries, _advanced(seed, counter)))
 
 
 # Lanes: `count` 64-bit words held as one int, word i in the low half of
@@ -360,7 +344,7 @@ def rng_below_many(env: Environment, n: int, count: int) -> Tuple[List[int], Env
         start, need = rng.counter, count - len(values)
         rng = _advanced(rng.seed, start + need)  # past the stream's end: ValueError
         values += map(n.__rmod__, filter(limit.__gt__, _raw64_lanes(rng.seed, start, need)))
-    return values, _derive(env, env.entries, rng)
+    return values, _new(Environment, (env.entries, rng))
 
 
 Step = Callable[[Any, Environment], Tuple[Any, Environment]]

@@ -1,40 +1,39 @@
-from dataclasses import dataclass, field
-
-import pytest
-
-from metafold.env import Environment, RngState
+from metafold.env import Environment
 
 
-@dataclass
-class AccessLog:
-    reads: set = field(default_factory=set)
-    writes: set = field(default_factory=set)
+class RecordingEntries(dict):
+    """Entries that record every key read through `get`, `[]` or `in`.
 
-
-@dataclass(frozen=True)
-class TrackingEnvironment(Environment):
-    """Environment that records which keys a component touches.
-
-    The log object is shared across the whole lineage because
-    dataclasses.replace copies the reference, so every get/put anywhere in
-    a threaded computation lands in the same log.
+    An Environment built over them sees a component's reads whether it calls
+    `env.get` or reads `env.entries` itself, and so does every Environment a
+    draw derives, as a draw keeps the entries object. A put copies the
+    entries into a plain dict, so reads after a component's own put are not
+    seen.
     """
 
-    log: AccessLog = field(default_factory=AccessLog, compare=False)
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.reads = set()
 
-    def get(self, key):
-        self.log.reads.add(key)
-        return super().get(key)
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
 
-    def put(self, key, value):
-        self.log.writes.add(key)
-        return super().put(key, value)
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads.add(key)
+        return super().__contains__(key)
 
 
-def tracking_env(seed: int) -> TrackingEnvironment:
-    return TrackingEnvironment(entries={}, rng=RngState(seed, 0))
-
-
-@pytest.fixture
-def tenv():
-    return tracking_env(1)
+def accesses(component, payload, env):
+    """(reads, writes) of `component(payload, env)`: the keys it reads from
+    `env`'s entries, and the keys of its output env that are new or hold a
+    value that is not the object `env` held."""
+    entries = RecordingEntries(env.entries)
+    _, out = component(payload, Environment(entries, env.rng))
+    before = env.entries
+    writes = {k for k, v in out.entries.items() if k not in before or before[k] is not v}
+    return entries.reads, writes

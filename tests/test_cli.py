@@ -650,6 +650,14 @@ class TestWrongJsonShapesExit2:
         exits_2_naming(capsys, ["run", path], message)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["sa.temperature\n", "sa\n.temperature"])
+    def test_run_initializer_key_with_a_line_break(self, tmp_path, capsys, key):
+        # a different key from "sa.temperature", which the run would never read
+        initializers = [{"key": key, "value": {"t": "real", "v": 5.0}}]
+        path = minimal_run(tmp_path, initializers=initializers)
+        exits_2_naming(capsys, ["run", path], "invalid env key token")
+        assert not (tmp_path / "out").exists()
+
     def test_run_on_a_document_that_is_not_an_object(self, tmp_path, capsys):
         path = write_json(tmp_path / "e.json", [{"problems": []}])
         exits_2_naming(capsys, ["run", path], "experiment must be an object")

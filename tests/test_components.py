@@ -3,10 +3,12 @@ import statistics
 
 import pytest
 
-from conftest import tracking_env
+from conftest import accesses
 
 from metafold.components import (
     FRAMEWORK_KEYS,
+    Component,
+    ComponentDescriptor,
     K_BOUNDS,
     K_INCOMING_VALUE,
     K_INCUMBENT_VALUE,
@@ -28,8 +30,8 @@ from metafold.components import K_BEST_VALUE, K_EVALUATIONS, K_ITERATION
 from metafold.env import (
     ComponentContractError,
     ConfigurationError,
+    EnvKey,
     EnvValue,
-    Environment,
     env_new,
     rng_below,
     rng_uniform,
@@ -337,23 +339,25 @@ class TestDescriptors:
         assert descriptor_of(c) == descriptor_of(c)
 
 
+def declared_access_violations(component, payload, env):
+    """What `component(payload, env)` reads beyond its requires and the
+    framework keys, and what it writes beyond its provides."""
+    reads, writes = accesses(component, payload, env)
+    d = component.descriptor
+    return reads - set(d.requires) - set(FRAMEWORK_KEYS), writes - set(d.provides)
+
+
 class TestInstrumentedAccess:
     """Components read only requires + framework keys and write only provides."""
 
     def _check(self, component, payload, env):
-        component(payload, env)
-        d = component.descriptor
-        allowed_reads = set(d.requires) | set(FRAMEWORK_KEYS)
-        assert env.log.reads <= allowed_reads, (d.name, env.log.reads)
-        assert env.log.writes <= set(d.provides), (d.name, env.log.writes)
+        assert declared_access_violations(component, payload, env) == (set(), set())
 
     def test_perturbs(self):
-        self._check(perturb_bitflip(1), A, tracking_env(1))
-        self._check(perturb_swap(), Permutation.of(range(5)), tracking_env(2))
-        self._check(perturb_two_opt(), Permutation.of(range(5)), tracking_env(3))
-        env = tracking_env(4)
-        env = env.put(K_BOUNDS, EnvValue.of_rseq([-1.0, 1.0]))
-        env.log.writes.clear()
+        self._check(perturb_bitflip(1), A, env_new(1))
+        self._check(perturb_swap(), Permutation.of(range(5)), env_new(2))
+        self._check(perturb_two_opt(), Permutation.of(range(5)), env_new(3))
+        env = env_new(4).put(K_BOUNDS, EnvValue.of_rseq([-1.0, 1.0]))
         self._check(perturb_gaussian(0.5), RealVector.of([0.0, 1.0]), env)
 
     def test_accepts(self):
@@ -362,12 +366,7 @@ class TestInstrumentedAccess:
             (accept_metropolis(0.9), {K_TEMPERATURE: EnvValue.of_real(1.0)}),
             (accept_tabu(3), {}),
         ):
-            env = tracking_env(5)
-            env = with_values(env, 3.0, 5.0)
-            for k, v in extra.items():
-                env = env.put(k, v)
-            env.log.reads.clear()
-            env.log.writes.clear()
+            env = with_values(env_new(5), 3.0, 5.0).put_many(extra)
             self._check(component, (A, B), env)
 
     def test_terminates(self):
@@ -376,25 +375,22 @@ class TestInstrumentedAccess:
             terminate_evaluations(5),
             terminate_target(0.0),
         ):
-            env = tracking_env(6)
-            env = env.put(K_ITERATION, EnvValue.of_int(1))
-            env = env.put(K_EVALUATIONS, EnvValue.of_int(1))
-            env = env.put(K_BEST_VALUE, EnvValue.of_real(1.0))
-            env.log.reads.clear()
-            env.log.writes.clear()
+            env = env_new(6).put_many({
+                K_ITERATION: EnvValue.of_int(1),
+                K_EVALUATIONS: EnvValue.of_int(1),
+                K_BEST_VALUE: EnvValue.of_real(1.0),
+            })
             self._check(component, A, env)
 
+    def test_an_undeclared_read_and_write_are_both_caught(self):
+        secret, stray = EnvKey("stub", "secret"), EnvKey("stub", "stray")
 
-class RecordingEntries(dict):
-    """Entries that record every key read through `get`."""
+        def step(sol, env):
+            env.entries.get(secret)
+            return sol, env.put(stray, EnvValue.of_int(1))
 
-    def __init__(self, entries):
-        super().__init__(entries)
-        self.reads = set()
-
-    def get(self, key, default=None):
-        self.reads.add(key)
-        return super().get(key, default)
+        stub = Component(ComponentDescriptor("stub", "perturb"), step)
+        assert declared_access_violations(stub, A, env_new(7)) == ({secret}, {stray})
 
 
 @pytest.mark.parametrize(
@@ -408,8 +404,8 @@ class RecordingEntries(dict):
     ],
 )
 def test_required_keys_are_read_from_the_entries_and_declared(component, payload):
-    # These components read their keys from `env.entries`, which a
-    # TrackingEnvironment's `get` does not see; the entries record them here.
+    # These components read their keys from `env.entries` rather than
+    # through `env.get`; the tracker sees both.
     env = with_values(env_new(1), 3.0, 5.0)
     env = env.put_many({
         K_TEMPERATURE: EnvValue.of_real(1.0),
@@ -417,7 +413,6 @@ def test_required_keys_are_read_from_the_entries_and_declared(component, payload
         K_EVALUATIONS: EnvValue.of_int(1),
         K_BEST_VALUE: EnvValue.of_real(1.0),
     })
-    entries = RecordingEntries(env.entries)
-    component(payload, Environment(entries=entries, rng=env.rng))
-    assert entries.reads
-    assert entries.reads <= set(component.descriptor.requires) | set(FRAMEWORK_KEYS)
+    reads, _ = accesses(component, payload, env)
+    assert reads
+    assert reads <= set(component.descriptor.requires) | set(FRAMEWORK_KEYS)

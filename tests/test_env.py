@@ -1,7 +1,7 @@
 import json
 import re
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +13,10 @@ from metafold.env import (
     EnvValue,
     Environment,
     RngState,
+    _raw64,
     env_new,
     rng_below,
+    rng_below_many,
     rng_uniform,
     step_identity,
     step_then,
@@ -30,10 +32,19 @@ class TestEnvKey:
     def test_parse_round_trip(self):
         assert EnvKey.parse("tabu.list") == EnvKey("tabu", "list")
 
-    @pytest.mark.parametrize("ns,name", [("", "x"), ("a.b", "x"), ("a", "x y"), ("a", "")])
+    @pytest.mark.parametrize(
+        "ns,name",
+        [("", "x"), ("a.b", "x"), ("a", "x y"), ("a", ""), ("a\n", "b"), ("a", "b\n")],
+    )
     def test_rejects_bad_tokens(self, ns, name):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="invalid env key token"):
             EnvKey(ns, name)
+
+    @pytest.mark.parametrize("text", ["sa.temperature\n", "sa\n.temperature", "sa.temperature\r"])
+    def test_parse_rejects_a_trailing_line_break(self, text):
+        # `$` in a `match` accepted a token ending in "\n"
+        with pytest.raises(ValueError, match="invalid env key token"):
+            EnvKey.parse(text)
 
     def test_rendering_injective(self):
         keys = [EnvKey(a, b) for a in ("a", "b", "a_b") for b in ("c", "d", "c_d")]
@@ -371,7 +382,9 @@ class TestFromJsonChecksPayloadTypes:
 # The records as they were before they became tuples: frozen dataclasses.
 # Each keeps the public name in its repr.
 
-_REF_TOKEN_RE = re.compile(r"^[A-Za-z0-9_]+$")
+# The dataclass matched r"^[A-Za-z0-9_]+$", whose `$` also matched before a
+# trailing newline; "a\n" is no token, so the reference takes the fix too.
+_REF_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 _REF_MASK64 = (1 << 64) - 1
 
 
@@ -384,7 +397,7 @@ class RefEnvKey:
 
     def __post_init__(self):
         for token in (self.namespace, self.name):
-            if not _REF_TOKEN_RE.match(token):
+            if not _REF_TOKEN_RE.fullmatch(token):
                 raise ValueError(f"invalid env key token: {token!r}")
 
     def render(self) -> str:
@@ -439,6 +452,83 @@ class RefRngState:
             raise ValueError("seed and counter must be 64-bit unsigned")
 
 
+@dataclass(frozen=True)
+class RefEnvironment:
+    __qualname__ = "Environment"
+
+    entries: Mapping
+    rng: RngState
+
+    def put(self, key, value):
+        new_entries = dict(self.entries)
+        new_entries[key] = value
+        return _ref_copy(self, new_entries, self.rng)
+
+    def put_many(self, updates):
+        new_entries = dict(self.entries)
+        new_entries.update(updates)
+        return _ref_copy(self, new_entries, self.rng)
+
+    def __eq__(self, other):
+        if not isinstance(other, RefEnvironment):
+            return NotImplemented
+        return dict(self.entries) == dict(other.entries) and self.rng == other.rng
+
+    __hash__ = None
+
+    def to_json(self) -> dict:
+        return {
+            "rng": {"seed": str(self.rng.seed), "counter": str(self.rng.counter)},
+            "entries": {k.render(): v.to_json() for k, v in self.entries.items()},
+        }
+
+    def serialize(self) -> str:
+        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+
+    @staticmethod
+    def deserialize(text: str) -> "RefEnvironment":
+        obj = json.loads(text)
+        rng = RngState(int(obj["rng"]["seed"]), int(obj["rng"]["counter"]))
+        entries = {EnvKey.parse(k): EnvValue.from_json(v) for k, v in obj["entries"].items()}
+        return RefEnvironment(entries=entries, rng=rng)
+
+
+def _ref_copy(env, entries, rng):
+    new = object.__new__(type(env))
+    new.__dict__.update(env.__dict__, entries=entries, rng=rng)
+    return new
+
+
+def ref_rng_uniform(env):
+    seed, counter = env.rng
+    value = (_raw64(seed, counter) >> 11) * (2.0 ** -53)
+    return value, _ref_copy(env, env.entries, RngState(seed, counter + 1))
+
+
+def ref_rng_below(env, n):
+    if not 1 <= n <= 1 << 64:
+        raise ValueError("rng_below requires 1 <= n <= 2^64")
+    limit = (1 << 64) - ((1 << 64) % n)
+    seed, counter = env.rng
+    while True:
+        raw = _raw64(seed, counter)
+        counter += 1
+        if raw < limit:
+            return raw % n, _ref_copy(env, env.entries, RngState(seed, counter))
+
+
+def ref_rng_below_many(env, n, count):
+    if not 1 <= n <= 1 << 64:
+        raise ValueError("rng_below requires 1 <= n <= 2^64")
+    if count < 0:
+        raise ValueError("rng_below_many requires count >= 0")
+    values = []
+    for _ in range(count):
+        value, env = ref_rng_below(env, n)
+        values.append(value)
+    return values, _ref_copy(env, env.entries, env.rng)
+
+
 def _outcome(make, *args):
     """What `make(*args)` gives: ("ok", the record) or ("error", its message)."""
     try:
@@ -479,6 +569,38 @@ PAYLOADS = {
 }
 TAGGED = st.sampled_from(VALUE_TAGS).flatmap(lambda t: st.tuples(st.just(t), PAYLOADS[t]))
 WORDS = st.integers(-2, 2**64 + 1) | st.integers(2**64 - 2, 2**64 + 1)
+
+
+# few keys, values and rng states, so that two drawn envs are often equal
+ENV_KEYS = st.sampled_from([EnvKey("a", "x"), EnvKey("a", "y"), EnvKey("b", "x")])
+ENV_VALUES = st.sampled_from(
+    [EnvValue.of_int(1), EnvValue.of_int(2), EnvValue.of_real(1.0), EnvValue.of_dseq([2**64 - 1])]
+)
+ENTRIES = st.dictionaries(ENV_KEYS, ENV_VALUES, max_size=3)
+RNGS = st.builds(
+    RngState, st.sampled_from([0, 1, 2**64 - 1]), st.sampled_from([0, 1, 2**64 - 3, 2**64 - 1])
+)
+# each derivation as (the record's call, the reference's call)
+DERIVATIONS = st.one_of(
+    st.tuples(ENV_KEYS, ENV_VALUES).map(
+        lambda kv: (lambda e: e.put(*kv), lambda r: r.put(*kv))
+    ),
+    st.dictionaries(ENV_KEYS, ENV_VALUES, max_size=3).map(
+        lambda u: (lambda e: e.put_many(u), lambda r: r.put_many(u))
+    ),
+    st.just((rng_uniform, ref_rng_uniform)),
+    st.sampled_from([0, 1, 3, 2**63 + 1, 2**64, 2**64 + 1]).map(
+        lambda n: (lambda e: rng_below(e, n), lambda r: ref_rng_below(r, n))
+    ),
+    st.tuples(st.sampled_from([0, 1, 5, 2**64]), st.integers(-1, 4)).map(
+        lambda nc: (lambda e: rng_below_many(e, *nc), lambda r: ref_rng_below_many(r, *nc))
+    ),
+)
+
+
+def _same_env(new, ref):
+    assert type(new) is Environment and repr(new) == repr(ref)
+    assert new.serialize() == ref.serialize() and new.to_json() == ref.to_json()
 
 
 class TestRecordsMatchTheirDataclassReferences:
@@ -537,8 +659,47 @@ class TestRecordsMatchTheirDataclassReferences:
         env = Environment(entries={}, rng=new[1])
         assert Environment.deserialize(env.serialize()).rng == new[1]
 
+    @given(ENTRIES, RNGS, ENTRIES, RNGS)
+    def test_environment(self, entries, rng, entries2, rng2):
+        new, ref = Environment(entries, rng), RefEnvironment(entries, rng)
+        other, other_ref = Environment(entries2, rng2), RefEnvironment(entries2, rng2)
+        _same_env(new, ref)
+        assert (new == other) == (ref == other_ref)
+        assert (new != other) == (ref != other_ref)
+        assert new == Environment(dict(entries), rng) and ref == RefEnvironment(dict(entries), rng)
+        parsed = Environment.deserialize(new.serialize())
+        assert parsed == new
+        _same_env(parsed, RefEnvironment.deserialize(ref.serialize()))
+        for env in (new, ref):
+            with pytest.raises(AttributeError):
+                env.rng = rng2
+            with pytest.raises(AttributeError):
+                env.entries = {}
+            with pytest.raises(TypeError):
+                hash(env)
+
+    @given(ENTRIES, RNGS, st.lists(DERIVATIONS, min_size=1, max_size=4))
+    def test_environment_derivations(self, entries, rng, derivations):
+        new, ref = Environment(entries, rng), RefEnvironment(entries, rng)
+        before = dict(entries)
+        for step, ref_step in derivations:
+            got, want = _outcome(step, new), _outcome(ref_step, ref)
+            assert got[0] == want[0]
+            if got[0] == "error":
+                assert got == want
+                return
+            if isinstance(got[1], Environment):  # put or put_many
+                new, ref = got[1], want[1]
+            else:
+                (value, new), (ref_value, ref) = got[1], want[1]
+                assert value == ref_value and type(value) is type(ref_value)
+            _same_env(new, ref)
+        assert entries == before  # the source's entries are untouched
+
     def test_a_record_equals_the_plain_tuple_of_its_fields(self):
         # the one difference from the dataclasses, which equal only their own class
         assert EnvKey("sa", "temperature") == ("sa", "temperature")
         assert RefEnvKey("sa", "temperature") != ("sa", "temperature")
         assert EnvValue.of_int(3) == ("int", 3) and RngState(7, 1) == (7, 1)
+        assert env_new(1) == ({}, RngState(1, 0)) == ({}, (1, 0))
+        assert RefEnvironment({}, RngState(1, 0)) != ({}, RngState(1, 0))

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TrackingEnvironment, tracking_env
 from metafold.components import (
     FRAMEWORK_KEYS,
     K_EVALUATIONS,
@@ -125,9 +124,10 @@ def test_rng_below_many_rejects_bad_arguments():
         rng_below_many(env_new(1), 2, -1)
 
 
-def test_copies_keep_subclass_and_its_fields():
-    env = tracking_env(3)
+def test_every_put_and_draw_returns_an_environment_and_keeps_the_source():
     key = EnvKey("a", "b")
+    env = env_new(3).put(key, EnvValue.of_int(0))
+    entries, before = env.entries, dict(env.entries)
     derived = [
         env.put(key, EnvValue.of_int(1)),
         env.put_many({key: EnvValue.of_int(2)}),
@@ -136,9 +136,9 @@ def test_copies_keep_subclass_and_its_fields():
         rng_below_many(env, 5, 4)[1],
     ]
     for out in derived:
-        assert isinstance(out, TrackingEnvironment)
-        assert out.log is env.log
-    assert env.entries == {}  # the source is never mutated
+        assert type(out) is Environment
+    assert env.entries is entries and entries == before
+    assert env.rng == RngState(3, 0)
 
 
 def test_put_many_equals_successive_puts():

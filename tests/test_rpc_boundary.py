@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from metafold import rpc
 from metafold.env import env_new
 from metafold.palette import default_registry
-from metafold.rpc import ERR_INVALID_REQUEST, ERR_PARSE, MAX_REQUEST_BYTES, handle_rpc, serve
+from metafold.rpc import (
+    ERR_INVALID_PARAMS,
+    ERR_INVALID_REQUEST,
+    ERR_PARSE,
+    MAX_REQUEST_BYTES,
+    handle_rpc,
+    serve,
+)
 from metafold.solutions import BitVector, solution_to_json
 
 REGISTRY = default_registry()
@@ -138,6 +145,61 @@ def test_any_json_object_gets_a_well_formed_response(doc):
     assert_well_formed(response)
     if isinstance(doc.get("id"), (str, int, float)) and response["id"] is not None:
         assert response["id"] == doc["id"]
+
+
+def perturb_with_env(env: dict) -> dict:
+    params = {"component": "bitflip", "params": {"k": 1}, "env": env,
+              "solution": {"t": "bits", "v": "0101"}}
+    return handle_rpc(REGISTRY, json.dumps(
+        {"jsonrpc": "2.0", "id": 6, "method": "perturb", "params": params}
+    ).encode())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 2.7),  # read as 2 when the rng was parsed with `int`
+        ("seed", 2.0),
+        ("seed", True),
+        ("seed", "1_0"),
+        ("seed", "\u0663"),  # an Arabic-Indic three
+        ("seed", " 1"),
+        ("seed", "-1"),
+        ("seed", -1),
+        ("seed", str(2**64)),
+        ("seed", 2**64),
+        ("seed", None),
+        ("counter", "0x1"),
+        ("counter", 0.5),
+        ("counter", [0]),
+    ],
+)
+def test_an_rng_that_is_not_a_64_bit_word_is_invalid_params(field, value):
+    env = env_new(1).to_json()
+    env["rng"][field] = value
+    response = perturb_with_env(env)
+    assert_well_formed(response)
+    assert response["id"] == 6
+    assert response["error"]["code"] == ERR_INVALID_PARAMS
+    assert "rng seed and counter must be" in response["error"]["message"]
+
+
+@pytest.mark.parametrize("seed, counter", [(0, 0), ("007", "3"), (2**64 - 1, str(2**64 - 2))])
+def test_an_rng_of_integers_or_decimal_strings_is_read_as_written(seed, counter):
+    env = env_new(1).to_json()
+    env["rng"] = {"seed": seed, "counter": counter}
+    response = perturb_with_env(env)
+    assert response["result"]["env"]["rng"] == {"seed": str(int(seed)), "counter": str(int(counter) + 1)}
+
+
+@pytest.mark.parametrize("key", ["framework.iteration\n", "framework\n.iteration"])
+def test_an_entry_key_with_a_line_break_is_invalid_params(key):
+    env = env_new(1).to_json()
+    env["entries"][key] = {"t": "int", "v": 1}
+    response = perturb_with_env(env)
+    assert_well_formed(response)
+    assert response["error"]["code"] == ERR_INVALID_PARAMS
+    assert "invalid env key token" in response["error"]["message"]
 
 
 def raw_post(endpoint, head: bytes, body: bytes = b"", timeout: float = 5.0) -> dict:
