@@ -216,8 +216,8 @@ def _check_grids(reg: Registry, param_grids: Dict[str, Dict[str, Sequence]]) -> 
 def validate(spec: ConfigurationSpec, reg: Registry) -> List[str]:
     """Return a list of violations; empty means valid.
 
-    A key provided only by the requiring component itself (read-modify-write)
-    does not satisfy that component's own initial read.
+    A key a component both reads and writes (read-modify-write) satisfies
+    no slot's read, its own or another's, since either may run first.
     """
     framework = _framework(spec.framework)
     slot_kinds = dict(framework.slots)
@@ -237,9 +237,7 @@ def validate(spec: ConfigurationSpec, reg: Registry) -> List[str]:
             violations.append(f"slot {slot!r} is not part of framework {spec.framework}")
     initializer_keys = {k for k, _ in spec.initializers}
     for slot, desc in bound:
-        others = frozenset().union(
-            *(d.provides for s, d in bound if s != slot), frozenset()
-        )
+        others = frozenset().union(*(d.provides - d.requires for s, d in bound if s != slot))
         available = FRAMEWORK_KEYS | initializer_keys | others
         for key in sorted(desc.requires):
             if key == K_BOUNDS:

@@ -20,6 +20,7 @@ from .env import (
     EnvKey,
     EnvValue,
     Environment,
+    _new,
     rng_below,
     rng_uniform,
 )
@@ -340,7 +341,7 @@ def accept_tabu(tenure: int = 5) -> Component:
         if digest in tabu:
             return incumbent, env
         updated = (tabu + (digest,))[-tenure:]
-        env = env.put(K_TABU_LIST, EnvValue.of_dseq(updated))
+        env = env.put(K_TABU_LIST, _new(EnvValue, ("dseq", updated)))  # 64-bit words already
         return incoming, env
 
     return Component(desc, step)

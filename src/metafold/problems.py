@@ -41,7 +41,7 @@ class ParseError(Exception):
 @dataclass(frozen=True)
 class ProblemInstance:
     name: str
-    representation: str  # "bits" | "perm" | "real"
+    representation: str  # a key of REPRESENTATIONS
     evaluate: Component
     sample_initial: Callable[[Environment], Tuple[Solution, Environment]]
     metadata: Dict
@@ -78,12 +78,26 @@ def sample_box(d: int, lo: float, hi: float):
     return sample
 
 
+def sample_assignment(domains: Dict[str, Tuple[int, int]]):
+    # each variable uniform in its domain lo..hi, drawn in `domains` order
+    def sample(env):
+        assignment = {}
+        for name, (lo, hi) in domains.items():
+            offset, env = rng_below(env, hi - lo + 1)
+            assignment[name] = lo + offset
+        return assignment, env
+
+    return sample
+
+
 # representation -> (the Solution class its evaluators take, the start
-# sampler for a problem of that many elements and that metadata)
+# sampler for a problem of that many elements and that metadata); an
+# "assignment" maps a model's variable names to integers
 REPRESENTATIONS = {
     "bits": (BitVector, lambda n, metadata: sample_bits(n)),
     "perm": (Permutation, lambda n, metadata: sample_permutation(n)),
     "real": (RealVector, lambda d, metadata: sample_box(d, *metadata["bounds"])),
+    "assignment": (dict, lambda n, metadata: sample_assignment(metadata["domains"])),
 }
 
 

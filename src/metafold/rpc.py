@@ -15,7 +15,7 @@ import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from .assembly import Registry, UnknownComponentError
 from .components import Component, ComponentDescriptor
@@ -27,6 +27,7 @@ ERR_INVALID_REQUEST = -32600
 ERR_INVALID_PARAMS = -32602
 ERR_UNKNOWN_COMPONENT = -32001
 ERR_COMPONENT_FAILURE = -32002
+ERR_BAD_REPLY = -32003  # a client's own, for a reply it cannot read; never sent
 
 # The largest request body the server reads. A call carries one Environment
 # and at most two solutions, a few KiB at n=1024; the cap bounds what one
@@ -39,6 +40,11 @@ MAX_REQUEST_BYTES = 16 * 1024 * 1024
 # Content-Length would otherwise hold the thread until the client leaves;
 # a wait this long only ends such a stalled request.
 REQUEST_TIMEOUT_S = 10.0
+
+# A proxy call whose connection fails is retried this many times, this
+# many seconds apart, before it raises RemoteUnavailableError.
+RETRIES = 2
+BACKOFF_S = 0.1
 
 
 def _pair_from_json(obj):
@@ -181,51 +187,53 @@ def serve(registry: Registry, host: str = "127.0.0.1", port: int = 0) -> RpcServ
     return RpcServer(registry, host, port)
 
 
-def _post(endpoint: str, request: dict, retries: int = 2, backoff: float = 0.1) -> dict:
-    data = json.dumps(request).encode("utf-8")
-    attempt = 0
-    while True:
+def _post(endpoint: str, request: dict, read):
+    """`read` of the result of `request` at `endpoint`. Raises RemoteUnavailableError
+    if it cannot be reached, RemoteProtocolError for an error or unreadable reply."""
+    req = urllib.request.Request(
+        endpoint, json.dumps(request).encode("utf-8"), {"Content-Type": "application/json"}
+    )
+    for attempt in range(RETRIES + 1):
         try:
-            req = urllib.request.Request(
-                endpoint, data=data, headers={"Content-Type": "application/json"}
-            )
             with urllib.request.urlopen(req, timeout=30) as resp:
-                response = json.loads(resp.read())
+                body = resp.read()
             break
         except (urllib.error.URLError, OSError) as exc:
-            if attempt >= retries:
+            if attempt == RETRIES:
                 raise RemoteUnavailableError(f"{endpoint}: {exc}") from exc
-            attempt += 1
-            time.sleep(backoff)
-    if "error" in response:
-        err = response["error"]
-        raise RemoteProtocolError(err.get("code", 0), err.get("message", ""))
-    return response["result"]
-
-
-def _fetch_descriptor(endpoint: str, kind: str, name: str, ids: Iterator[int]):
-    result = _post(endpoint, {"jsonrpc": "2.0", "id": next(ids), "method": "describe"})
-    for obj in result["components"]:
-        if obj["kind"] == kind and obj["name"] == name:
-            return ComponentDescriptor.from_json(obj)
-    raise UnknownComponentError(f"no {kind} component named {name!r} at {endpoint}")
+            time.sleep(BACKOFF_S)
+    try:
+        response = json.loads(body)
+        if "error" not in response:
+            return read(response["result"])
+        code, message = response["error"]["code"], response["error"]["message"]
+    except Exception as exc:  # not JSON, not a response object, not a result `read` takes
+        raise RemoteProtocolError(ERR_BAD_REPLY, f"{endpoint}: unreadable reply: {exc!r}") from exc
+    raise RemoteProtocolError(code, message)
 
 
 def _remote(endpoint: str, method: str, name: str, params: Optional[Dict]) -> Component:
     ids = itertools.count(1)  # no lock: replies are never matched by id
-    descriptor = _fetch_descriptor(endpoint, method, name, ids)
+    descriptor = _post(
+        endpoint, {"jsonrpc": "2.0", "id": next(ids), "method": "describe"},
+        lambda result: next((
+            ComponentDescriptor.from_json(obj) for obj in result["components"]
+            if obj["kind"] == method and obj["name"] == name
+        ), None),
+    )
+    if descriptor is None:
+        raise UnknownComponentError(f"no {method} component named {name!r} at {endpoint}")
     bindings = dict(params or {})
     (in_name, encode_in, _), (out_name, _, decode_out) = _METHODS[method]
+
+    def read(result):
+        return decode_out(result[out_name]), Environment.from_json(result["env"])
 
     def step(payload, env):
         req_params = {"component": name, "params": bindings, "env": env.to_json()}
         req_params[in_name] = encode_in(payload)
-        result = _post(
-            endpoint,
-            {"jsonrpc": "2.0", "id": next(ids), "method": method, "params": req_params},
-        )
-        env = Environment.from_json(result["env"])
-        return decode_out(result[out_name]), env
+        request = {"jsonrpc": "2.0", "id": next(ids), "method": method, "params": req_params}
+        return _post(endpoint, request, read)
 
     return Component(descriptor, step)
 

@@ -12,9 +12,12 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 
-def _midranks(values: Sequence[float]) -> List[float]:
+def _midranks(values: Sequence[float]) -> Tuple[List[float], float]:
+    """The midrank of each value, and the tie term sum(t^3 - t) over the
+    groups of t equal values."""
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
+    tie_term = 0.0
     i = 0
     while i < len(values):
         j = i
@@ -23,8 +26,10 @@ def _midranks(values: Sequence[float]) -> List[float]:
         mid = (i + j) / 2.0 + 1.0
         for k in range(i, j + 1):
             ranks[order[k]] = mid
+        t = j - i + 1
+        tie_term += t ** 3 - t
         i = j + 1
-    return ranks
+    return ranks, tie_term
 
 
 def _ndtr(z: float) -> float:
@@ -42,24 +47,12 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
         raise ValueError("both groups must be nonempty")
-    combined = list(a) + list(b)
-    ranks = _midranks(combined)
+    ranks, tie_term = _midranks(list(a) + list(b))
     r1 = sum(ranks[:n1])
     u1 = r1 - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
     u = min(u1, u2)
     n = n1 + n2
-    # tie correction over the pooled sample
-    tie_term = 0.0
-    i = 0
-    values = sorted(combined)
-    while i < n:
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        t = j - i + 1
-        tie_term += t ** 3 - t
-        i = j + 1
     mu = n1 * n2 / 2.0
     if n > 1:
         var = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))

@@ -17,7 +17,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from .components import accept_improving, perturb_two_opt, terminate_evaluations
 from .env import Environment, rng_below
-from .frameworks import RunResult, local_search
+from .frameworks import FRAMEWORKS
 from .problems import ProblemInstance, problem_instance
 
 
@@ -314,14 +314,17 @@ class SolveResult:
     route: str  # "tsp" | "generic"
 
 
-def _descend(start, evaluate, perturb, budget: int, env: Environment) -> RunResult:
-    """The search both routes run: from `start`, keep each perturbed move
-    that is no worse, until `budget` evaluations are spent."""
+def _solve(model, problem, move, budget: int, env: Environment, route: str, read):
+    """Both routes' search: local search on `problem` keeping each `move`
+    that is no worse, until `budget` evaluations are spent. `read` turns
+    the best solution into an assignment, which the model itself scores."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    return local_search(
-        start, evaluate, perturb, accept_improving(), terminate_evaluations(budget), env
-    )
+    parts = {"perturb": move, "accept": accept_improving(), "terminate": terminate_evaluations(budget)}
+    result = FRAMEWORKS["local_search"].run(problem, parts, {}, env)
+    best = read(result.best)
+    value, violations = objective_value(model, best), count_violations(model, best)
+    return SolveResult(best, value, violations, route), result.final_env
 
 
 def generic_solve(
@@ -333,15 +336,11 @@ def generic_solve(
     """Penalty local search over full assignments: each move reassigns one
     variable uniformly in its domain."""
     _check_circuit_domains(model)
-    start = {}
-    for v in model.variables:
-        offset, env = rng_below(env, v.hi - v.lo + 1)
-        start[v.name] = v.lo + offset
-
-    def score(assignment, env):
-        return objective_value(model, assignment) + penalty * count_violations(
-            model, assignment
-        ), env
+    problem = problem_instance(
+        "penalty_sum", f"model_{len(model.variables)}", "assignment", len(model.variables),
+        lambda a: objective_value(model, a) + penalty * count_violations(model, a),
+        domains={v.name: (v.lo, v.hi) for v in model.variables},
+    )
 
     def reassign(assignment, env):
         idx, env = rng_below(env, len(model.variables))
@@ -351,15 +350,7 @@ def generic_solve(
         moved[v.name] = v.lo + offset
         return moved, env
 
-    result = _descend(start, score, reassign, budget, env)
-    best = result.best
-    solved = SolveResult(
-        assignment=best,
-        value=objective_value(model, best),
-        violations=count_violations(model, best),
-        route="generic",
-    )
-    return solved, result.final_env
+    return _solve(model, problem, reassign, budget, env, "generic", dict)
 
 
 def dispatch_solve(
@@ -373,15 +364,7 @@ def dispatch_solve(
     match = match_tsp(model)
     if match is None:
         return generic_solve(model, budget, env, penalty)
-    problem = rewrite_to_tsp(match)
-    start, env = problem.sample_initial(env)
-    result = _descend(start, problem.evaluate, perturb_two_opt(), budget, env)
-    tour = result.best.order
-    assignment = {name: tour[i] for i, name in enumerate(match.variables)}
-    solved = SolveResult(
-        assignment=assignment,
-        value=result.best_value,
-        violations=0,
-        route="tsp",
+    return _solve(
+        model, rewrite_to_tsp(match), perturb_two_opt(), budget, env, "tsp",
+        lambda tour: dict(zip(match.variables, tour.order)),
     )
-    return solved, result.final_env

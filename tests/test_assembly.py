@@ -87,6 +87,36 @@ class TestValidate:
         violations = validate(spec_for("metropolis"), default_registry())
         assert violations != []
 
+    @pytest.mark.parametrize("accept", ["metropolis", "tabu"])
+    def test_read_modify_write_key_is_provided_to_no_other_slot(self, accept):
+        # an inner and an outer rule that both read and write one key each
+        # looked like the other's provider, so the run failed on the read
+        slots = {**ILS_SLOTS, "inner_accept": (accept, {}), "outer_accept": (accept, {})}
+        key = "sa.temperature" if accept == "metropolis" else "tabu.list"
+        violations = validate(ConfigurationSpec.make("ils", slots), default_registry())
+        assert [v for v in violations if key in v] == [
+            f"{accept} (slot inner_accept) requires unsatisfied key {key}",
+            f"{accept} (slot outer_accept) requires unsatisfied key {key}",
+        ]
+        spec = ConfigurationSpec.make("ils", slots, initializers=(SA_INIT, TABU_INIT))
+        assert validate(spec, default_registry()) == []
+        assert len(instantiate(spec, default_registry(), onemax(8), 1)().trace) == 3
+
+    def test_a_write_without_a_read_still_provides_the_key(self):
+        heater = ComponentDescriptor("heater", "perturb", provides=frozenset({K_TEMPERATURE}))
+        reg = register(default_registry(), heater, lambda p: None)
+        spec = ConfigurationSpec.make(
+            "local_search",
+            {"perturb": ("heater", {}), "accept": ("metropolis", {}),
+             "terminate": ("max_iterations", {"max": 1})},
+        )
+        assert validate(spec, reg) == []
+
+    def test_read_modify_write_rule_sets_the_enumerated_counts(self):
+        reg = default_registry()
+        counts = {fw: len(enumerate_valid(reg, fw, {})) for fw in ("local_search", "ils", "ga")}
+        assert counts == {"local_search": 12, "ils": 144, "ga": 12}
+
     def test_improving_needs_no_initializer(self):
         assert validate(spec_for("improving"), default_registry()) == []
 

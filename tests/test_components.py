@@ -272,6 +272,16 @@ class TestAcceptTabu:
         out, _ = component((c, B), env)
         assert out == B
 
+    def test_stored_list_is_what_the_checked_constructor_builds(self):
+        component = accept_tabu(2)
+        env = with_values(env_new(0), 1.0, 2.0)
+        for incoming in (B, BitVector.from_string("0011"), BitVector.from_string("1111")):
+            _, env = component((A, incoming), env)
+            stored = env.get(K_TABU_LIST)
+            checked = EnvValue.of_dseq(stored.value)
+            assert type(stored) is EnvValue and repr(stored) == repr(checked)
+        assert len(stored.value) == 2
+
     def test_accepted_never_in_prior_list(self):
         component = accept_tabu(4)
         env = with_values(env_new(9), 1.0, 2.0)
