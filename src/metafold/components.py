@@ -156,7 +156,8 @@ def _require(env: Environment, key: EnvKey, tag: str, who: str):
 
 
 def perturb_bitflip(k: int = 1) -> Component:
-    """Flip k distinct uniformly chosen bits."""
+    """Flip k distinct uniformly chosen bits. The child records its parent
+    and the flipped indices as its provenance (see `solutions`)."""
     desc = ComponentDescriptor(
         name="bitflip",
         kind="perturb",
@@ -177,7 +178,7 @@ def perturb_bitflip(k: int = 1) -> Component:
         bits = bytearray(sol.packed)
         for i in chosen:
             bits[i] ^= 1
-        return BitVector._unchecked(bytes(bits)), env
+        return BitVector._flipped(sol, bytes(bits), tuple(chosen)), env
 
     return Component(desc, step)
 

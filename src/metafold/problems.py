@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Dict, Optional, Tuple
@@ -298,9 +299,57 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
             occurrences[lit - 1 if lit > 0 else num_vars - lit - 1].append(c)
     satisfies = tuple(map(tuple, occurrences))
 
+    # A scored solution's `_memo` is `(value, counts, unsatisfied)`, keyed
+    # to this problem by its `value` function: counts[c] is the number of
+    # true literals in clause c, or None until a child of the solution is
+    # scored. A child that `perturb_bitflip` built from such a parent copies
+    # the counts and updates only the clauses of the flipped variables; any
+    # other solution takes the set-union path. Both give the same integer.
+    def clause_counts(packed: bytes) -> array:
+        counts = [0] * num_clauses
+        for clauses_of in compress(satisfies, packed + packed.translate(_NOT_BITS)):
+            for c in clauses_of:
+                counts[c] += 1
+        return array("Q", counts)  # an array copies as one memcpy; a list does not
+
+    def flip(counts: array, unsatisfied: int, packed: bytes, flipped) -> int:
+        """Updates `counts` in place for the variables `flipped` to their
+        values in `packed`; returns the new unsatisfied count."""
+        for v in flipped:
+            if packed[v]:
+                made, broken = satisfies[v], satisfies[num_vars + v]
+            else:
+                made, broken = satisfies[num_vars + v], satisfies[v]
+            for c in made:
+                count = counts[c]
+                if not count:
+                    unsatisfied -= 1
+                counts[c] = count + 1
+            for c in broken:
+                count = counts[c] - 1
+                if not count:
+                    unsatisfied += 1
+                counts[c] = count
+        return unsatisfied
+
     def value(sol: BitVector) -> int:
+        provenance = sol._provenance
+        if provenance is not None:
+            parent = provenance[0]()
+            memo = None if parent is None else parent._memo
+            if memo is not None and memo[0] is value:
+                _, counts, unsatisfied = memo
+                if counts is None:  # the parent took the set-union path
+                    counts = clause_counts(parent.packed)
+                    object.__setattr__(parent, "_memo", (value, counts, unsatisfied))
+                counts = counts[:]
+                unsatisfied = flip(counts, unsatisfied, sol.packed, provenance[1])
+                object.__setattr__(sol, "_memo", (value, counts, unsatisfied))
+                return unsatisfied
         truth = sol.packed + sol.packed.translate(_NOT_BITS)
-        return num_clauses - len(set().union(*compress(satisfies, truth)))
+        unsatisfied = num_clauses - len(set().union(*compress(satisfies, truth)))
+        object.__setattr__(sol, "_memo", (value, None, unsatisfied))
+        return unsatisfied
 
     return problem_instance(
         "maxsat", f"maxsat_{num_vars}v_{num_clauses}c", "bits", num_vars, value, clauses=clauses

@@ -52,6 +52,20 @@ def _pair_from_json(obj):
     return solution_from_json(incumbent), solution_from_json(incoming)
 
 
+# A reply's value must be a JSON number and its flag a JSON boolean; no
+# other JSON type is read as one.
+def _number_from_json(obj) -> float:
+    if type(obj) not in (int, float):  # a bool is an int, but no JSON number
+        raise TypeError(f"value must be a number, not {obj!r}")
+    return float(obj)
+
+
+def _bool_from_json(obj) -> bool:
+    if type(obj) is not bool:
+        raise TypeError(f"flag must be a boolean, not {obj!r}")
+    return obj
+
+
 # The wire table. Each component method is named after the component kind
 # it calls and maps to its request field and its reply field, each given as
 # (name, to JSON, from JSON). A request's params are {"component",
@@ -61,8 +75,8 @@ _PAIR = ("solutions", lambda pair: [solution_to_json(s) for s in pair], _pair_fr
 _METHODS = {
     "perturb": (_SOLUTION, _SOLUTION),
     "accept": (_PAIR, _SOLUTION),
-    "evaluate": (_SOLUTION, ("value", float, float)),
-    "terminate": (_SOLUTION, ("flag", bool, bool)),
+    "evaluate": (_SOLUTION, ("value", float, _number_from_json)),
+    "terminate": (_SOLUTION, ("flag", bool, _bool_from_json)),
 }
 
 

@@ -25,9 +25,20 @@ them: the `BitVector`, `Permutation` and `RealVector` constructors, `.of`,
 `BitVector.from_string` and `solution_from_json`. An internal producer that
 can only yield a valid vector from a valid one (bitflip, one-point
 crossover, `sample_bits`, swap, two_opt, the Fisher-Yates
-`sample_permutation`) builds its result with `_unchecked`, which skips the
-check. Real vectors and order-1 crossover stay checked, as their outputs
-can be invalid (an overflow to inf, parents of unequal length).
+`sample_permutation`) builds its result with `_unchecked` (bitflip with
+`_flipped`, which also records the provenance), which skips the check.
+Real vectors and order-1 crossover stay checked, as their outputs can be
+invalid (an overflow to inf, parents of unequal length).
+
+A `BitVector` also has two attributes that are not dataclass fields, so
+`==`, `hash`, `repr`, `solution_to_json`, `serialize_solution`,
+`solution_digest` and pickling all ignore them. `_provenance`, the
+provenance slot, is `(weak reference to the parent, flipped indices)` on a
+child that `perturb_bitflip` built and None otherwise; a weak reference, so
+that a child keeps no chain of ancestors alive. `_memo` is what an
+evaluator keeps on a vector it scored, as `(owner, ...)`; MAX-SAT keeps its
+clause counts there and scores a bit-flip child from its parent's (see
+`problems.parse_dimacs_cnf`). Both start as None.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -48,6 +60,11 @@ class SolutionFormatError(Exception):
 
 _BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 _TEXT_TO_BITS = bytes(0 if c == ord("0") else 1 if c == ord("1") else 2 for c in range(256))
+# The containers the constructor converts in C first. Each has `count`, and
+# converts to one byte per item exactly when its items are ints in 0..255,
+# so all-0/1 bytes of its length are what the count test accepts. A dict or
+# set converts too, but has no `count`, so it is not here.
+_BYTE_SEQUENCES = (tuple, list, bytes, bytearray, array)
 
 
 @dataclass(frozen=True, init=False)
@@ -55,22 +72,28 @@ class BitVector:
     """A bit vector stored as `packed`, one 0 or 1 byte per bit."""
 
     packed: bytes
+    _provenance = None  # not fields; see the module docstring
+    _memo = None
 
     def __init__(self, bits):
+        if type(bits) in _BYTE_SEQUENCES:
+            try:
+                # ints and bools; bytearray reads a tuple 3x faster than bytes does
+                packed = bytes(bytearray(bits))
+            except (TypeError, ValueError):  # floats, negative or wider ints
+                packed = b""
+            if len(packed) == len(bits) and packed and not packed.translate(None, b"\x00\x01"):
+                object.__setattr__(self, "packed", packed)
+                return
         try:
             valid = len(bits) >= 1 and bits.count(0) + bits.count(1) == len(bits)
         except (AttributeError, TypeError):  # not a sequence of numbers
             valid = False
         if not valid:
             raise ValueError("bits must be a nonempty 0/1 sequence")
-        try:
-            # ints and bools; bytearray reads a tuple 3x faster than bytes does
-            packed = bytes(bytearray(bits))
-        except (TypeError, ValueError):  # floats (and other numbers) equal to 0 or 1
-            packed = b""
-        if len(packed) != len(bits):  # also a buffer of wider items, say array("d")
-            packed = bytes(1 if b == 1 else 0 for b in bits)
-        object.__setattr__(self, "packed", packed)
+        # floats and other numbers equal to 0 or 1, or a buffer of wider
+        # items, say array("d")
+        object.__setattr__(self, "packed", bytes(1 if b == 1 else 0 for b in bits))
 
     @classmethod
     def _unchecked(cls, packed: bytes) -> "BitVector":
@@ -78,6 +101,20 @@ class BitVector:
         new = object.__new__(cls)
         object.__setattr__(new, "packed", packed)
         return new
+
+    @classmethod
+    def _flipped(cls, parent: "BitVector", packed: bytes, flipped: Tuple[int, ...]) -> "BitVector":
+        """`parent` with the bits at `flipped` inverted, as `packed`, which
+        the caller built; records that provenance and is not checked."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "packed", packed)
+        object.__setattr__(new, "_provenance", (weakref.ref(parent), flipped))
+        return new
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the bits alone: a weak reference
+        # cannot be pickled, and a copy has no parent of its own
+        return type(self), (self.packed,)
 
     @property
     def bits(self) -> Tuple[int, ...]:

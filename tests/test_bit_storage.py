@@ -69,6 +69,33 @@ def test_rejects_what_the_tuple_constructor_rejected(bits):
         BitVector(bits)
 
 
+class Bits(tuple):
+    """A tuple subclass, which the constructor does not convert in C first."""
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        (1.0, 0.0), [0.0, 1.0, -0.0], (1 + 0j, 0j), (0.5, 1), (True, False, 1),
+        (0, 256), (256,), (1, -1), (-1,), [255, 0], (2**70,), (1, 2**70),
+        array("b", [0, 1, 1]), array("b", [-1, 0]), array("b", [0, 2]),
+        array("d", [0.0, 1.0]), array("d", [0.5]), array("d", [1.0]), array("d"),
+        array("h", [1, 0]), array("q", [1]), array("B", [1, 0, 1]), array("B", [0, 255]),
+        bytes([0, 1, 0]), bytearray([1, 1]), bytes([1, 2]), bytearray(b"\x00\xff"),
+        Bits((1, 0)), Bits((1, 2)), Bits(()), memoryview(b"\x00\x01"), {0: 1}, {0, 1},
+        [1, "1"], [None], (0, 1, 1.5),
+    ],
+    ids=repr,
+)
+def test_the_c_conversion_accepts_what_the_count_test_does(bits):
+    if not ref_accepts(bits):
+        with pytest.raises(ValueError):
+            BitVector(bits)
+        return
+    sol = BitVector(bits)
+    assert sol.packed == bytes(int(b == 1) for b in bits)
+
+
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
 def test_every_form_of_the_same_bits_is_one_vector(bits):
     forms = [

@@ -1,0 +1,184 @@
+"""MAX-SAT's incremental scoring of bit-flip children against the full path.
+
+`perturb_bitflip` records (parent, flipped indices) on the child it builds,
+and MAX-SAT scores such a child from its parent's clause counts. Either
+path must give the same integer as the plain clause loop, or replay would
+change; the provenance must stay invisible to equality, hashing and every
+serialization, and must keep no chain of ancestors alive.
+"""
+
+import copy
+import gc
+import pickle
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metafold.components import accept_improving, perturb_bitflip, terminate_iterations
+from metafold.env import env_new
+from metafold.frameworks import local_search
+from metafold.problems import onemax, parse_dimacs_cnf
+from metafold.solutions import (
+    BitVector,
+    serialize_solution,
+    solution_digest,
+    solution_from_json,
+    solution_to_json,
+)
+
+
+def ref_maxsat(clauses, bits):
+    unsat = 0
+    for clause in clauses:
+        for lit in clause:
+            bit = bits[abs(lit) - 1]
+            if (lit > 0 and bit) or (lit < 0 and not bit):
+                break
+        else:
+            unsat += 1
+    return unsat
+
+
+def cnf(n, clauses):
+    return parse_dimacs_cnf(
+        "\n".join([f"p cnf {n} {len(clauses)}"] + [" ".join(map(str, c + [0])) for c in clauses])
+    )
+
+
+def score(problem, sol):
+    value, _ = problem.evaluate(sol, env_new(0))
+    return value
+
+
+def full_path(problem, sol):
+    """The value of a vector equal to `sol` that has no provenance."""
+    return score(problem, BitVector(sol.packed))
+
+
+def took_the_delta(sol):
+    return sol._memo[1] is not None
+
+
+@st.composite
+def cnf_and_walk(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    var = st.integers(min_value=1, max_value=n)
+    literal = var.flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.one_of(
+        st.lists(literal, max_size=5),  # the empty clause included
+        literal.map(lambda lit: [lit, lit]),  # a repeated literal
+        var.map(lambda v: [v, -v]),  # a tautology
+        literal.map(lambda lit: [lit, -lit, lit]),
+    )
+    clauses = draw(st.lists(clause, max_size=30))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    # each step: k, keep the child, drop the parent before scoring the child
+    steps = draw(st.lists(
+        st.tuples(st.integers(1, n), st.booleans(), st.booleans()), min_size=1, max_size=40
+    ))
+    return n, clauses, bits, steps, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cnf_and_walk())
+def test_every_child_scores_as_the_full_path_and_the_clause_loop(case):
+    n, clauses, bits, steps, seed = case
+    problem = cnf(n, clauses)
+    env = env_new(seed)
+    current = BitVector(bits)
+    assert score(problem, current) == ref_maxsat(clauses, bits)
+    for k, keep, orphan in steps:
+        child, env = perturb_bitflip(k)(current, env)
+        if orphan:  # the parent is gone before the child is scored
+            current = None
+        value = score(problem, child)
+        assert value == full_path(problem, child) == ref_maxsat(clauses, child.bits)
+        if keep or orphan:
+            current = child
+
+
+def test_a_walk_of_single_flips_takes_the_delta_after_the_start():
+    problem = cnf(3, [[1, -2], [2, 3], [-1, -3], [1, 2, 3]])
+    env = env_new(4)
+    current = BitVector([0, 0, 0])
+    score(problem, current)
+    assert not took_the_delta(current)
+    for _ in range(20):
+        child, env = perturb_bitflip(1)(current, env)
+        assert score(problem, child) == ref_maxsat(problem.metadata["clauses"], child.bits)
+        assert took_the_delta(child)
+        current = child
+
+
+def test_two_problems_of_one_size_share_no_memo():
+    a = cnf(3, [[1], [2], [3]])
+    b = cnf(3, [[-1], [-2], [-3], [-1, -2]])
+    parent = BitVector([1, 0, 1])
+    env = env_new(5)
+    warm, env = perturb_bitflip(1)(parent, env)  # gives `parent` clause counts for `a`
+    score(a, parent), score(a, warm)
+    child, env = perturb_bitflip(2)(parent, env)
+    assert score(b, child) == ref_maxsat(b.metadata["clauses"], child.bits)
+    assert not took_the_delta(child)  # the parent's memo is a's
+    assert score(a, child) == ref_maxsat(a.metadata["clauses"], child.bits)
+    assert took_the_delta(child)
+    score(b, parent)  # the parent's memo is b's now
+    other, env = perturb_bitflip(1)(parent, env)
+    assert score(a, other) == ref_maxsat(a.metadata["clauses"], other.bits)
+    assert not took_the_delta(other)
+
+
+def test_a_child_of_an_unscored_parent_takes_the_full_path():
+    problem = cnf(4, [[1, 2], [-3], [4, -1]])
+    child, _ = perturb_bitflip(2)(BitVector([1, 1, 0, 0]), env_new(6))
+    assert score(problem, child) == ref_maxsat(problem.metadata["clauses"], child.bits)
+    assert not took_the_delta(child)
+
+
+def test_a_decoded_child_takes_the_full_path():
+    problem = cnf(4, [[1, 2], [-3], [4, -1]])
+    parent = BitVector([1, 1, 0, 0])
+    env = env_new(7)
+    warm, env = perturb_bitflip(1)(parent, env)
+    score(problem, parent), score(problem, warm)
+    child, _ = perturb_bitflip(1)(parent, env)
+    decoded = solution_from_json(solution_to_json(child))
+    assert decoded._provenance is None
+    assert score(problem, decoded) == score(problem, child)
+    assert not took_the_delta(decoded) and took_the_delta(child)
+
+
+def test_provenance_and_memo_are_invisible():
+    problem = cnf(5, [[1, -2], [3], [-4, 5]])
+    parent = BitVector([1, 0, 1, 0, 1])
+    score(problem, parent)
+    child, _ = perturb_bitflip(2)(parent, env_new(8))
+    score(problem, child)
+    plain = BitVector(child.packed)
+    assert child._provenance is not None and plain._provenance is None
+    assert child == plain and hash(child) == hash(plain) and repr(child) == repr(plain)
+    assert solution_to_json(child) == solution_to_json(plain)
+    assert serialize_solution(child) == serialize_solution(plain)
+    assert solution_digest(child) == solution_digest(plain)
+    for copied in (pickle.loads(pickle.dumps(child)), copy.copy(child), copy.deepcopy(child)):
+        assert copied == child
+        assert copied._provenance is None and copied._memo is None
+
+
+def live_bitvectors():
+    gc.collect()
+    return sum(isinstance(o, BitVector) for o in gc.get_objects())
+
+
+def test_a_long_search_keeps_no_chain_of_ancestors():
+    sat = cnf(30, [[v, -(v % 30 + 1), (v * 7) % 30 + 1] for v in range(1, 31)])
+    for problem, steps in ((onemax(256), 20_000), (sat, 5_000)):
+        before = live_bitvectors()
+        start, env = problem.sample_initial(env_new(9))
+        result = local_search(
+            start, problem.evaluate, perturb_bitflip(1), accept_improving(),
+            terminate_iterations(steps), env,
+        )
+        assert len(result.trace) == steps
+        # the start, the best and the final incumbent, give or take a few
+        assert live_bitvectors() - before <= 8

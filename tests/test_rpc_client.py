@@ -15,7 +15,9 @@ from metafold.rpc import (
     ERR_COMPONENT_FAILURE,
     RemoteProtocolError,
     handle_rpc,
+    remote_evaluate,
     remote_perturb,
+    remote_terminate,
 )
 from metafold.solutions import BitVector, solution_to_json
 
@@ -133,3 +135,53 @@ def test_an_unreadable_describe_reply_is_a_protocol_error(stub, data):
     finally:
         stub.replies = {}
     assert caught.value.code == ERR_BAD_REPLY
+
+
+# The default registry has no evaluate component, so the stub describes one.
+ONEMAX = {"name": "onemax", "kind": "evaluate", "params": [], "requires": [], "provides": []}
+
+
+@pytest.mark.parametrize(
+    "method, field, wrong",
+    [
+        ("terminate", "flag", "no"),
+        ("terminate", "flag", 1),
+        ("evaluate", "value", "1e3"),
+        ("evaluate", "value", True),
+    ],
+)
+def test_a_reply_field_of_the_wrong_json_type_is_a_protocol_error(stub, method, field, wrong):
+    stub.replies = {method: reply(result={"env": env_new(3).to_json(), field: wrong})}
+    if method == "evaluate":
+        stub.replies["describe"] = reply(result={"components": [ONEMAX]})
+    try:
+        proxy = (remote_evaluate(stub.endpoint, "onemax") if method == "evaluate"
+                 else remote_terminate(stub.endpoint, "max_iterations"))
+        with pytest.raises(RemoteProtocolError) as caught:
+            proxy(SOLUTION, env_new(3))
+    finally:
+        stub.replies = {}
+    assert caught.value.code == ERR_BAD_REPLY
+
+
+@pytest.mark.parametrize("value", [1000, 2.5, 0])
+def test_an_int_or_float_value_is_read_as_a_float(stub, value):
+    stub.replies = {
+        "describe": reply(result={"components": [ONEMAX]}),
+        "evaluate": reply(result={"env": env_new(3).to_json(), "value": value}),
+    }
+    try:
+        out, env = remote_evaluate(stub.endpoint, "onemax")(SOLUTION, env_new(3))
+    finally:
+        stub.replies = {}
+    assert type(out) is float and out == value and env == env_new(3)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_boolean_flag_is_read_as_itself(stub, flag):
+    stub.replies = {"terminate": reply(result={"env": env_new(3).to_json(), "flag": flag})}
+    try:
+        out, _ = remote_terminate(stub.endpoint, "max_iterations")(SOLUTION, env_new(3))
+    finally:
+        stub.replies = {}
+    assert out is flag
