@@ -204,7 +204,8 @@ def perturb_swap() -> Component:
 
 
 def perturb_two_opt() -> Component:
-    """Reverse the segment between two distinct cut points i < j (inclusive)."""
+    """Reverse the segment between two distinct cut points i < j (inclusive).
+    The child records its parent and i, j as its provenance (see `solutions`)."""
 
     def step(sol, env):
         if not isinstance(sol, Permutation):
@@ -218,9 +219,8 @@ def perturb_two_opt() -> Component:
             j += 1
         if i > j:
             i, j = j, i
-        order = list(sol.order)
-        order[i : j + 1] = reversed(order[i : j + 1])
-        return Permutation._unchecked(tuple(order)), env
+        o = sol.order
+        return Permutation._reversed(sol, o[:i] + o[i : j + 1][::-1] + o[j + 1 :], i, j), env
 
     return Component(ComponentDescriptor("two_opt", "perturb"), step)
 

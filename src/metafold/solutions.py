@@ -8,8 +8,11 @@ the RPC tier and tabu digests. A solution travels as
 - ``bits``: ``v`` is a string of ``0``/``1`` characters, one per bit
   (``{"t": "bits", "v": "0110"}``); any other payload, a list of numbers
   included, is a `SolutionFormatError`.
-- ``perm``: ``v`` is a list of the integers ``0..n-1`` in tour order.
-- ``real``: ``v`` is a list of finite numbers.
+- ``perm``: ``v`` is a list of the integers ``0..n-1`` in tour order,
+  each a JSON integer: ``[0.7, 1]``, ``["1", "0"]`` and ``[true, false]``
+  are a `SolutionFormatError`, not read as ``(0, 1)`` or ``(1, 0)``.
+- ``real``: ``v`` is a list of finite JSON numbers (not booleans, not
+  strings such as ``"1.5"``).
 
 A `BitVector` stores its bits in one `bytes` object, `packed`, one 0 or 1
 byte per bit. The constructor takes a tuple, list, `bytes` or `bytearray`
@@ -20,25 +23,36 @@ alike, and serialize and parse back to an equal vector. `.bits` builds a
 new tuple of ints on each access; it is there for callers outside the
 package, and no internal hot path reads it.
 
+A `Permutation` stores its order as a tuple of ints and a `RealVector` its
+coordinates as a tuple of floats, whatever iterable of numbers the
+constructor was given, so `Permutation([1, 0])`, `Permutation(range(2))`
+and `Permutation((1.0, 0.0))` are equal, hash alike, and serialize and
+digest alike, as do `RealVector((1, 2))` and `RealVector((1.0, 2.0))`.
+
 Checks sit at the boundaries. Every path that takes outside values checks
 them: the `BitVector`, `Permutation` and `RealVector` constructors, `.of`,
 `BitVector.from_string` and `solution_from_json`. An internal producer that
 can only yield a valid vector from a valid one (bitflip, one-point
 crossover, `sample_bits`, swap, two_opt, the Fisher-Yates
 `sample_permutation`) builds its result with `_unchecked` (bitflip with
-`_flipped`, which also records the provenance), which skips the check.
+`_flipped` and two_opt with `_reversed`, which also record the
+provenance), which skips the check.
 Real vectors and order-1 crossover stay checked, as their outputs can be
 invalid (an overflow to inf, parents of unequal length).
 
-A `BitVector` also has two attributes that are not dataclass fields, so
-`==`, `hash`, `repr`, `solution_to_json`, `serialize_solution`,
-`solution_digest` and pickling all ignore them. `_provenance`, the
-provenance slot, is `(weak reference to the parent, flipped indices)` on a
-child that `perturb_bitflip` built and None otherwise; a weak reference, so
-that a child keeps no chain of ancestors alive. `_memo` is what an
-evaluator keeps on a vector it scored, as `(owner, ...)`; MAX-SAT keeps its
-clause counts there and scores a bit-flip child from its parent's (see
-`problems.parse_dimacs_cnf`). Both start as None.
+A `BitVector` and a `Permutation` also have two attributes that are not
+dataclass fields, so `==`, `hash`, `repr`, `solution_to_json`,
+`serialize_solution`, `solution_digest` and pickling all ignore them.
+`_provenance`, the provenance slot, is `(weak reference to the parent,
+flipped indices)` on a child that `perturb_bitflip` built, `(weak
+reference to the parent, i, j)` on a child that `perturb_two_opt` built by
+reversing the parent's segment i..j, and None otherwise; a weak reference,
+so that a child keeps no chain of ancestors alive. `_memo` is what an
+evaluator keeps on a solution it scored, as `(owner, ...)`. MAX-SAT keeps
+its clause counts there and scores a bit-flip child from its parent's (see
+`problems.parse_dimacs_cnf`); the TSP route keeps the tour length there
+and scores a 2-opt child from its parent's (see
+`whitebox.rewrite_to_tsp`). Both start as None.
 """
 
 from __future__ import annotations
@@ -138,20 +152,42 @@ class BitVector:
         return len(self.packed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Permutation:
-    order: Tuple[int, ...]
+    """A tour, `order`, of the integers 0..n-1, stored as a tuple of ints."""
 
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
+    order: Tuple[int, ...]
+    _provenance = None  # not fields; see the module docstring
+    _memo = None
+
+    def __init__(self, order):
+        order = tuple(order)
+        if sorted(order) != list(range(len(order))):
             raise ValueError("not a permutation of 0..n-1")
+        if not set(map(type, order)) <= {int}:
+            order = tuple(map(int, order))  # numbers equal to 0..n-1, say 1.0 or True
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def _unchecked(cls, order: Tuple[int, ...]) -> "Permutation":
         """A permutation an internal producer built from valid input; not checked."""
         new = object.__new__(cls)
-        object.__setattr__(new, "order", order)
+        new.__dict__["order"] = order  # what object.__setattr__ does, in a third of the time
         return new
+
+    @classmethod
+    def _reversed(cls, parent: "Permutation", order: Tuple[int, ...], i: int, j: int) -> "Permutation":
+        """`parent` with its segment i..j (inclusive) reversed, as `order`,
+        which the caller built; records that provenance and is not checked."""
+        new = object.__new__(cls)
+        fields = new.__dict__
+        fields["order"] = order
+        fields["_provenance"] = (weakref.ref(parent), i, j)
+        return new
+
+    def __reduce__(self):
+        # as for BitVector: rebuild from the order alone
+        return type(self), (self.order,)
 
     @staticmethod
     def of(order) -> "Permutation":
@@ -161,13 +197,21 @@ class Permutation:
         return len(self.order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RealVector:
+    """A point, `coords`, stored as a tuple of finite floats."""
+
     coords: Tuple[float, ...]
 
-    def __post_init__(self):
-        if any(not math.isfinite(c) for c in self.coords):
+    def __init__(self, coords):
+        coords = tuple(coords)
+        try:
+            finite = all(map(math.isfinite, coords))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ValueError("coordinates must be finite")
+        object.__setattr__(self, "coords", tuple(map(float, coords)))
 
     @staticmethod
     def of(coords) -> "RealVector":
@@ -203,6 +247,14 @@ def serialize_solution(sol: Solution) -> str:
     return json.dumps(solution_to_json(sol), sort_keys=True, separators=(",", ":"))
 
 
+def _json_list(payload, types, tag: str, what: str) -> list:
+    """`payload` if it is a list of items whose types are all in `types`
+    (a bool is not an int here); raises SolutionFormatError otherwise."""
+    if type(payload) is not list or not set(map(type, payload)) <= types:
+        raise SolutionFormatError(f"{tag} payload must be a list of JSON {what}")
+    return payload
+
+
 def solution_from_json(obj: dict) -> Solution:
     try:
         tag, payload = obj["t"], obj["v"]
@@ -216,9 +268,9 @@ def solution_from_json(obj: dict) -> Solution:
                 )
             return BitVector.from_string(payload)
         if tag == "perm":
-            return Permutation.of(payload)
+            return Permutation(_json_list(payload, {int}, "perm", "integers"))
         if tag == "real":
-            return RealVector.of(payload)
+            return RealVector(_json_list(payload, {int, float}, "real", "numbers"))
     except (ValueError, TypeError) as exc:
         raise SolutionFormatError(str(exc)) from exc
     raise SolutionFormatError(f"unknown representation tag: {tag!r}")

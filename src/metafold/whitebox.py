@@ -12,6 +12,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter, mul
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
@@ -19,6 +20,7 @@ from .components import accept_improving, perturb_two_opt, terminate_evaluations
 from .env import Environment, rng_below
 from .frameworks import FRAMEWORKS
 from .problems import ProblemInstance, problem_instance
+from .solutions import Permutation
 
 
 class ModelError(Exception):
@@ -94,13 +96,23 @@ def _int64(x) -> bool:
     return type(x) is int and -_INT64 <= x < _INT64  # a bool is not an int here
 
 
-def _integer_rows(rows, width: int, path: str) -> Tuple[Tuple[int, ...], ...]:
-    """`rows`, a list of lists of `width` 64-bit integers, as tuples;
-    raises ModelError naming the first row that is not one."""
-    for j, row in enumerate(_shaped(rows, list, path)):
-        if not isinstance(row, list) or len(row) != width or not all(map(_int64, row)):
+def _integer_rows(rows, width: int, path: str) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """`rows`, a list of lists of `width` 64-bit integers, as tuples, and
+    the least of their entries (0 if there are none); raises ModelError
+    naming the first row that is not one."""
+    rows = _shaped(rows, list, path)
+    # The checks run at C level over all rows at once; the row loop below
+    # runs only to name the first bad row.
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) <= {int}:  # a bool is not an int here
+            low = min(flat, default=0)
+            if -_INT64 <= low and max(flat, default=0) < _INT64:
+                return tuple(map(tuple, rows)), low
+    for j, row in enumerate(rows):
+        if type(row) is not list or len(row) != width or not all(map(_int64, row)):
             raise ModelError(f"{path}[{j}] must be a list of {width} 64-bit integers")
-    return tuple(map(tuple, rows))
+    raise AssertionError("the row loop names every row the checks above refuse")
 
 
 def parse_model(text: str) -> ModelDescription:
@@ -140,7 +152,7 @@ def parse_model(text: str) -> ModelDescription:
         if ctype == "all_different":
             constraints.append(Constraint("all_different", vs))
         elif ctype == "table":
-            rows = _integer_rows(_expect(con, "tuples", path), len(vs), f"{path}.tuples")
+            rows, _ = _integer_rows(_expect(con, "tuples", path), len(vs), f"{path}.tuples")
             constraints.append(Constraint("table", vs, rows))
         else:
             raise ModelError(f"unknown constraint type {ctype!r} at {path}")
@@ -153,10 +165,10 @@ def parse_model(text: str) -> ModelDescription:
         vs = read_vars(raw_obj, path)
         n = len(vs)
         if otype == "circuit_sum":
-            weights = _integer_rows(_expect(raw_obj, "weights", path), n, f"{path}.weights")
+            weights, lowest = _integer_rows(_expect(raw_obj, "weights", path), n, f"{path}.weights")
             if len(weights) != n:
                 raise ModelError(f"weight matrix must be {n}x{n} at {path}.weights")
-            if any(w < 0 for row in weights for w in row):
+            if lowest < 0:
                 raise ModelError(f"negative weight at {path}.weights")
             objective = Objective("circuit_sum", vs, weights)
         elif otype == "linear_sum":
@@ -265,12 +277,41 @@ def circuit_sum(weights, order) -> int:
 
 
 def rewrite_to_tsp(match: TspMatch) -> ProblemInstance:
-    """Permutation problem whose objective is the circuit sum over W."""
-    W = match.weights
-    return problem_instance(
-        "circuit_sum", f"rewritten_tsp_{match.n}", "perm", match.n,
-        lambda s: circuit_sum(W, s.order),
-    )
+    """Permutation problem whose objective is the circuit sum over W.
+
+    A scored tour's `_memo` is `(W, length)`, keyed to this problem by its
+    weight matrix W, which is all the length depends on. A child that
+    `perturb_two_opt` built from such a parent, by reversing the parent's
+    segment i..j, is scored from the parent's length: only the edges at
+    the two cuts change, in O(1), and when W is asymmetric the segment's
+    own edges change direction too, in O(j - i). A whole-tour reversal
+    keeps the length of a symmetric W. Any other tour takes `circuit_sum`.
+    Both give the same integer.
+    """
+    W, n = match.weights, match.n
+    symmetric = all(row == column for row, column in zip(W, zip(*W)))
+
+    def value(sol: Permutation) -> int:
+        provenance = sol._provenance
+        if provenance is not None:
+            ref, i, j = provenance
+            parent = ref()
+            memo = None if parent is None else parent._memo
+            if memo is not None and memo[0] is W and (symmetric or j - i < n - 1):
+                length, po = memo[1], parent.order
+                if j - i < n - 1:  # else the whole tour is reversed, and W symmetric
+                    a, b, c, d = po[i - 1], po[i], po[j], po[(j + 1) % n]
+                    length += W[a][c] + W[b][d] - W[a][b] - W[c][d]
+                    if not symmetric:  # the segment now runs the other way
+                        segment = po[i : j + 1]
+                        length += sum(W[y][x] - W[x][y] for x, y in zip(segment, segment[1:]))
+                sol.__dict__["_memo"] = (W, length)
+                return length
+        length = circuit_sum(W, sol.order)
+        sol.__dict__["_memo"] = (W, length)
+        return length
+
+    return problem_instance("circuit_sum", f"rewritten_tsp_{n}", "perm", n, value)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,26 @@ def test_an_entry_key_with_a_line_break_is_invalid_params(key):
     assert "invalid env key token" in response["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "component, solution",
+    [
+        ("two_opt", {"t": "perm", "v": [0.7, 1, 2]}),
+        ("two_opt", {"t": "perm", "v": ["1", "0", "2"]}),
+        ("swap", {"t": "perm", "v": [True, False, 2]}),
+        ("gaussian", {"t": "real", "v": ["1.5"]}),
+        ("gaussian", {"t": "real", "v": [True, 0.5]}),
+    ],
+)
+def test_a_mistyped_perm_or_real_payload_is_invalid_params(component, solution):
+    response = handle_rpc(REGISTRY, json.dumps({
+        "jsonrpc": "2.0", "id": 7, "method": "perturb",
+        "params": {"component": component, "env": env_new(1).to_json(), "solution": solution},
+    }).encode())
+    assert_well_formed(response)
+    assert response["error"]["code"] == ERR_INVALID_PARAMS
+    assert f"{solution['t']} payload must be a list of JSON" in response["error"]["message"]
+
+
 def raw_post(endpoint, head: bytes, body: bytes = b"", timeout: float = 5.0) -> dict:
     """Send one hand-written HTTP request and return the JSON body of the
     reply; fails if none arrives within `timeout` seconds."""

@@ -97,6 +97,9 @@ UNREADABLE = {
     "result without solution": result_without("solution"),
     "result is a list": reply(result=[1]),
     "env is a number": reply(result={"env": 3, "solution": solution_to_json(SOLUTION)}),
+    "perm of floats": reply(result={"env": EXPECTED[1].to_json(), "solution": {"t": "perm", "v": [0.7, 1]}}),
+    "perm of booleans": reply(result={"env": EXPECTED[1].to_json(), "solution": {"t": "perm", "v": [True, False]}}),
+    "real of strings": reply(result={"env": EXPECTED[1].to_json(), "solution": {"t": "real", "v": ["1.5"]}}),
 }
 
 

@@ -113,3 +113,81 @@ def test_list_built_bitvector_is_hashable_and_equal_to_the_parsed_one():
     assert built == parsed and hash(built) == hash(parsed)
     assert len({built, parsed}) == 1
     assert solution_from_json(solution_to_json(built)) == built
+
+
+MISTYPED = [
+    ("perm", [0.7, 1]),  # read as (0, 1) by truncation
+    ("perm", [1.0, 0]),
+    ("perm", ["1", "0"]),
+    ("perm", [True, False]),  # read as (1, 0)
+    ("perm", [0, None]),
+    ("perm", "01"),
+    ("perm", {"0": 1}),
+    ("perm", 3),
+    ("real", ["1.5"]),
+    ("real", [True, 0.5]),  # read as (1.0, 0.5)
+    ("real", [None]),
+    ("real", [[1.0]]),
+    ("real", "1.5"),
+    ("real", 1.5),
+]
+
+
+@pytest.mark.parametrize("tag, payload", MISTYPED)
+def test_perm_and_real_payloads_must_hold_json_integers_and_numbers(tag, payload):
+    with pytest.raises(SolutionFormatError, match=f"^{tag} payload must be a list of JSON"):
+        solution_from_json({"t": tag, "v": payload})
+
+
+def stored(sol):
+    return sol.order if isinstance(sol, Permutation) else sol.coords
+
+
+@pytest.mark.parametrize(
+    "obj, expected",
+    [
+        ({"t": "perm", "v": [2, 0, 1]}, Permutation((2, 0, 1))),
+        ({"t": "perm", "v": []}, Permutation(())),
+        ({"t": "real", "v": [1, -2.5, 0]}, RealVector((1.0, -2.5, 0.0))),
+    ],
+)
+def test_well_typed_perm_and_real_payloads_are_read(obj, expected):
+    sol = solution_from_json(obj)
+    assert sol == expected
+    assert type(stored(sol)) is tuple
+
+
+@pytest.mark.parametrize("payload", [[1e400], [10**400], [float("nan")]])
+def test_a_real_payload_no_float_holds_is_a_format_error(payload):
+    with pytest.raises(SolutionFormatError):
+        solution_from_json({"t": "real", "v": payload})
+
+
+@pytest.mark.parametrize(
+    "built, plain",
+    [
+        (Permutation([1, 0, 2]), Permutation((1, 0, 2))),
+        (Permutation(range(3)), Permutation((0, 1, 2))),
+        (Permutation((True, False)), Permutation((1, 0))),
+        (Permutation([1.0, 0.0]), Permutation((1, 0))),
+        (RealVector((1, 2)), RealVector.of((1, 2))),
+        (RealVector([True, 0.5]), RealVector((1.0, 0.5))),
+    ],
+)
+def test_equal_solutions_hash_serialize_and_digest_alike(built, plain):
+    assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+    assert serialize_solution(built) == serialize_solution(plain)
+    assert solution_digest(built) == solution_digest(plain)
+    assert type(stored(built)) is tuple
+    assert {type(x) for x in stored(built)} <= ({int} if isinstance(built, Permutation) else {float})
+
+
+@pytest.mark.parametrize("coords", [("1.5",), (None,), ([1.0],)])
+def test_realvector_refuses_what_is_not_a_number(coords):
+    with pytest.raises((TypeError, ValueError)):
+        RealVector(coords)
+
+
+def test_realvector_refuses_an_int_no_float_holds():
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        RealVector((10**400,))

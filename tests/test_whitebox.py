@@ -71,6 +71,56 @@ class TestParseModel:
         with pytest.raises(ModelError, match="tuples"):
             parse_model(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ("[[0, 1], [1, 0]]", "$.objective.weights must be a list"),
+            ([[0, 1], "10"], "$.objective.weights[1] must be a list of 2 64-bit integers"),
+            ([[0, 1], [1]], "$.objective.weights[1] must be a list of 2 64-bit integers"),
+            ([[0, 1, 2], [1, 0]], "$.objective.weights[0] must be a list of 2 64-bit integers"),
+            ([[0, True], [1, 0]], "$.objective.weights[0] must be a list of 2 64-bit integers"),
+            ([[0, 1], [1.0, 0]], "$.objective.weights[1] must be a list of 2 64-bit integers"),
+            ([[0, 1], [2**63, 0]], "$.objective.weights[1] must be a list of 2 64-bit integers"),
+            ([[0, 1], [0, -(2**63) - 1]], "$.objective.weights[1] must be a list of 2 64-bit integers"),
+            ([[0, None], [{}, 0]], "$.objective.weights[0] must be a list of 2 64-bit integers"),
+            ([[0, 1]], "weight matrix must be 2x2 at $.objective.weights"),
+            ([[0, 1], [1, 0], [0, 0]], "weight matrix must be 2x2 at $.objective.weights"),
+            ([[0, 2**63 - 1], [-1, 0]], "negative weight at $.objective.weights"),
+            ([[0, 1], [-(2**63), 0]], "negative weight at $.objective.weights"),
+        ],
+    )
+    def test_a_bad_weight_matrix_is_named_as_before(self, weights, message):
+        doc = tsp_doc(2, [[0, 1], [1, 0]])
+        doc["objective"]["weights"] = weights
+        with pytest.raises(ModelError) as caught:
+            parse_model(json.dumps(doc))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "tuples, message",
+        [
+            ([[1, 2], [3]], "$.constraints[1].tuples[1] must be a list of 2 64-bit integers"),
+            ([[1, 2], [3, False]], "$.constraints[1].tuples[1] must be a list of 2 64-bit integers"),
+            ([[1, "2"], [3, 4]], "$.constraints[1].tuples[0] must be a list of 2 64-bit integers"),
+            ([[1, 2], 5], "$.constraints[1].tuples[1] must be a list of 2 64-bit integers"),
+            ({"a": 1}, "$.constraints[1].tuples must be a list"),
+        ],
+    )
+    def test_a_bad_table_is_named_as_before(self, tuples, message):
+        doc = tsp_doc(4, W4)
+        doc["constraints"].append({"type": "table", "vars": ["x0", "x1"], "tuples": tuples})
+        with pytest.raises(ModelError) as caught:
+            parse_model(json.dumps(doc))
+        assert str(caught.value) == message
+
+    def test_extreme_and_empty_rows_parse(self):
+        doc = tsp_doc(2, [[0, 2**63 - 1], [0, 0]])
+        doc["constraints"].append({"type": "table", "vars": ["x0", "x1"], "tuples": [[-(2**63), 2**63 - 1]]})
+        doc["constraints"].append({"type": "table", "vars": ["x0", "x1"], "tuples": []})
+        model = parse_model(json.dumps(doc))
+        assert model.objective.weights == ((0, 2**63 - 1), (0, 0))
+        assert [c.tuples for c in model.constraints[1:]] == [((-(2**63), 2**63 - 1),), ()]
+
     def test_parse_serialize_identity(self):
         m = tsp_model()
         assert parse_model(serialize_model(m)) == m
