@@ -249,6 +249,8 @@ def cmd_compare(args) -> int:
         try:
             value = float(row["best_value"])
         except (TypeError, ValueError):  # None when the row is short
+            value = math.nan
+        if math.isnan(value):  # a nan does not order, so no rank test can use it
             print(
                 f"error: {args.results} row {number}: best_value "
                 f"{row['best_value']!r} is not a number",

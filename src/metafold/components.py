@@ -28,6 +28,7 @@ from .solutions import (
     BitVector,
     Permutation,
     RealVector,
+    _child,
     solution_digest,
 )
 
@@ -156,8 +157,8 @@ def _require(env: Environment, key: EnvKey, tag: str, who: str):
 
 
 def perturb_bitflip(k: int = 1) -> Component:
-    """Flip k distinct uniformly chosen bits. The child records its parent
-    and the flipped indices as its provenance (see `solutions`)."""
+    """Flip k distinct uniformly chosen bits. A scored parent's child carries
+    its memo and the flipped indices (see `solutions`)."""
     desc = ComponentDescriptor(
         name="bitflip",
         kind="perturb",
@@ -178,7 +179,7 @@ def perturb_bitflip(k: int = 1) -> Component:
         bits = bytearray(sol.packed)
         for i in chosen:
             bits[i] ^= 1
-        return BitVector._flipped(sol, bytes(bits), tuple(chosen)), env
+        return _child(sol, bytes(bits), tuple(chosen)), env
 
     return Component(desc, step)
 
@@ -205,7 +206,7 @@ def perturb_swap() -> Component:
 
 def perturb_two_opt() -> Component:
     """Reverse the segment between two distinct cut points i < j (inclusive).
-    The child records its parent and i, j as its provenance (see `solutions`)."""
+    A scored parent's child carries its memo and (i, j) (see `solutions`)."""
 
     def step(sol, env):
         if not isinstance(sol, Permutation):
@@ -220,7 +221,7 @@ def perturb_two_opt() -> Component:
         if i > j:
             i, j = j, i
         o = sol.order
-        return Permutation._reversed(sol, o[:i] + o[i : j + 1][::-1] + o[j + 1 :], i, j), env
+        return _child(sol, o[:i] + o[i : j + 1][::-1] + o[j + 1 :], (i, j)), env
 
     return Component(ComponentDescriptor("two_opt", "perturb"), step)
 

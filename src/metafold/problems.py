@@ -299,12 +299,12 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
             occurrences[lit - 1 if lit > 0 else num_vars - lit - 1].append(c)
     satisfies = tuple(map(tuple, occurrences))
 
-    # A scored solution's `_memo` is `(value, counts, unsatisfied)`, keyed
-    # to this problem by its `value` function: counts[c] is the number of
-    # true literals in clause c, or None until a child of the solution is
-    # scored. A child that `perturb_bitflip` built from such a parent copies
-    # the counts and updates only the clauses of the flipped variables; any
-    # other solution takes the set-union path. Both give the same integer.
+    # A scored solution's `_memo` is `(satisfies, unsatisfied, counts)`,
+    # keyed to this problem by its `satisfies` tuple; counts[c] is the number
+    # of true literals in clause c, or None on the set-union path. A bit-flip
+    # child carrying such a memo copies the counts and updates the clauses of
+    # its flipped variables, or counts its own if there are none; any other
+    # solution takes the set-union path. All give the same integer.
     def clause_counts(packed: bytes) -> array:
         counts = [0] * num_clauses
         for clauses_of in compress(satisfies, packed + packed.translate(_NOT_BITS)):
@@ -335,20 +335,19 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
     def value(sol: BitVector) -> int:
         provenance = sol._provenance
         if provenance is not None:
-            parent = provenance[0]()
-            memo = None if parent is None else parent._memo
-            if memo is not None and memo[0] is value:
-                _, counts, unsatisfied = memo
+            (owner, unsatisfied, counts), flipped = provenance
+            if owner is satisfies:
                 if counts is None:  # the parent took the set-union path
-                    counts = clause_counts(parent.packed)
-                    object.__setattr__(parent, "_memo", (value, counts, unsatisfied))
-                counts = counts[:]
-                unsatisfied = flip(counts, unsatisfied, sol.packed, provenance[1])
-                object.__setattr__(sol, "_memo", (value, counts, unsatisfied))
+                    counts = clause_counts(sol.packed)
+                    unsatisfied = counts.count(0)
+                else:
+                    counts = counts[:]
+                    unsatisfied = flip(counts, unsatisfied, sol.packed, flipped)
+                sol.__dict__["_memo"] = (satisfies, unsatisfied, counts)
                 return unsatisfied
         truth = sol.packed + sol.packed.translate(_NOT_BITS)
         unsatisfied = num_clauses - len(set().union(*compress(satisfies, truth)))
-        object.__setattr__(sol, "_memo", (value, None, unsatisfied))
+        sol.__dict__["_memo"] = (satisfies, unsatisfied, None)
         return unsatisfied
 
     return problem_instance(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import threading
 import time
 import urllib.error
@@ -45,6 +46,16 @@ REQUEST_TIMEOUT_S = 10.0
 # many seconds apart, before it raises RemoteUnavailableError.
 RETRIES = 2
 BACKOFF_S = 0.1
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+# NaN and ±Infinity are no JSON (RFC 8259), so a body holding one is a parse
+# error. One decoder for all requests (json.loads builds one per hooked call),
+# given the body decoded as json.loads decodes bytes.
+_DECODER = json.JSONDecoder(parse_constant=_not_json)
 
 
 def _pair_from_json(obj):
@@ -101,14 +112,15 @@ def _result(req_id, payload):
 def handle_rpc(registry: Registry, body: bytes) -> dict:
     """Pure request handler: one JSON-RPC request in, one response out."""
     try:
-        request = json.loads(body)
+        request = _DECODER.decode(body.decode(json.detect_encoding(body), "surrogatepass"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         return _error(None, ERR_PARSE, f"parse error: {exc}")
     if not isinstance(request, dict):
         return _error(None, ERR_INVALID_REQUEST, "request must be a JSON object")
     req_id = request.get("id")
-    if not isinstance(req_id, (str, int, float, type(None))):
-        return _error(None, ERR_INVALID_REQUEST, "id must be a string, a number or null")
+    # a bool is no JSON number; 1e999 reads as inf, which no JSON reply can carry
+    if not (type(req_id) in (str, int, type(None)) or type(req_id) is float and math.isfinite(req_id)):
+        return _error(None, ERR_INVALID_REQUEST, "id must be a string, a finite number or null")
     if request.get("jsonrpc") != "2.0" or "method" not in request:
         return _error(req_id, ERR_INVALID_REQUEST, "not a JSON-RPC 2.0 request")
     method = request["method"]

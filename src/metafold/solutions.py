@@ -34,25 +34,24 @@ them: the `BitVector`, `Permutation` and `RealVector` constructors, `.of`,
 `BitVector.from_string` and `solution_from_json`. An internal producer that
 can only yield a valid vector from a valid one (bitflip, one-point
 crossover, `sample_bits`, swap, two_opt, the Fisher-Yates
-`sample_permutation`) builds its result with `_unchecked` (bitflip with
-`_flipped` and two_opt with `_reversed`, which also record the
-provenance), which skips the check.
+`sample_permutation`) builds its result with `_unchecked`, which skips the
+check; bitflip and two_opt build theirs with `_child`, which also records
+the provenance.
 Real vectors and order-1 crossover stay checked, as their outputs can be
 invalid (an overflow to inf, parents of unequal length).
 
 A `BitVector` and a `Permutation` also have two attributes that are not
 dataclass fields, so `==`, `hash`, `repr`, `solution_to_json`,
 `serialize_solution`, `solution_digest` and pickling all ignore them.
-`_provenance`, the provenance slot, is `(weak reference to the parent,
-flipped indices)` on a child that `perturb_bitflip` built, `(weak
-reference to the parent, i, j)` on a child that `perturb_two_opt` built by
-reversing the parent's segment i..j, and None otherwise; a weak reference,
-so that a child keeps no chain of ancestors alive. `_memo` is what an
-evaluator keeps on a solution it scored, as `(owner, ...)`. MAX-SAT keeps
-its clause counts there and scores a bit-flip child from its parent's (see
-`problems.parse_dimacs_cnf`); the TSP route keeps the tour length there
-and scores a 2-opt child from its parent's (see
-`whitebox.rewrite_to_tsp`). Both start as None.
+`_memo` is what an evaluator keeps on a solution it scored, a plain tuple
+whose first item names the problem that wrote it: MAX-SAT's clause counts
+(see `problems.parse_dimacs_cnf`) or the TSP route's tour length (see
+`whitebox.rewrite_to_tsp`). `_provenance` is `(the parent's memo, move)`
+on a child of a scored parent that bitflip (the move is the flipped
+indices) or two_opt (the move is `(i, j)`, the reversed segment) built,
+and None otherwise. An evaluator scores such a child from these alone and
+writes only to the solution it scores; a child holds no reference to its
+parent, so it keeps no chain of ancestors alive. Both start as None.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -113,21 +111,12 @@ class BitVector:
     def _unchecked(cls, packed: bytes) -> "BitVector":
         """A vector an internal producer built from valid 0/1 bytes; not checked."""
         new = object.__new__(cls)
-        object.__setattr__(new, "packed", packed)
-        return new
-
-    @classmethod
-    def _flipped(cls, parent: "BitVector", packed: bytes, flipped: Tuple[int, ...]) -> "BitVector":
-        """`parent` with the bits at `flipped` inverted, as `packed`, which
-        the caller built; records that provenance and is not checked."""
-        new = object.__new__(cls)
-        object.__setattr__(new, "packed", packed)
-        object.__setattr__(new, "_provenance", (weakref.ref(parent), flipped))
+        new.__dict__["packed"] = packed  # what object.__setattr__ does, in a third of the time
         return new
 
     def __reduce__(self):
-        # pickle and copy rebuild from the bits alone: a weak reference
-        # cannot be pickled, and a copy has no parent of its own
+        # pickle and copy rebuild from the bits alone: a copy is no child,
+        # and a memo is only good on the solution that its evaluator scored
         return type(self), (self.packed,)
 
     @property
@@ -175,16 +164,6 @@ class Permutation:
         new.__dict__["order"] = order  # what object.__setattr__ does, in a third of the time
         return new
 
-    @classmethod
-    def _reversed(cls, parent: "Permutation", order: Tuple[int, ...], i: int, j: int) -> "Permutation":
-        """`parent` with its segment i..j (inclusive) reversed, as `order`,
-        which the caller built; records that provenance and is not checked."""
-        new = object.__new__(cls)
-        fields = new.__dict__
-        fields["order"] = order
-        fields["_provenance"] = (weakref.ref(parent), i, j)
-        return new
-
     def __reduce__(self):
         # as for BitVector: rebuild from the order alone
         return type(self), (self.order,)
@@ -222,6 +201,15 @@ class RealVector:
 
 
 Solution = Union[BitVector, Permutation, RealVector]
+
+
+def _child(parent, value, move):
+    """`parent`'s child, `value` (packed bits or order), built by `move`; not
+    checked. It carries `(parent._memo, move)` if the parent was scored."""
+    child = parent._unchecked(value)
+    if parent._memo is not None:
+        child.__dict__["_provenance"] = (parent._memo, move)
+    return child
 
 
 def representation_of(sol: Solution) -> str:

@@ -280,13 +280,12 @@ def rewrite_to_tsp(match: TspMatch) -> ProblemInstance:
     """Permutation problem whose objective is the circuit sum over W.
 
     A scored tour's `_memo` is `(W, length)`, keyed to this problem by its
-    weight matrix W, which is all the length depends on. A child that
-    `perturb_two_opt` built from such a parent, by reversing the parent's
-    segment i..j, is scored from the parent's length: only the edges at
-    the two cuts change, in O(1), and when W is asymmetric the segment's
-    own edges change direction too, in O(j - i). A whole-tour reversal
-    keeps the length of a symmetric W. Any other tour takes `circuit_sum`.
-    Both give the same integer.
+    weight matrix W, which is all the length depends on. A 2-opt child of
+    such a tour carries that memo and its cuts (i, j), and is scored from
+    the length and its own order: only the edges at the two cuts change, in
+    O(1), and when W is asymmetric the segment i..j changes direction too,
+    in O(j - i). A whole-tour reversal keeps the length of a symmetric W.
+    Any other tour takes `circuit_sum`. Both give the same integer.
     """
     W, n = match.weights, match.n
     symmetric = all(row == column for row, column in zip(W, zip(*W)))
@@ -294,17 +293,15 @@ def rewrite_to_tsp(match: TspMatch) -> ProblemInstance:
     def value(sol: Permutation) -> int:
         provenance = sol._provenance
         if provenance is not None:
-            ref, i, j = provenance
-            parent = ref()
-            memo = None if parent is None else parent._memo
-            if memo is not None and memo[0] is W and (symmetric or j - i < n - 1):
-                length, po = memo[1], parent.order
+            (owner, length), (i, j) = provenance
+            if owner is W and (symmetric or j - i < n - 1):
                 if j - i < n - 1:  # else the whole tour is reversed, and W symmetric
-                    a, b, c, d = po[i - 1], po[i], po[j], po[(j + 1) % n]
+                    o = sol.order  # the parent's cities at the cuts, b and c, swapped places
+                    a, c, b, d = o[i - 1], o[i], o[j], o[(j + 1) % n]
                     length += W[a][c] + W[b][d] - W[a][b] - W[c][d]
                     if not symmetric:  # the segment now runs the other way
-                        segment = po[i : j + 1]
-                        length += sum(W[y][x] - W[x][y] for x, y in zip(segment, segment[1:]))
+                        segment = o[i : j + 1]
+                        length += sum(W[x][y] - W[y][x] for x, y in zip(segment, segment[1:]))
                 sol.__dict__["_memo"] = (W, length)
                 return length
         length = circuit_sum(W, sol.order)

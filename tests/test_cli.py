@@ -282,8 +282,8 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "bad_row",
-        [["p", "a", "9", "not-a-number"], ["p", "a", "9"], ["p", "a"]],
-        ids=["non_numeric", "short_row", "shorter_row"],
+        [["p", "a", "9", "not-a-number"], ["p", "a", "9"], ["p", "a"], ["p", "a", "9", "nan"]],
+        ids=["non_numeric", "short_row", "shorter_row", "nan"],
     )
     def test_malformed_best_value_exit_2(self, tmp_path, capsys, bad_row):
         path = self.make_results(tmp_path, {"a": [1, 2, 3, 4, 5], "b": [6, 7, 8, 9, 10]})

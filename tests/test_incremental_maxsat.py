@@ -1,15 +1,17 @@
 """MAX-SAT's incremental scoring of bit-flip children against the full path.
 
-`perturb_bitflip` records (parent, flipped indices) on the child it builds,
-and MAX-SAT scores such a child from its parent's clause counts. Either
-path must give the same integer as the plain clause loop, or replay would
-change; the provenance must stay invisible to equality, hashing and every
-serialization, and must keep no chain of ancestors alive.
+`perturb_bitflip` records (the parent's memo, flipped indices) on the
+child of a scored parent, and MAX-SAT scores such a child from the clause
+counts that memo holds. Either path must give the same integer as the plain
+clause loop, or replay would change; the provenance must stay invisible to
+equality, hashing and every serialization, and must keep no chain of
+ancestors alive.
 """
 
 import copy
 import gc
 import pickle
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from metafold.components import accept_improving, perturb_bitflip, terminate_iterations
 from metafold.env import env_new
 from metafold.frameworks import local_search
-from metafold.problems import onemax, parse_dimacs_cnf
+from metafold.problems import onemax, parse_dimacs_cnf, trap
 from metafold.solutions import (
     BitVector,
     serialize_solution,
@@ -56,7 +58,8 @@ def full_path(problem, sol):
 
 
 def took_the_delta(sol):
-    return sol._memo[1] is not None
+    _, _, counts = sol._memo
+    return counts is not None
 
 
 @st.composite
@@ -115,7 +118,7 @@ def test_two_problems_of_one_size_share_no_memo():
     b = cnf(3, [[-1], [-2], [-3], [-1, -2]])
     parent = BitVector([1, 0, 1])
     env = env_new(5)
-    warm, env = perturb_bitflip(1)(parent, env)  # gives `parent` clause counts for `a`
+    warm, env = perturb_bitflip(1)(parent, env)  # of an unscored parent: no provenance
     score(a, parent), score(a, warm)
     child, env = perturb_bitflip(2)(parent, env)
     assert score(b, child) == ref_maxsat(b.metadata["clauses"], child.bits)
@@ -163,6 +166,49 @@ def test_provenance_and_memo_are_invisible():
     for copied in (pickle.loads(pickle.dumps(child)), copy.copy(child), copy.deepcopy(child)):
         assert copied == child
         assert copied._provenance is None and copied._memo is None
+
+
+def test_a_child_of_a_set_union_parent_leaves_the_parent_as_it_was():
+    problem = cnf(4, [[1, 2], [-3], [4, -1], [2, 3, -4]])
+    parent = BitVector([1, 0, 1, 0])
+    score(problem, parent)
+    memo = parent._memo
+    assert not took_the_delta(parent)
+    child, _ = perturb_bitflip(2)(parent, env_new(11))
+    assert score(problem, child) == ref_maxsat(problem.metadata["clauses"], child.bits)
+    assert took_the_delta(child)
+    assert parent._memo is memo
+
+
+def test_only_a_child_of_a_maxsat_scored_parent_carries_provenance():
+    for problem, carries in ((onemax(8), False), (trap(8, 4), False), (cnf(8, [[1, -2]]), True)):
+        parent = BitVector([0, 1] * 4)
+        score(problem, parent)
+        child, _ = perturb_bitflip(2)(parent, env_new(12))
+        assert (child._provenance is not None) is carries
+
+
+def evaluator_closure(problem):
+    """The `value` function that the problem's evaluate step calls."""
+    return next(
+        cell.cell_contents for cell in problem.evaluate.step.__closure__
+        if getattr(cell.cell_contents, "__name__", None) == "value"
+    )
+
+
+def test_no_evaluator_outlives_its_problem():
+    problem = cnf(3, [[1, -2], [2, 3], [-1, -3]])
+    parent = BitVector([1, 0, 1])
+    score(problem, parent)
+    child, _ = perturb_bitflip(1)(parent, env_new(13))
+    score(problem, child)
+    value = weakref.ref(evaluator_closure(problem))
+    gc.disable()
+    try:
+        del problem  # the scored parent and child stay alive
+        assert value() is None
+    finally:
+        gc.enable()
 
 
 def live_bitvectors():

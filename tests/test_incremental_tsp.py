@@ -1,16 +1,18 @@
 """The TSP route's incremental scoring of 2-opt children against the full path.
 
-`perturb_two_opt` records (parent, i, j) on the child it builds, and the
-`circuit_sum` evaluator of `rewrite_to_tsp` scores such a child from its
-parent's tour length. Either path must give the same integer as
-`circuit_sum`, or replay would change, for symmetric and asymmetric weights
-alike; the provenance must stay invisible to equality, hashing and every
-serialization, and must keep no chain of ancestors alive.
+`perturb_two_opt` records (the parent's memo, (i, j)) on the child of a
+scored parent, and the `circuit_sum` evaluator of `rewrite_to_tsp` scores
+such a child from the tour length that memo holds. Either path must give
+the same integer as `circuit_sum`, or replay would change, for symmetric
+and asymmetric weights alike; the provenance must stay invisible to
+equality, hashing and every serialization, and must keep no chain of
+ancestors alive.
 """
 
 import copy
 import gc
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from metafold.frameworks import local_search
 from metafold import whitebox
 from metafold.solutions import (
     Permutation,
+    _child,
     serialize_solution,
     solution_digest,
     solution_from_json,
@@ -104,7 +107,7 @@ def test_a_walk_of_children_takes_the_delta_after_the_start(full_scores):
             child, env = perturb_two_opt()(current, env)
             assert score(problem, child) == ref_length(weights, child.order)
             # only a whole-tour reversal of an asymmetric W is scored in full
-            whole = child._provenance[1:] == (0, 4)
+            whole = child._provenance[1] == (0, 4)
             assert full_scores == ([child.order] if whole and weights is ASYMMETRIC else [])
             current = child
 
@@ -115,7 +118,7 @@ def test_a_whole_tour_reversal_scores_as_circuit_sum():
         n = len(weights)
         parent = Permutation(range(n))
         score(problem, parent)
-        child = Permutation._reversed(parent, parent.order[::-1], 0, n - 1)
+        child = _child(parent, parent.order[::-1], (0, n - 1))
         assert score(problem, child) == ref_length(weights, child.order)
 
 
@@ -144,16 +147,12 @@ def test_other_tours_take_the_full_path(full_scores):
     score(problem, parent)
     swapped, env = perturb_swap()(parent, env)
     child, env = perturb_two_opt()(parent, env)
-    gone = Permutation((1, 0, 2, 3, 4))
-    score(problem, gone)
-    orphan, env = perturb_two_opt()(gone, env)
-    del gone  # the orphan's parent is gone before it is scored
     decoded = solution_from_json(solution_to_json(child))
     copies = [pickle.loads(pickle.dumps(child)), copy.copy(child), copy.deepcopy(child)]
     for sol in [decoded] + copies:
         assert sol == child and sol._provenance is None and sol._memo is None
     assert swapped._provenance is None
-    others = [swapped, orphan, decoded] + copies
+    others = [swapped, decoded] + copies
     full_scores.clear()
     for sol in others:
         assert score(problem, sol) == ref_length(ASYMMETRIC, sol.order)
@@ -161,6 +160,45 @@ def test_other_tours_take_the_full_path(full_scores):
     full_scores.clear()
     assert score(problem, child) == ref_length(ASYMMETRIC, child.order)
     assert full_scores == []
+
+
+def test_a_child_of_a_collected_parent_takes_the_delta(full_scores):
+    for weights in (SYMMETRIC, ASYMMETRIC):
+        problem = tsp(weights)
+        parent = Permutation((1, 0, 2, 3, 4))
+        score(problem, parent)
+        child, _ = perturb_two_opt()(parent, env_new(7))
+        assert child._provenance[1] != (0, 4)  # not a whole-tour reversal
+        gone = weakref.ref(parent)
+        del parent
+        gc.collect()
+        assert gone() is None
+        full_scores.clear()
+        assert score(problem, child) == ref_length(weights, child.order)
+        assert full_scores == []
+
+
+def evaluator_closure(problem):
+    """The `value` function that the problem's evaluate step calls."""
+    return next(
+        cell.cell_contents for cell in problem.evaluate.step.__closure__
+        if getattr(cell.cell_contents, "__name__", None) == "value"
+    )
+
+
+def test_no_evaluator_outlives_its_problem():
+    problem = tsp(ASYMMETRIC)
+    parent = Permutation((4, 2, 0, 3, 1))
+    score(problem, parent)
+    child, _ = perturb_two_opt()(parent, env_new(13))
+    score(problem, child)
+    value = weakref.ref(evaluator_closure(problem))
+    gc.disable()
+    try:
+        del problem  # the scored parent and child stay alive
+        assert value() is None
+    finally:
+        gc.enable()
 
 
 def test_provenance_and_memo_are_invisible():

@@ -91,7 +91,13 @@ class TestServer:
         response = handle_rpc(default_registry(), b"{not json")
         assert response["error"]["code"] == -32700
 
-    @pytest.mark.parametrize("body", [b"[1,2]", b'"x"', b"3", b"null"])
+    @pytest.mark.parametrize("body", [
+        b"[1,2]", b'"x"', b"3", b"null",
+        # and objects whose id is no JSON-RPC id: a bool, a number past a float's range
+        b'{"jsonrpc": "2.0", "id": true, "method": "describe"}',
+        b'{"jsonrpc": "2.0", "id": 1e999, "method": "describe"}',
+        b'{"jsonrpc": "2.0", "id": -1e999, "method": "describe"}',
+    ])
     def test_non_object_body_is_invalid_request(self, server, body):
         req = urllib.request.Request(
             server.endpoint, data=body, headers={"Content-Type": "application/json"}

@@ -47,7 +47,14 @@ def assert_well_formed(response):
 
 
 @pytest.mark.parametrize(
-    "body", [b"\x80abc", b"[" * 100000, b'{"a": ' * 5000, b"", b"1" * 5000]
+    "body",
+    [
+        b"\x80abc", b"[" * 100000, b'{"a": ' * 5000, b"", b"1" * 5000,
+        # tokens that Python's json reads, but that are no JSON
+        b'{"jsonrpc": "2.0", "id": NaN, "method": "describe"}',
+        b'{"jsonrpc": "2.0", "id": 1, "method": "describe", "params": [Infinity]}',
+        b'{"jsonrpc": "2.0", "id": 1, "method": "perturb", "params": {"k": -Infinity}}',
+    ],
 )
 def test_unreadable_bodies_are_parse_errors(body):
     response = handle_rpc(REGISTRY, body)
