@@ -23,7 +23,7 @@ from .env import (
     rng_below_many,
     rng_uniform,
 )
-from .solutions import BitVector, Permutation, RealVector, Solution
+from .solutions import Assignment, BitVector, Permutation, RealVector, Solution
 
 
 # The most elements (bits, reals, permutation entries) a problem that
@@ -82,7 +82,7 @@ def sample_box(d: int, lo: float, hi: float):
 def sample_assignment(domains: Dict[str, Tuple[int, int]]):
     # each variable uniform in its domain lo..hi, drawn in `domains` order
     def sample(env):
-        assignment = {}
+        assignment = Assignment()
         for name, (lo, hi) in domains.items():
             offset, env = rng_below(env, hi - lo + 1)
             assignment[name] = lo + offset
@@ -93,7 +93,8 @@ def sample_assignment(domains: Dict[str, Tuple[int, int]]):
 
 # representation -> (the Solution class its evaluators take, the start
 # sampler for a problem of that many elements and that metadata); an
-# "assignment" maps a model's variable names to integers
+# "assignment" maps a model's variable names to integers, and its sampler
+# draws a solutions.Assignment, though its evaluators take any dict
 REPRESENTATIONS = {
     "bits": (BitVector, lambda n, metadata: sample_bits(n)),
     "perm": (Permutation, lambda n, metadata: sample_permutation(n)),

@@ -1,8 +1,9 @@
 """Candidate-solution representations and their canonical serialization.
 
-Three closed representations: bit vectors, permutations, and real vectors.
-The JSON serialization here is the wire/digest canonical form used by both
-the RPC tier and tabu digests. A solution travels as
+Three closed representations: bit vectors, permutations, and real vectors,
+and a model's assignment for `metafold solve`'s generic route, which has
+no wire form. The JSON serialization here is the wire/digest canonical
+form used by both the RPC tier and tabu digests. A solution travels as
 ``{"t": tag, "v": payload}``:
 
 - ``bits``: ``v`` is a string of ``0``/``1`` characters, one per bit
@@ -35,23 +36,31 @@ them: the `BitVector`, `Permutation` and `RealVector` constructors, `.of`,
 can only yield a valid vector from a valid one (bitflip, one-point
 crossover, `sample_bits`, swap, two_opt, the Fisher-Yates
 `sample_permutation`) builds its result with `_unchecked`, which skips the
-check; bitflip and two_opt build theirs with `_child`, which also records
-the provenance.
+check; bitflip, two_opt and the generic route's reassign build theirs
+with `_child`, which also records the provenance.
 Real vectors and order-1 crossover stay checked, as their outputs can be
 invalid (an overflow to inf, parents of unequal length).
 
-A `BitVector` and a `Permutation` also have two attributes that are not
-dataclass fields, so `==`, `hash`, `repr`, `solution_to_json`,
+An `Assignment` is the generic route's solution (see
+`whitebox.generic_solve`): a dict from a model's variable names to ints,
+which `problems.sample_assignment` draws. Any dict is an assignment to
+its evaluators; this subclass only adds the two attributes below.
+
+A `BitVector`, a `Permutation` and an `Assignment` also have two
+attributes that are not dataclass fields or dict items, so `==`, `hash`,
+`repr`, `dict(...)`, `json.dumps`, `solution_to_json`,
 `serialize_solution`, `solution_digest` and pickling all ignore them.
 `_memo` is what an evaluator keeps on a solution it scored, a plain tuple
 whose first item names the problem that wrote it: MAX-SAT's clause counts
-(see `problems.parse_dimacs_cnf`) or the TSP route's tour length (see
-`whitebox.rewrite_to_tsp`). `_provenance` is `(the parent's memo, move)`
-on a child of a scored parent that bitflip (the move is the flipped
-indices) or two_opt (the move is `(i, j)`, the reversed segment) built,
-and None otherwise. An evaluator scores such a child from these alone and
-writes only to the solution it scores; a child holds no reference to its
-parent, so it keeps no chain of ancestors alive. Both start as None.
+(see `problems.parse_dimacs_cnf`), the TSP route's tour length (see
+`whitebox.rewrite_to_tsp`) or the generic route's violation counts.
+`_provenance` is `(the parent's memo, move)` on a child of a scored
+parent that bitflip (the move is the flipped indices), two_opt (the move
+is `(i, j)`, the reversed segment) or the generic route's reassign (the
+move is `(name, old value)`) built with `_child`, and None otherwise. An
+evaluator scores such a child from these alone and writes only to the
+solution it scores; a child holds no reference to its parent, so it keeps
+no chain of ancestors alive. Both start as None.
 """
 
 from __future__ import annotations
@@ -200,12 +209,30 @@ class RealVector:
         return len(self.coords)
 
 
+class Assignment(dict):
+    """A model's assignment, variable name -> int, that can carry the two
+    attributes of the module docstring. It is a dict in every other way."""
+
+    _provenance = None  # not items; see the module docstring
+    _memo = None
+
+    @classmethod
+    def _unchecked(cls, mapping) -> "Assignment":
+        """An assignment an internal producer built from a valid one; not checked."""
+        return cls(mapping)
+
+    def __reduce__(self):
+        # as for BitVector: rebuild from the items alone
+        return type(self), (dict(self),)
+
+
 Solution = Union[BitVector, Permutation, RealVector]
 
 
 def _child(parent, value, move):
-    """`parent`'s child, `value` (packed bits or order), built by `move`; not
-    checked. It carries `(parent._memo, move)` if the parent was scored."""
+    """`parent`'s child, `value` (packed bits, order or a mapping), built by
+    `move`; not checked. It carries `(parent._memo, move)` if the parent was
+    scored."""
     child = parent._unchecked(value)
     if parent._memo is not None:
         child.__dict__["_provenance"] = (parent._memo, move)

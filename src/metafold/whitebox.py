@@ -17,10 +17,10 @@ from operator import itemgetter, mul
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from .components import accept_improving, perturb_two_opt, terminate_evaluations
-from .env import Environment, rng_below
+from .env import ComponentContractError, Environment, rng_below
 from .frameworks import FRAMEWORKS
 from .problems import ProblemInstance, problem_instance
-from .solutions import Permutation
+from .solutions import Assignment, Permutation, _child
 
 
 class ModelError(Exception):
@@ -48,11 +48,15 @@ class Constraint:
 
     def __post_init__(self):
         object.__setattr__(self, "allowed", frozenset(self.tuples))
-        # itemgetter of one key returns the bare value, and of none it raises
-        values_of = itemgetter(*self.vars) if len(self.vars) >= 2 else (
-            lambda assignment: tuple(map(assignment.__getitem__, self.vars))
-        )
-        object.__setattr__(self, "values_of", values_of)
+        object.__setattr__(self, "values_of", _values_getter(self.vars))
+
+
+def _values_getter(names: Tuple[str, ...]) -> Callable[[Dict[str, int]], Tuple[int, ...]]:
+    """Reads the values of `names` from an assignment, as a tuple."""
+    # itemgetter of one key returns the bare value, and of none it raises
+    if len(names) >= 2:
+        return itemgetter(*names)
+    return lambda assignment: tuple(map(assignment.__getitem__, names))
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,13 @@ class Objective:
     vars: Tuple[str, ...]
     weights: Tuple[Tuple[int, ...], ...] = ()
     coeffs: Tuple[float, ...] = ()
+    # Reads the values of `vars` from an assignment, as a tuple.
+    values_of: Callable[[Dict[str, int]], Tuple[int, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "values_of", _values_getter(self.vars))
 
 
 @dataclass(frozen=True)
@@ -334,13 +345,30 @@ def count_violations(model: ModelDescription, assignment: Dict[str, int]) -> int
     return violations
 
 
+def _tally(constraints, assignment):
+    """Each constraint's violations, counted as count_violations counts them,
+    and for an all_different the count of each value in its scope (None for
+    a table)."""
+    counts = tuple(
+        dict(Counter(con.values_of(assignment))) if con.type == "all_different" else None
+        for con in constraints
+    )
+    violations = tuple(
+        int(con.values_of(assignment) not in con.allowed)
+        if c is None
+        else (sum(map(mul, c.values(), c.values())) - len(con.vars)) // 2
+        for con, c in zip(constraints, counts)
+    )
+    return violations, counts
+
+
 def objective_value(model: ModelDescription, assignment: Dict[str, int]) -> float:
     obj = model.objective
     if obj is None:
         return 0.0
-    values = map(assignment.__getitem__, obj.vars)
+    values = obj.values_of(assignment)
     if obj.type == "circuit_sum":
-        return float(circuit_sum(obj.weights, tuple(values)))
+        return float(circuit_sum(obj.weights, values))
     return float(sum(map(mul, obj.coeffs, values)))
 
 
@@ -372,21 +400,82 @@ def generic_solve(
     penalty: float = DEFAULT_PENALTY,
 ) -> Tuple[SolveResult, Environment]:
     """Penalty local search over full assignments: each move reassigns one
-    variable uniformly in its domain."""
+    variable uniformly in its domain. An assignment scores
+    `objective_value + penalty * count_violations`.
+
+    A scored assignment's `_memo` is `(owner, violations, counts, total)`:
+    the violations of each constraint, the count of each value in each
+    all_different's scope (None for a table), and their sum. Its `owner`
+    is the index from each variable to the constraints that hold it, made
+    once per call, so a memo is only read by the evaluator that wrote it;
+    no memo is changed once made. A reassign child of such an assignment
+    carries that memo and its move `(name, old value)`, and is scored from
+    them: only the constraints that hold `name` are counted again, and the
+    objective in full by `objective_value`. Any other assignment, a start,
+    a plain dict or a child of another call's memo, is counted in full,
+    and is first checked: its keys must be the model's variables and each
+    value an int (not a bool) in its domain, or ComponentContractError is
+    raised.
+    """
     _check_circuit_domains(model)
+    variables, constraints = model.variables, model.constraints
+    domains = {v.name: (v.lo, v.hi) for v in variables}
+    holding = {name: [] for name in domains}  # name -> [(constraint index, multiplicity)]
+    for k, con in enumerate(constraints):
+        for name, m in Counter(con.vars).items():
+            holding[name].append((k, m))
+
+    def value(a):
+        provenance = getattr(a, "_provenance", None)
+        if provenance is None or provenance[0][0] is not holding:
+            if a.keys() != domains.keys() or not all(
+                type(a[name]) is int and lo <= a[name] <= hi for name, (lo, hi) in domains.items()
+            ):
+                raise ComponentContractError(f"penalty_sum: not an assignment of this model: {a!r}")
+            violations, counts = _tally(constraints, a)
+            memo = (holding, violations, counts, sum(violations))
+        else:
+            memo, (name, old) = provenance
+            new = a[name]
+            if new != old:  # else the child scores as its parent
+                _, violations, counts, total = memo
+                violations, counts = list(violations), list(counts)
+                for k, m in holding[name]:
+                    c = counts[k]
+                    if c is None:  # a table: test the child's own tuple
+                        con = constraints[k]
+                        now = int(con.values_of(a) not in con.allowed)
+                    else:
+                        # m occurrences move from old (x of them) to new (y);
+                        # the c(c-1)/2 pair terms of x and y change by
+                        # m(m+1-2x)/2 + m(m-1+2y)/2 = m(m+y-x) in all
+                        x, y = c[old], c.get(new, 0)
+                        now = violations[k] + m * (m + y - x)
+                        c = counts[k] = dict(c)
+                        if x == m:
+                            del c[old]
+                        else:
+                            c[old] = x - m
+                        c[new] = y + m
+                    total += now - violations[k]
+                    violations[k] = now
+                memo = (holding, tuple(violations), tuple(counts), total)
+        if type(a) is Assignment:
+            a.__dict__["_memo"] = memo
+        return objective_value(model, a) + penalty * memo[3]
+
     problem = problem_instance(
-        "penalty_sum", f"model_{len(model.variables)}", "assignment", len(model.variables),
-        lambda a: objective_value(model, a) + penalty * count_violations(model, a),
-        domains={v.name: (v.lo, v.hi) for v in model.variables},
+        "penalty_sum", f"model_{len(variables)}", "assignment", len(variables), value,
+        domains=domains,
     )
 
     def reassign(assignment, env):
-        idx, env = rng_below(env, len(model.variables))
-        v = model.variables[idx]
+        idx, env = rng_below(env, len(variables))
+        v = variables[idx]
         offset, env = rng_below(env, v.hi - v.lo + 1)
-        moved = dict(assignment)
-        moved[v.name] = v.lo + offset
-        return moved, env
+        child = _child(assignment, assignment, (v.name, assignment[v.name]))
+        child[v.name] = v.lo + offset  # not yet scored, so still free to change
+        return child, env
 
     return _solve(model, problem, reassign, budget, env, "generic", dict)
 

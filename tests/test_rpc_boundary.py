@@ -34,11 +34,12 @@ def server():
 
 
 def assert_well_formed(response):
-    """One JSON-RPC 2.0 response object that the server can encode."""
-    json.dumps(response)
+    """One JSON-RPC 2.0 response object that the server can encode as
+    strict JSON (no NaN or Infinity), whose id is no bool."""
+    json.dumps(response, allow_nan=False)
     assert response["jsonrpc"] == "2.0"
     assert "id" in response
-    assert isinstance(response["id"], (str, int, float, type(None)))
+    assert type(response["id"]) in (str, int, float, type(None))
     assert ("result" in response) != ("error" in response)
     assert set(response) == {"jsonrpc", "id", "result" if "result" in response else "error"}
     if "error" in response:
