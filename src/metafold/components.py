@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from operator import attrgetter
+from operator import attrgetter, ge, le
 from typing import Any, Callable, Optional, Tuple
 
 from .env import (
@@ -184,6 +184,16 @@ def perturb_bitflip(k: int = 1) -> Component:
     return Component(desc, step)
 
 
+def _two_cuts(env: Environment, n: int):
+    """Two distinct cut points in 0..n-1 as (i, j) with i < j, for n >= 2:
+    i is drawn below n, then j below n - 1 skipping over i."""
+    i, env = rng_below(env, n)
+    j, env = rng_below(env, n - 1)
+    if j >= i:
+        return (i, j + 1), env
+    return (j, i), env
+
+
 def perturb_swap() -> Component:
     """Exchange two distinct positions of a permutation."""
 
@@ -193,10 +203,7 @@ def perturb_swap() -> Component:
         n = len(sol)
         if n < 2:
             raise ComponentContractError("swap: permutation length must be >= 2")
-        i, env = rng_below(env, n)
-        j, env = rng_below(env, n - 1)
-        if j >= i:
-            j += 1
+        (i, j), env = _two_cuts(env, n)
         order = list(sol.order)
         order[i], order[j] = order[j], order[i]
         return Permutation._unchecked(tuple(order)), env
@@ -214,12 +221,7 @@ def perturb_two_opt() -> Component:
         n = len(sol)
         if n < 2:
             raise ComponentContractError("two_opt: permutation length must be >= 2")
-        i, env = rng_below(env, n)
-        j, env = rng_below(env, n - 1)
-        if j >= i:
-            j += 1
-        if i > j:
-            i, j = j, i
+        (i, j), env = _two_cuts(env, n)
         o = sol.order
         return _child(sol, o[:i] + o[i : j + 1][::-1] + o[j + 1 :], (i, j)), env
 
@@ -353,52 +355,31 @@ def accept_tabu(tenure: int = 5) -> Component:
 # Termination
 
 
-def terminate_iterations(max_iterations: int = 1000) -> Component:
-    desc = ComponentDescriptor(
-        name="max_iterations",
-        kind="terminate",
-        params=(Param("max", "int", max_iterations, min=0),),
-        requires=frozenset({K_ITERATION}),
-    )
-    max_iterations = desc.params[0].default
+def _threshold(name: str, key: EnvKey, tag: str, param: Param, reached) -> Component:
+    """A terminate that stops once `reached(value of key, param's value)`."""
+    desc = ComponentDescriptor(name, "terminate", (param,), frozenset({key}))
+    bound = desc.params[0].default
 
     def step(sol, env):
-        it = _require(env, K_ITERATION, "int", "max_iterations")
-        return it >= max_iterations, env
+        return reached(_require(env, key, tag, name), bound), env
 
     return Component(desc, step)
+
+
+def terminate_iterations(max_iterations: int = 1000) -> Component:
+    return _threshold(
+        "max_iterations", K_ITERATION, "int", Param("max", "int", max_iterations, min=0), ge
+    )
 
 
 def terminate_evaluations(max_evaluations: int = 1000) -> Component:
-    desc = ComponentDescriptor(
-        name="max_evaluations",
-        kind="terminate",
-        params=(Param("max", "int", max_evaluations, min=0),),
-        requires=frozenset({K_EVALUATIONS}),
+    return _threshold(
+        "max_evaluations", K_EVALUATIONS, "int", Param("max", "int", max_evaluations, min=0), ge
     )
-    max_evaluations = desc.params[0].default
-
-    def step(sol, env):
-        evals = _require(env, K_EVALUATIONS, "int", "max_evaluations")
-        return evals >= max_evaluations, env
-
-    return Component(desc, step)
 
 
 def terminate_target(target: float = 0.0) -> Component:
-    desc = ComponentDescriptor(
-        name="target_value",
-        kind="terminate",
-        params=(Param("target", "real", target),),
-        requires=frozenset({K_BEST_VALUE}),
-    )
-    target = desc.params[0].default
-
-    def step(sol, env):
-        best = _require(env, K_BEST_VALUE, "real", "target_value")
-        return best <= target, env
-
-    return Component(desc, step)
+    return _threshold("target_value", K_BEST_VALUE, "real", Param("target", "real", target), le)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .components import (
     K_ITERATION,
     K_TEMPERATURE,
     Param,
+    _two_cuts,
     accept_metropolis,
     initializer,
 )
@@ -110,7 +111,7 @@ def local_search(
 
 def simulated_annealing_preset(t0: float, cooling: float):
     """Initializer writing sa.temperature plus a Metropolis acceptance."""
-    if t0 < 0:
+    if not t0 >= 0:  # NaN too: Metropolis would reject every worsening move
         raise ValueError("t0 must be nonnegative")
     init = initializer("sa_init", K_TEMPERATURE, EnvValue.of_real(t0))
     return init, accept_metropolis(cooling)
@@ -176,17 +177,14 @@ def crossover_one_point():
 
 
 def crossover_order1():
-    """Order-1 permutation crossover over a random segment."""
+    """Order-1 permutation crossover over a random segment. One element has
+    no two cuts, so its parents pass through unchanged and nothing is drawn."""
 
     def step(pair, env):
         a, b = pair
-        n = len(a)
-        i, env = rng_below(env, n)
-        j, env = rng_below(env, n - 1)
-        if j >= i:
-            j += 1
-        if i > j:
-            i, j = j, i
+        if len(a) < 2:
+            return (a, b), env
+        (i, j), env = _two_cuts(env, len(a))
 
         def child(keep, fill):
             segment = keep.order[i : j + 1]

@@ -401,6 +401,8 @@ def parse_tsplib(text: str) -> ProblemInstance:
                     idx, x, y = int(parts[0]), float(parts[1]), float(parts[2])
                 except ValueError:
                     raise ParseError(f"bad coordinate line: {lines[i-1]!r}", i)
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ParseError(f"non-finite coordinate: {lines[i-1]!r}", i)
                 coords[idx - 1] = (x, y)
             continue
         key, _, value = line.partition(":")
@@ -415,6 +417,8 @@ def parse_tsplib(text: str) -> ProblemInstance:
                 dimension = int(value)
             except ValueError:
                 raise ParseError(f"bad DIMENSION: {value!r}", i)
+            if dimension < 1:
+                raise ParseError(f"DIMENSION must be at least 1, got {dimension}", i)
         elif key == "EDGE_WEIGHT_TYPE":
             edge_weight_type = value
             if value != "EUC_2D":

@@ -712,6 +712,26 @@ class TestProblemTable:
             capsys, ["run", minimal_run(tmp_path, problems=[entry])], "hi - lo must be finite"
         )
 
+    @pytest.mark.parametrize(
+        "dimension, coords, message",
+        [
+            (0, "", "DIMENSION must be at least 1"),
+            (2, "1 0 0\n2 nan 1\n", "non-finite coordinate"),
+        ],
+    )
+    def test_degenerate_tsplib_exits_2_before_any_trial(
+        self, tmp_path, capsys, dimension, coords, message
+    ):
+        # every trial on these cities would fail, so the run refuses the file first
+        tsp = tmp_path / "t.tsp"
+        tsp.write_text(
+            f"NAME : t\nTYPE : TSP\nDIMENSION : {dimension}\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+            f"NODE_COORD_SECTION\n{coords}EOF\n"
+        )
+        path = minimal_run(tmp_path, problems=[{"kind": "tsplib", "path": str(tsp)}])
+        exits_2_naming(capsys, ["run", path], message)
+        assert not (tmp_path / "out").exists()
+
     def test_every_kind_keeps_its_problem_name(self, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from metafold.components import (
     FRAMEWORK_KEYS,
     K_EVALUATIONS,
+    _two_cuts,
     perturb_bitflip,
     perturb_swap,
     perturb_two_opt,
@@ -207,6 +208,35 @@ def test_bitflip_equals_tuple_rebuild(k, bits, seed):
     ref, ref_env = ref_bitflip(k, sol, env)
     assert out == ref
     assert out_env == ref_env
+
+
+def ref_two_cuts(env, n):
+    i, env = rng_below(env, n)
+    j, env = rng_below(env, n - 1)
+    if j >= i:
+        j += 1
+    if i > j:
+        i, j = j, i
+    return (i, j), env
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.integers(min_value=2, max_value=64), st.sampled_from([2**32, 2**63 + 1, 2**64])),
+    seed=seeds,
+    counter=counters,
+)
+def test_two_cuts_equals_the_inline_draw(n, seed, counter):
+    env = Environment(entries={}, rng=RngState(seed, counter))
+    (i, j), out = _two_cuts(env, n)
+    (ref_i, ref_j), ref_out = ref_two_cuts(env, n)
+    assert (i, j) == (ref_i, ref_j) and 0 <= i < j < n
+    assert out.rng == ref_out.rng
+    if n <= 64:  # swap exchanges the drawn pair, in either order
+        order = list(range(n))
+        order[i], order[j] = order[j], order[i]
+        child, swap_env = perturb_swap()(Permutation.of(range(n)), env)
+        assert child.order == tuple(order) and swap_env.rng == ref_out.rng
 
 
 @pytest.mark.parametrize("bits", [(), (2,), (0, -1), "01"])

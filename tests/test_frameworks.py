@@ -172,6 +172,8 @@ class TestSimulatedAnnealingPreset:
     def test_rejects_negative_t0(self):
         with pytest.raises(ValueError):
             simulated_annealing_preset(-1.0, 0.9)
+        with pytest.raises(ValueError, match="t0 must be nonnegative"):
+            simulated_annealing_preset(float("nan"), 0.9)
 
     def test_initializer_provides_temperature(self):
         from metafold.components import K_TEMPERATURE
@@ -387,6 +389,13 @@ class TestGeneticAlgorithm:
         env = env_new(16)
         children, out = crossover_one_point()((a, b), env)
         assert children == (a, b)
+        assert out.rng == env.rng
+
+    def test_order1_on_one_element_passes_parents_without_drawing(self):
+        a, b = Permutation([0]), Permutation([0])
+        env = env_new(16)
+        children, out = crossover_order1()((a, b), env)
+        assert children[0] is a and children[1] is b
         assert out.rng == env.rng
 
 

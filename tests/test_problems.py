@@ -307,6 +307,9 @@ class TestTsplib:
             lambda t: t.replace("DIMENSION : 3", "DIMENSION : 4"),
             lambda t: t.replace("TYPE : TSP", "TYPE : ATSP"),
             lambda t: t.replace("1 0 0\n", ""),
+            lambda t: t.replace("DIMENSION : 3", "DIMENSION : 0"),
+            lambda t: t.replace("2 0 1\n", "2 nan 1\n"),
+            lambda t: t.replace("3 1 0\n", "3 1 -inf\n"),
         ],
     )
     def test_rejects_malformed(self, mutation):
