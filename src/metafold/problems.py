@@ -104,13 +104,24 @@ REPRESENTATIONS = {
 
 
 def problem_instance(
-    kind: str, name: str, representation: str, size: int, value, **metadata
+    kind: str, name: str, representation: str, size: int, value, delta=None, **metadata
 ) -> ProblemInstance:
     """The problem `name` over `representation` solutions of `size`
     elements, each scored by `value`. Its evaluator, the component `kind`,
     rejects any other solution with ComponentContractError; its start
-    sampler is the representation's; `metadata["n"]` is `size`."""
+    sampler is the representation's; `metadata["n"]` is `size`.
+
+    With `delta`, the problem scores incrementally: `value(sol)` and
+    `delta(aux, move, sol)` each return `(score, aux)`, and the evaluator
+    keeps `(owner, aux)` as the `_memo` of each solution it scores, where
+    `owner` is made once per instance (a plain dict keeps none). A child
+    that `solutions._child` built from a parent whose memo this instance
+    wrote carries `(that memo, move)` as its `_provenance`, and is scored
+    by `delta` from the parent's aux; every other solution by `value`.
+    Both must give the same score, and `delta` must leave the aux it is
+    given as it was: the parent's memo still holds it."""
     expected, sampler = REPRESENTATIONS[representation]
+    owner = object()
 
     def step(sol, env):
         if not isinstance(sol, expected):
@@ -119,7 +130,17 @@ def problem_instance(
             )
         if len(sol) != size:
             raise ComponentContractError(f"{kind}: expected length {size}, got {len(sol)}")
-        return float(value(sol)), env
+        if delta is None:
+            return float(value(sol)), env
+        provenance = getattr(sol, "_provenance", None)  # a plain dict has none
+        if provenance is not None and provenance[0][0] is owner:
+            (_, aux), move = provenance
+            score, aux = delta(aux, move, sol)
+        else:
+            score, aux = value(sol)
+        if type(sol) is not dict:
+            sol.__dict__["_memo"] = (owner, aux)
+        return float(score), env
 
     metadata = {"n": size, **metadata}
     evaluate = Component(ComponentDescriptor(kind, "evaluate"), step)
@@ -300,22 +321,28 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
             occurrences[lit - 1 if lit > 0 else num_vars - lit - 1].append(c)
     satisfies = tuple(map(tuple, occurrences))
 
-    # A scored solution's `_memo` is `(satisfies, unsatisfied, counts)`,
-    # keyed to this problem by its `satisfies` tuple; counts[c] is the number
-    # of true literals in clause c, or None on the set-union path. A bit-flip
-    # child carrying such a memo copies the counts and updates the clauses of
-    # its flipped variables, or counts its own if there are none; any other
-    # solution takes the set-union path. All give the same integer.
-    def clause_counts(packed: bytes) -> array:
-        counts = [0] * num_clauses
-        for clauses_of in compress(satisfies, packed + packed.translate(_NOT_BITS)):
-            for c in clauses_of:
-                counts[c] += 1
-        return array("Q", counts)  # an array copies as one memcpy; a list does not
+    # A scored vector's aux is `(unsatisfied, counts)`: counts[c] is the
+    # number of true literals in clause c, or None on the set-union path.
+    # A bit-flip child copies its parent's counts and updates the clauses
+    # of its flipped variables, or counts its own if there are none. All
+    # paths give the same integer.
+    def value(sol: BitVector):
+        truth = sol.packed + sol.packed.translate(_NOT_BITS)
+        unsatisfied = num_clauses - len(set().union(*compress(satisfies, truth)))
+        return unsatisfied, (unsatisfied, None)
 
-    def flip(counts: array, unsatisfied: int, packed: bytes, flipped) -> int:
-        """Updates `counts` in place for the variables `flipped` to their
-        values in `packed`; returns the new unsatisfied count."""
+    def delta(aux, flipped, sol: BitVector):
+        unsatisfied, counts = aux
+        packed = sol.packed
+        if counts is None:  # the parent took the set-union path
+            counts = [0] * num_clauses
+            for clauses_of in compress(satisfies, packed + packed.translate(_NOT_BITS)):
+                for c in clauses_of:
+                    counts[c] += 1
+            counts = array("Q", counts)  # an array copies as one memcpy; a list does not
+            unsatisfied = counts.count(0)
+            return unsatisfied, (unsatisfied, counts)
+        counts = counts[:]
         for v in flipped:
             if packed[v]:
                 made, broken = satisfies[v], satisfies[num_vars + v]
@@ -331,33 +358,20 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
                 if not count:
                     unsatisfied += 1
                 counts[c] = count
-        return unsatisfied
-
-    def value(sol: BitVector) -> int:
-        provenance = sol._provenance
-        if provenance is not None:
-            (owner, unsatisfied, counts), flipped = provenance
-            if owner is satisfies:
-                if counts is None:  # the parent took the set-union path
-                    counts = clause_counts(sol.packed)
-                    unsatisfied = counts.count(0)
-                else:
-                    counts = counts[:]
-                    unsatisfied = flip(counts, unsatisfied, sol.packed, flipped)
-                sol.__dict__["_memo"] = (satisfies, unsatisfied, counts)
-                return unsatisfied
-        truth = sol.packed + sol.packed.translate(_NOT_BITS)
-        unsatisfied = num_clauses - len(set().union(*compress(satisfies, truth)))
-        sol.__dict__["_memo"] = (satisfies, unsatisfied, None)
-        return unsatisfied
+        return unsatisfied, (unsatisfied, counts)
 
     return problem_instance(
-        "maxsat", f"maxsat_{num_vars}v_{num_clauses}c", "bits", num_vars, value, clauses=clauses
+        "maxsat", f"maxsat_{num_vars}v_{num_clauses}c", "bits", num_vars, value,
+        delta=delta, clauses=clauses,
     )
 
 
 # ---------------------------------------------------------------------------
 # TSP (TSPLIB EUC_2D subset)
+
+
+# |x|, |y| <= 1e150 keep the squared differences of tour_length finite
+_MAX_COORD = 1e150
 
 
 def _nint(x: float) -> int:
@@ -403,6 +417,8 @@ def parse_tsplib(text: str) -> ProblemInstance:
                     raise ParseError(f"bad coordinate line: {lines[i-1]!r}", i)
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ParseError(f"non-finite coordinate: {lines[i-1]!r}", i)
+                if abs(x) > _MAX_COORD or abs(y) > _MAX_COORD:
+                    raise ParseError(f"coordinate beyond {_MAX_COORD:g}: {lines[i-1]!r}", i)
                 coords[idx - 1] = (x, y)
             continue
         key, _, value = line.partition(":")

@@ -50,17 +50,13 @@ A `BitVector`, a `Permutation` and an `Assignment` also have two
 attributes that are not dataclass fields or dict items, so `==`, `hash`,
 `repr`, `dict(...)`, `json.dumps`, `solution_to_json`,
 `serialize_solution`, `solution_digest` and pickling all ignore them.
-`_memo` is what an evaluator keeps on a solution it scored, a plain tuple
-whose first item names the problem that wrote it: MAX-SAT's clause counts
-(see `problems.parse_dimacs_cnf`), the TSP route's tour length (see
-`whitebox.rewrite_to_tsp`) or the generic route's violation counts.
-`_provenance` is `(the parent's memo, move)` on a child of a scored
-parent that bitflip (the move is the flipped indices), two_opt (the move
-is `(i, j)`, the reversed segment) or the generic route's reassign (the
-move is `(name, old value)`) built with `_child`, and None otherwise. An
-evaluator scores such a child from these alone and writes only to the
-solution it scores; a child holds no reference to its parent, so it keeps
-no chain of ancestors alive. Both start as None.
+`_memo` is what an incremental evaluator keeps on a solution it scored;
+`problems.problem_instance` gives its layout. `_provenance` is `(the
+parent's memo, move)` on a child of a scored parent that bitflip (the
+move is the flipped indices), two_opt (`(i, j)`, the reversed segment) or
+the generic route's reassign (`(name, old value)`) built with `_child`.
+A child holds no reference to its parent, so it keeps no chain of
+ancestors alive. Both start as None.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from .components import accept_improving, perturb_two_opt, terminate_evaluations
 from .env import ComponentContractError, Environment, rng_below
 from .frameworks import FRAMEWORKS
 from .problems import ProblemInstance, problem_instance
-from .solutions import Assignment, Permutation, _child
+from .solutions import Permutation, _child
 
 
 class ModelError(Exception):
@@ -189,7 +189,15 @@ def parse_model(text: str) -> ModelDescription:
             for k, x in enumerate(coeffs):
                 if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
                     raise ModelError(f"{path}.coeffs[{k}] must be a finite number")
-            objective = Objective("linear_sum", vs, coeffs=tuple(map(float, coeffs)))
+            coeffs = tuple(map(float, coeffs))
+            # |objective| <= sum |coeff| * max(|lo|, |hi|), kept within half the
+            # largest float so that no sum can overflow; each term is scaled
+            # by that limit, so the bound cannot overflow either
+            limit = sys.float_info.max / 2
+            reach = (max(abs(declared[vn].lo), abs(declared[vn].hi)) for vn in vs)
+            if sum(abs(c) / limit * r for c, r in zip(coeffs, reach)) > 1:
+                raise ModelError(f"{path}: linear_sum may exceed {limit:g} in magnitude")
+            objective = Objective("linear_sum", vs, coeffs=coeffs)
         else:
             raise ModelError(f"unknown objective type {otype!r} at {path}")
     return ModelDescription(variables, tuple(constraints), objective)
@@ -290,36 +298,33 @@ def circuit_sum(weights, order) -> int:
 def rewrite_to_tsp(match: TspMatch) -> ProblemInstance:
     """Permutation problem whose objective is the circuit sum over W.
 
-    A scored tour's `_memo` is `(W, length)`, keyed to this problem by its
-    weight matrix W, which is all the length depends on. A 2-opt child of
-    such a tour carries that memo and its cuts (i, j), and is scored from
-    the length and its own order: only the edges at the two cuts change, in
-    O(1), and when W is asymmetric the segment i..j changes direction too,
-    in O(j - i). A whole-tour reversal keeps the length of a symmetric W.
-    Any other tour takes `circuit_sum`. Both give the same integer.
+    A scored tour's aux is its length. A 2-opt child carries its cuts
+    (i, j) and is scored from its parent's length and its own order: only
+    the edges at the two cuts change, in O(1), and when W is asymmetric the
+    segment i..j changes direction too, in O(j - i). A whole-tour reversal
+    keeps the length of a symmetric W, and takes `circuit_sum` otherwise,
+    as every other tour does. Both give the same integer.
     """
     W, n = match.weights, match.n
     symmetric = all(row == column for row, column in zip(W, zip(*W)))
 
-    def value(sol: Permutation) -> int:
-        provenance = sol._provenance
-        if provenance is not None:
-            (owner, length), (i, j) = provenance
-            if owner is W and (symmetric or j - i < n - 1):
-                if j - i < n - 1:  # else the whole tour is reversed, and W symmetric
-                    o = sol.order  # the parent's cities at the cuts, b and c, swapped places
-                    a, c, b, d = o[i - 1], o[i], o[j], o[(j + 1) % n]
-                    length += W[a][c] + W[b][d] - W[a][b] - W[c][d]
-                    if not symmetric:  # the segment now runs the other way
-                        segment = o[i : j + 1]
-                        length += sum(W[x][y] - W[y][x] for x, y in zip(segment, segment[1:]))
-                sol.__dict__["_memo"] = (W, length)
-                return length
+    def value(sol: Permutation):
         length = circuit_sum(W, sol.order)
-        sol.__dict__["_memo"] = (W, length)
-        return length
+        return length, length
 
-    return problem_instance("circuit_sum", f"rewritten_tsp_{n}", "perm", n, value)
+    def delta(length, cuts, sol: Permutation):
+        i, j = cuts
+        if j - i == n - 1:  # the whole tour reversed
+            return (length, length) if symmetric else value(sol)
+        o = sol.order  # the parent's cities at the cuts, b and c, swapped places
+        a, c, b, d = o[i - 1], o[i], o[j], o[(j + 1) % n]
+        length += W[a][c] + W[b][d] - W[a][b] - W[c][d]
+        if not symmetric:  # the segment now runs the other way
+            segment = o[i : j + 1]
+            length += sum(W[x][y] - W[y][x] for x, y in zip(segment, segment[1:]))
+        return length, length
+
+    return problem_instance("circuit_sum", f"rewritten_tsp_{n}", "perm", n, value, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +408,16 @@ def generic_solve(
     variable uniformly in its domain. An assignment scores
     `objective_value + penalty * count_violations`.
 
-    A scored assignment's `_memo` is `(owner, violations, counts, total)`:
-    the violations of each constraint, the count of each value in each
-    all_different's scope (None for a table), and their sum. Its `owner`
-    is the index from each variable to the constraints that hold it, made
-    once per call, so a memo is only read by the evaluator that wrote it;
-    no memo is changed once made. A reassign child of such an assignment
-    carries that memo and its move `(name, old value)`, and is scored from
-    them: only the constraints that hold `name` are counted again, and the
-    objective in full by `objective_value`. Any other assignment, a start,
-    a plain dict or a child of another call's memo, is counted in full,
-    and is first checked: its keys must be the model's variables and each
-    value an int (not a bool) in its domain, or ComponentContractError is
-    raised.
+    A scored assignment's aux is `(violations, counts, total)`: the
+    violations of each constraint, the count of each value in each
+    all_different's scope (None for a table), and their sum. A reassign
+    child carries its move `(name, old value)` and is scored from its
+    parent's aux: only the constraints that hold `name` are counted again,
+    and the objective in full by `objective_value`. Any other assignment,
+    a start, a plain dict or a child scored in another call, is counted in
+    full, and is first checked: its keys must be the model's variables and
+    each value an int (not a bool) in its domain, or ComponentContractError
+    is raised.
     """
     _check_circuit_domains(model)
     variables, constraints = model.variables, model.constraints
@@ -426,47 +428,45 @@ def generic_solve(
             holding[name].append((k, m))
 
     def value(a):
-        provenance = getattr(a, "_provenance", None)
-        if provenance is None or provenance[0][0] is not holding:
-            if a.keys() != domains.keys() or not all(
-                type(a[name]) is int and lo <= a[name] <= hi for name, (lo, hi) in domains.items()
-            ):
-                raise ComponentContractError(f"penalty_sum: not an assignment of this model: {a!r}")
-            violations, counts = _tally(constraints, a)
-            memo = (holding, violations, counts, sum(violations))
-        else:
-            memo, (name, old) = provenance
-            new = a[name]
-            if new != old:  # else the child scores as its parent
-                _, violations, counts, total = memo
-                violations, counts = list(violations), list(counts)
-                for k, m in holding[name]:
-                    c = counts[k]
-                    if c is None:  # a table: test the child's own tuple
-                        con = constraints[k]
-                        now = int(con.values_of(a) not in con.allowed)
+        if a.keys() != domains.keys() or not all(
+            type(a[name]) is int and lo <= a[name] <= hi for name, (lo, hi) in domains.items()
+        ):
+            raise ComponentContractError(f"penalty_sum: not an assignment of this model: {a!r}")
+        violations, counts = _tally(constraints, a)
+        total = sum(violations)
+        return objective_value(model, a) + penalty * total, (violations, counts, total)
+
+    def delta(aux, move, a):
+        name, old = move
+        new = a[name]
+        if new != old:  # else the child scores as its parent
+            violations, counts, total = aux
+            violations, counts = list(violations), list(counts)
+            for k, m in holding[name]:
+                c = counts[k]
+                if c is None:  # a table: test the child's own tuple
+                    con = constraints[k]
+                    now = int(con.values_of(a) not in con.allowed)
+                else:
+                    # m occurrences move from old (x of them) to new (y);
+                    # the c(c-1)/2 pair terms of x and y change by
+                    # m(m+1-2x)/2 + m(m-1+2y)/2 = m(m+y-x) in all
+                    x, y = c[old], c.get(new, 0)
+                    now = violations[k] + m * (m + y - x)
+                    c = counts[k] = dict(c)
+                    if x == m:
+                        del c[old]
                     else:
-                        # m occurrences move from old (x of them) to new (y);
-                        # the c(c-1)/2 pair terms of x and y change by
-                        # m(m+1-2x)/2 + m(m-1+2y)/2 = m(m+y-x) in all
-                        x, y = c[old], c.get(new, 0)
-                        now = violations[k] + m * (m + y - x)
-                        c = counts[k] = dict(c)
-                        if x == m:
-                            del c[old]
-                        else:
-                            c[old] = x - m
-                        c[new] = y + m
-                    total += now - violations[k]
-                    violations[k] = now
-                memo = (holding, tuple(violations), tuple(counts), total)
-        if type(a) is Assignment:
-            a.__dict__["_memo"] = memo
-        return objective_value(model, a) + penalty * memo[3]
+                        c[old] = x - m
+                    c[new] = y + m
+                total += now - violations[k]
+                violations[k] = now
+            aux = (tuple(violations), tuple(counts), total)
+        return objective_value(model, a) + penalty * aux[2], aux
 
     problem = problem_instance(
         "penalty_sum", f"model_{len(variables)}", "assignment", len(variables), value,
-        domains=domains,
+        delta=delta, domains=domains,
     )
 
     def reassign(assignment, env):

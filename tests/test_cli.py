@@ -717,6 +717,8 @@ class TestProblemTable:
         [
             (0, "", "DIMENSION must be at least 1"),
             (2, "1 0 0\n2 nan 1\n", "non-finite coordinate"),
+            # finite, but the squared distance between the cities overflows
+            (2, "1 0 0\n2 1e200 0\n", "coordinate beyond 1e+150"),
         ],
     )
     def test_degenerate_tsplib_exits_2_before_any_trial(
@@ -850,6 +852,16 @@ class TestSolveModelBoundary:
     def test_malformed_model_exits_2_naming_its_path(self, tmp_path, capsys, doc, where):
         model = write_json(tmp_path / "m.json", doc)
         exits_2_naming(capsys, ["solve", model, "--budget", "50"], where)
+
+    @pytest.mark.parametrize("coeffs", [[1e308, 1e308], [1e308, -1e308]])
+    def test_a_linear_sum_that_can_overflow_exits_2(self, tmp_path, capsys, coeffs):
+        # its value could reach inf, or nan, which solve would print as no JSON
+        doc = {
+            "variables": [{"name": "a", "lo": 0, "hi": 10}, {"name": "b", "lo": 0, "hi": 10}],
+            "objective": {"type": "linear_sum", "vars": ["a", "b"], "coeffs": coeffs},
+        }
+        model = write_json(tmp_path / "m.json", doc)
+        exits_2_naming(capsys, ["solve", model, "--budget", "50"], "$.objective", "linear_sum")
 
     @pytest.mark.parametrize(
         "text",

@@ -58,7 +58,7 @@ def full_path(problem, sol):
 
 
 def took_the_delta(sol):
-    _, _, counts = sol._memo
+    _, (_, counts) = sol._memo
     return counts is not None
 
 

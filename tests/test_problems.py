@@ -310,11 +310,19 @@ class TestTsplib:
             lambda t: t.replace("DIMENSION : 3", "DIMENSION : 0"),
             lambda t: t.replace("2 0 1\n", "2 nan 1\n"),
             lambda t: t.replace("3 1 0\n", "3 1 -inf\n"),
+            # finite, but its squared distance to the others overflows a float
+            lambda t: t.replace("3 1 0\n", "3 1e200 0\n"),
+            lambda t: t.replace("2 0 1\n", "2 0 -1.5e150\n"),
         ],
     )
     def test_rejects_malformed(self, mutation):
         with pytest.raises(ParseError):
             parse_tsplib(mutation(TSP3))
+
+    def test_coordinates_at_the_bound_keep_every_edge_finite(self):
+        p = parse_tsplib(TSP3.replace("2 0 1\n", "2 -1e150 1e150\n").replace("3 1 0\n", "3 1e150 -1e150\n"))
+        length = value_of(p, Permutation.of([0, 1, 2]))
+        assert length == tour_length((0, 1, 2), p.metadata["coords"]) and math.isfinite(length)
 
 
 class TestMagicSquare:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -112,6 +113,32 @@ class TestParseModel:
         with pytest.raises(ModelError) as caught:
             parse_model(json.dumps(doc))
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "variables, names, coeffs",
+        [
+            ([("a", 0, 10), ("b", 0, 10)], ["a", "b"], [1e308, 1e308]),  # could sum to inf
+            ([("a", 0, 10), ("b", 0, 10)], ["a", "b"], [1e308, -1e308]),  # could sum to nan
+            ([("a", -(2**63), 0)], ["a"], [1e290]),  # the low bound counts too
+            ([("a", 0, 1)], ["a", "a"], [6e307, 6e307]),  # each entry counts
+        ],
+    )
+    def test_a_linear_sum_that_can_overflow_is_refused(self, variables, names, coeffs):
+        doc = {
+            "variables": [{"name": n, "lo": lo, "hi": hi} for n, lo, hi in variables],
+            "objective": {"type": "linear_sum", "vars": names, "coeffs": coeffs},
+        }
+        with pytest.raises(ModelError, match=r"\$\.objective: linear_sum may exceed"):
+            parse_model(json.dumps(doc))
+
+    def test_a_linear_sum_within_the_bound_parses(self):
+        doc = {
+            "variables": [{"name": "a", "lo": -1, "hi": 1}, {"name": "b", "lo": 0, "hi": 2**63 - 1}],
+            "objective": {"type": "linear_sum", "vars": ["a", "b", "a"], "coeffs": [4e307, 1.0, 4e307]},
+        }
+        model = parse_model(json.dumps(doc))
+        assert model.objective.coeffs == (4e307, 1.0, 4e307)
+        assert abs(objective_value(model, {"a": -1, "b": 2**63 - 1})) < sys.float_info.max
 
     def test_extreme_and_empty_rows_parse(self):
         doc = tsp_doc(2, [[0, 2**63 - 1], [0, 0]])
