@@ -17,6 +17,7 @@ work on the hot path.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
@@ -320,15 +321,32 @@ def _from_lanes(x: int, count: int) -> memoryview:
     return memoryview(x.to_bytes(16 * count, sys.byteorder)).cast("Q")[_LOW_WORD::2]
 
 
-def _raw64_lanes(seed: int, counter: int, count: int) -> memoryview:
-    """The raw draws at counters counter..counter+count-1, mixed at once."""
+@functools.lru_cache(maxsize=8)
+def _lane_constants(count: int) -> Tuple[int, int, int]:
+    """i·_GOLDEN mod 2^64 in lane i, the ones-lanes and their low halves:
+    the part of a batch's mixing that does not depend on its seed or
+    counter. Each is an int of 16·count bytes; `_mixed_lanes` caches counts
+    up to 4096 only, so the cache holds at most 8 · 3 such ints of 64 KiB,
+    about 1.6 MiB with an int's own overhead."""
     ones = _to_lanes(array("Q", [1]) * count)
     low = ones * _MASK64
-    x = _to_lanes(array("Q", range(counter + 1, counter + 1 + count)))
-    x = ((x * _GOLDEN & low) + seed * ones) & low
+    return _to_lanes(array("Q", range(count))) * _GOLDEN & low, ones, low
+
+
+def _mixed_lanes(seed: int, counter: int, count: int) -> Tuple[int, int]:
+    """The raw draws at counters counter..counter+count-1, mixed at once, as
+    lanes whose high halves hold junk; and the ones-lanes."""
+    constants = _lane_constants if count <= 4096 else _lane_constants.__wrapped__
+    golden, ones, low = constants(count)
+    x = (golden + ((counter + 1) * _GOLDEN + seed & _MASK64) * ones) & low
     x = ((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
     x = ((x ^ (x >> 27)) & low) * 0x94D049BB133111EB & low
-    return _from_lanes(x ^ (x >> 31), count)
+    return x ^ (x >> 31), ones
+
+
+def _raw64_lanes(seed: int, counter: int, count: int) -> memoryview:
+    """The raw draws at counters counter..counter+count-1, mixed at once."""
+    return _from_lanes(_mixed_lanes(seed, counter, count)[0], count)
 
 
 def rng_below_many(env: Environment, n: int, count: int) -> Tuple[List[int], Environment]:
@@ -345,6 +363,20 @@ def rng_below_many(env: Environment, n: int, count: int) -> Tuple[List[int], Env
         rng = _advanced(rng.seed, start + need)  # past the stream's end: ValueError
         values += map(n.__rmod__, filter(limit.__gt__, _raw64_lanes(rng.seed, start, need)))
     return values, _new(Environment, (env.entries, rng))
+
+
+def rng_bits(env: Environment, count: int) -> Tuple[bytes, Environment]:
+    """`count` fair bits, one 0 or 1 byte each: the same values and final
+    counter as `rng_below_many(env, 2, count)`. For n = 2 no raw draw is
+    rejected and a draw's value is its low bit, so the bits are the lanes'
+    low bits, masked and read out in one pass."""
+    if count < 0:
+        raise ValueError("rng_bits requires count >= 0")
+    seed, counter = env.rng
+    rng = _advanced(seed, counter + count)  # past the stream's end: ValueError
+    x, ones = _mixed_lanes(seed, counter, count)
+    # the low bit of each lane is the first byte of its 16, on any host
+    return (x & ones).to_bytes(16 * count, "little")[::16], _new(Environment, (env.entries, rng))
 
 
 Step = Callable[[Any, Environment], Tuple[Any, Environment]]

@@ -12,6 +12,7 @@ parameters once for assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Dict, Tuple
 
 from .components import (
@@ -29,7 +30,7 @@ from .components import (
     initializer,
 )
 from .env import EnvValue, Environment, _new, rng_below, rng_uniform
-from .solutions import BitVector, Permutation, RealVector, Solution
+from .solutions import BitVector, Permutation, RealVector, Solution, _child
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,11 @@ def iterated_local_search(
 
 def crossover_one_point():
     """Bit-vector one-point crossover at a cut in 1..n-1. A 1-bit vector
-    has no cut, so its parents pass through unchanged and nothing is drawn."""
+    has no cut, so its parents pass through unchanged and nothing is drawn.
+
+    If a parent was scored, each child is built with `_child` from its
+    nearer parent, the one it differs from in fewer positions, with those
+    positions as its move (see `solutions`)."""
 
     def step(pair, env):
         a, b = pair
@@ -169,9 +174,17 @@ def crossover_one_point():
         cut, env = rng_below(env, n - 1)
         cut += 1
         pa, pb = a.packed, b.packed
-        c1 = BitVector._unchecked(pa[:cut] + pb[cut:])
-        c2 = BitVector._unchecked(pb[:cut] + pa[cut:])
-        return (c1, c2), env
+        c1, c2 = pa[:cut] + pb[cut:], pb[:cut] + pa[cut:]
+        if a._memo is None and b._memo is None:
+            return (BitVector._unchecked(c1), BitVector._unchecked(c2)), env
+        # 1 where the parents differ: c1 differs from a after the cut and
+        # from b before it, c2 from b after it and from a before it
+        d = (int.from_bytes(pa, "big") ^ int.from_bytes(pb, "big")).to_bytes(n, "big")
+        if d.count(1, cut) <= d.count(1, 0, cut):
+            move = tuple(compress(range(cut, n), d[cut:]))
+            return (_child(a, c1, move), _child(b, c2, move)), env
+        move = tuple(compress(range(cut), d[:cut]))
+        return (_child(b, c1, move), _child(a, c2, move)), env
 
     return step
 

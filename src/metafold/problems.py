@@ -12,7 +12,7 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Callable, Dict, Optional, Tuple
 
 from .components import Component, ComponentDescriptor
@@ -20,7 +20,7 @@ from .env import (
     ComponentContractError,
     Environment,
     rng_below,
-    rng_below_many,
+    rng_bits,
     rng_uniform,
 )
 from .solutions import Assignment, BitVector, Permutation, RealVector, Solution
@@ -50,8 +50,8 @@ class ProblemInstance:
 
 def sample_bits(n: int):
     def sample(env):
-        bits, env = rng_below_many(env, 2, n)
-        return BitVector._unchecked(bytes(bits)), env
+        bits, env = rng_bits(env, n)
+        return BitVector._unchecked(bits), env
 
     return sample
 
@@ -246,6 +246,11 @@ def sphere(d: int, lo: float, hi: float) -> ProblemInstance:
         raise ValueError("need d >= 1 and lo < hi")
     if not math.isfinite(hi - lo):  # the start sampler scales by it
         raise ValueError(f"hi - lo must be finite, not {hi - lo}")
+    # the value at the box's farthest corner, summed as `value` sums it, is
+    # the largest any point in the box can score
+    top = max(abs(lo), abs(hi))
+    if math.isinf(sum(repeat(top * top, d))):
+        raise ValueError(f"a sum of {d} squares of up to {top:g} overflows; narrow lo and hi")
     optimum = {"optimum_value": 0.0} if lo <= 0.0 <= hi else {}
     return problem_instance(
         "sphere", f"sphere_{d}", "real", d, lambda s: sum(c * c for c in s.coords),
@@ -323,41 +328,41 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
 
     # A scored vector's aux is `(unsatisfied, counts)`: counts[c] is the
     # number of true literals in clause c, or None on the set-union path.
-    # A bit-flip child copies its parent's counts and updates the clauses
-    # of its flipped variables, or counts its own if there are none. All
-    # paths give the same integer.
+    # A child copies its parent's counts and updates the clauses of its
+    # flipped variables, or counts its own if there are none. All paths
+    # give the same integer. A count never exceeds its clause's length, so
+    # the counts are bytes when every clause has under 256 literals; they
+    # copy as one memcpy, as a list would not.
+    if max(map(len, clauses), default=0) < 256:
+        zero_counts = bytearray(num_clauses)
+    else:
+        zero_counts = array("Q", bytes(8 * num_clauses))
+
     def value(sol: BitVector):
         truth = sol.packed + sol.packed.translate(_NOT_BITS)
         unsatisfied = num_clauses - len(set().union(*compress(satisfies, truth)))
         return unsatisfied, (unsatisfied, None)
 
     def delta(aux, flipped, sol: BitVector):
-        unsatisfied, counts = aux
+        counts = aux[1]
         packed = sol.packed
         if counts is None:  # the parent took the set-union path
-            counts = [0] * num_clauses
+            counts = zero_counts[:]
             for clauses_of in compress(satisfies, packed + packed.translate(_NOT_BITS)):
                 for c in clauses_of:
                     counts[c] += 1
-            counts = array("Q", counts)  # an array copies as one memcpy; a list does not
-            unsatisfied = counts.count(0)
-            return unsatisfied, (unsatisfied, counts)
-        counts = counts[:]
-        for v in flipped:
-            if packed[v]:
-                made, broken = satisfies[v], satisfies[num_vars + v]
-            else:
-                made, broken = satisfies[num_vars + v], satisfies[v]
-            for c in made:
-                count = counts[c]
-                if not count:
-                    unsatisfied -= 1
-                counts[c] = count + 1
-            for c in broken:
-                count = counts[c] - 1
-                if not count:
-                    unsatisfied += 1
-                counts[c] = count
+        else:
+            counts = counts[:]
+            for v in flipped:
+                if packed[v]:
+                    made, broken = satisfies[v], satisfies[num_vars + v]
+                else:
+                    made, broken = satisfies[num_vars + v], satisfies[v]
+                for c in made:
+                    counts[c] += 1
+                for c in broken:
+                    counts[c] -= 1
+        unsatisfied = counts.count(0)
         return unsatisfied, (unsatisfied, counts)
 
     return problem_instance(

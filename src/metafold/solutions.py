@@ -36,8 +36,9 @@ them: the `BitVector`, `Permutation` and `RealVector` constructors, `.of`,
 can only yield a valid vector from a valid one (bitflip, one-point
 crossover, `sample_bits`, swap, two_opt, the Fisher-Yates
 `sample_permutation`) builds its result with `_unchecked`, which skips the
-check; bitflip, two_opt and the generic route's reassign build theirs
-with `_child`, which also records the provenance.
+check; bitflip, two_opt, the generic route's reassign and one-point
+crossover (when a parent was scored) build theirs with `_child`, which
+also records the provenance.
 Real vectors and order-1 crossover stay checked, as their outputs can be
 invalid (an overflow to inf, parents of unequal length).
 
@@ -53,9 +54,13 @@ attributes that are not dataclass fields or dict items, so `==`, `hash`,
 `_memo` is what an incremental evaluator keeps on a solution it scored;
 `problems.problem_instance` gives its layout. `_provenance` is `(the
 parent's memo, move)` on a child of a scored parent that bitflip (the
-move is the flipped indices), two_opt (`(i, j)`, the reversed segment) or
-the generic route's reassign (`(name, old value)`) built with `_child`.
-A child holds no reference to its parent, so it keeps no chain of
+move is the flipped indices), one-point crossover (the indices where the
+child differs from its nearer parent), two_opt (`(i, j)`, the reversed
+segment) or the generic route's reassign (`(name, old value)`) built with
+`_child`. Bit-vector moves compose: the child of an unscored bit vector
+that carries provenance keeps its memo, with the indices flipped an odd
+number of times over both moves as its move. No other move composes. A
+child holds no reference to its parent, so it keeps no chain of
 ancestors alive. Both start as None.
 """
 
@@ -228,10 +233,15 @@ Solution = Union[BitVector, Permutation, RealVector]
 def _child(parent, value, move):
     """`parent`'s child, `value` (packed bits, order or a mapping), built by
     `move`; not checked. It carries `(parent._memo, move)` if the parent was
-    scored."""
+    scored. A bit vector's child of an unscored parent that carries
+    provenance composes the two moves: it keeps the first memo, and its
+    move is the positions flipped an odd number of times."""
     child = parent._unchecked(value)
     if parent._memo is not None:
         child.__dict__["_provenance"] = (parent._memo, move)
+    elif parent._provenance is not None and type(parent) is BitVector:
+        memo, first = parent._provenance
+        child.__dict__["_provenance"] = (memo, tuple(set(first).symmetric_difference(move)))
     return child
 
 

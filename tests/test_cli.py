@@ -712,6 +712,14 @@ class TestProblemTable:
             capsys, ["run", minimal_run(tmp_path, problems=[entry])], "hi - lo must be finite"
         )
 
+    def test_sphere_whose_squares_overflow_exits_2_before_any_trial(self, tmp_path, capsys):
+        # hi - lo is finite, but every start would score inf
+        entry = {"kind": "sphere", "d": 2, "lo": -1e200, "hi": 1e200}
+        exits_2_naming(
+            capsys, ["run", minimal_run(tmp_path, problems=[entry])], "a sum of 2 squares"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "dimension, coords, message",
         [

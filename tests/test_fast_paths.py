@@ -6,6 +6,7 @@ RNG counter included, or replay would change.
 """
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from metafold.env import (
     env_new,
     rng_below,
     rng_below_many,
+    rng_bits,
     rng_uniform,
 )
 from metafold.frameworks import crossover_one_point
@@ -125,6 +127,60 @@ def test_rng_below_many_rejects_bad_arguments():
         rng_below_many(env_new(1), 2, -1)
 
 
+near_the_end = st.integers(min_value=0, max_value=4200).map(lambda to_end: (1 << 64) - 1 - to_end)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=seeds,
+    counter=st.one_of(counters, near_the_end),
+    count=st.integers(min_value=0, max_value=4096),
+)
+def test_rng_bits_equals_rng_below_many_of_two(seed, counter, count):
+    # near the end of the stream both raise the same ValueError, or neither does
+    env = Environment(entries={}, rng=RngState(seed, counter))
+    expected = outcome(rng_below_many, env, 2, count)
+    got = outcome(rng_bits, env, count)
+    if expected is ValueError:
+        assert got is ValueError
+    else:
+        assert got[0] == bytes(expected[0]) and got[1].rng == expected[1].rng
+
+
+@pytest.mark.parametrize("counter", [0, 12345, (1 << 64) - 2**20, (1 << 64) - 2**20 + 1])
+def test_rng_bits_equals_rng_below_many_of_two_past_the_cached_counts(counter):
+    env = Environment(entries={}, rng=RngState(99, counter))
+    expected = outcome(rng_below_many, env, 2, 2**20)
+    got = outcome(rng_bits, env, 2**20)
+    if expected is ValueError:
+        assert got is ValueError and counter > (1 << 64) - 1 - 2**20
+    else:
+        assert got[0] == bytes(expected[0]) and got[1].rng == expected[1].rng
+
+
+def test_rng_bits_keeps_its_cache_under_its_byte_cap():
+    # up to 8 counts of at most 4096 bits stay cached, three ints of 16
+    # bytes a bit each, which an int stores 30 bits to 4 bytes: 1.6 MiB at
+    # most, however many counts are drawn
+    cap = 8 * 3 * (16 * 4096 * 32 // 30 + 64)
+    env = env_new(1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for count in [*range(4096, 4000, -1), 5000, 9000, 2**16]:
+            rng_bits(env, count)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # most of the last 8 counts drawn are held (a test before may have drawn one)
+    assert 6 * 3 * 16 * 4001 < held <= cap
+
+
+def test_rng_bits_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        rng_bits(env_new(1), -1)
+
+
 def test_every_put_and_draw_returns_an_environment_and_keeps_the_source():
     key = EnvKey("a", "b")
     env = env_new(3).put(key, EnvValue.of_int(0))
@@ -135,6 +191,7 @@ def test_every_put_and_draw_returns_an_environment_and_keeps_the_source():
         rng_uniform(env)[1],
         rng_below(env, 5)[1],
         rng_below_many(env, 5, 4)[1],
+        rng_bits(env, 4)[1],
     ]
     for out in derived:
         assert type(out) is Environment

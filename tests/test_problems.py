@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -172,6 +173,29 @@ class TestSphere:
             sphere(2, -1e308, 1e308)
         with pytest.raises(ValueError, match="hi - lo must be finite"):
             sphere(2, -math.inf, 0.0)
+
+    @pytest.mark.parametrize(
+        "d, lo, hi",
+        [(2, -1e200, 1e200), (2, 0.0, 1e155), (1, -1e155, 0.0), (100, -1.35e153, 1.0)],
+    )
+    def test_bounds_whose_squares_can_overflow_are_refused(self, d, lo, hi):
+        # hi - lo is finite, but a corner of the box would score inf
+        with pytest.raises(ValueError, match=f"a sum of {d} squares"):
+            sphere(d, lo, hi)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 100, 1000])
+    def test_the_largest_accepted_bound_scores_finite_at_every_corner(self, d):
+        top = math.sqrt(sys.float_info.max / d)
+        while True:  # down to the largest bound the constructor takes
+            try:
+                p = sphere(d, -top, top)
+                break
+            except ValueError:
+                top = math.nextafter(top, 0.0)
+        assert math.isfinite(value_of(p, RealVector([top] * d)))
+        assert math.isfinite(value_of(p, RealVector([-top] * d)))
+        with pytest.raises(ValueError):
+            sphere(d, -top, math.nextafter(top, math.inf))
 
 
 CNF = """c tiny instance
