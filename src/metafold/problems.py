@@ -264,6 +264,17 @@ def sphere(d: int, lo: float, hi: float) -> ProblemInstance:
 _NOT_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
+def _clause_counts(satisfies, truth, zero_counts):
+    """Each clause's number of true literals: a copy of `zero_counts` with
+    one added to every clause that `satisfies` lists for each literal index
+    whose byte in `truth` is 1."""
+    counts = zero_counts[:]
+    for clauses_of in compress(satisfies, truth):
+        for c in clauses_of:
+            counts[c] += 1
+    return counts
+
+
 def parse_dimacs_cnf(text: str) -> ProblemInstance:
     """Minimization MAX-SAT: objective is the number of unsatisfied clauses."""
     num_vars = num_clauses = None
@@ -316,10 +327,9 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
 
     # Each literal becomes an index into `bits + negated bits`: variable v
     # true is index v-1, variable v false is index num_vars + v-1.
-    # satisfies[i] lists the clauses that literal index i satisfies, so the
-    # satisfied clauses are the union over the true literals; an empty
-    # clause is in no list and stays unsatisfied. Memory is O(literals);
-    # tuples take a seventh of the memory of frozensets and union faster.
+    # satisfies[i] lists the clauses that literal index i satisfies; an
+    # empty clause is in no list and stays unsatisfied. Memory is
+    # O(literals).
     occurrences = [[] for _ in range(2 * num_vars)]
     for c, clause in enumerate(clauses):
         for lit in clause:
@@ -327,41 +337,33 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
     satisfies = tuple(map(tuple, occurrences))
 
     # A scored vector's aux is `(unsatisfied, counts)`: counts[c] is the
-    # number of true literals in clause c, or None on the set-union path.
-    # A child copies its parent's counts and updates the clauses of its
-    # flipped variables, or counts its own if there are none. All paths
-    # give the same integer. A count never exceeds its clause's length, so
-    # the counts are bytes when every clause has under 256 literals; they
-    # copy as one memcpy, as a list would not.
+    # number of true literals in clause c. The full path counts them; a
+    # child copies its parent's counts and updates the clauses of its
+    # flipped variables. Both give the same integer. A count never exceeds
+    # its clause's length, so the counts are bytes when every clause has
+    # under 256 literals; they copy as one memcpy, as a list would not.
     if max(map(len, clauses), default=0) < 256:
         zero_counts = bytearray(num_clauses)
     else:
         zero_counts = array("Q", bytes(8 * num_clauses))
 
     def value(sol: BitVector):
-        truth = sol.packed + sol.packed.translate(_NOT_BITS)
-        unsatisfied = num_clauses - len(set().union(*compress(satisfies, truth)))
-        return unsatisfied, (unsatisfied, None)
+        counts = _clause_counts(satisfies, sol.packed + sol.packed.translate(_NOT_BITS), zero_counts)
+        unsatisfied = counts.count(0)
+        return unsatisfied, (unsatisfied, counts)
 
     def delta(aux, flipped, sol: BitVector):
-        counts = aux[1]
+        counts = aux[1][:]
         packed = sol.packed
-        if counts is None:  # the parent took the set-union path
-            counts = zero_counts[:]
-            for clauses_of in compress(satisfies, packed + packed.translate(_NOT_BITS)):
-                for c in clauses_of:
-                    counts[c] += 1
-        else:
-            counts = counts[:]
-            for v in flipped:
-                if packed[v]:
-                    made, broken = satisfies[v], satisfies[num_vars + v]
-                else:
-                    made, broken = satisfies[num_vars + v], satisfies[v]
-                for c in made:
-                    counts[c] += 1
-                for c in broken:
-                    counts[c] -= 1
+        for v in flipped:
+            if packed[v]:
+                made, broken = satisfies[v], satisfies[num_vars + v]
+            else:
+                made, broken = satisfies[num_vars + v], satisfies[v]
+            for c in made:
+                counts[c] += 1
+            for c in broken:
+                counts[c] -= 1
         unsatisfied = counts.count(0)
         return unsatisfied, (unsatisfied, counts)
 

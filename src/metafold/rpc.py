@@ -2,8 +2,10 @@
 
 The server constructs the named component per request, threads the
 deserialized Environment through it, and returns the full Environment in
-the response; nothing survives between requests. Client proxies are
-ordinary components, so a framework cannot tell local from remote.
+the response; nothing survives between requests. Each connection is served
+at once on a thread of its own, and a thread whose request is done waits for
+the next connection instead of exiting. Client proxies are ordinary
+components, so a framework cannot tell local from remote.
 """
 
 from __future__ import annotations
@@ -109,6 +111,17 @@ def _result(req_id, payload):
     return {"jsonrpc": "2.0", "id": req_id, "result": payload}
 
 
+# The members a request may hold; any other is refused, as is a component
+# method's params member that is not in `_METHOD_PARAMS` or the method's
+# request field, so a misspelt key is never ignored.
+_REQUEST_MEMBERS = frozenset(("jsonrpc", "id", "method", "params"))
+_METHOD_PARAMS = frozenset(("component", "params", "env"))
+
+
+def _unknown_key(obj: dict, known) -> Optional[str]:
+    return next((key for key in obj if key not in known), None)
+
+
 def handle_rpc(registry: Registry, body: bytes) -> dict:
     """Pure request handler: one JSON-RPC request in, one response out."""
     try:
@@ -123,15 +136,25 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
         return _error(None, ERR_INVALID_REQUEST, "id must be a string, a finite number or null")
     if request.get("jsonrpc") != "2.0" or "method" not in request:
         return _error(req_id, ERR_INVALID_REQUEST, "not a JSON-RPC 2.0 request")
+    unknown = _unknown_key(request, _REQUEST_MEMBERS)
+    if unknown is not None:
+        return _error(req_id, ERR_INVALID_REQUEST, f"unknown request member {unknown!r}")
     method = request["method"]
     if method == "describe":
-        return _result(req_id, registry.to_json())
+        params = request.get("params", {})
+        if params in ({}, []):
+            return _result(req_id, registry.to_json())
+        named = f"; got {next(iter(params))!r}" if isinstance(params, dict) else ""
+        return _error(req_id, ERR_INVALID_PARAMS, f"describe takes no params{named}")
     if not isinstance(method, str) or method not in _METHODS:
         return _error(req_id, ERR_INVALID_REQUEST, f"unknown method {method!r}")
     (in_name, _, decode_in), (out_name, encode_out, _) = _METHODS[method]
     params = request.get("params")
     if not isinstance(params, dict):
         return _error(req_id, ERR_INVALID_PARAMS, "params must be an object")
+    unknown = _unknown_key(params, _METHOD_PARAMS | {in_name})
+    if unknown is not None:
+        return _error(req_id, ERR_INVALID_PARAMS, f"unknown params member {unknown!r}")
     name = params.get("component")
     try:
         env = Environment.from_json(params["env"])
@@ -150,6 +173,70 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
     except Exception as exc:
         return _error(req_id, ERR_COMPONENT_FAILURE, f"{name}: {exc}")
     return _result(req_id, result)
+
+
+class _ReusingHTTPServer(ThreadingHTTPServer):
+    """A ThreadingHTTPServer that keeps its connection threads.
+
+    Each connection is still served at once on a thread of its own, so a
+    stalled connection delays no other. A thread whose request is done waits
+    for the next connection instead of exiting; a connection that finds no
+    idle thread starts a new one. `server_close` ends the idle threads and
+    waits for the busy ones.
+    """
+
+    def __init__(self, server_address, handler_class):
+        # set before binding, as a failed bind calls server_close
+        self._idle_lock = threading.Lock()  # guards _idle and _closing
+        self._idle = []  # one slot per idle thread: [its wake lock, its next connection]
+        self._closing = False
+        self._workers = []
+        super().__init__(server_address, handler_class)
+
+    def process_request(self, request, client_address):
+        with self._idle_lock:
+            slot = self._idle.pop() if self._idle else None
+        if slot is None:
+            slot = [threading.Lock(), None]
+            slot[0].acquire()
+            worker = threading.Thread(target=self._work, args=(slot,), daemon=True)
+            self._workers.append(worker)
+            worker.start()
+        slot[1] = (request, client_address)
+        slot[0].release()
+
+    def _work(self, slot):
+        wake = slot[0]
+        while True:
+            wake.acquire()
+            if slot[1] is None:  # woken by server_close
+                return
+            request, client_address = slot[1]
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                # idle before the connection is closed, so a client that
+                # reads to the close finds this thread free for its next one
+                with self._idle_lock:
+                    closing = self._closing
+                    if not closing:
+                        self._idle.append(slot)
+                self.shutdown_request(request)
+            if closing:
+                return
+
+    def server_close(self):
+        super().server_close()
+        with self._idle_lock:
+            self._closing = True
+            idle, self._idle = self._idle, []
+        for slot in idle:
+            slot[1] = None
+            slot[0].release()
+        for worker in self._workers:
+            worker.join()
 
 
 class RpcServer:
@@ -189,7 +276,7 @@ class RpcServer:
             def log_message(self, *args):
                 pass
 
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
+        self._httpd = _ReusingHTTPServer((host, port), Handler)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
 

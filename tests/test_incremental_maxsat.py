@@ -13,9 +13,11 @@ import gc
 import pickle
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metafold import problems
 from metafold.components import accept_improving, perturb_bitflip, terminate_iterations
 from metafold.env import env_new
 from metafold.frameworks import local_search
@@ -57,9 +59,19 @@ def full_path(problem, sol):
     return score(problem, BitVector(sol.packed))
 
 
-def took_the_delta(sol):
+@pytest.fixture
+def counted(monkeypatch):
+    """Each clause-count vector that the full path returns."""
+    returned, clause_counts = [], problems._clause_counts
+    monkeypatch.setattr(
+        problems, "_clause_counts", lambda *args: returned.append(clause_counts(*args)) or returned[-1]
+    )
+    return returned
+
+
+def took_the_delta(counted, sol):
     _, (_, counts) = sol._memo
-    return counts is not None
+    return not any(counts is full for full in counted)
 
 
 @st.composite
@@ -100,20 +112,20 @@ def test_every_child_scores_as_the_full_path_and_the_clause_loop(case):
             current = child
 
 
-def test_a_walk_of_single_flips_takes_the_delta_after_the_start():
+def test_a_walk_of_single_flips_takes_the_delta_after_the_start(counted):
     problem = cnf(3, [[1, -2], [2, 3], [-1, -3], [1, 2, 3]])
     env = env_new(4)
     current = BitVector([0, 0, 0])
     score(problem, current)
-    assert not took_the_delta(current)
+    assert not took_the_delta(counted, current)
     for _ in range(20):
         child, env = perturb_bitflip(1)(current, env)
         assert score(problem, child) == ref_maxsat(problem.metadata["clauses"], child.bits)
-        assert took_the_delta(child)
+        assert took_the_delta(counted, child)
         current = child
 
 
-def test_two_problems_of_one_size_share_no_memo():
+def test_two_problems_of_one_size_share_no_memo(counted):
     a = cnf(3, [[1], [2], [3]])
     b = cnf(3, [[-1], [-2], [-3], [-1, -2]])
     parent = BitVector([1, 0, 1])
@@ -122,23 +134,23 @@ def test_two_problems_of_one_size_share_no_memo():
     score(a, parent), score(a, warm)
     child, env = perturb_bitflip(2)(parent, env)
     assert score(b, child) == ref_maxsat(b.metadata["clauses"], child.bits)
-    assert not took_the_delta(child)  # the parent's memo is a's
+    assert not took_the_delta(counted, child)  # the parent's memo is a's
     assert score(a, child) == ref_maxsat(a.metadata["clauses"], child.bits)
-    assert took_the_delta(child)
+    assert took_the_delta(counted, child)
     score(b, parent)  # the parent's memo is b's now
     other, env = perturb_bitflip(1)(parent, env)
     assert score(a, other) == ref_maxsat(a.metadata["clauses"], other.bits)
-    assert not took_the_delta(other)
+    assert not took_the_delta(counted, other)
 
 
-def test_a_child_of_an_unscored_parent_takes_the_full_path():
+def test_a_child_of_an_unscored_parent_takes_the_full_path(counted):
     problem = cnf(4, [[1, 2], [-3], [4, -1]])
     child, _ = perturb_bitflip(2)(BitVector([1, 1, 0, 0]), env_new(6))
     assert score(problem, child) == ref_maxsat(problem.metadata["clauses"], child.bits)
-    assert not took_the_delta(child)
+    assert not took_the_delta(counted, child)
 
 
-def test_a_decoded_child_takes_the_full_path():
+def test_a_decoded_child_takes_the_full_path(counted):
     problem = cnf(4, [[1, 2], [-3], [4, -1]])
     parent = BitVector([1, 1, 0, 0])
     env = env_new(7)
@@ -148,7 +160,7 @@ def test_a_decoded_child_takes_the_full_path():
     decoded = solution_from_json(solution_to_json(child))
     assert decoded._provenance is None
     assert score(problem, decoded) == score(problem, child)
-    assert not took_the_delta(decoded) and took_the_delta(child)
+    assert not took_the_delta(counted, decoded) and took_the_delta(counted, child)
 
 
 def test_provenance_and_memo_are_invisible():
@@ -168,15 +180,15 @@ def test_provenance_and_memo_are_invisible():
         assert copied._provenance is None and copied._memo is None
 
 
-def test_a_child_of_a_set_union_parent_leaves_the_parent_as_it_was():
+def test_a_child_of_a_fully_scored_parent_leaves_the_parent_as_it_was(counted):
     problem = cnf(4, [[1, 2], [-3], [4, -1], [2, 3, -4]])
     parent = BitVector([1, 0, 1, 0])
     score(problem, parent)
     memo = parent._memo
-    assert not took_the_delta(parent)
+    assert not took_the_delta(counted, parent)
     child, _ = perturb_bitflip(2)(parent, env_new(11))
     assert score(problem, child) == ref_maxsat(problem.metadata["clauses"], child.bits)
-    assert took_the_delta(child)
+    assert took_the_delta(counted, child)
     assert parent._memo is memo
 
 

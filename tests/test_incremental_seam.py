@@ -11,7 +11,7 @@ and gets the value the first instance's delta gets.
 import pytest
 from test_incremental_generic import generic_parts, score
 
-from metafold import whitebox
+from metafold import problems, whitebox
 from metafold.components import perturb_bitflip, perturb_two_opt
 from metafold.env import env_new
 from metafold.problems import parse_dimacs_cnf, problem_instance
@@ -37,10 +37,15 @@ MODEL = ModelDescription(
 
 
 def maxsat_case(monkeypatch):
+    counted, clause_counts = [], problems._clause_counts
+    monkeypatch.setattr(
+        problems, "_clause_counts", lambda *args: counted.append(clause_counts(*args)) or counted[-1]
+    )
+
     def in_full(problem, sol):
+        counted.clear()
         score(problem, sol)
-        _, (_, counts) = sol._memo
-        return counts is None  # the set-union path keeps no clause counts
+        return len(counted) == 1 and sol._memo[1][1] is counted[0]
 
     return (lambda: parse_dimacs_cnf(CNF)), BitVector([1, 0, 1, 0]), perturb_bitflip(1), in_full
 

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metafold import rpc
+from metafold.assembly import Registry
+from metafold.components import Component
 from metafold.env import env_new
 from metafold.palette import default_registry
 from metafold.rpc import (
@@ -228,6 +230,111 @@ def test_a_mistyped_perm_or_real_payload_is_invalid_params(component, solution):
     assert_well_formed(response)
     assert response["error"]["code"] == ERR_INVALID_PARAMS
     assert f"{solution['t']} payload must be a list of JSON" in response["error"]["message"]
+
+
+def recording(registry, ran):
+    """`registry`, with each component's step appending its name to `ran`."""
+
+    def wrap(factory):
+        def build(bindings):
+            component = factory(bindings)
+
+            def step(payload, env):
+                ran.append(component.descriptor.name)
+                return component(payload, env)
+
+            return Component(component.descriptor, step)
+
+        return build
+
+    factories = {key: wrap(factory) for key, factory in registry.factories.items()}
+    return Registry(registry.descriptors, factories, registry.impls)
+
+
+RAN = []
+RECORDING = recording(REGISTRY, RAN)
+
+
+def call(component, field, payload, env=GOOD_ENV):
+    return {"component": component, "params": {}, "env": env, field: payload}
+
+
+# One valid request of each kind the default registry serves; each runs
+# its component, if it has one.
+VALID = {
+    "describe": {"jsonrpc": "2.0", "id": 1, "method": "describe"},
+    "bitflip": {"jsonrpc": "2.0", "id": 2, "method": "perturb",
+                "params": call("bitflip", "solution", GOOD_SOLUTION)},
+    "tabu": {"jsonrpc": "2.0", "id": 3, "method": "accept",
+             "params": call("tabu", "solutions", [GOOD_SOLUTION, GOOD_SOLUTION])},
+    "max_iterations": {"jsonrpc": "2.0", "id": 4, "method": "terminate", "params": call(
+        "max_iterations", "solution", GOOD_SOLUTION,
+        {"rng": GOOD_ENV["rng"], "entries": {"framework.iteration": {"t": "int", "v": 3}}},
+    )},
+}
+KNOWN_KEYS = {"jsonrpc", "id", "method", "params", "component", "env", "solution", "solutions"}
+plain_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=2), st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(VALID)),
+    in_params=st.booleans(),
+    key=st.text(max_size=8).filter(lambda k: k not in KNOWN_KEYS),
+    value=plain_values,
+    position=st.integers(0, 5),
+)
+def test_one_unknown_key_is_refused_and_runs_no_component(name, in_params, key, value, position):
+    request = json.loads(json.dumps(VALID[name]))
+    RAN.clear()
+    assert "result" in handle_rpc(RECORDING, json.dumps(request).encode())
+    assert RAN == ([] if name == "describe" else [name])
+    target = request.setdefault("params", {}) if in_params else request
+    items = list(target.items())
+    items.insert(position, (key, value))
+    target.clear()
+    target.update(items)
+    RAN.clear()
+    response = handle_rpc(RECORDING, json.dumps(request).encode())
+    assert_well_formed(response)
+    assert response["id"] == request["id"]
+    assert response["error"]["code"] == (ERR_INVALID_PARAMS if in_params else ERR_INVALID_REQUEST)
+    assert repr(key) in response["error"]["message"]
+    assert RAN == []
+
+
+@pytest.mark.parametrize(
+    "request_, code, message",
+    [
+        # a misspelt member at the top level is named before one in params
+        ({**VALID["bitflip"], "extra": 1, "params": {**VALID["bitflip"]["params"], "parms": {"k": 4}}},
+         ERR_INVALID_REQUEST, "unknown request member 'extra'"),
+        ({**VALID["bitflip"], "params": {**VALID["bitflip"]["params"], "parms": {"k": 4}}},
+         ERR_INVALID_PARAMS, "unknown params member 'parms'"),
+        # the request field of another method
+        ({**VALID["bitflip"], "params": {**VALID["bitflip"]["params"], "solutions": []}},
+         ERR_INVALID_PARAMS, "unknown params member 'solutions'"),
+        ({**VALID["describe"], "params": {"verbose": True}}, ERR_INVALID_PARAMS, "describe takes no params; got 'verbose'"),
+        ({**VALID["describe"], "params": [1]}, ERR_INVALID_PARAMS, "describe takes no params"),
+        ({**VALID["describe"], "params": None}, ERR_INVALID_PARAMS, "describe takes no params"),
+    ],
+    ids=["top-level-first", "params", "other-method-field", "describe-object", "describe-list", "describe-null"],
+)
+def test_an_unknown_key_is_named_in_its_error(request_, code, message):
+    RAN.clear()
+    response = handle_rpc(RECORDING, json.dumps(request_).encode())
+    assert response["error"] == {"code": code, "message": message}
+    assert RAN == []
+
+
+@pytest.mark.parametrize("params", [{}, []])
+def test_describe_with_empty_params_describes(params):
+    response = handle_rpc(REGISTRY, json.dumps({**VALID["describe"], "params": params}).encode())
+    assert response["result"] == REGISTRY.to_json()
 
 
 def raw_post(endpoint, head: bytes, body: bytes = b"", timeout: float = 5.0) -> dict:
