@@ -6,6 +6,13 @@ the response; nothing survives between requests. Each connection is served
 at once on a thread of its own, and a thread whose request is done waits for
 the next connection instead of exiting. Client proxies are ordinary
 components, so a framework cannot tell local from remote.
+
+The server reads the subset of HTTP/1.x (RFC 9112) that a proxy sends: one
+`POST /rpc` per connection, its body framed by `Content-Length`. It reads
+the request head itself and answers with HTTP/1.0 in one write, then closes
+the connection. A request it cannot serve gets a bare status: 400 for a
+malformed request line or header line, 404 for another target, 414 or 431
+for a line or a head too long, and 501 for another method.
 """
 
 from __future__ import annotations
@@ -13,11 +20,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
+import socketserver
 import threading
 import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Dict, Optional
 
 from .assembly import Registry, UnknownComponentError
@@ -44,6 +53,11 @@ MAX_REQUEST_BYTES = 16 * 1024 * 1024
 # a wait this long only ends such a stalled request.
 REQUEST_TIMEOUT_S = 10.0
 
+# The longest request line or header line the server reads, its line break
+# included, and the most header lines it reads; http.server's limits.
+MAX_LINE_BYTES = 65536
+MAX_HEADER_LINES = 100
+
 # A proxy call whose connection fails is retried this many times, this
 # many seconds apart, before it raises RemoteUnavailableError.
 RETRIES = 2
@@ -54,10 +68,15 @@ def _not_json(token):
     raise ValueError(f"{token} is not JSON")
 
 
-# NaN and ±Infinity are no JSON (RFC 8259), so a body holding one is a parse
-# error. One decoder for all requests (json.loads builds one per hooked call),
-# given the body decoded as json.loads decodes bytes.
+# NaN and ±Infinity are no JSON (RFC 8259), so a request or a reply holding
+# one is unreadable. One decoder for all bodies (json.loads builds one per
+# hooked call).
 _DECODER = json.JSONDecoder(parse_constant=_not_json)
+
+
+def _loads(body: bytes):
+    """`body` decoded as json.loads decodes bytes, but by `_DECODER`."""
+    return _DECODER.decode(body.decode(json.detect_encoding(body), "surrogatepass"))
 
 
 def _pair_from_json(obj):
@@ -125,7 +144,7 @@ def _unknown_key(obj: dict, known) -> Optional[str]:
 def handle_rpc(registry: Registry, body: bytes) -> dict:
     """Pure request handler: one JSON-RPC request in, one response out."""
     try:
-        request = _DECODER.decode(body.decode(json.detect_encoding(body), "surrogatepass"))
+        request = _loads(body)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         return _error(None, ERR_PARSE, f"parse error: {exc}")
     if not isinstance(request, dict):
@@ -175,8 +194,83 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
     return _result(req_id, result)
 
 
-class _ReusingHTTPServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer that keeps its connection threads.
+_REPLY_HEAD = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+_BARE = {
+    status: b"HTTP/1.0 %d %s\r\nContent-Length: 0\r\n\r\n" % (status, HTTPStatus(status).phrase.encode())
+    for status in (400, 404, 414, 431, 501)
+}
+_VERSION = re.compile(rb"HTTP/1\.[0-9]+")
+_BLANK = (b"\r\n", b"\n")  # a bare LF ends a line too (RFC 9112 §2.2)
+
+
+def _answer(registry: Registry, rfile) -> Optional[bytes]:
+    """The reply to the one request that `rfile` holds, head and body; None
+    if the client closed before the end of the head."""
+    line = rfile.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        return _BARE[414]
+    if not line.endswith(b"\n"):
+        return None
+    request_line = line.split()
+    if len(request_line) != 3 or not _VERSION.fullmatch(request_line[2]):
+        return _BARE[400]
+    lengths = set()
+    for count in range(MAX_HEADER_LINES + 1):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if line in _BLANK:
+            break
+        if len(line) > MAX_LINE_BYTES:
+            return _BARE[431]
+        if not line.endswith(b"\n"):
+            return None
+        if count == MAX_HEADER_LINES:
+            return _BARE[431]
+        name, colon, value = line.partition(b":")
+        # no colon, no name, or whitespace around the name: a line folded
+        # onto the one before it, too (RFC 9112 §5)
+        if not colon or not name or name != name.strip():
+            return _BARE[400]
+        if name.lower() == b"content-length":
+            lengths.add(value.strip())
+    method, target, _ = request_line
+    if method != b"POST":
+        return _BARE[501]
+    if target != b"/rpc":
+        return _BARE[404]
+    # two Content-Length values that differ frame no body (RFC 9112 §6.3)
+    length = lengths.pop() if len(lengths) == 1 else b""
+    digits = length.lstrip(b"0")  # int() reads no more than 4300 digits
+    size = int(digits or b"0") if length.isdigit() and len(digits) < 10 else -1
+    if 0 <= size <= MAX_REQUEST_BYTES:
+        response = handle_rpc(registry, rfile.read(size))
+    else:  # the body is left unread
+        response = _error(
+            None, ERR_INVALID_REQUEST, f"Content-Length must be an integer in [0, {MAX_REQUEST_BYTES}]"
+        )
+    data = json.dumps(response).encode("utf-8")
+    return _REPLY_HEAD % len(data) + data
+
+
+class _RpcHandler(socketserver.StreamRequestHandler):
+    """Reads one request and sends its reply; the server then closes the
+    connection."""
+
+    def setup(self):
+        self.timeout = REQUEST_TIMEOUT_S  # a read or write past it ends the connection
+        super().setup()
+
+    def handle(self):
+        try:
+            reply = _answer(self.server.registry, self.rfile)
+            if reply is not None:
+                self.request.sendall(reply)
+        except (ConnectionError, TimeoutError):  # the client left, or stalled
+            pass
+
+
+class _ReusingHTTPServer(socketserver.ThreadingTCPServer):
+    """A threading TCP server of `_RpcHandler`s that keeps its connection
+    threads.
 
     Each connection is still served at once on a thread of its own, so a
     stalled connection delays no other. A thread whose request is done waits
@@ -185,13 +279,16 @@ class _ReusingHTTPServer(ThreadingHTTPServer):
     waits for the busy ones.
     """
 
-    def __init__(self, server_address, handler_class):
+    allow_reuse_address = True
+
+    def __init__(self, server_address, registry: Registry):
+        self.registry = registry
         # set before binding, as a failed bind calls server_close
         self._idle_lock = threading.Lock()  # guards _idle and _closing
         self._idle = []  # one slot per idle thread: [its wake lock, its next connection]
         self._closing = False
         self._workers = []
-        super().__init__(server_address, handler_class)
+        super().__init__(server_address, _RpcHandler)
 
     def process_request(self, request, client_address):
         with self._idle_lock:
@@ -243,40 +340,7 @@ class RpcServer:
     """Background HTTP server hosting a registry at POST /rpc."""
 
     def __init__(self, registry: Registry, host: str = "127.0.0.1", port: int = 0):
-        reg = registry
-
-        class Handler(BaseHTTPRequestHandler):
-            timeout = REQUEST_TIMEOUT_S  # a read past it closes the connection
-
-            def do_POST(self):  # noqa: N802 (http.server naming)
-                if self.path != "/rpc":
-                    self.send_error(404)
-                    return
-                length = self.headers.get("Content-Length", "")
-                if length.isascii() and length.isdigit() and int(length) <= MAX_REQUEST_BYTES:
-                    response = handle_rpc(reg, self.rfile.read(int(length)))
-                else:  # the body is left unread
-                    response = _error(
-                        None, ERR_INVALID_REQUEST,
-                        f"Content-Length must be an integer in [0, {MAX_REQUEST_BYTES}]",
-                    )
-                data = json.dumps(response).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def handle(self):
-                try:
-                    super().handle()
-                except ConnectionError:  # the client left before its reply
-                    pass
-
-            def log_message(self, *args):
-                pass
-
-        self._httpd = _ReusingHTTPServer((host, port), Handler)
+        self._httpd = _ReusingHTTPServer((host, port), registry)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
 
@@ -311,12 +375,15 @@ def _post(endpoint: str, request: dict, read):
             with urllib.request.urlopen(req, timeout=30) as resp:
                 body = resp.read()
             break
+        except urllib.error.HTTPError as exc:  # a reply, so no retry
+            exc.close()
+            raise RemoteProtocolError(ERR_BAD_REPLY, f"{endpoint}: HTTP status {exc.code}") from exc
         except (urllib.error.URLError, OSError) as exc:
             if attempt == RETRIES:
                 raise RemoteUnavailableError(f"{endpoint}: {exc}") from exc
             time.sleep(BACKOFF_S)
     try:
-        response = json.loads(body)
+        response = _loads(body)
         if "error" not in response:
             return read(response["result"])
         code, message = response["error"]["code"], response["error"]["message"]

@@ -103,6 +103,13 @@ def _expect(obj, key, path, shape=None):
     return obj[key] if shape is None else _shaped(obj[key], shape, f"{path}.{key}")
 
 
+def _closed(obj: dict, known: Tuple[str, ...], path: str) -> None:
+    """Raises ModelError naming the first key of `obj` that is not `known`."""
+    for key in obj:
+        if key not in known:
+            raise ModelError(f"unknown key {key!r} at {path}")
+
+
 def _int64(x) -> bool:
     return type(x) is int and -_INT64 <= x < _INT64  # a bool is not an int here
 
@@ -137,6 +144,7 @@ def parse_model(text: str) -> ModelDescription:
     for i, v in enumerate(_expect(doc, "variables", "$", list)):
         path = f"$.variables[{i}]"
         name = _expect(v, "name", path, str)
+        _closed(v, ("name", "lo", "hi"), path)
         lo = _expect(v, "lo", path)
         hi = _expect(v, "hi", path)
         if not _int64(lo) or not _int64(hi) or lo > hi:
@@ -146,6 +154,7 @@ def parse_model(text: str) -> ModelDescription:
         declared[name] = Variable(name, lo, hi)
     if not declared:
         raise ModelError("$.variables must not be empty")
+    _closed(doc, ("variables", "constraints", "objective"), "$")
     variables = tuple(declared.values())
 
     def read_vars(obj, path):
@@ -161,8 +170,10 @@ def parse_model(text: str) -> ModelDescription:
         ctype = _expect(con, "type", path)
         vs = read_vars(con, path)
         if ctype == "all_different":
+            _closed(con, ("type", "vars"), path)
             constraints.append(Constraint("all_different", vs))
         elif ctype == "table":
+            _closed(con, ("type", "vars", "tuples"), path)
             rows, _ = _integer_rows(_expect(con, "tuples", path), len(vs), f"{path}.tuples")
             constraints.append(Constraint("table", vs, rows))
         else:
@@ -176,6 +187,7 @@ def parse_model(text: str) -> ModelDescription:
         vs = read_vars(raw_obj, path)
         n = len(vs)
         if otype == "circuit_sum":
+            _closed(raw_obj, ("type", "vars", "weights"), path)
             weights, lowest = _integer_rows(_expect(raw_obj, "weights", path), n, f"{path}.weights")
             if len(weights) != n:
                 raise ModelError(f"weight matrix must be {n}x{n} at {path}.weights")
@@ -183,6 +195,7 @@ def parse_model(text: str) -> ModelDescription:
                 raise ModelError(f"negative weight at {path}.weights")
             objective = Objective("circuit_sum", vs, weights)
         elif otype == "linear_sum":
+            _closed(raw_obj, ("type", "vars", "coeffs"), path)
             coeffs = _expect(raw_obj, "coeffs", path, list)
             if len(coeffs) != n:
                 raise ModelError(f"coeffs/vars length mismatch at {path}")

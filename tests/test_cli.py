@@ -861,6 +861,18 @@ class TestSolveModelBoundary:
         model = write_json(tmp_path / "m.json", doc)
         exits_2_naming(capsys, ["solve", model, "--budget", "50"], where)
 
+    @pytest.mark.parametrize(
+        "doc, where, key",
+        [
+            ({"objectve" if k == "objective" else k: v for k, v in generic_doc().items()}, "at $", "'objectve'"),
+            (with_(generic_doc(), ["constraints", 0, "weight"], 5), "at $.constraints[0]", "'weight'"),
+        ],
+        ids=["objectve", "weight"],
+    )
+    def test_an_unknown_model_key_exits_2_naming_it(self, tmp_path, capsys, doc, where, key):
+        model = write_json(tmp_path / "m.json", doc)
+        exits_2_naming(capsys, ["solve", model, "--budget", "50"], where, key)
+
     @pytest.mark.parametrize("coeffs", [[1e308, 1e308], [1e308, -1e308]])
     def test_a_linear_sum_that_can_overflow_exits_2(self, tmp_path, capsys, coeffs):
         # its value could reach inf, or nan, which solve would print as no JSON

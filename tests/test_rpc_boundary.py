@@ -337,19 +337,33 @@ def test_describe_with_empty_params_describes(params):
     assert response["result"] == REGISTRY.to_json()
 
 
+def exchange(endpoint, data: bytes, per_write: int = 0, timeout: float = 5.0) -> bytes:
+    """Send `data` on a connection of its own, `per_write` bytes per write
+    if given, and return all the server sends before it closes; fails if it
+    does not close within `timeout` seconds."""
+    host, port = endpoint.split("//")[1].split("/")[0].split(":")
+    step = per_write or len(data)
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for at in range(0, len(data), step):
+            sock.sendall(data[at:at + step])
+        chunks = []
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:  # the server closed with request bytes unread
+            pass
+    return b"".join(chunks)
+
+
 def raw_post(endpoint, head: bytes, body: bytes = b"", timeout: float = 5.0) -> dict:
     """Send one hand-written HTTP request and return the JSON body of the
     reply; fails if none arrives within `timeout` seconds."""
-    host, port = endpoint.split("//")[1].split("/")[0].split(":")
-    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
-        sock.sendall(b"POST /rpc HTTP/1.0\r\nHost: x\r\n" + head + b"\r\n" + body)
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    status, _, content = b"".join(chunks).partition(b"\r\n\r\n")
+    request = b"POST /rpc HTTP/1.0\r\nHost: x\r\n" + head + b"\r\n" + body
+    status, _, content = exchange(endpoint, request, timeout=timeout).partition(b"\r\n\r\n")
     assert status.startswith(b"HTTP/1.0 200"), status
     return json.loads(content)
 
@@ -422,6 +436,133 @@ def test_client_gone_before_the_reply_prints_nothing(capfd):
         time.sleep(0.3)
         good = raw_post(s.endpoint, b"Content-Length: %d\r\n" % len(DESCRIBE), DESCRIBE)
         assert good["result"]["components"]
+    finally:
+        s.close()
+    assert capfd.readouterr().err == ""
+
+
+def assert_describe_is_answered(endpoint):
+    good = raw_post(endpoint, b"Content-Length: %d\r\n" % len(DESCRIBE), DESCRIBE)
+    assert good["result"]["components"]
+
+
+def post(head: bytes, body: bytes = DESCRIBE) -> bytes:
+    return b"POST /rpc HTTP/1.0\r\n" + head + b"\r\n" + body
+
+
+LINE = 65536  # the longest line read, its CRLF included
+TRANSPORT = {
+    "request line too long": (b"POST /" + b"r" * (LINE - 16) + b" HTTP/1.0\r\n\r\n", 414),
+    "header line too long": (post(b"X: " + b"x" * (LINE - 4) + b"\r\n"), 431),
+    "101 header lines": (post(b"X: 1\r\n" * 100 + b"Content-Length: 49\r\n"), 431),
+    "two words": (b"POST /rpc\r\n\r\n", 400),
+    "an empty line first": (b"\r\n" + post(b"Content-Length: 49\r\n"), 400),
+    "four words": (b"POST /rpc HTTP/1.0 x\r\nContent-Length: 49\r\n\r\n" + DESCRIBE, 400),
+    "HTTP/2.0": (b"POST /rpc HTTP/2.0\r\nContent-Length: 49\r\n\r\n" + DESCRIBE, 400),
+    "HTTP/1.x": (b"POST /rpc HTTP/1.x\r\nContent-Length: 49\r\n\r\n" + DESCRIBE, 400),
+    "lower-case http": (b"POST /rpc http/1.0\r\nContent-Length: 49\r\n\r\n" + DESCRIBE, 400),
+    "header without a colon": (post(b"Content-Length 49\r\n"), 400),
+    "space before the colon": (post(b"Content-Length : 49\r\n"), 400),
+    "folded header line": (post(b"Content-Length: 49\r\nX: 1\r\n\tY: 2\r\n"), 400),
+    "empty header name": (post(b": 1\r\nContent-Length: 49\r\n"), 400),
+    "GET": (b"GET /rpc HTTP/1.0\r\n\r\n", 501),
+    "PUT": (b"PUT /rpc HTTP/1.0\r\nContent-Length: 49\r\n\r\n" + DESCRIBE, 501),
+    "lower-case post": (b"post /rpc HTTP/1.0\r\nContent-Length: 49\r\n\r\n" + DESCRIBE, 501),
+    "target /": (b"POST / HTTP/1.0\r\nContent-Length: 49\r\n\r\n" + DESCRIBE, 404),
+    "target /rpc/": (b"POST /rpc/ HTTP/1.0\r\nContent-Length: 49\r\n\r\n" + DESCRIBE, 404),
+    "target with a query": (b"POST /rpc?x=1 HTTP/1.1\r\nContent-Length: 49\r\n\r\n" + DESCRIBE, 404),
+    "target /RPC": (b"POST /RPC HTTP/1.1\r\nContent-Length: 49\r\n\r\n" + DESCRIBE, 404),
+    # one byte under each limit: read, then refused for its target
+    "request line of the longest length": (b"POST /" + b"r" * (LINE - 17) + b" HTTP/1.0\r\n\r\n", 404),
+}
+
+
+@pytest.mark.parametrize("data, status", TRANSPORT.values(), ids=TRANSPORT.keys())
+def test_a_request_that_cannot_be_served_gets_a_bare_status_then_service_continues(
+    server, data, status
+):
+    assert len(DESCRIBE) == 49
+    head, _, body = exchange(server.endpoint, data).partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    assert lines[0].startswith(b"HTTP/1.0 %d " % status), lines[0]
+    assert lines[1:] == [b"Content-Length: 0"]
+    assert body == b""
+    assert_describe_is_answered(server.endpoint)
+
+
+SERVED = {
+    "lower-case name": post(b"content-length: 49\r\n"),
+    "upper-case name": post(b"CONTENT-LENGTH: 49\r\n"),
+    "the same length twice": post(b"Content-Length: 49\r\ncontent-length: 49\r\n"),
+    "spaces and tabs around the value": post(b"Content-Length: \t49 \t\r\n"),
+    "leading zeros": post(b"Content-Length: " + b"0" * 5000 + b"49\r\n"),
+    "100 header lines": post(b"X: 1\r\n" * 99 + b"Content-Length: 49\r\n"),
+    "header line of the longest length": post(b"X: " + b"x" * (LINE - 5) + b"\r\nContent-Length: 49\r\n"),
+    "bare LF line ends": b"POST /rpc HTTP/1.1\nHost: x\nContent-Length: 49\n\n" + DESCRIBE,
+    "HTTP/1.1": b"POST /rpc HTTP/1.1\r\nHost: x\r\nContent-Length: 49\r\n\r\n" + DESCRIBE,
+}
+
+
+@pytest.mark.parametrize("data", SERVED.values(), ids=SERVED.keys())
+def test_a_request_in_the_served_subset_is_answered(server, data):
+    head, _, body = exchange(server.endpoint, data).partition(b"\r\n\r\n")
+    assert head == b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d" % len(body)
+    assert json.loads(body)["result"] == REGISTRY.to_json()
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"Content-Length: 49\r\nContent-Length: 50\r\n",
+        b"Content-Length: 49\r\ncontent-length: 0\r\n",
+        b"Content-Length: " + b"9" * 5000 + b"\r\n",
+        b"Content-Length: 49, 49\r\n",
+    ],
+    ids=["two lengths", "two lengths, either case", "5000 digits", "a list"],
+)
+def test_a_length_that_frames_no_body_is_invalid_then_service_continues(server, head):
+    response = raw_post(server.endpoint, head, DESCRIBE)
+    assert response == {"jsonrpc": "2.0", "id": None, "error": {
+        "code": ERR_INVALID_REQUEST,
+        "message": f"Content-Length must be an integer in [0, {MAX_REQUEST_BYTES}]",
+    }}
+    assert_describe_is_answered(server.endpoint)
+
+
+def test_a_request_sent_one_byte_per_write_is_answered(server):
+    reply = exchange(server.endpoint, post(b"Host: x\r\nContent-Length: 49\r\n"), per_write=1)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 200 OK\r\n")
+    assert json.loads(body)["id"] == 1 and json.loads(body)["result"]["components"]
+    assert_describe_is_answered(server.endpoint)
+
+
+def test_a_head_that_stalls_times_out_silently_then_service_continues(monkeypatch, capfd):
+    monkeypatch.setattr(rpc, "REQUEST_TIMEOUT_S", 0.2)
+    s = serve(REGISTRY)
+    try:
+        for partial in (b"POST /rpc HTT", b"POST /rpc HTTP/1.0\r\nContent-Le"):
+            started = time.monotonic()
+            assert exchange(s.endpoint, partial) == b""  # closed without a reply
+            assert time.monotonic() - started < 4.0
+        assert_describe_is_answered(s.endpoint)
+    finally:
+        s.close()
+    assert capfd.readouterr().err == ""
+
+
+def test_a_client_gone_mid_head_prints_nothing(capfd):
+    s = serve(REGISTRY)
+    try:
+        for partial in (b"POST /rpc HTT", b"POST /rpc HTTP/1.0\r\nContent-Le"):
+            host, port = s.endpoint.split("//")[1].split("/")[0].split(":")
+            for reset in (False, True):
+                sock = socket.create_connection((host, int(port)), timeout=5.0)
+                sock.sendall(partial)
+                if reset:  # as a client that is killed does
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                sock.close()
+            assert_describe_is_answered(s.endpoint)
     finally:
         s.close()
     assert capfd.readouterr().err == ""

@@ -3,6 +3,8 @@ JSON, lookup or type error, for any reply it cannot read."""
 
 import json
 import threading
+import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -11,6 +13,7 @@ from metafold.components import perturb_bitflip
 from metafold.env import env_new
 from metafold.palette import default_registry
 from metafold.rpc import (
+    BACKOFF_S,
     ERR_BAD_REPLY,
     ERR_COMPONENT_FAILURE,
     RemoteProtocolError,
@@ -18,6 +21,7 @@ from metafold.rpc import (
     remote_evaluate,
     remote_perturb,
     remote_terminate,
+    serve,
 )
 from metafold.solutions import BitVector, solution_to_json
 
@@ -151,6 +155,10 @@ ONEMAX = {"name": "onemax", "kind": "evaluate", "params": [], "requires": [], "p
         ("terminate", "flag", 1),
         ("evaluate", "value", "1e3"),
         ("evaluate", "value", True),
+        # json.dumps writes these as NaN, Infinity and -Infinity, which are no JSON
+        ("evaluate", "value", float("nan")),
+        ("evaluate", "value", float("inf")),
+        ("evaluate", "value", float("-inf")),
     ],
 )
 def test_a_reply_field_of_the_wrong_json_type_is_a_protocol_error(stub, method, field, wrong):
@@ -188,3 +196,26 @@ def test_a_boolean_flag_is_read_as_itself(stub, flag):
     finally:
         stub.replies = {}
     assert out is flag
+
+
+def test_an_http_error_status_is_a_protocol_error_at_once(monkeypatch):
+    attempts = []
+    urlopen = urllib.request.urlopen
+
+    def counting(*args, **kwargs):
+        attempts.append(args[0].full_url)
+        return urlopen(*args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", counting)
+    server = serve(REGISTRY)
+    try:
+        endpoint = server.endpoint.replace("/rpc", "/rcp")
+        started = time.monotonic()
+        with pytest.raises(RemoteProtocolError) as caught:
+            remote_perturb(endpoint, "bitflip")
+        took = time.monotonic() - started
+    finally:
+        server.close()
+    assert caught.value.code == ERR_BAD_REPLY
+    assert str(caught.value) == f"[{ERR_BAD_REPLY}] {endpoint}: HTTP status 404"
+    assert attempts == [endpoint] and took < BACKOFF_S

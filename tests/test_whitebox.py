@@ -3,6 +3,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from metafold.env import env_new
 from metafold.whitebox import (
@@ -130,6 +132,55 @@ class TestParseModel:
         }
         with pytest.raises(ModelError, match=r"\$\.objective: linear_sum may exceed"):
             parse_model(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "where, path, known",
+        [
+            ("$", [], ("variables", "constraints", "objective")),
+            ("$.variables[1]", ["variables", 1], ("name", "lo", "hi")),
+            ("$.constraints[0]", ["constraints", 0], ("type", "vars")),
+            ("$.constraints[1]", ["constraints", 1], ("type", "vars", "tuples")),
+            ("$.objective", ["objective"], ("type", "vars", "weights")),
+            ("$.objective", ["objective"], ("type", "vars", "coeffs")),
+        ],
+        ids=["top", "variable", "all_different", "table", "circuit_sum", "linear_sum"],
+    )
+    def test_each_object_takes_its_known_keys_and_no_other(self, where, path, known):
+        doc = tsp_doc(4, W4)
+        doc["constraints"].append({"type": "table", "vars": ["x0", "x1"], "tuples": [[0, 1]]})
+        if "coeffs" in known:
+            doc["objective"] = {"type": "linear_sum", "vars": ["x0"], "coeffs": [2]}
+        target = doc
+        for step in path:
+            target = target[step]
+        assert tuple(target) == known
+        parse_model(json.dumps(doc))
+        for other in ("weights", "coeffs", "tuples", "weight", "objectve", "Type"):
+            if other not in known:
+                target[other] = []
+                with pytest.raises(ModelError) as caught:
+                    parse_model(json.dumps(doc))
+                assert str(caught.value) == f"unknown key {other!r} at {where}"
+                del target[other]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), key=st.text(max_size=8), value=st.one_of(st.none(), st.integers(), st.text(max_size=3)))
+    def test_one_unknown_key_anywhere_is_a_model_error(self, data, key, value):
+        doc = tsp_doc(3, [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+        doc["constraints"].append({"type": "table", "vars": ["x0", "x1"], "tuples": [[0, 1]]})
+        objects = {"$": doc, "$.objective": doc["objective"]}
+        objects.update((f"$.variables[{i}]", v) for i, v in enumerate(doc["variables"]))
+        objects.update((f"$.constraints[{i}]", c) for i, c in enumerate(doc["constraints"]))
+        where = data.draw(st.sampled_from(sorted(objects)))
+        target = objects[where]
+        assume(key not in target)
+        items = list(target.items())
+        items.insert(data.draw(st.integers(0, len(items))), (key, value))
+        target.clear()
+        target.update(items)
+        with pytest.raises(ModelError) as caught:
+            parse_model(json.dumps(doc))
+        assert str(caught.value) == f"unknown key {key!r} at {where}"
 
     def test_a_linear_sum_within_the_bound_parses(self):
         doc = {
