@@ -53,6 +53,21 @@ def require_shape(value, shape: type, where: str):
     return value
 
 
+def unknown_key(obj: dict, known) -> Optional[str]:
+    """The first key of `obj` that is not in `known`, or None."""
+    return next((key for key in obj if key not in known), None)
+
+
+def require_keys(obj: dict, known, where: str) -> dict:
+    """`obj` itself when each of its keys is `known`; raises ValueError
+    naming `where` and the first key that is not. Closes the objects of
+    JSON read from files, so a misspelt key is never ignored."""
+    key = unknown_key(obj, known)
+    if key is not None:
+        raise ValueError(f"unknown key {key!r} at {where}")
+    return obj
+
+
 @dataclass(frozen=True)
 class Registry:
     descriptors: Dict[Tuple[str, str], ComponentDescriptor] = field(default_factory=dict)
@@ -139,11 +154,12 @@ class ConfigurationSpec:
     def from_json(obj: dict, where: str = "config") -> "ConfigurationSpec":
         """Raises ValueError naming the path of any part of `obj` whose
         JSON shape is wrong."""
-        require_shape(obj, dict, where)
+        known = ("framework", "slots", "initializers", "framework_params")
+        require_keys(require_shape(obj, dict, where), known, where)
         slots = {}
         for slot, entry in require_shape(obj["slots"], dict, f"{where}.slots").items():
             at = f"{where}.slots.{slot}"
-            require_shape(entry, dict, at)
+            require_keys(require_shape(entry, dict, at), ("component", "params"), at)
             slots[slot] = (
                 require_shape(entry["component"], str, f"{at}.component"),
                 require_shape(entry.get("params", {}), dict, f"{at}.params"),
@@ -167,9 +183,10 @@ def parse_initializers(entries, where: str = "initializers") -> Tuple[Tuple[EnvK
     out = []
     for i, e in enumerate(require_shape(entries, list, where)):
         at = f"{where}[{i}]"
-        require_shape(e, dict, at)
+        require_keys(require_shape(e, dict, at), ("key", "value"), at)
         key = EnvKey.parse(require_shape(e["key"], str, f"{at}.key"))
-        out.append((key, EnvValue.from_json(require_shape(e["value"], dict, f"{at}.value"))))
+        value = require_keys(require_shape(e["value"], dict, f"{at}.value"), ("t", "v"), f"{at}.value")
+        out.append((key, EnvValue.from_json(value)))
     return tuple(out)
 
 

@@ -26,6 +26,7 @@ from .assembly import (
     enumerate_valid,
     instantiate,
     parse_initializers,
+    require_keys,
     require_shape,
     validate,
 )
@@ -78,6 +79,12 @@ PROBLEM_KINDS = {
 }
 
 
+# the keys of an experiment file; "workers", from older files, is ignored
+EXPERIMENT_KEYS = (
+    "problems", "registry", "framework", "grids", "initializers", "framework_params",
+    "configs", "seeds", "budget", "trace_stride", "out", "workers",
+)
+
 # experiment fields that are integers
 SEED = Param("seed", "int", None, min=0, max=2**64 - 1)
 TRACE_STRIDE = Param("trace_stride", "int", None, min=1)
@@ -89,6 +96,7 @@ def _build_problem(entry: Dict, where: str) -> ProblemInstance:
     if not isinstance(kind, str) or kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind: {kind!r}")
     ctor, fields = PROBLEM_KINDS[kind]
+    require_keys(entry, ("kind", *(field.name for field in fields)), where)
     args = []
     for field in fields:
         value = entry[field.name]
@@ -150,6 +158,7 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
 def cmd_run(args) -> int:
     try:
         spec = require_shape(json.loads(Path(args.experiment).read_text()), dict, "experiment")
+        require_keys(spec, EXPERIMENT_KEYS, "experiment")
         problems = [
             _build_problem(e, f"problems[{i}]")
             for i, e in enumerate(require_shape(spec["problems"], list, "problems"))

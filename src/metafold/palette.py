@@ -12,7 +12,7 @@ import json
 from typing import Dict
 
 from . import components as c
-from .assembly import Registry, _check_bounds, register, require_shape
+from .assembly import Registry, _check_bounds, register, require_keys, require_shape
 from .components import Component
 
 # impl name -> constructor; kind, parameters and defaults are what the
@@ -71,10 +71,11 @@ def registry_to_json(reg: Registry) -> dict:
 
 def registry_from_json(obj: dict) -> Registry:
     reg = Registry()
-    entries = require_shape(require_shape(obj, dict, "registry")["components"], list, "components")
-    for i, entry in enumerate(entries):
+    require_keys(require_shape(obj, dict, "registry"), ("components",), "registry")
+    for i, entry in enumerate(require_shape(obj["components"], list, "components")):
         at = f"components[{i}]"
-        impl = require_shape(require_shape(entry, dict, at)["impl"], str, f"{at}.impl")
+        require_keys(require_shape(entry, dict, at), ("name", "impl", "defaults"), at)
+        impl = require_shape(entry["impl"], str, f"{at}.impl")
         name = require_shape(entry.get("name", impl), str, f"{at}.name")
         defaults = require_shape(entry.get("defaults", {}), dict, f"{at}.defaults")
         reg = add_builtin(reg, impl, name, defaults)

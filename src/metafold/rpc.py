@@ -12,7 +12,11 @@ The server reads the subset of HTTP/1.x (RFC 9112) that a proxy sends: one
 the request head itself and answers with HTTP/1.0 in one write, then closes
 the connection. A request it cannot serve gets a bare status: 400 for a
 malformed request line or header line, 404 for another target, 414 or 431
-for a line or a head too long, and 501 for another method.
+for a line or a head too long, and 501 for another method. After replying
+to a request it did not read to its end (a bare status, or a body that
+`Content-Length` does not frame within MAX_REQUEST_BYTES), it reads and
+discards what the client still sends before closing, within bounds, so
+the client can read the reply.
 """
 
 from __future__ import annotations
@@ -21,15 +25,16 @@ import itertools
 import json
 import math
 import re
+import socket
 import socketserver
 import threading
 import time
 import urllib.error
 import urllib.request
 from http import HTTPStatus
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from .assembly import Registry, UnknownComponentError
+from .assembly import Registry, UnknownComponentError, unknown_key
 from .components import Component, ComponentDescriptor
 from .env import Environment
 from .solutions import solution_from_json, solution_to_json
@@ -52,6 +57,13 @@ MAX_REQUEST_BYTES = 16 * 1024 * 1024
 # Content-Length would otherwise hold the thread until the client leaves;
 # a wait this long only ends such a stalled request.
 REQUEST_TIMEOUT_S = 10.0
+
+# The most bytes a server thread reads and discards, after its reply, from
+# a request it did not read to its end, such as a body over
+# MAX_REQUEST_BYTES: a connection closed with request bytes unread is
+# reset, and the reset can discard the reply before the client reads it.
+# REQUEST_TIMEOUT_S bounds the drain's time in all.
+MAX_DRAIN_BYTES = 4 * MAX_REQUEST_BYTES
 
 # The longest request line or header line the server reads, its line break
 # included, and the most header lines it reads; http.server's limits.
@@ -137,10 +149,6 @@ _REQUEST_MEMBERS = frozenset(("jsonrpc", "id", "method", "params"))
 _METHOD_PARAMS = frozenset(("component", "params", "env"))
 
 
-def _unknown_key(obj: dict, known) -> Optional[str]:
-    return next((key for key in obj if key not in known), None)
-
-
 def handle_rpc(registry: Registry, body: bytes) -> dict:
     """Pure request handler: one JSON-RPC request in, one response out."""
     try:
@@ -155,7 +163,7 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
         return _error(None, ERR_INVALID_REQUEST, "id must be a string, a finite number or null")
     if request.get("jsonrpc") != "2.0" or "method" not in request:
         return _error(req_id, ERR_INVALID_REQUEST, "not a JSON-RPC 2.0 request")
-    unknown = _unknown_key(request, _REQUEST_MEMBERS)
+    unknown = unknown_key(request, _REQUEST_MEMBERS)
     if unknown is not None:
         return _error(req_id, ERR_INVALID_REQUEST, f"unknown request member {unknown!r}")
     method = request["method"]
@@ -171,7 +179,7 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
     params = request.get("params")
     if not isinstance(params, dict):
         return _error(req_id, ERR_INVALID_PARAMS, "params must be an object")
-    unknown = _unknown_key(params, _METHOD_PARAMS | {in_name})
+    unknown = unknown_key(params, _METHOD_PARAMS | {in_name})
     if unknown is not None:
         return _error(req_id, ERR_INVALID_PARAMS, f"unknown params member {unknown!r}")
     name = params.get("component")
@@ -203,52 +211,76 @@ _VERSION = re.compile(rb"HTTP/1\.[0-9]+")
 _BLANK = (b"\r\n", b"\n")  # a bare LF ends a line too (RFC 9112 §2.2)
 
 
-def _answer(registry: Registry, rfile) -> Optional[bytes]:
-    """The reply to the one request that `rfile` holds, head and body; None
-    if the client closed before the end of the head."""
+def _answer(registry: Registry, rfile) -> Tuple[Optional[bytes], bool]:
+    """The reply to the one request that `rfile` holds, head and body, or
+    None if the client closed before the end of the head; and whether bytes
+    of the request may be left unread."""
     line = rfile.readline(MAX_LINE_BYTES + 1)
     if len(line) > MAX_LINE_BYTES:
-        return _BARE[414]
+        return _BARE[414], True
     if not line.endswith(b"\n"):
-        return None
+        return None, False
     request_line = line.split()
     if len(request_line) != 3 or not _VERSION.fullmatch(request_line[2]):
-        return _BARE[400]
+        return _BARE[400], True
     lengths = set()
     for count in range(MAX_HEADER_LINES + 1):
         line = rfile.readline(MAX_LINE_BYTES + 1)
         if line in _BLANK:
             break
         if len(line) > MAX_LINE_BYTES:
-            return _BARE[431]
+            return _BARE[431], True
         if not line.endswith(b"\n"):
-            return None
+            return None, False
         if count == MAX_HEADER_LINES:
-            return _BARE[431]
+            return _BARE[431], True
         name, colon, value = line.partition(b":")
         # no colon, no name, or whitespace around the name: a line folded
         # onto the one before it, too (RFC 9112 §5)
         if not colon or not name or name != name.strip():
-            return _BARE[400]
+            return _BARE[400], True
         if name.lower() == b"content-length":
             lengths.add(value.strip())
     method, target, _ = request_line
     if method != b"POST":
-        return _BARE[501]
+        return _BARE[501], True
     if target != b"/rpc":
-        return _BARE[404]
+        return _BARE[404], True
     # two Content-Length values that differ frame no body (RFC 9112 §6.3)
     length = lengths.pop() if len(lengths) == 1 else b""
     digits = length.lstrip(b"0")  # int() reads no more than 4300 digits
     size = int(digits or b"0") if length.isdigit() and len(digits) < 10 else -1
-    if 0 <= size <= MAX_REQUEST_BYTES:
+    framed = 0 <= size <= MAX_REQUEST_BYTES
+    if framed:
         response = handle_rpc(registry, rfile.read(size))
     else:  # the body is left unread
         response = _error(
             None, ERR_INVALID_REQUEST, f"Content-Length must be an integer in [0, {MAX_REQUEST_BYTES}]"
         )
     data = json.dumps(response).encode("utf-8")
-    return _REPLY_HEAD % len(data) + data
+    return _REPLY_HEAD % len(data) + data, not framed
+
+
+def _drain(sock) -> None:
+    """Ends a connection whose request may not have been read to its end:
+    with the reply sent, it reads and discards what the client still sends
+    until the client closes, for at most MAX_DRAIN_BYTES and
+    REQUEST_TIMEOUT_S."""
+    try:
+        sock.shutdown(socket.SHUT_WR)  # the client reads the reply to its end
+    except OSError:  # the client has reset the connection already
+        return
+    deadline = time.monotonic() + REQUEST_TIMEOUT_S
+    left = MAX_DRAIN_BYTES
+    while left > 0:
+        wait = deadline - time.monotonic()
+        if wait <= 0:
+            return
+        sock.settimeout(wait)
+        chunk = sock.recv(min(left, 65536))
+        if not chunk:
+            return
+        left -= len(chunk)
 
 
 class _RpcHandler(socketserver.StreamRequestHandler):
@@ -261,9 +293,11 @@ class _RpcHandler(socketserver.StreamRequestHandler):
 
     def handle(self):
         try:
-            reply = _answer(self.server.registry, self.rfile)
+            reply, unread = _answer(self.server.registry, self.rfile)
             if reply is not None:
                 self.request.sendall(reply)
+                if unread:
+                    _drain(self.request)
         except (ConnectionError, TimeoutError):  # the client left, or stalled
             pass
 

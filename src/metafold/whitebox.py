@@ -16,6 +16,7 @@ from itertools import chain
 from operator import itemgetter, mul
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
+from .assembly import unknown_key
 from .components import accept_improving, perturb_two_opt, terminate_evaluations
 from .env import ComponentContractError, Environment, rng_below
 from .frameworks import FRAMEWORKS
@@ -105,9 +106,9 @@ def _expect(obj, key, path, shape=None):
 
 def _closed(obj: dict, known: Tuple[str, ...], path: str) -> None:
     """Raises ModelError naming the first key of `obj` that is not `known`."""
-    for key in obj:
-        if key not in known:
-            raise ModelError(f"unknown key {key!r} at {path}")
+    key = unknown_key(obj, known)
+    if key is not None:
+        raise ModelError(f"unknown key {key!r} at {path}")
 
 
 def _int64(x) -> bool:
@@ -380,6 +381,35 @@ def _tally(constraints, assignment):
     return violations, counts
 
 
+# A float holds every integer of magnitude up to 2^53 exactly.
+_EXACT = 1 << 53
+
+
+def _exact_coefficients(model: ModelDescription, domains) -> Optional[Dict[str, int]]:
+    """Each variable's total coefficient in the objective, as an int, when
+    the objective is a `linear_sum` that `objective_value` sums exactly: its
+    coefficients are integers and the sum over its entries of |coefficient|
+    times the larger of |lo| and |hi| is below 2^53, so each product and
+    each partial sum is an integer a float holds exactly, in any order.
+    None for any other objective."""
+    obj = model.objective
+    if obj is None or obj.type != "linear_sum":
+        return None
+    try:
+        coeffs = [int(c) for c in obj.coeffs]
+    except (OverflowError, ValueError):  # inf or nan
+        return None
+    if coeffs != list(obj.coeffs):  # a fractional coefficient
+        return None
+    reach = (max(abs(lo), abs(hi)) for lo, hi in map(domains.__getitem__, obj.vars))
+    if sum(map(mul, map(abs, coeffs), reach)) >= _EXACT:
+        return None
+    total = dict.fromkeys(domains, 0)
+    for name, c in zip(obj.vars, coeffs):  # a variable may repeat in vars
+        total[name] += c
+    return total
+
+
 def objective_value(model: ModelDescription, assignment: Dict[str, int]) -> float:
     obj = model.objective
     if obj is None:
@@ -421,16 +451,20 @@ def generic_solve(
     variable uniformly in its domain. An assignment scores
     `objective_value + penalty * count_violations`.
 
-    A scored assignment's aux is `(violations, counts, total)`: the
-    violations of each constraint, the count of each value in each
-    all_different's scope (None for a table), and their sum. A reassign
-    child carries its move `(name, old value)` and is scored from its
-    parent's aux: only the constraints that hold `name` are counted again,
-    and the objective in full by `objective_value`. Any other assignment,
-    a start, a plain dict or a child scored in another call, is counted in
-    full, and is first checked: its keys must be the model's variables and
-    each value an int (not a bool) in its domain, or ComponentContractError
-    is raised.
+    A scored assignment's aux is `(violations, counts, total, objective)`:
+    the violations of each constraint, the count of each value in each
+    all_different's scope (None for a table), their sum, and the objective
+    as an exact int, or None. A reassign child carries its move `(name,
+    old value)` and is scored from its parent's aux: only the constraints
+    that hold `name` are counted again. When the objective is a
+    `linear_sum` with integer coefficients whose sum of |coefficient|
+    times the larger of |lo| and |hi| is below 2^53, the objective moves
+    by `name`'s coefficient times the change, and its float is the one
+    `objective_value` gives; any other objective is computed in full by
+    `objective_value`. Any other assignment, a start, a plain dict or a
+    child scored in another call, is counted in full, and is first
+    checked: its keys must be the model's variables and each value an int
+    (not a bool) in its domain, or ComponentContractError is raised.
     """
     _check_circuit_domains(model)
     variables, constraints = model.variables, model.constraints
@@ -439,6 +473,7 @@ def generic_solve(
     for k, con in enumerate(constraints):
         for name, m in Counter(con.vars).items():
             holding[name].append((k, m))
+    coefficient = _exact_coefficients(model, domains)
 
     def value(a):
         if a.keys() != domains.keys() or not all(
@@ -447,13 +482,16 @@ def generic_solve(
             raise ComponentContractError(f"penalty_sum: not an assignment of this model: {a!r}")
         violations, counts = _tally(constraints, a)
         total = sum(violations)
-        return objective_value(model, a) + penalty * total, (violations, counts, total)
+        objective = None
+        if coefficient is not None:
+            objective = sum(c * a[name] for name, c in coefficient.items())
+        return objective_value(model, a) + penalty * total, (violations, counts, total, objective)
 
     def delta(aux, move, a):
         name, old = move
         new = a[name]
+        violations, counts, total, objective = aux
         if new != old:  # else the child scores as its parent
-            violations, counts, total = aux
             violations, counts = list(violations), list(counts)
             for k, m in holding[name]:
                 c = counts[k]
@@ -474,8 +512,11 @@ def generic_solve(
                     c[new] = y + m
                 total += now - violations[k]
                 violations[k] = now
-            aux = (tuple(violations), tuple(counts), total)
-        return objective_value(model, a) + penalty * aux[2], aux
+            if objective is not None:
+                objective += coefficient[name] * (new - old)
+            aux = (tuple(violations), tuple(counts), total, objective)
+        score = objective_value(model, a) if objective is None else float(objective)
+        return score + penalty * total, aux
 
     problem = problem_instance(
         "penalty_sum", f"model_{len(variables)}", "assignment", len(variables), value,

@@ -54,8 +54,8 @@ def full_value(model, assignment, penalty=DEFAULT_PENALTY):
 
 def memo_content(memo):
     """A snapshot of `memo` that a later change to it would not follow."""
-    owner, (violations, counts, total) = memo
-    return owner, violations, tuple(None if c is None else dict(c) for c in counts), total
+    owner, (violations, counts, total, objective) = memo
+    return owner, violations, tuple(None if c is None else dict(c) for c in counts), total, objective
 
 
 @pytest.fixture
@@ -77,6 +77,21 @@ def full_counts(monkeypatch):
     return counted
 
 
+def draw_constraints(draw, names):
+    """Up to 5 all_different and table constraints over `names`, whose
+    scopes may repeat a variable and whose tables may be empty."""
+    scope = st.lists(st.sampled_from(names), min_size=1, max_size=len(names) + 2).map(tuple)
+    constraints = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        vs = draw(scope)
+        if draw(st.booleans()):
+            constraints.append(Constraint("all_different", vs))
+        else:
+            row = st.lists(st.integers(-3, 6), min_size=len(vs), max_size=len(vs)).map(tuple)
+            constraints.append(Constraint("table", vs, tuple(draw(st.lists(row, max_size=6)))))
+    return tuple(constraints)
+
+
 @st.composite
 def model_and_walk(draw):
     """A model like `test_fast_paths.small_model` (scopes that repeat a
@@ -95,15 +110,7 @@ def model_and_walk(draw):
             hi = lo + draw(st.integers(min_value=0, max_value=4))
         variables.append(Variable(f"x{i}", lo, hi))
     names = tuple(v.name for v in variables)
-    scope = st.lists(st.sampled_from(names), min_size=1, max_size=n + 2).map(tuple)
-    constraints = []
-    for _ in range(draw(st.integers(min_value=0, max_value=5))):
-        vs = draw(scope)
-        if draw(st.booleans()):
-            constraints.append(Constraint("all_different", vs))
-        else:
-            row = st.lists(st.integers(-3, 6), min_size=len(vs), max_size=len(vs)).map(tuple)
-            constraints.append(Constraint("table", vs, tuple(draw(st.lists(row, max_size=6)))))
+    constraints = draw_constraints(draw, names)
     objective = None
     if objective_type == "linear_sum":
         coeff = st.sampled_from([0.1, -0.7, 1e-3, 2.5, 1 / 3]) | st.integers(-9, 9).map(float)
@@ -112,7 +119,7 @@ def model_and_walk(draw):
     elif objective_type == "circuit_sum":
         rows = st.lists(st.integers(0, 20), min_size=n, max_size=n).map(tuple)
         objective = Objective("circuit_sum", names, tuple(draw(st.lists(rows, min_size=n, max_size=n))))
-    model = ModelDescription(tuple(variables), tuple(constraints), objective)
+    model = ModelDescription(tuple(variables), constraints, objective)
     penalty = draw(st.sampled_from([DEFAULT_PENALTY, 0.0, 0.3, 7.0]))
     # each step: a reassign move or the child that keeps the moved value;
     # keep the child, drop the parent before scoring the child
@@ -298,3 +305,110 @@ def test_a_child_scored_by_another_constraint_free_model_is_still_checked():
     with pytest.raises(ComponentContractError):
         score(circuit_problem, child)
 
+
+EXACT = 2**53
+
+
+@st.composite
+def integral_model_and_walk(draw):
+    """A model with negative domains, tables and all_different, whose
+    linear_sum has integer coefficients and may list a variable more than
+    once. One coefficient puts the bound, the sum of |coefficient| times
+    the larger of |lo| and |hi|, just below 2^53 or at or just above it.
+    Returns the model, whether the bound is below 2^53, and a walk: for
+    each step, whether the child keeps the moved value."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    variables = []
+    for i in range(n):
+        lo = draw(st.integers(min_value=-3, max_value=2))
+        hi = lo + draw(st.integers(min_value=0, max_value=4))
+        variables.append(Variable(f"x{i}", lo, hi or 1))  # no domain 0..0, so every reach is >= 1
+    reach = {v.name: max(abs(v.lo), abs(v.hi)) for v in variables}
+    names = tuple(reach)
+    vs = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=n + 3)))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(vs), max_size=len(vs)))
+    big = draw(st.integers(0, len(vs) - 1))
+    rest = sum(abs(c) * reach[name] for k, (c, name) in enumerate(zip(coeffs, vs)) if k != big)
+    below = draw(st.booleans())
+    r = reach[vs[big]]
+    # the largest magnitude whose bound is below 2^53, or the least whose bound is not
+    magnitude = (EXACT - 1 - rest) // r if below else -((rest - EXACT) // r)
+    coeffs[big] = magnitude * draw(st.sampled_from([1, -1]))
+    assert (rest + magnitude * r < EXACT) is below
+    objective = Objective("linear_sum", vs, coeffs=tuple(map(float, coeffs)))
+    model = ModelDescription(tuple(variables), draw_constraints(draw, names), objective)
+    steps = draw(st.lists(st.booleans(), min_size=1, max_size=40))
+    return model, below, steps, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integral_model_and_walk())
+def test_an_integral_linear_sum_scores_every_child_as_the_full_path(case):
+    model, below, steps, seed = case
+    problem, reassign = generic_parts(model)
+    current, env = problem.sample_initial(env_new(seed))
+    obj = model.objective
+
+    def exact(assignment):
+        return sum(int(c) * assignment[name] for c, name in zip(obj.coeffs, obj.vars))
+
+    assert score(problem, current) == full_value(model, current)
+    for same in steps:
+        if same:
+            child = _child(current, dict(current), (obj.vars[0], current[obj.vars[0]]))
+        else:
+            child, env = reassign(current, env)
+        value = score(problem, child)
+        assert value == full_value(model, child)
+        assert child._memo[1][3] == (exact(child) if below else None)
+        current = child
+
+
+def count_objective_calls(monkeypatch, model, moves=60):
+    """The calls to objective_value while a start and `moves` reassign
+    children of it are scored, each child from its parent."""
+    problem, reassign = generic_parts(model)
+    calls = []
+    full = whitebox.objective_value
+
+    def counting(model, assignment):
+        calls.append(dict(assignment))
+        return full(model, assignment)
+
+    monkeypatch.setattr(whitebox, "objective_value", counting)
+    current, env = start(model), env_new(5)
+    score(problem, current)
+    starts = len(calls)
+    for _ in range(moves):
+        child, env = reassign(current, env)
+        assert score(problem, child) == full_value(model, dict(child))
+        current = child
+    return starts, len(calls) - starts
+
+
+def with_objective(vs, coeffs, lo=-2, hi=1):
+    """REPEATS' constraints with a linear_sum of `coeffs` over `vs`, each
+    variable's domain lo..hi."""
+    variables = tuple(Variable(v.name, lo, hi) for v in REPEATS.variables)
+    return ModelDescription(variables, REPEATS.constraints, Objective("linear_sum", vs, coeffs=coeffs))
+
+
+def test_an_integral_linear_sum_under_the_bound_is_computed_only_for_the_start(monkeypatch):
+    model = with_objective(("x0", "x1", "x2", "x0"), (3.0, -2.0, 7.0, -1.0))
+    assert count_objective_calls(monkeypatch, model) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # 2^50 over 0..10: the bound is 10 * 2^50, above 2^53
+        with_objective(("x0", "x1", "x2"), (2.0**50, 1.0, 1.0), lo=0, hi=10),
+        # one fractional coefficient
+        with_objective(("x0", "x1", "x2", "x0"), (3.0, -2.0, 0.5, -1.0)),
+        ModelDescription(REPEATS.variables, REPEATS.constraints, None),
+        CIRCUIT,
+    ],
+    ids=["over-the-bound", "fractional", "no-objective", "circuit-sum"],
+)
+def test_any_other_objective_is_computed_for_every_child(monkeypatch, model):
+    assert count_objective_calls(monkeypatch, model) == (1, 60)

@@ -4,7 +4,9 @@ dropped connection, for any body or Content-Length."""
 import json
 import socket
 import struct
+import threading
 import time
+import urllib.request
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,9 @@ from metafold.rpc import (
     ERR_INVALID_REQUEST,
     ERR_PARSE,
     MAX_REQUEST_BYTES,
+    RemoteProtocolError,
     handle_rpc,
+    remote_perturb,
     serve,
 )
 from metafold.solutions import BitVector, solution_to_json
@@ -566,3 +570,75 @@ def test_a_client_gone_mid_head_prints_nothing(capfd):
     finally:
         s.close()
     assert capfd.readouterr().err == ""
+
+
+# Bodies the server does not read: it must still drain them, within
+# bounds, after its reply, or the close resets the connection and the
+# client, still sending, never reads the reply.
+OVER_CAP = MAX_REQUEST_BYTES + 1024 * 1024  # 17 MiB
+
+
+def test_a_body_over_the_cap_gets_its_reply_every_time(server):
+    for _ in range(3):
+        req = urllib.request.Request(server.endpoint, b" " * OVER_CAP, {"Content-Type": "application/json"})
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            response = json.loads(resp.read())
+        assert response["error"]["code"] == ERR_INVALID_REQUEST
+    assert_describe_is_answered(server.endpoint)
+
+
+def test_a_proxy_call_over_the_cap_is_a_protocol_error(server):
+    perturb = remote_perturb(server.endpoint, "bitflip")
+    with pytest.raises(RemoteProtocolError) as caught:
+        perturb(BitVector.from_string("0" * OVER_CAP), env_new(1))
+    assert caught.value.code == ERR_INVALID_REQUEST
+
+
+UNREAD = 8 * 1024 * 1024
+
+
+@pytest.mark.parametrize(
+    "head, status",
+    [(b"POST /rpc HTTP/1.0\r\n\r\n", 200), (b"POST /nope HTTP/1.0\r\n\r\n", 404)],
+    ids=["no length", "another target"],
+)
+def test_an_unread_body_does_not_lose_the_reply(server, head, status):
+    reply = exchange(server.endpoint, head + b" " * UNREAD, timeout=30)
+    assert reply.startswith(b"HTTP/1.0 %d " % status)
+    response_head, _, body = reply.partition(b"\r\n\r\n")
+    assert b"Content-Length: %d" % len(body) in response_head
+    if status == 200:
+        assert json.loads(body)["error"]["code"] == ERR_INVALID_REQUEST
+
+
+def test_the_drain_ends_after_the_timeout(monkeypatch):
+    monkeypatch.setattr(rpc, "REQUEST_TIMEOUT_S", 0.2)
+    s = serve(REGISTRY)
+    host, port = s.endpoint.split("//")[1].split("/")[0].split(":")
+    sock = socket.create_connection((host, int(port)), timeout=5.0)
+    try:
+        sock.sendall(b"GET /rpc HTTP/1.0\r\n\r\n")
+        assert sock.recv(65536).startswith(b"HTTP/1.0 501 ")
+        # the connection stays open and silent: close waits for its thread
+        closer = threading.Thread(target=s.close)
+        closer.start()
+        closer.join(5.0)
+        assert not closer.is_alive()
+    finally:
+        sock.close()
+        s.close()
+
+
+def test_the_drain_ends_after_its_byte_limit(monkeypatch):
+    monkeypatch.setattr(rpc, "MAX_DRAIN_BYTES", 64 * 1024)
+    s = serve(REGISTRY)
+    host, port = s.endpoint.split("//")[1].split("/")[0].split(":")
+    try:
+        with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+            sock.sendall(b"GET /rpc HTTP/1.0\r\n\r\n")
+            with pytest.raises((BrokenPipeError, ConnectionResetError)):
+                for _ in range(64):  # up to 64 MiB, far past the limit
+                    sock.sendall(b" " * (1024 * 1024))
+        assert_describe_is_answered(s.endpoint)
+    finally:
+        s.close()
