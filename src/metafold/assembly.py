@@ -22,7 +22,7 @@ from .components import (
     K_BOUNDS,
     Param,
 )
-from .env import EnvKey, EnvValue, env_new
+from .env import EnvKey, EnvValue, env_new, require_keys, unknown_key
 from .frameworks import FRAMEWORKS, Framework, RunResult, terminate_any
 from .problems import ProblemInstance
 
@@ -51,21 +51,6 @@ def require_shape(value, shape: type, where: str):
         got = type(value).__name__
         raise ValueError(f"{where} must be {_JSON_SHAPES[shape]}, got {got}")
     return value
-
-
-def unknown_key(obj: dict, known) -> Optional[str]:
-    """The first key of `obj` that is not in `known`, or None."""
-    return next((key for key in obj if key not in known), None)
-
-
-def require_keys(obj: dict, known, where: str) -> dict:
-    """`obj` itself when each of its keys is `known`; raises ValueError
-    naming `where` and the first key that is not. Closes the objects of
-    JSON read from files, so a misspelt key is never ignored."""
-    key = unknown_key(obj, known)
-    if key is not None:
-        raise ValueError(f"unknown key {key!r} at {where}")
-    return obj
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,11 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
     """Numbered configurations, every one valid; raises
     InvalidConfigurationError naming each violation otherwise."""
     if "configs" in spec:
+        # the keys configs are enumerated from, which listed configs would ignore
+        enumeration = ("framework", "grids", "initializers", "framework_params")
+        ignored = [key for key in enumeration if key in spec]
+        if ignored:
+            raise ValueError(f"an experiment with configs cannot have {', '.join(ignored)}")
         configs = [
             ConfigurationSpec.from_json(c, f"configs[{i}]")
             for i, c in enumerate(require_shape(spec["configs"], list, "configs"))
@@ -252,6 +257,7 @@ def cmd_compare(args) -> int:
         print(f"error: {args.results} lacks column(s): {', '.join(missing)}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     groups: Dict[str, List[float]] = {}
+    trials: Dict[Tuple[str, str], int] = {}  # (config_id, seed) -> its first row's number
     for number, row in enumerate(rows, start=1):
         if row["problem"] != args.problem or row["best_value"] == "FAILED":
             continue
@@ -269,6 +275,15 @@ def cmd_compare(args) -> int:
         if row["config_id"] is None:  # a short row whose header puts config_id last
             print(f"error: {args.results} row {number}: no config_id", file=sys.stderr)
             return EXIT_INPUT_ERROR
+        if "seed" in reader.fieldnames:  # one trial counted twice would be two samples
+            first = trials.setdefault((row["config_id"], row["seed"]), number)
+            if first != number:
+                print(
+                    f"error: {args.results} rows {first} and {number} repeat config "
+                    f"{row['config_id']} seed {row['seed']}",
+                    file=sys.stderr,
+                )
+                return EXIT_INPUT_ERROR
         groups.setdefault(row["config_id"], []).append(value)
     config_ids = sorted(groups)
     if len(config_ids) < 2:

@@ -36,6 +36,21 @@ _LOW_WORD = 0 if sys.byteorder == "little" else 1
 _new = tuple.__new__
 
 
+def unknown_key(obj: dict, known) -> Optional[str]:
+    """The first key of `obj` that is not in `known`, or None."""
+    return next((key for key in obj if key not in known), None)
+
+
+def require_keys(obj: dict, known, where: str) -> dict:
+    """`obj` itself when each of its keys is `known`; raises ValueError
+    naming `where` and the first key that is not. Closes the objects of
+    JSON read from files or the wire, so a misspelt key is never ignored."""
+    key = unknown_key(obj, known)
+    if key is not None:
+        raise ValueError(f"unknown key {key!r} at {where}")
+    return obj
+
+
 class ConfigurationError(Exception):
     """A component's environment-key requirement was not satisfied."""
 
@@ -127,8 +142,11 @@ class EnvValue(namedtuple("EnvValue", "tag value")):
     def from_json(obj: dict) -> "EnvValue":
         """The value `to_json` wrote, as its tag's `of_<tag>` builds it. A
         payload whose JSON type does not fit its tag raises ValueError
-        instead of being coerced."""
+        instead of being coerced, and so does a key `to_json` does not
+        write."""
         tag, payload = obj["t"], obj["v"]
+        if len(obj) != 2:  # a key besides these two
+            require_keys(obj, ("t", "v"), "env entry")
         if tag not in VALUE_TAGS:
             raise ValueError(f"unknown EnvValue tag: {tag!r}")
         want, read = _PAYLOADS[tag]
@@ -258,15 +276,18 @@ class Environment(namedtuple("Environment", "entries rng")):
     def from_json(obj: dict) -> "Environment":
         """The Environment `to_json` wrote. The rng seed and counter must
         each be an integer or a decimal string in [0, 2^64); anything else
-        raises ValueError instead of being coerced."""
-        seed, counter = obj["rng"]["seed"], obj["rng"]["counter"]
+        raises ValueError instead of being coerced, and so does a key
+        `to_json` does not write."""
+        rng, entries = obj["rng"], obj["entries"]
+        seed, counter = rng["seed"], rng["counter"]
+        if len(obj) != 2 or len(rng) != 2:  # a key besides these two
+            require_keys(obj, ("rng", "entries"), "env")
+            require_keys(rng, ("seed", "counter"), "env.rng")
         if not (_is_digest(seed) and _is_digest(counter)):
             raise ValueError(
                 "rng seed and counter must be integers or decimal strings in [0, 2^64)"
             )
-        entries = {
-            EnvKey.parse(k): EnvValue.from_json(v) for k, v in obj["entries"].items()
-        }
+        entries = {EnvKey.parse(k): EnvValue.from_json(v) for k, v in entries.items()}
         return Environment(entries, RngState(int(seed), int(counter)))
 
     @staticmethod

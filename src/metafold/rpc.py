@@ -3,9 +3,10 @@
 The server constructs the named component per request, threads the
 deserialized Environment through it, and returns the full Environment in
 the response; nothing survives between requests. Each connection is served
-at once on a thread of its own, and a thread whose request is done waits for
-the next connection instead of exiting. Client proxies are ordinary
-components, so a framework cannot tell local from remote.
+at once on a thread of its own. A thread whose connection is done takes the
+next one from a queue instead of exiting, and a connection that finds no
+idle thread starts a new one. Client proxies are ordinary components, so a
+framework cannot tell local from remote.
 
 The server reads the subset of HTTP/1.x (RFC 9112) that a proxy sends: one
 `POST /rpc` per connection, its body framed by `Content-Length`. It reads
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import queue
 import re
 import socket
 import socketserver
@@ -283,98 +285,71 @@ def _drain(sock) -> None:
         left -= len(chunk)
 
 
-class _RpcHandler(socketserver.StreamRequestHandler):
-    """Reads one request and sends its reply; the server then closes the
-    connection."""
-
-    def setup(self):
-        self.timeout = REQUEST_TIMEOUT_S  # a read or write past it ends the connection
-        super().setup()
-
-    def handle(self):
-        try:
-            reply, unread = _answer(self.server.registry, self.rfile)
-            if reply is not None:
-                self.request.sendall(reply)
-                if unread:
-                    _drain(self.request)
-        except (ConnectionError, TimeoutError):  # the client left, or stalled
-            pass
-
-
-class _ReusingHTTPServer(socketserver.ThreadingTCPServer):
-    """A threading TCP server of `_RpcHandler`s that keeps its connection
-    threads.
-
-    Each connection is still served at once on a thread of its own, so a
-    stalled connection delays no other. A thread whose request is done waits
-    for the next connection instead of exiting; a connection that finds no
+class _Server(socketserver.TCPServer):
+    """Serves each connection at once on a thread of its own, so a stalled
+    connection delays no other. A thread whose connection is done waits on
+    one queue for the next instead of exiting; a connection that finds no
     idle thread starts a new one. `server_close` ends the idle threads and
-    waits for the busy ones.
-    """
+    waits for the busy ones."""
 
     allow_reuse_address = True
 
     def __init__(self, server_address, registry: Registry):
         self.registry = registry
         # set before binding, as a failed bind calls server_close
-        self._idle_lock = threading.Lock()  # guards _idle and _closing
-        self._idle = []  # one slot per idle thread: [its wake lock, its next connection]
-        self._closing = False
-        self._workers = []
-        super().__init__(server_address, _RpcHandler)
+        self._idle_lock = threading.Lock()
+        self._idle = 0  # threads that will take a connection off _queue
+        self._queue = queue.SimpleQueue()  # (request, client_address), or None to end a thread
+        self._threads = []
+        super().__init__(server_address, None)
 
     def process_request(self, request, client_address):
+        connection = (request, client_address)
         with self._idle_lock:
-            slot = self._idle.pop() if self._idle else None
-        if slot is None:
-            slot = [threading.Lock(), None]
-            slot[0].acquire()
-            worker = threading.Thread(target=self._work, args=(slot,), daemon=True)
-            self._workers.append(worker)
-            worker.start()
-        slot[1] = (request, client_address)
-        slot[0].release()
+            idle = self._idle > 0
+            self._idle -= idle
+        if idle:
+            self._queue.put(connection)
+        else:
+            thread = threading.Thread(target=self._work, args=(connection,), daemon=True)
+            thread.start()
+            self._threads.append(thread)
 
-    def _work(self, slot):
-        wake = slot[0]
-        while True:
-            wake.acquire()
-            if slot[1] is None:  # woken by server_close
-                return
-            request, client_address = slot[1]
+    def _work(self, connection):
+        """Serves `connection`, then each connection that it takes off the
+        queue, until it takes None."""
+        for request, client_address in itertools.chain([connection], iter(self._queue.get, None)):
             try:
-                self.finish_request(request, client_address)
+                request.settimeout(REQUEST_TIMEOUT_S)  # a read or write past it ends the connection
+                with request.makefile("rb") as rfile:
+                    reply, unread = _answer(self.registry, rfile)
+                if reply is not None:
+                    request.sendall(reply)
+                    if unread:
+                        _drain(request)
+            except (ConnectionError, TimeoutError):  # the client left, or stalled
+                pass
             except Exception:
                 self.handle_error(request, client_address)
-            finally:
-                # idle before the connection is closed, so a client that
-                # reads to the close finds this thread free for its next one
-                with self._idle_lock:
-                    closing = self._closing
-                    if not closing:
-                        self._idle.append(slot)
-                self.shutdown_request(request)
-            if closing:
-                return
+            # idle before the connection is closed, so a client that reads
+            # to the close finds this thread free for its next one
+            with self._idle_lock:
+                self._idle += 1
+            self.shutdown_request(request)
 
     def server_close(self):
         super().server_close()
-        with self._idle_lock:
-            self._closing = True
-            idle, self._idle = self._idle, []
-        for slot in idle:
-            slot[1] = None
-            slot[0].release()
-        for worker in self._workers:
-            worker.join()
+        for _ in self._threads:
+            self._queue.put(None)
+        for thread in self._threads:
+            thread.join()
 
 
 class RpcServer:
     """Background HTTP server hosting a registry at POST /rpc."""
 
     def __init__(self, registry: Registry, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = _ReusingHTTPServer((host, port), registry)
+        self._httpd = _Server((host, port), registry)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
 

@@ -540,6 +540,8 @@ def minimal_run(tmp_path, **extra):
         "budget": {"iterations": 5},
         "out": str(tmp_path / "out"),
     }
+    if "configs" in extra:  # an experiment that lists its configs names no framework
+        del doc["framework"]
     doc.update(extra)
     return write_json(tmp_path / "e.json", doc)
 

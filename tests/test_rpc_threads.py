@@ -51,8 +51,8 @@ def perturb(server, seed=1):
 def wait_until_idle(server, count):
     """Wait until exactly `count` of the server's threads are idle."""
     deadline = time.monotonic() + 5.0
-    while len(server._httpd._idle) != count:
-        assert time.monotonic() < deadline, f"{len(server._httpd._idle)} idle, not {count}"
+    while server._httpd._idle != count:
+        assert time.monotonic() < deadline, f"{server._httpd._idle} idle, not {count}"
         time.sleep(0.005)
 
 

@@ -1,0 +1,147 @@
+"""Inputs that were once accepted silently are refused with an error that
+names them: an unknown key in a wire Environment, an experiment that lists
+its configs and also names what configs are enumerated from, and a
+`compare` file that holds one trial twice."""
+
+import csv
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_rpc_client import StubServer
+from test_rpc_threads import START, recording_registry
+
+from metafold.cli import main
+from metafold.components import perturb_bitflip
+from metafold.env import EnvKey, EnvValue, Environment, RngState, env_new
+from metafold.rpc import (
+    ERR_BAD_REPLY, ERR_INVALID_PARAMS, RemoteProtocolError, handle_rpc, remote_perturb,
+)
+from metafold.solutions import solution_to_json
+
+
+def perturb_with(registry, env_json):
+    params = {
+        "component": "bitflip", "params": {}, "env": env_json, "solution": solution_to_json(START),
+    }
+    request = {"jsonrpc": "2.0", "id": 1, "method": "perturb", "params": params}
+    return handle_rpc(registry, json.dumps(request).encode())
+
+
+def test_an_unknown_key_in_the_wire_env_is_named_not_ignored():
+    calls = []
+    env = env_new(5).to_json()
+    env["rng"]["cuonter"] = "5"
+    response = perturb_with(recording_registry(calls), env)
+    assert response["error"]["code"] == ERR_INVALID_PARAMS
+    assert response["error"]["message"].endswith("unknown key 'cuonter' at env.rng")
+    env = env_new(5).to_json()
+    env["extra"] = 1
+    response = perturb_with(recording_registry(calls), env)
+    assert response["error"]["code"] == ERR_INVALID_PARAMS
+    assert response["error"]["message"].endswith("unknown key 'extra' at env")
+    assert calls == []
+
+
+def test_a_proxy_refuses_an_unknown_key_in_a_reply_env():
+    child, env = perturb_bitflip(1)(START, env_new(3))
+    env_json = env.to_json()
+    env_json["rng"]["cuonter"] = "5"
+    stub = StubServer()
+    stub.replies = {"perturb": json.dumps({"jsonrpc": "2.0", "id": 1, "result": {
+        "solution": solution_to_json(child), "env": env_json,
+    }}).encode()}
+    try:
+        with pytest.raises(RemoteProtocolError) as caught:
+            remote_perturb(stub.endpoint, "bitflip", {"k": 1})(START, env_new(3))
+    finally:
+        stub.close()
+    assert caught.value.code == ERR_BAD_REPLY
+    assert "unknown key 'cuonter' at env.rng" in str(caught.value)
+
+
+UNKNOWN = st.sampled_from(["extra", "cuonter", "T", "v ", ""])
+VALUES = st.one_of(
+    st.integers(-5, 5).map(EnvValue.of_int),
+    st.floats(-1.0, 1.0).map(EnvValue.of_real),
+    st.booleans().map(EnvValue.of_bool),
+    st.lists(st.integers(0, 2**64 - 1), max_size=3).map(EnvValue.of_dseq),
+)
+ENVS = st.builds(
+    lambda seed, counter, entries: Environment(entries, RngState(seed, counter)).to_json(),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**63),  # a counter at the stream's end has no draw left
+    st.dictionaries(st.sampled_from([EnvKey("a", "x"), EnvKey("tabu", "list")]), VALUES),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(env=ENVS, data=st.data())
+def test_one_unknown_key_in_any_object_of_a_wire_env_is_refused_before_any_component(env, data):
+    calls = []
+    registry = recording_registry(calls)
+    assert "result" in perturb_with(registry, env)
+    calls.clear()
+    obj = data.draw(st.sampled_from([env, env["rng"], *env["entries"].values()]))
+    key = data.draw(UNKNOWN.filter(lambda k: k not in obj))
+    obj[key] = data.draw(st.one_of(st.none(), st.integers(), st.text(max_size=3)))
+    response = perturb_with(registry, env)
+    assert response["error"]["code"] == ERR_INVALID_PARAMS
+    assert f"unknown key {key!r} at env" in response["error"]["message"]
+    assert calls == []
+
+
+LISTED = {
+    "problems": [{"kind": "onemax", "n": 8}],
+    "configs": [{
+        "framework": "local_search",
+        "slots": {
+            "perturb": {"component": "bitflip", "params": {"k": 1}},
+            "accept": {"component": "improving", "params": {}},
+            "terminate": {"component": "max_iterations", "params": {"max": 5}},
+        },
+    }],
+    "seeds": [1],
+}
+
+
+@pytest.mark.parametrize(
+    "mixed, named",
+    [
+        ({"framework": "ga", "grids": {"bitflip": {"k": [1, 2]}}}, "framework, grids"),
+        ({"initializers": []}, "initializers"),
+        ({"framework_params": {"pop_size": 4}}, "framework_params"),
+    ],
+)
+def test_an_experiment_with_configs_and_enumeration_keys_exits_2_naming_them(
+    tmp_path, capsys, mixed, named
+):
+    out = tmp_path / "out"
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({**LISTED, **mixed, "out": str(out)}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: an experiment with configs cannot have {named}\n"
+    assert not out.exists()
+
+
+def write_results(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["problem", "config_id", "seed", "best_value", "evaluations", "wall_ms"])
+        writer.writerows(rows)
+    return str(path)
+
+
+def test_compare_exits_2_on_a_repeated_trial_naming_its_rows(tmp_path, capsys):
+    rows = [["p", cid, seed, float(seed), 10, 1] for cid in "ab" for seed in (0, 1, 2, 3, 4, 99)]
+    rows.append(["p", "a", 0, 0.0, 10, 1])  # a second copy of row 1
+    assert main(["compare", write_results(tmp_path / "results.csv", rows), "--problem", "p"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rows 1 and 13 repeat config a seed 0" in err
+
+
+def test_compare_counts_one_seed_of_each_config_and_problem_once(tmp_path, capsys):
+    rows = [[p, cid, seed, float(seed), 10, 1] for p in "pq" for cid in "ab" for seed in range(5)]
+    assert main(["compare", write_results(tmp_path / "results.csv", rows), "--problem", "p"]) == 0
+    assert [line.split()[1] for line in capsys.readouterr().out.splitlines()[2:4]] == ["5", "5"]
