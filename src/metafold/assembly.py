@@ -164,13 +164,17 @@ class ConfigurationSpec:
 
 
 def parse_initializers(entries, where: str = "initializers") -> Tuple[Tuple[EnvKey, EnvValue], ...]:
-    """A JSON list of {"key", "value"} objects as (EnvKey, EnvValue) pairs."""
+    """A JSON list of {"key", "value"} objects as (EnvKey, EnvValue) pairs.
+    A key may appear once, so that no value is silently overwritten."""
     out = []
     for i, e in enumerate(require_shape(entries, list, where)):
         at = f"{where}[{i}]"
         require_keys(require_shape(e, dict, at), ("key", "value"), at)
         key = EnvKey.parse(require_shape(e["key"], str, f"{at}.key"))
         value = require_keys(require_shape(e["value"], dict, f"{at}.value"), ("t", "v"), f"{at}.value")
+        keys = [k for k, _ in out]
+        if key in keys:
+            raise ValueError(f"{at} repeats the key {key.render()} of {where}[{keys.index(key)}]")
         out.append((key, EnvValue.from_json(value)))
     return tuple(out)
 
@@ -195,16 +199,25 @@ def _check_bounds(who: str, params: Sequence[Param], bindings: Dict) -> List[str
     return problems
 
 
-def _check_grids(reg: Registry, param_grids: Dict[str, Dict[str, Sequence]]) -> List[str]:
-    """Each grid entry that names no registered component, a parameter its
-    component does not declare, or a value that parameter rejects."""
-    params_of: Dict[str, List[Param]] = {}
+def _check_grids(
+    reg: Registry, framework: str, param_grids: Dict[str, Dict[str, Sequence]]
+) -> List[str]:
+    """Each grid entry that names no registered component, one no slot of
+    `framework` takes, a parameter its component does not declare, a value
+    that parameter rejects, or a value equal (`==`) to an earlier one."""
+    kinds = {kind for _, kind in _framework(framework).slots}
+    registered = {name for _, name in reg.descriptors}
+    params_of: Dict[str, List[Param]] = {}  # of the components a slot takes
     for desc in reg.descriptors.values():
-        params_of.setdefault(desc.name, []).extend(desc.params)
+        if desc.kind in kinds:
+            params_of.setdefault(desc.name, []).extend(desc.params)
     problems = []
     for name, grid in param_grids.items():
         if name not in params_of:
-            problems.append(f"grids.{name}: no registered component has this name")
+            problems.append(f"grids.{name}: " + (
+                f"no slot of framework {framework} takes this component"
+                if name in registered else "no registered component has this name"
+            ))
             continue
         for pname, values in grid.items():
             declared = [p for p in params_of[name] if p.name == pname]
@@ -212,6 +225,13 @@ def _check_grids(reg: Registry, param_grids: Dict[str, Dict[str, Sequence]]) -> 
                 problems.append(f"grids.{name}: unknown parameter {pname!r}")
             for p in declared:
                 problems.extend(filter(None, (p.violation(f"grids.{name}", v) for v in values)))
+            for i, v in enumerate(values):
+                first = values.index(v)
+                if first < i:
+                    problems.append(
+                        f"grids.{name}.{pname}[{i}]={v!r} repeats the value "
+                        f"{values[first]!r} of grids.{name}.{pname}[{first}]"
+                    )
     return problems
 
 
@@ -266,7 +286,7 @@ def enumerate_valid(
     InvalidConfigurationError instead of silently narrowing the list."""
     template = _framework(framework)
     violations = _check_bounds(framework, template.params, dict(framework_params))
-    violations += _check_grids(reg, param_grids)
+    violations += _check_grids(reg, framework, param_grids)
     if violations:
         raise InvalidConfigurationError(violations)
     slots = template.slots

@@ -142,6 +142,13 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
             ConfigurationSpec.from_json(c, f"configs[{i}]")
             for i, c in enumerate(require_shape(spec["configs"], list, "configs"))
         ]
+        # one run twice would be two configs in `compare`; initializers
+        # hold distinct keys, so their order does not matter
+        runs = [(c.framework, c.slots, dict(c.initializers), c.framework_params) for c in configs]
+        for i, run in enumerate(runs):
+            first = runs.index(run)
+            if first < i:
+                raise ValueError(f"configs[{i}] repeats configs[{first}]")
     else:
         configs = enumerate_valid(
             registry,
@@ -189,6 +196,8 @@ def cmd_run(args) -> int:
             else default_registry()
         )
         configs = _configs_for(spec, registry)
+        if not configs:
+            raise ValueError("the experiment yields no configuration to run")
         budget = _budget_terminate(require_shape(spec.get("budget") or {}, dict, "budget"))
         stride = TRACE_STRIDE.checked("experiment", spec.get("trace_stride", 1))
         out_dir = Path(require_shape(spec["out"], str, "out"))

@@ -1,9 +1,10 @@
 """Component palette: perturbation, acceptance, termination, evaluation.
 
-Every component is a pure Step plus a machine-readable descriptor of its
-parameters and environment-key dependencies. The descriptor is what makes
-the configuration space derivable: a component reads only its declared
-`requires` keys (plus framework keys) and writes only its `provides` keys.
+Every component is a pure step function plus a machine-readable
+descriptor of its parameters and environment-key dependencies. The
+descriptor is what makes the configuration space derivable: a component
+reads only its declared `requires` keys (plus framework keys) and writes
+only its `provides` keys.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ K_TEMPERATURE = EnvKey("sa", "temperature")
 K_TABU_LIST = EnvKey("tabu", "list")
 K_BOUNDS = EnvKey("problem", "bounds")
 
-KINDS = ("perturb", "accept", "terminate", "evaluate", "initializer")
+KINDS = ("perturb", "accept", "terminate", "evaluate")
 
 
 PARAM_TYPES = {"int": int, "real": float}  # Param.type -> the type values are coerced to
@@ -131,7 +132,7 @@ class ComponentDescriptor:
 
 @dataclass(frozen=True)
 class Component:
-    """A pure Step bundled with its descriptor."""
+    """A pure step function bundled with its descriptor."""
 
     descriptor: ComponentDescriptor
     step: Callable[[Any, Environment], Tuple[Any, Environment]]
@@ -139,10 +140,6 @@ class Component:
     # Calling a component calls its step. As a property, `__call__` hands
     # the call straight to `step`, so no frame of its own runs per call.
     __call__ = property(attrgetter("step"))
-
-
-def descriptor_of(component: Component) -> ComponentDescriptor:
-    return component.descriptor
 
 
 def _require(env: Environment, key: EnvKey, tag: str, who: str):
@@ -380,19 +377,3 @@ def terminate_evaluations(max_evaluations: int = 1000) -> Component:
 
 def terminate_target(target: float = 0.0) -> Component:
     return _threshold("target_value", K_BEST_VALUE, "real", Param("target", "real", target), le)
-
-
-# ---------------------------------------------------------------------------
-# Initializers
-
-
-def initializer(name: str, key: EnvKey, value: EnvValue) -> Component:
-    """A Step that writes one env key before the search loop starts."""
-
-    def step(x, env):
-        return x, env.put(key, value)
-
-    desc = ComponentDescriptor(
-        name=name, kind="initializer", provides=frozenset({key})
-    )
-    return Component(desc, step)

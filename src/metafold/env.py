@@ -23,7 +23,7 @@ import re
 import sys
 from array import array
 from collections import namedtuple
-from typing import Any, Callable, List, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
@@ -306,16 +306,11 @@ def rng_uniform(env: Environment) -> Tuple[float, Environment]:
     return value, _new(Environment, (env.entries, _advanced(seed, counter + 1)))
 
 
-def _limit(n: int) -> int:
-    """The bound below which a raw draw maps to [0, n) without bias."""
-    if not 1 <= n <= 1 << 64:  # above 2^64 no raw draw would be accepted
-        raise ValueError("rng_below requires 1 <= n <= 2^64")
-    return (1 << 64) - ((1 << 64) % n)
-
-
 def rng_below(env: Environment, n: int) -> Tuple[int, Environment]:
     """Unbiased integer in [0, n) via rejection over the raw 64-bit draw."""
-    limit = _limit(n)
+    if not 1 <= n <= 1 << 64:  # above 2^64 no raw draw would be accepted
+        raise ValueError("rng_below requires 1 <= n <= 2^64")
+    limit = (1 << 64) - ((1 << 64) % n)  # below it a raw draw maps to [0, n) without bias
     seed, counter = env.rng
     while True:
         raw = _raw64(seed, counter)
@@ -365,32 +360,11 @@ def _mixed_lanes(seed: int, counter: int, count: int) -> Tuple[int, int]:
     return x ^ (x >> 31), ones
 
 
-def _raw64_lanes(seed: int, counter: int, count: int) -> memoryview:
-    """The raw draws at counters counter..counter+count-1, mixed at once."""
-    return _from_lanes(_mixed_lanes(seed, counter, count)[0], count)
-
-
-def rng_below_many(env: Environment, n: int, count: int) -> Tuple[List[int], Environment]:
-    """`count` draws in [0, n) in one copy: the same values and final
-    counter as `count` successive `rng_below(env, n)` calls."""
-    limit = _limit(n)
-    if count < 0:
-        raise ValueError("rng_below_many requires count >= 0")
-    rng = env.rng
-    values: List[int] = []
-    while len(values) < count:
-        # every draw of a batch is needed, as at most all of them are accepted
-        start, need = rng.counter, count - len(values)
-        rng = _advanced(rng.seed, start + need)  # past the stream's end: ValueError
-        values += map(n.__rmod__, filter(limit.__gt__, _raw64_lanes(rng.seed, start, need)))
-    return values, _new(Environment, (env.entries, rng))
-
-
 def rng_bits(env: Environment, count: int) -> Tuple[bytes, Environment]:
     """`count` fair bits, one 0 or 1 byte each: the same values and final
-    counter as `rng_below_many(env, 2, count)`. For n = 2 no raw draw is
-    rejected and a draw's value is its low bit, so the bits are the lanes'
-    low bits, masked and read out in one pass."""
+    counter as `count` successive `rng_below(env, 2)` calls. For n = 2 no
+    raw draw is rejected and a draw's value is its low bit, so the bits are
+    the lanes' low bits, masked and read out in one pass."""
     if count < 0:
         raise ValueError("rng_bits requires count >= 0")
     seed, counter = env.rng
@@ -398,20 +372,3 @@ def rng_bits(env: Environment, count: int) -> Tuple[bytes, Environment]:
     x, ones = _mixed_lanes(seed, counter, count)
     # the low bit of each lane is the first byte of its 16, on any host
     return (x & ones).to_bytes(16 * count, "little")[::16], _new(Environment, (env.entries, rng))
-
-
-Step = Callable[[Any, Environment], Tuple[Any, Environment]]
-
-
-def step_then(a: Step, b: Step) -> Step:
-    """Left-to-right composition threading the Environment between stages."""
-
-    def composed(x, env):
-        mid, env = a(x, env)
-        return b(mid, env)
-
-    return composed
-
-
-def step_identity(x, env):
-    return x, env

@@ -27,7 +27,6 @@ from .components import (
     Param,
     _two_cuts,
     accept_metropolis,
-    initializer,
 )
 from .env import EnvValue, Environment, _new, rng_below, rng_uniform
 from .solutions import BitVector, Permutation, RealVector, Solution, _child
@@ -111,11 +110,12 @@ def local_search(
 
 
 def simulated_annealing_preset(t0: float, cooling: float):
-    """Initializer writing sa.temperature plus a Metropolis acceptance."""
+    """The initializer `(sa.temperature, t0)` and a Metropolis acceptance.
+    The pair is what `ConfigurationSpec.make(initializers=...)` lists and
+    `env.put(*pair)` writes."""
     if not t0 >= 0:  # NaN too: Metropolis would reject every worsening move
         raise ValueError("t0 must be nonnegative")
-    init = initializer("sa_init", K_TEMPERATURE, EnvValue.of_real(t0))
-    return init, accept_metropolis(cooling)
+    return (K_TEMPERATURE, EnvValue.of_real(t0)), accept_metropolis(cooling)
 
 
 @dataclass(frozen=True)

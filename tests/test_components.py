@@ -10,6 +10,7 @@ from metafold.components import (
     Component,
     ComponentDescriptor,
     K_BOUNDS,
+    KINDS,
     K_INCOMING_VALUE,
     K_INCUMBENT_VALUE,
     K_TABU_LIST,
@@ -17,7 +18,6 @@ from metafold.components import (
     accept_improving,
     accept_metropolis,
     accept_tabu,
-    descriptor_of,
     perturb_bitflip,
     perturb_gaussian,
     perturb_swap,
@@ -36,6 +36,7 @@ from metafold.env import (
     rng_below,
     rng_uniform,
 )
+from metafold.rpc import _METHODS
 from metafold.solutions import (
     BitVector,
     Permutation,
@@ -329,24 +330,33 @@ class TestTerminate:
 
 class TestDescriptors:
     def test_metropolis_descriptor(self):
-        d = descriptor_of(accept_metropolis(0.9))
+        d = accept_metropolis(0.9).descriptor
         assert K_TEMPERATURE in d.requires
         assert K_TEMPERATURE in d.provides
 
     def test_improving_descriptor(self):
-        d = descriptor_of(accept_improving())
+        d = accept_improving().descriptor
         assert d.requires == {K_INCUMBENT_VALUE, K_INCOMING_VALUE}
         assert d.provides == frozenset()
 
     def test_bitflip_descriptor(self):
-        d = descriptor_of(perturb_bitflip(1))
+        d = perturb_bitflip(1).descriptor
         assert [(p.name, p.type, p.default, p.min) for p in d.params] == [
             ("k", "int", 1, 1)
         ]
 
     def test_descriptor_identical_across_calls(self):
         c = accept_tabu(5)
-        assert descriptor_of(c) == descriptor_of(c)
+        assert c.descriptor == c.descriptor
+
+    def test_every_kind_is_served_over_rpc(self):
+        # a kind without a wire method could be registered but never served
+        assert set(KINDS) == set(_METHODS)
+
+    def test_initializer_is_no_component_kind(self):
+        # initializers are (key, value) pairs of a spec, not components
+        with pytest.raises(ValueError, match="unknown component kind"):
+            ComponentDescriptor("x", "initializer")
 
 
 def declared_access_violations(component, payload, env):

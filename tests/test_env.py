@@ -16,10 +16,8 @@ from metafold.env import (
     _raw64,
     env_new,
     rng_below,
-    rng_below_many,
+    rng_bits,
     rng_uniform,
-    step_identity,
-    step_then,
 )
 
 TEMP = EnvKey("sa", "temperature")
@@ -195,62 +193,6 @@ class TestRng:
             return out
 
         assert draws(11) == draws(11)
-
-
-def _write(key, value):
-    def step(x, env):
-        return x, env.put(key, EnvValue.of_int(value))
-
-    return step
-
-
-def _read(key):
-    def step(x, env):
-        v = env.get(key)
-        return (v.value if v else None), env
-
-    return step
-
-
-class TestStepThen:
-    def test_identity_laws(self):
-        e = env_new(1)
-        for composed in (
-            step_then(step_identity, step_identity),
-            step_then(step_identity, _write(TEMP, 3)),
-            step_then(_write(TEMP, 3), step_identity),
-        ):
-            out, env = composed("x", e)
-            # composing with identity changes nothing about threading
-            assert out in ("x",)
-
-    def test_threading(self):
-        k = EnvKey("a", "b")
-        out, _ = step_then(_write(k, 42), _read(k))(None, env_new(0))
-        assert out == 42
-
-    @given(st.integers(min_value=0, max_value=1000), st.data())
-    @settings(max_examples=50)
-    def test_associativity(self, seed, data):
-        k1, k2 = EnvKey("a", "x"), EnvKey("a", "y")
-
-        def rand_step(choice):
-            if choice == 0:
-                return _write(k1, 1)
-            if choice == 1:
-                return _write(k2, 2)
-            if choice == 2:
-                return _read(k1)
-            return lambda x, env: rng_uniform(env)
-
-        a, b, c = (
-            rand_step(data.draw(st.integers(min_value=0, max_value=3)))
-            for _ in range(3)
-        )
-        e = env_new(seed)
-        left = step_then(step_then(a, b), c)(None, e)
-        right = step_then(a, step_then(b, c))(None, e)
-        assert left == right
 
 
 @pytest.mark.parametrize("tag", ["matrix", "of_int", "INT", "", "__class__"])
@@ -517,16 +459,14 @@ def ref_rng_below(env, n):
             return raw % n, _ref_copy(env, env.entries, RngState(seed, counter))
 
 
-def ref_rng_below_many(env, n, count):
-    if not 1 <= n <= 1 << 64:
-        raise ValueError("rng_below requires 1 <= n <= 2^64")
+def ref_rng_bits(env, count):
     if count < 0:
-        raise ValueError("rng_below_many requires count >= 0")
-    values = []
+        raise ValueError("rng_bits requires count >= 0")
+    bits = bytearray()
     for _ in range(count):
-        value, env = ref_rng_below(env, n)
-        values.append(value)
-    return values, _ref_copy(env, env.entries, env.rng)
+        bit, env = ref_rng_below(env, 2)
+        bits.append(bit)
+    return bytes(bits), _ref_copy(env, env.entries, env.rng)
 
 
 def _outcome(make, *args):
@@ -592,8 +532,8 @@ DERIVATIONS = st.one_of(
     st.sampled_from([0, 1, 3, 2**63 + 1, 2**64, 2**64 + 1]).map(
         lambda n: (lambda e: rng_below(e, n), lambda r: ref_rng_below(r, n))
     ),
-    st.tuples(st.sampled_from([0, 1, 5, 2**64]), st.integers(-1, 4)).map(
-        lambda nc: (lambda e: rng_below_many(e, *nc), lambda r: ref_rng_below_many(r, *nc))
+    st.integers(-1, 4).map(
+        lambda count: (lambda e: rng_bits(e, count), lambda r: ref_rng_bits(r, count))
     ),
 )
 

@@ -28,7 +28,6 @@ from metafold.env import (
     _raw64,
     env_new,
     rng_below,
-    rng_below_many,
     rng_bits,
     rng_uniform,
 )
@@ -76,57 +75,6 @@ def ref_below_loop(env, n, count):
     return values, env
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=seeds,
-    counter=counters,
-    n=st.sampled_from([1, 2, 3, 2**32, 2**63 + 1, 2**64]),
-    count=st.integers(min_value=0, max_value=2100),
-)
-def test_rng_below_many_equals_rng_below_loop(seed, counter, n, count):
-    env = Environment(entries={}, rng=RngState(seed, counter))
-    values, out = rng_below_many(env, n, count)
-    ref_values, ref_out = ref_below_loop(env, n, count)
-    assert values == ref_values
-    assert out.rng == ref_out.rng
-    looped = []
-    for _ in range(count):
-        v, env = rng_below(env, n)
-        looped.append(v)
-    assert looped == ref_values
-    assert env.rng == ref_out.rng
-
-
-def test_rng_below_many_counts_rejections():
-    # n = 2**63 + 1 rejects almost half of all raw draws, so 64 values must
-    # consume more than 64 counter steps, exactly as the loop does.
-    env = env_new(5)
-    _, out = rng_below_many(env, 2**63 + 1, 64)
-    _, ref_out = ref_below_loop(env, 2**63 + 1, 64)
-    assert out.rng.counter == ref_out.rng.counter > 64
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=seeds,
-    to_end=st.integers(min_value=0, max_value=2100),
-    n=st.sampled_from([1, 2, 3, 2**63 + 1, 2**64]),
-    count=st.integers(min_value=0, max_value=2100),
-)
-def test_rng_below_many_at_the_end_of_the_stream(seed, to_end, n, count):
-    # The last counter is 2^64 - 1; a call that would pass it raises the
-    # loop's ValueError, and one that stops short returns the loop's values.
-    env = Environment(entries={}, rng=RngState(seed, (1 << 64) - 1 - to_end))
-    assert outcome(rng_below_many, env, n, count) == outcome(ref_below_loop, env, n, count)
-
-
-def test_rng_below_many_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        rng_below_many(env_new(1), 0, 3)
-    with pytest.raises(ValueError):
-        rng_below_many(env_new(1), 2, -1)
-
-
 near_the_end = st.integers(min_value=0, max_value=4200).map(lambda to_end: (1 << 64) - 1 - to_end)
 
 
@@ -136,10 +84,10 @@ near_the_end = st.integers(min_value=0, max_value=4200).map(lambda to_end: (1 <<
     counter=st.one_of(counters, near_the_end),
     count=st.integers(min_value=0, max_value=4096),
 )
-def test_rng_bits_equals_rng_below_many_of_two(seed, counter, count):
+def test_rng_bits_equals_rng_below_loop_of_two(seed, counter, count):
     # near the end of the stream both raise the same ValueError, or neither does
     env = Environment(entries={}, rng=RngState(seed, counter))
-    expected = outcome(rng_below_many, env, 2, count)
+    expected = outcome(ref_below_loop, env, 2, count)
     got = outcome(rng_bits, env, count)
     if expected is ValueError:
         assert got is ValueError
@@ -148,9 +96,9 @@ def test_rng_bits_equals_rng_below_many_of_two(seed, counter, count):
 
 
 @pytest.mark.parametrize("counter", [0, 12345, (1 << 64) - 2**20, (1 << 64) - 2**20 + 1])
-def test_rng_bits_equals_rng_below_many_of_two_past_the_cached_counts(counter):
+def test_rng_bits_equals_rng_below_loop_of_two_past_the_cached_counts(counter):
     env = Environment(entries={}, rng=RngState(99, counter))
-    expected = outcome(rng_below_many, env, 2, 2**20)
+    expected = outcome(ref_below_loop, env, 2, 2**20)
     got = outcome(rng_bits, env, 2**20)
     if expected is ValueError:
         assert got is ValueError and counter > (1 << 64) - 1 - 2**20
@@ -190,7 +138,6 @@ def test_every_put_and_draw_returns_an_environment_and_keeps_the_source():
         env.put_many({key: EnvValue.of_int(2)}),
         rng_uniform(env)[1],
         rng_below(env, 5)[1],
-        rng_below_many(env, 5, 4)[1],
         rng_bits(env, 4)[1],
     ]
     for out in derived:

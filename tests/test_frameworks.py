@@ -1,5 +1,6 @@
 import pytest
 
+from metafold.assembly import ConfigurationSpec, parse_initializers, validate
 from metafold.components import (
     Component,
     ComponentDescriptor,
@@ -10,7 +11,7 @@ from metafold.components import (
     terminate_iterations,
     terminate_target,
 )
-from metafold.env import env_new
+from metafold.env import EnvValue, env_new
 from metafold.frameworks import (
     InnerSearch,
     crossover_one_point,
@@ -22,6 +23,7 @@ from metafold.frameworks import (
     simulated_annealing_preset,
     terminate_any,
 )
+from metafold.palette import default_registry
 from metafold.problems import onemax, magic_square, sphere
 from metafold.solutions import BitVector, Permutation, RealVector
 
@@ -157,7 +159,7 @@ class TestSimulatedAnnealingPreset:
         def run(acceptance, with_init):
             env = env_new(5)
             if with_init:
-                _, env = init(None, env)
+                env = env.put(*init)
             start, env = p.sample_initial(env)
             return local_search(
                 start, p.evaluate, perturb_bitflip(1), acceptance, terminate_iterations(400), env
@@ -179,17 +181,27 @@ class TestSimulatedAnnealingPreset:
         from metafold.components import K_TEMPERATURE
 
         init, _ = simulated_annealing_preset(10.0, 0.9)
-        assert K_TEMPERATURE in init.descriptor.provides
-        _, env = init(None, env_new(0))
-        assert env.get(K_TEMPERATURE).value == 10.0
+        assert init == (K_TEMPERATURE, EnvValue.of_real(10.0))
+        assert env_new(0).put(*init).get(K_TEMPERATURE).value == 10.0
+
+    def test_initializer_is_what_a_spec_lists(self):
+        # the pair is a spec's initializer as written, and its spec validates
+        init, _ = simulated_annealing_preset(2.0, 0.95)
+        spec = ConfigurationSpec.make(
+            "local_search",
+            {"perturb": ("bitflip", {}), "accept": ("metropolis", {"cooling": 0.95}),
+             "terminate": ("max_iterations", {"max": 30})},
+            initializers=[init],
+        )
+        assert parse_initializers(spec.to_json()["initializers"]) == (init,)
+        assert validate(spec, default_registry()) == []
 
     def test_same_seed_same_trace(self):
         p = onemax(16)
         init, accept = simulated_annealing_preset(2.0, 0.95)
 
         def run():
-            env = env_new(6)
-            _, env = init(None, env)
+            env = env_new(6).put(*init)
             start, env = p.sample_initial(env)
             return local_search(
                 start, p.evaluate, perturb_bitflip(1), accept, terminate_iterations(300), env

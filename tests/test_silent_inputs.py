@@ -1,7 +1,9 @@
 """Inputs that were once accepted silently are refused with an error that
 names them: an unknown key in a wire Environment, an experiment that lists
-its configs and also names what configs are enumerated from, and a
-`compare` file that holds one trial twice."""
+its configs and also names what configs are enumerated from, a `compare`
+file that holds one trial twice, a configuration or grid value listed
+twice, a grid no slot reads, an initializer key given twice, and a run
+with no configuration."""
 
 import csv
 import json
@@ -145,3 +147,96 @@ def test_compare_counts_one_seed_of_each_config_and_problem_once(tmp_path, capsy
     rows = [[p, cid, seed, float(seed), 10, 1] for p in "pq" for cid in "ab" for seed in range(5)]
     assert main(["compare", write_results(tmp_path / "results.csv", rows), "--problem", "p"]) == 0
     assert [line.split()[1] for line in capsys.readouterr().out.splitlines()[2:4]] == ["5", "5"]
+
+
+def run_exits_2(tmp_path, capsys, experiment, message):
+    out = tmp_path / "out"
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({**experiment, "out": str(out)}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+ENUMERATED = {"problems": [{"kind": "onemax", "n": 8}], "framework": "local_search", "seeds": [1]}
+
+
+def write_registry(tmp_path, *impls):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"components": [{"impl": impl} for impl in impls]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "values, repeat",
+    [([1, 1], "[1]=1 repeats the value 1 of grids.bitflip.k[0]"),
+     ([1, 1.0, 2], "[1]=1.0 repeats the value 1 of grids.bitflip.k[0]")],
+)
+def test_a_grid_that_lists_a_value_twice_exits_2_naming_it(tmp_path, capsys, values, repeat):
+    grids = {"bitflip": {"k": values}}
+    run_exits_2(tmp_path, capsys, {**ENUMERATED, "grids": grids}, f"grids.bitflip.k{repeat}")
+    path = tmp_path / "grids.json"
+    path.write_text(json.dumps(grids))
+    registry = write_registry(tmp_path, "bitflip", "improving", "max_iterations")
+    argv = ["enumerate", registry, "--framework", "local_search", "--grids", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: grids.bitflip.k{repeat}\n"
+
+
+def with_k(config, k):
+    config = json.loads(json.dumps(config))
+    config["slots"]["perturb"]["params"]["k"] = k
+    return config
+
+
+CONFIG = LISTED["configs"][0]
+TEMPERATURE = {"key": "sa.temperature", "value": {"t": "real", "v": 1.0}}
+TABU = {"key": "tabu.list", "value": {"t": "dseq", "v": []}}
+
+
+@pytest.mark.parametrize(
+    "configs, message",
+    [
+        # k 1.0 equals 1, as in a grid
+        ([CONFIG, with_k(CONFIG, 2), with_k(CONFIG, 1.0)], "configs[2] repeats configs[0]"),
+        # initializers hold distinct keys, so their order does not matter
+        ([{**CONFIG, "initializers": [TEMPERATURE, TABU]},
+          {**CONFIG, "initializers": [TABU, TEMPERATURE]}], "configs[1] repeats configs[0]"),
+    ],
+)
+def test_a_listed_config_equal_to_an_earlier_one_exits_2_naming_both(
+    tmp_path, capsys, configs, message
+):
+    run_exits_2(tmp_path, capsys, {**LISTED, "configs": configs}, message)
+
+
+def test_a_grid_for_a_component_no_slot_takes_exits_2(tmp_path, capsys):
+    # a GA has no accept slot, so a metropolis grid would be dropped
+    experiment = {**ENUMERATED, "framework": "ga", "grids": {"metropolis": {"cooling": [0.9]}}}
+    run_exits_2(
+        tmp_path, capsys, experiment,
+        "grids.metropolis: no slot of framework ga takes this component",
+    )
+
+
+def test_an_initializer_key_given_twice_exits_2_naming_both(tmp_path, capsys):
+    second = {"key": "sa.temperature", "value": {"t": "real", "v": 5.0}}
+    run_exits_2(
+        tmp_path, capsys, {**ENUMERATED, "initializers": [TEMPERATURE, second]},
+        "initializers[1] repeats the key sa.temperature of initializers[0]",
+    )
+    experiment = {**LISTED, "configs": [{**CONFIG, "initializers": [TEMPERATURE, second]}]}
+    run_exits_2(
+        tmp_path, capsys, experiment,
+        "configs[0].initializers[1] repeats the key sa.temperature of configs[0].initializers[0]",
+    )
+
+
+def test_a_run_with_no_configuration_exits_2(tmp_path, capsys):
+    message = "the experiment yields no configuration to run"
+    run_exits_2(tmp_path, capsys, {**LISTED, "configs": []}, message)
+    # tabu reads tabu.list, which nothing provides without an initializer
+    registry = write_registry(tmp_path, "bitflip", "tabu", "max_iterations")
+    run_exits_2(tmp_path, capsys, {**ENUMERATED, "registry": registry}, message)
+    assert main(["enumerate", registry, "--framework", "local_search"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"configs": [], "count": 0}
