@@ -172,11 +172,22 @@ def parse_initializers(entries, where: str = "initializers") -> Tuple[Tuple[EnvK
         require_keys(require_shape(e, dict, at), ("key", "value"), at)
         key = EnvKey.parse(require_shape(e["key"], str, f"{at}.key"))
         value = require_keys(require_shape(e["value"], dict, f"{at}.value"), ("t", "v"), f"{at}.value")
-        keys = [k for k, _ in out]
-        if key in keys:
-            raise ValueError(f"{at} repeats the key {key.render()} of {where}[{keys.index(key)}]")
         out.append((key, EnvValue.from_json(value)))
+    repeats = _repeated_keys(out, where)
+    if repeats:
+        raise ValueError(repeats[0])
     return tuple(out)
+
+
+def _repeated_keys(initializers, where: str = "initializers") -> List[str]:
+    """A violation for each initializer whose key an earlier one holds,
+    whose value would overwrite the earlier one's."""
+    keys = [k for k, _ in initializers]
+    return [
+        f"{where}[{i}] repeats the key {key.render()} of {where}[{keys.index(key)}]"
+        for i, key in enumerate(keys)
+        if keys.index(key) < i
+    ]
 
 
 def _framework(name: str) -> Framework:
@@ -236,7 +247,8 @@ def _check_grids(
 
 
 def validate(spec: ConfigurationSpec, reg: Registry) -> List[str]:
-    """Return a list of violations; empty means valid.
+    """Return a list of violations; empty means valid. An initializer key
+    listed twice is one, as `parse_initializers` words it.
 
     A key a component both reads and writes (read-modify-write) satisfies
     no slot's read, its own or another's, since either may run first.
@@ -245,6 +257,7 @@ def validate(spec: ConfigurationSpec, reg: Registry) -> List[str]:
     slot_kinds = dict(framework.slots)
     slot_map = spec.slot_map()
     violations = _check_bounds(spec.framework, framework.params, dict(spec.framework_params))
+    violations += _repeated_keys(spec.initializers)
     bound = []  # (slot, descriptor)
     for slot, kind in slot_kinds.items():
         if slot not in slot_map:
@@ -271,6 +284,25 @@ def validate(spec: ConfigurationSpec, reg: Registry) -> List[str]:
     return violations
 
 
+def runs_as(spec: ConfigurationSpec, reg: Registry) -> tuple:
+    """What a valid `spec` runs: its framework, each slot's component with
+    every parameter the component declares bound, its initializers by key
+    and every framework parameter, defaults filled in. Two specs that run
+    the same trials give equal values."""
+    framework = FRAMEWORKS[spec.framework]
+    slot_kinds = dict(framework.slots)
+    slots = []
+    for slot, name, bindings in spec.slots:
+        declared = reg.lookup(slot_kinds[slot], name).params
+        bound = {**{p.name: p.default for p in declared}, **dict(bindings)}
+        slots.append((slot, name, sorted(bound.items())))
+    return spec.framework, slots, dict(spec.initializers), _framework_params(framework, spec)
+
+
+def _framework_params(framework: Framework, spec: ConfigurationSpec) -> Dict:
+    return {**{p.name: p.default for p in framework.params}, **dict(spec.framework_params)}
+
+
 def enumerate_valid(
     reg: Registry,
     framework: str,
@@ -281,11 +313,13 @@ def enumerate_valid(
     """All valid configurations, ordered lexicographically by component
     names then grid indices.
 
-    `framework_params` are shared by every configuration and grids name
-    components and values directly, so invalid ones raise
-    InvalidConfigurationError instead of silently narrowing the list."""
+    `initializers` and `framework_params` are shared by every
+    configuration and grids name components and values directly, so
+    invalid ones raise InvalidConfigurationError instead of silently
+    narrowing the list."""
     template = _framework(framework)
     violations = _check_bounds(framework, template.params, dict(framework_params))
+    violations += _repeated_keys(initializers)
     violations += _check_grids(reg, framework, param_grids)
     if violations:
         raise InvalidConfigurationError(violations)
@@ -340,8 +374,7 @@ def instantiate(
     }
     if extra_terminate is not None:
         parts["terminate"] = terminate_any(parts["terminate"], extra_terminate)
-    params = {p.name: p.default for p in framework.params}
-    params.update(spec.framework_params)
+    params = _framework_params(framework, spec)
 
     def run() -> RunResult:
         env = env_new(seed)

@@ -28,6 +28,7 @@ from .assembly import (
     parse_initializers,
     require_keys,
     require_shape,
+    runs_as,
     validate,
 )
 from .components import Param, terminate_evaluations, terminate_iterations
@@ -142,13 +143,6 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
             ConfigurationSpec.from_json(c, f"configs[{i}]")
             for i, c in enumerate(require_shape(spec["configs"], list, "configs"))
         ]
-        # one run twice would be two configs in `compare`; initializers
-        # hold distinct keys, so their order does not matter
-        runs = [(c.framework, c.slots, dict(c.initializers), c.framework_params) for c in configs]
-        for i, run in enumerate(runs):
-            first = runs.index(run)
-            if first < i:
-                raise ValueError(f"configs[{i}] repeats configs[{first}]")
     else:
         configs = enumerate_valid(
             registry,
@@ -164,6 +158,14 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
         violations = [f"config {cid}: {v}" for cid, c in numbered for v in validate(c, registry)]
         if violations:
             raise InvalidConfigurationError(violations)
+        # one run twice would be two configs in `compare`: a parameter left
+        # at its default and one bound to it run alike, and initializers
+        # hold distinct keys, so their order does not matter
+        runs = [runs_as(c, registry) for c in configs]
+        for i, run in enumerate(runs):
+            first = runs.index(run)
+            if first < i:
+                raise ValueError(f"configs[{i}] repeats configs[{first}]")
     return numbered
 
 

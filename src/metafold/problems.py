@@ -150,6 +150,8 @@ def problem_instance(
 # ---------------------------------------------------------------------------
 # Bit-vector problems
 
+_NOT_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
 
 def onemax(n: int) -> ProblemInstance:
     if n < 1:
@@ -161,39 +163,86 @@ def onemax(n: int) -> ProblemInstance:
 
 def checkerboard(s: int) -> ProblemInstance:
     """s*s grid, row-major; counts equal-valued horizontally/vertically
-    adjacent pairs. Optimum 0 at either perfect checkerboard."""
+    adjacent pairs. Optimum 0 at either perfect checkerboard.
+
+    An evaluation is nine whole-vector int operations on the packed bytes
+    read as one int y, byte i holding cell i. Byte i of y ^ (y >> 8) is 1
+    where cell i differs from its right neighbour, and byte i of
+    y ^ (y >> 8*s) where it differs from the cell below. A cell of the
+    last column has no right neighbour and one of the last row none below,
+    so a mask of them is ORed into each: every byte of both is then 0 at
+    an equal pair and only there, and the equal pairs are 2n less their
+    1-bytes."""
     if s < 2:
         raise ValueError("s must be >= 2")
     n = s * s
+    last_column = int.from_bytes((bytes(s - 1) + b"\x01") * s, "little")
+    last_row = int.from_bytes(bytes(n - s) + b"\x01" * s, "little")
 
     def value(sol: BitVector) -> int:
-        g = sol.packed
-        equal = 0
-        for r in range(s):
-            for c in range(s):
-                if c + 1 < s and g[r * s + c] == g[r * s + c + 1]:
-                    equal += 1
-                if r + 1 < s and g[r * s + c] == g[(r + 1) * s + c]:
-                    equal += 1
-        return equal
+        y = int.from_bytes(sol.packed, "little")
+        right = (y ^ (y >> 8)) | last_column
+        below = (y ^ (y >> 8 * s)) | last_row
+        return 2 * n - right.bit_count() - below.bit_count()
 
     return problem_instance(
         "checkerboard", f"checkerboard_{s}", "bits", n, value, s=s, optimum_value=0.0
     )
 
 
-def _full_blocks(b: int) -> Callable[[bytes], int]:
-    """Counts the all-ones blocks of b bits in a packed vector whose length
-    b divides; the blocks are cut and compared in C."""
-    unpack, full = struct.Struct(f"{b}s").iter_unpack, (b"\x01" * b,)
-    return lambda packed: list(unpack(packed)).count(full)
+def _block_starts(n: int, size: int) -> int:
+    """An int of n little-endian bytes: 1 in the first byte of each aligned
+    block of `size` bytes, 0 elsewhere."""
+    return int.from_bytes((b"\x01" + bytes(size - 1)) * (n // size), "little")
+
+
+def _full_blocks(n: int, b: int) -> Callable[[bytes], int]:
+    """Counts the all-ones blocks of b bits in a packed vector of n bits,
+    b dividing n, with a fixed number of C-level operations.
+
+    For b <= 16 the bytes are read as one int y, byte i holding bit i.
+    Every byte is 0 or 1, so ANDing y with itself shifted by 1, 2, 4, ...
+    bytes, up to the largest power of two p <= b, and once more by b - p
+    bytes when b > p, leaves in byte i the AND of bits i..i+b-1. The count
+    is then (y & starts).bit_count(), where `starts` marks each block's
+    first byte: 3 + 2*ceil(log2 b) operations on the whole vector. For
+    b > 16 the vector is cut into its n/b blocks, each compared with a
+    full one, which costs per block rather than per bit. Timed per count
+    (µs, cut / shifted ANDs; timeit minimum, Python 3.11 on a 2-CPU Xeon
+    VM), the two cross near b = 16 at n = 64 and near b = 32 above
+    n = 1024:
+
+        n=64     b=8 0.93/0.57   b=16 0.61/0.62  b=32 0.43/0.63
+        n=256    b=8 2.8/0.96    b=16 1.5/0.91   b=32 0.88/0.98
+        n=4096   b=8 39/9.0      b=16 20/9.0     b=32 10/9.0    b=64 5.1/9.0
+        n=65536  b=8 695/145     b=16 340/143    b=32 156/154   b=64 79/156
+    """
+    if b > 16:
+        unpack, full = struct.Struct(f"{b}s").iter_unpack, (b"\x01" * b,)
+        return lambda packed: list(unpack(packed)).count(full)
+    starts = _block_starts(n, b)
+    shifts, span = [], 1
+    while 2 * span <= b:
+        shifts.append(8 * span)
+        span *= 2
+    if span < b:
+        shifts.append(8 * (b - span))
+
+    def count(packed: bytes) -> int:
+        y = int.from_bytes(packed, "little")
+        for shift in shifts:
+            y &= y >> shift
+        return (y & starts).bit_count()
+
+    return count
 
 
 def royal_road(n: int, b: int) -> ProblemInstance:
-    """Objective n - b * (number of all-ones blocks); optimum 0 at all-ones."""
+    """Objective n - b * (number of all-ones blocks); optimum 0 at all-ones.
+    The blocks are counted as _full_blocks says."""
     if b < 1 or n % b != 0:
         raise ValueError("b must divide n")
-    full_blocks = _full_blocks(b)
+    full_blocks = _full_blocks(n, b)
     return problem_instance(
         "royal_road", f"royal_road_{n}_{b}", "bits", n,
         lambda s: n - b * full_blocks(s.packed), b=b, optimum_value=0.0,
@@ -203,10 +252,11 @@ def royal_road(n: int, b: int) -> ProblemInstance:
 def trap(n: int, b: int) -> ProblemInstance:
     """Deceptive trap: per-block score is b for all-ones, else b-1-ones;
     objective sums b - score per block, so optimum 0 at all-ones and the
-    deceptive cliff sits next to it."""
+    deceptive cliff sits next to it. The blocks are counted as
+    _full_blocks says."""
     if b < 1 or n % b != 0:
         raise ValueError("b must divide n")
-    full_blocks = _full_blocks(b)
+    full_blocks = _full_blocks(n, b)
 
     def value(sol: BitVector) -> int:
         # A block costs 0 when all ones, else 1 + its ones; summed over the
@@ -219,19 +269,29 @@ def trap(n: int, b: int) -> ProblemInstance:
 def hiff(n: int) -> ProblemInstance:
     """Hierarchical if-and-only-if. f rewards homogeneous aligned blocks of
     size 2^l with 2^l at every level; objective = n*(k+1) - f, optimum 0 at
-    all-zeros and all-ones."""
+    all-zeros and all-ones.
+
+    An evaluation is seven whole-vector int operations per level. The
+    packed bytes and their complement are read as two ints, the lanes of
+    ones and of zeros. At level l each lane is ANDed with itself shifted by
+    2^(l-1) bytes, so the byte that starts an aligned block of 2^l holds 1
+    when the block is all ones, resp. all zeros. A mask of those starting
+    bytes counts the homogeneous blocks; the instance makes one of n bytes
+    per level, n*log2(n) bytes in all (20 MiB at 2^20 bits)."""
     if n < 1 or n & (n - 1) != 0:
         raise ValueError("n must be a power of two")
     k = n.bit_length() - 1
+    # (block size, half a block in bits, the blocks' first bytes) per level
+    levels = [(size, 4 * size, _block_starts(n, size)) for size in (2**i for i in range(1, k + 1))]
 
     def value(sol: BitVector) -> int:
-        f = 0
-        for level in range(k + 1):
-            size = 1 << level
-            for start in range(0, n, size):
-                block = sol.packed[start : start + size]
-                if all(b == block[0] for b in block):
-                    f += size
+        ones = int.from_bytes(sol.packed, "little")
+        zeros = int.from_bytes(sol.packed.translate(_NOT_BITS), "little")
+        f = n  # every block of one bit is homogeneous
+        for size, shift, starts in levels:
+            ones &= ones >> shift
+            zeros &= zeros >> shift
+            f += size * ((ones | zeros) & starts).bit_count()
         return n * (k + 1) - f
 
     return problem_instance("hiff", f"hiff_{n}", "bits", n, value, optimum_value=0.0)
@@ -260,8 +320,6 @@ def sphere(d: int, lo: float, hi: float) -> ProblemInstance:
 
 # ---------------------------------------------------------------------------
 # MAX-SAT (DIMACS CNF)
-
-_NOT_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _clause_counts(satisfies, truth, zero_counts):

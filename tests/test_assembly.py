@@ -387,3 +387,23 @@ class TestGridsAreChecked:
             "grids.metropolis.cooling=2.0 above maximum 1.0",
             "grids.metropolis: unknown parameter 't'",
         ]
+
+
+class TestRepeatedInitializerKeys:
+    # what parse_initializers refuses in a file, a spec made in code lists
+    SPEC = spec_for("metropolis", [SA_INIT, (K_TEMPERATURE, EnvValue.of_real(5.0))])
+    VIOLATION = "initializers[1] repeats the key sa.temperature of initializers[0]"
+
+    def test_validate_names_the_repeat(self):
+        assert validate(self.SPEC, default_registry()) == [self.VIOLATION]
+
+    def test_instantiate_refuses_before_any_trial(self):
+        with pytest.raises(InvalidConfigurationError, match=r"initializers\[1\] repeats"):
+            instantiate(self.SPEC, default_registry(), onemax(8), seed=1)
+
+    def test_enumerate_valid_raises_instead_of_yielding_nothing(self):
+        with pytest.raises(InvalidConfigurationError) as raised:
+            enumerate_valid(
+                default_registry(), "local_search", {}, initializers=list(self.SPEC.initializers)
+            )
+        assert raised.value.violations == [self.VIOLATION]

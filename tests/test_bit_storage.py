@@ -7,6 +7,7 @@ must still construct, every input it rejected must still raise, and
 every evaluator must give the same value on every vector.
 """
 
+import random
 from array import array
 
 import pytest
@@ -224,3 +225,85 @@ def test_bit_evaluators_equal_their_tuple_formulas(case, form):
     value, env = problem.evaluate(BitVector(form(bits)), env_new(3))
     assert value == float(expected)
     assert env == env_new(3)
+
+
+# The block, HIFF and checkerboard evaluators count with whole-vector int
+# operations; against the per-element references above, on vectors whose
+# blocks are often homogeneous, which uniform random bits seldom give.
+
+DENSITIES = [0.0, 0.5, 0.9, 0.99, 1.0]  # 0.0 and 1.0: all zeros, all ones
+
+
+def dense_bits(n, density, seed):
+    rng = random.Random(seed)
+    return [int(rng.random() < density) for _ in range(n)]
+
+
+def divisors(n):
+    return [b for b in range(1, n + 1) if n % b == 0]
+
+
+@st.composite
+def block_cases(draw):
+    n = draw(st.integers(1, 2048))
+    b = draw(st.sampled_from(divisors(n)))
+    return n, b, dense_bits(n, draw(st.sampled_from(DENSITIES)), draw(st.integers(0, 2**32)))
+
+
+def block_value(kind, n, b, bits):
+    problem = trap(n, b) if kind == "trap" else royal_road(n, b)
+    return problem.evaluate(BitVector(bytes(bits)), env_new(3))[0]
+
+
+def ref_block_value(kind, n, b, bits):
+    return float(ref_trap(n, b, bits) if kind == "trap" else ref_royal_road(n, b, bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=block_cases(), kind=st.sampled_from(["trap", "royal_road"]))
+def test_block_evaluators_equal_their_references_up_to_2048_bits(case, kind):
+    n, b, bits = case
+    assert block_value(kind, n, b, bits) == ref_block_value(kind, n, b, bits)
+
+
+# 1680 = 2^4 * 3 * 5 * 7 has 40 divisors: block sizes on both sides of 16,
+# powers of two and not, 1 and n; 2048 has every power of two up to n
+@pytest.mark.parametrize("n", [1, 16, 17, 1680, 2048])
+@pytest.mark.parametrize("kind", ["trap", "royal_road"])
+def test_block_evaluators_equal_their_references_at_every_divisor(n, kind):
+    for b in divisors(n):
+        for density in DENSITIES:
+            bits = dense_bits(n, density, seed=b)
+            assert block_value(kind, n, b, bits) == ref_block_value(kind, n, b, bits), (b, density)
+
+
+def hierarchical_bits(n, rng):
+    """Bits in which each aligned block is, with chance 1/2, one repeated
+    random bit, so homogeneous blocks turn up at every HIFF level."""
+    if n == 1 or rng.random() < 0.5:
+        return [rng.randrange(2)] * n
+    return hierarchical_bits(n // 2, rng) + hierarchical_bits(n // 2, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 11), seed=st.integers(0, 2**32), fill=st.sampled_from(["tree"] + DENSITIES))
+def test_hiff_equals_its_reference_from_1_to_2048_bits(k, seed, fill):
+    n = 1 << k
+    if fill == "tree":
+        bits = hierarchical_bits(n, random.Random(seed))
+    else:
+        bits = dense_bits(n, fill, seed)
+    assert hiff(n).evaluate(BitVector(bytes(bits)), env_new(3))[0] == float(ref_hiff(n, bits))
+
+
+@pytest.mark.parametrize("s", range(2, 41))
+def test_checkerboard_equals_its_reference_from_side_2_to_40(s):
+    perfect = [(r + c) % 2 for r in range(s) for c in range(s)]
+    rng = random.Random(s)
+    striped = [bit for _ in range(s) for bit in [rng.randrange(2)] * s]  # each row one bit
+    vectors = [perfect, [1 - x for x in perfect], striped]
+    vectors += [dense_bits(s * s, density, seed=s) for density in DENSITIES]
+    problem = checkerboard(s)
+    for bits in vectors:
+        value, _ = problem.evaluate(BitVector(bytes(bits)), env_new(3))
+        assert value == float(ref_checkerboard(s, bits))

@@ -240,3 +240,47 @@ def test_a_run_with_no_configuration_exits_2(tmp_path, capsys):
     run_exits_2(tmp_path, capsys, {**ENUMERATED, "registry": registry}, message)
     assert main(["enumerate", registry, "--framework", "local_search"]) == 0
     assert json.loads(capsys.readouterr().out) == {"configs": [], "count": 0}
+
+
+GA_CONFIG = {
+    "framework": "ga",
+    "slots": {
+        "mutate": {"component": "bitflip", "params": {"k": 1}},
+        "terminate": {"component": "max_iterations", "params": {"max": 5}},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [
+        # bitflip's k defaults to 1
+        [with_k(CONFIG, 1), {**CONFIG, "slots": {**CONFIG["slots"], "perturb": {
+            "component": "bitflip", "params": {}}}}],
+        # a GA's pop_size defaults to 20 and its tournament_size to 2
+        [GA_CONFIG, {**GA_CONFIG, "framework_params": {"pop_size": 20}},
+         {**GA_CONFIG, "framework_params": {"tournament_size": 2.0}}],
+    ],
+)
+def test_a_listed_config_that_binds_a_default_repeats_one_that_leaves_it(
+    tmp_path, capsys, configs
+):
+    run_exits_2(tmp_path, capsys, {**LISTED, "configs": configs}, "configs[1] repeats configs[0]")
+
+
+def test_a_default_from_the_registry_file_counts_as_bound(tmp_path, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"components": [
+        {"name": "flip2", "impl": "bitflip", "defaults": {"k": 2}},
+        {"impl": "improving"}, {"impl": "max_iterations"},
+    ]}))
+    flip = lambda params: {**CONFIG, "slots": {**CONFIG["slots"], "perturb": {
+        "component": "flip2", "params": params}}}
+    experiment = {**LISTED, "registry": str(registry), "configs": [flip({"k": 1}), flip({})]}
+    path = tmp_path / "distinct.json"
+    path.write_text(json.dumps({**experiment, "out": str(tmp_path / "distinct")}))
+    assert main(["run", str(path)]) == 0
+    run_exits_2(
+        tmp_path, capsys, {**experiment, "configs": [flip({}), flip({"k": 1}), flip({"k": 2})]},
+        "configs[2] repeats configs[0]",
+    )
