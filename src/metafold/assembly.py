@@ -22,7 +22,7 @@ from .components import (
     K_BOUNDS,
     Param,
 )
-from .env import EnvKey, EnvValue, env_new, require_keys, unknown_key
+from .env import EnvKey, EnvValue, env_new, require_keys, required, unknown_key
 from .frameworks import FRAMEWORKS, Framework, RunResult, terminate_any
 from .problems import ProblemInstance
 
@@ -142,15 +142,16 @@ class ConfigurationSpec:
         known = ("framework", "slots", "initializers", "framework_params")
         require_keys(require_shape(obj, dict, where), known, where)
         slots = {}
-        for slot, entry in require_shape(obj["slots"], dict, f"{where}.slots").items():
+        listed = require_shape(required(obj, "slots", where), dict, f"{where}.slots")
+        for slot, entry in listed.items():
             at = f"{where}.slots.{slot}"
             require_keys(require_shape(entry, dict, at), ("component", "params"), at)
             slots[slot] = (
-                require_shape(entry["component"], str, f"{at}.component"),
+                require_shape(required(entry, "component", at), str, f"{at}.component"),
                 require_shape(entry.get("params", {}), dict, f"{at}.params"),
             )
         return ConfigurationSpec.make(
-            require_shape(obj["framework"], str, f"{where}.framework"),
+            require_shape(required(obj, "framework", where), str, f"{where}.framework"),
             slots,
             parse_initializers(obj.get("initializers", []), f"{where}.initializers"),
             require_shape(obj.get("framework_params", {}), dict, f"{where}.framework_params"),
@@ -170,8 +171,11 @@ def parse_initializers(entries, where: str = "initializers") -> Tuple[Tuple[EnvK
     for i, e in enumerate(require_shape(entries, list, where)):
         at = f"{where}[{i}]"
         require_keys(require_shape(e, dict, at), ("key", "value"), at)
-        key = EnvKey.parse(require_shape(e["key"], str, f"{at}.key"))
-        value = require_keys(require_shape(e["value"], dict, f"{at}.value"), ("t", "v"), f"{at}.value")
+        key = EnvKey.parse(require_shape(required(e, "key", at), str, f"{at}.key"))
+        value = require_shape(required(e, "value", at), dict, f"{at}.value")
+        require_keys(value, ("t", "v"), f"{at}.value")
+        for part in ("t", "v"):
+            required(value, part, f"{at}.value")
         out.append((key, EnvValue.from_json(value)))
     repeats = _repeated_keys(out, where)
     if repeats:
@@ -300,7 +304,10 @@ def runs_as(spec: ConfigurationSpec, reg: Registry) -> tuple:
 
 
 def _framework_params(framework: Framework, spec: ConfigurationSpec) -> Dict:
-    return {**{p.name: p.default for p in framework.params}, **dict(spec.framework_params)}
+    """Every parameter of a valid `spec`'s framework, defaults filled in, as
+    its Param's type: an "int" given as 20.0 reads 20."""
+    given = {**{p.name: p.default for p in framework.params}, **dict(spec.framework_params)}
+    return {p.name: p.checked(spec.framework, given[p.name]) for p in framework.params}
 
 
 def enumerate_valid(

@@ -28,6 +28,7 @@ from .assembly import (
     parse_initializers,
     require_keys,
     require_shape,
+    required,
     runs_as,
     validate,
 )
@@ -100,7 +101,7 @@ def _build_problem(entry: Dict, where: str) -> ProblemInstance:
     require_keys(entry, ("kind", *(field.name for field in fields)), where)
     args = []
     for field in fields:
-        value = entry[field.name]
+        value = required(entry, field.name, where)
         if field.type == "path":
             args.append(Path(require_shape(value, str, f"{where}.{field.name}")).read_text())
         else:
@@ -146,7 +147,7 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
     else:
         configs = enumerate_valid(
             registry,
-            require_shape(spec["framework"], str, "framework"),
+            require_shape(required(spec, "framework", "experiment"), str, "framework"),
             _grids(spec.get("grids", {})),
             initializers=parse_initializers(spec.get("initializers", [])),
             framework_params=require_shape(
@@ -173,10 +174,8 @@ def cmd_run(args) -> int:
     try:
         spec = require_shape(json.loads(Path(args.experiment).read_text()), dict, "experiment")
         require_keys(spec, EXPERIMENT_KEYS, "experiment")
-        problems = [
-            _build_problem(e, f"problems[{i}]")
-            for i, e in enumerate(require_shape(spec["problems"], list, "problems"))
-        ]
+        entries = require_shape(required(spec, "problems", "experiment"), list, "problems")
+        problems = [_build_problem(e, f"problems[{i}]") for i, e in enumerate(entries)]
         names = [p.name for p in problems]  # a name keys each row and trace file
         for i, name in enumerate(names):
             if "/" in name or "\0" in name:
@@ -184,25 +183,26 @@ def cmd_run(args) -> int:
             first = names.index(name)
             if first < i:
                 raise ValueError(f"problems[{i}] repeats the name {name!r} of problems[{first}]")
-        seeds = [
-            SEED.checked("experiment", s) for s in require_shape(spec["seeds"], list, "seeds")
-        ]
+        seeds = require_shape(required(spec, "seeds", "experiment"), list, "seeds")
+        seeds = [SEED.checked("experiment", s) for s in seeds]
         for i, seed in enumerate(seeds):
             if seeds.index(seed) < i:
                 raise ValueError(f"seeds[{i}] repeats seed {seed}")
         if not problems or not seeds:
             raise ValueError("problems and seeds must be nonempty")
+        # only an absent registry or budget takes the default: "registry": ""
+        # names no file, and "budget": null is no object
         registry = (
             load_registry(require_shape(spec["registry"], str, "registry"))
-            if spec.get("registry")
+            if "registry" in spec
             else default_registry()
         )
         configs = _configs_for(spec, registry)
         if not configs:
             raise ValueError("the experiment yields no configuration to run")
-        budget = _budget_terminate(require_shape(spec.get("budget") or {}, dict, "budget"))
+        budget = _budget_terminate(require_shape(spec.get("budget", {}), dict, "budget"))
         stride = TRACE_STRIDE.checked("experiment", spec.get("trace_stride", 1))
-        out_dir = Path(require_shape(spec["out"], str, "out"))
+        out_dir = Path(require_shape(required(spec, "out", "experiment"), str, "out"))
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -325,9 +325,9 @@ def cmd_enumerate(args) -> int:
     spec = {"framework": args.framework}
     try:
         registry = load_registry(args.registry)
-        if args.grids:
+        if args.grids is not None:
             spec["grids"] = json.loads(Path(args.grids).read_text())
-        if args.initializers:
+        if args.initializers is not None:
             spec["initializers"] = json.loads(Path(args.initializers).read_text())
         configs = _configs_for(spec, registry)
     except INPUT_ERRORS as exc:
@@ -345,7 +345,7 @@ def cmd_serve(args) -> int:
     from .rpc import serve
 
     try:
-        registry = load_registry(args.registry) if args.registry else default_registry()
+        registry = default_registry() if args.registry is None else load_registry(args.registry)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

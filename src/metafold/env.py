@@ -51,6 +51,14 @@ def require_keys(obj: dict, known, where: str) -> dict:
     return obj
 
 
+def required(obj: dict, key: str, where: str):
+    """`obj[key]`; raises ValueError naming `key` and `where` when `obj`
+    lacks it, the other half of `require_keys`."""
+    if key not in obj:
+        raise ValueError(f"missing key {key!r} at {where}")
+    return obj[key]
+
+
 class ConfigurationError(Exception):
     """A component's environment-key requirement was not satisfied."""
 

@@ -5,8 +5,13 @@ and is one step function over the shared loop `_search`, which alone
 maintains the framework counters (iteration, evaluations, best value) that
 components may read. Templates return the best-so-far solution, not merely
 the final incumbent, since acceptance rules like Metropolis or tabu may walk
-away from the best. `FRAMEWORKS` declares each template's slots and
-parameters once for assembly.
+away from the best.
+
+`FRAMEWORKS` declares each template's slots and parameters once for
+assembly. A template takes each part as the parameter named for its slot,
+and each framework parameter by its name, so a slot is declared in its
+`FRAMEWORKS` entry and nowhere else: a new template is one entry there and
+one function whose parameters are its slots.
 """
 
 from __future__ import annotations
@@ -118,37 +123,27 @@ def simulated_annealing_preset(t0: float, cooling: float):
     return (K_TEMPERATURE, EnvValue.of_real(t0)), accept_metropolis(cooling)
 
 
-@dataclass(frozen=True)
-class InnerSearch:
-    """One local-search descent configuration used inside ILS."""
-
-    perturb: Component
-    accept: Component
-    terminate: Component
-
-
 def iterated_local_search(
     start: Solution,
     evaluate: Component,
     kick: Component,
-    inner: InnerSearch,
+    inner_perturb: Component,
+    inner_accept: Component,
+    inner_terminate: Component,
     outer_accept: Component,
     terminate: Component,
     env: Environment,
 ) -> RunResult:
-    """Kick the current solution, descend with the inner search, then apply
-    the outer acceptance. Counters and trace live at outer granularity."""
+    """Kick the current solution, descend with the inner local search, then
+    apply the outer acceptance. Counters and trace live at outer granularity."""
 
     def advance(current, current_value, env):
         kicked, env = kick(current, env)
-        inner_result = local_search(
-            kicked, evaluate, inner.perturb, inner.accept, inner.terminate, env
-        )
+        inner = local_search(kicked, evaluate, inner_perturb, inner_accept, inner_terminate, env)
         current, current_value, env = _choose(
-            outer_accept, current, current_value,
-            inner_result.best, inner_result.best_value, inner_result.final_env,
+            outer_accept, current, current_value, inner.best, inner.best_value, inner.final_env
         )
-        return current, current_value, inner_result.evaluations, env
+        return current, current_value, inner.evaluations, env
 
     value, env = evaluate(start, env)
     return _search(start, value, 1, advance, terminate, env)
@@ -326,7 +321,7 @@ def terminate_any(*terminates: Component) -> Component:
 # ---------------------------------------------------------------------------
 # The template table: each framework's slots, its own parameters and how
 # it runs a problem. Assembly validates, enumerates and instantiates from
-# this table alone, so a new template is one entry here.
+# this table alone, and each template takes its parts by these slot names.
 
 
 @dataclass(frozen=True)
@@ -337,41 +332,28 @@ class Framework:
     params: Tuple[Param, ...] = ()
 
 
-def _run_local_search(problem, parts, params, env):
-    start, env = problem.sample_initial(env)
-    return local_search(
-        start, problem.evaluate, parts["perturb"], parts["accept"], parts["terminate"], env
-    )
+def _from_a_start(template):
+    """How a single-solution template runs a problem: from one sampled start."""
 
+    def run(problem, parts, params, env):
+        start, env = problem.sample_initial(env)
+        return template(start, problem.evaluate, **parts, **params, env=env)
 
-def _run_ils(problem, parts, params, env):
-    start, env = problem.sample_initial(env)
-    inner = InnerSearch(
-        parts["inner_perturb"], parts["inner_accept"], parts["inner_terminate"]
-    )
-    return iterated_local_search(
-        start, problem.evaluate, parts["kick"], inner, parts["outer_accept"],
-        parts["terminate"], env,
-    )
+    return run
 
 
 def _run_ga(problem, parts, params, env):
+    crossover = crossover_for(problem.representation)
     return genetic_algorithm(
-        int(params["pop_size"]),
-        problem.sample_initial,
-        problem.evaluate,
-        int(params["tournament_size"]),
-        crossover_for(problem.representation),
-        parts["mutate"],
-        parts["terminate"],
-        env,
+        init=problem.sample_initial, evaluate=problem.evaluate, crossover=crossover,
+        **parts, **params, env=env,
     )
 
 
 FRAMEWORKS: Dict[str, Framework] = {
     "local_search": Framework(
         slots=(("perturb", "perturb"), ("accept", "accept"), ("terminate", "terminate")),
-        run=_run_local_search,
+        run=_from_a_start(local_search),
     ),
     "ils": Framework(
         slots=(
@@ -382,7 +364,7 @@ FRAMEWORKS: Dict[str, Framework] = {
             ("outer_accept", "accept"),
             ("terminate", "terminate"),
         ),
-        run=_run_ils,
+        run=_from_a_start(iterated_local_search),
     ),
     "ga": Framework(
         slots=(("mutate", "perturb"), ("terminate", "terminate")),

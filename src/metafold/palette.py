@@ -12,7 +12,7 @@ import json
 from typing import Dict
 
 from . import components as c
-from .assembly import Registry, _check_bounds, register, require_keys, require_shape
+from .assembly import Registry, _check_bounds, register, require_keys, require_shape, required
 from .components import Component
 
 # impl name -> constructor; kind, parameters and defaults are what the
@@ -72,10 +72,11 @@ def registry_to_json(reg: Registry) -> dict:
 def registry_from_json(obj: dict) -> Registry:
     reg = Registry()
     require_keys(require_shape(obj, dict, "registry"), ("components",), "registry")
-    for i, entry in enumerate(require_shape(obj["components"], list, "components")):
+    entries = require_shape(required(obj, "components", "registry"), list, "components")
+    for i, entry in enumerate(entries):
         at = f"components[{i}]"
         require_keys(require_shape(entry, dict, at), ("name", "impl", "defaults"), at)
-        impl = require_shape(entry["impl"], str, f"{at}.impl")
+        impl = require_shape(required(entry, "impl", at), str, f"{at}.impl")
         name = require_shape(entry.get("name", impl), str, f"{at}.name")
         defaults = require_shape(entry.get("defaults", {}), dict, f"{at}.defaults")
         reg = add_builtin(reg, impl, name, defaults)

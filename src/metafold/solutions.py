@@ -31,8 +31,10 @@ and `Permutation((1.0, 0.0))` are equal, hash alike, and serialize and
 digest alike, as do `RealVector((1, 2))` and `RealVector((1.0, 2.0))`.
 
 Checks sit at the boundaries. Every path that takes outside values checks
-them: the `BitVector`, `Permutation` and `RealVector` constructors, `.of`,
-`BitVector.from_string` and `solution_from_json`. An internal producer that
+them: the `BitVector`, `Permutation` and `RealVector` constructors (the one
+way to build each from values), `BitVector.from_string` and
+`solution_from_json`. None of them truncates: `BitVector([0.7, 1])` and
+`Permutation([0.9, 1.2])` raise ValueError. An internal producer that
 can only yield a valid vector from a valid one (bitflip, one-point
 crossover, `sample_bits`, swap, two_opt, the Fisher-Yates
 `sample_permutation`) builds its result with `_unchecked`, which skips the
@@ -135,10 +137,6 @@ class BitVector:
         return tuple(self.packed)
 
     @staticmethod
-    def of(bits) -> "BitVector":
-        return BitVector(tuple(int(b) for b in bits))
-
-    @staticmethod
     def from_string(text: str) -> "BitVector":
         # Any byte but '0'/'1' maps to 2, which the constructor rejects;
         # non-ASCII text raises UnicodeEncodeError, a ValueError.
@@ -178,10 +176,6 @@ class Permutation:
         # as for BitVector: rebuild from the order alone
         return type(self), (self.order,)
 
-    @staticmethod
-    def of(order) -> "Permutation":
-        return Permutation(tuple(int(i) for i in order))
-
     def __len__(self):
         return len(self.order)
 
@@ -201,10 +195,6 @@ class RealVector:
         if not finite:
             raise ValueError("coordinates must be finite")
         object.__setattr__(self, "coords", tuple(map(float, coords)))
-
-    @staticmethod
-    def of(coords) -> "RealVector":
-        return RealVector(tuple(float(c) for c in coords))
 
     def __len__(self):
         return len(self.coords)

@@ -245,7 +245,7 @@ def test_evaluators_match_exhaustive_oracles():
         # bit-vector families against direct-summation oracles
         p = onemax(8)
         for bits in bitstrings(8):
-            assert value(p, BitVector.of(bits)) == 8 - sum(bits)
+            assert value(p, BitVector(bits)) == 8 - sum(bits)
 
         s = 3
         p = checkerboard(s)
@@ -257,7 +257,7 @@ def test_evaluators_match_exhaustive_oracles():
                         equal += 1
                     if r + 1 < s and bits[r * s + c] == bits[(r + 1) * s + c]:
                         equal += 1
-            assert value(p, BitVector.of(bits)) == equal
+            assert value(p, BitVector(bits)) == equal
 
         n, b = 12, 4
         p = royal_road(n, b)
@@ -265,7 +265,7 @@ def test_evaluators_match_exhaustive_oracles():
             complete = sum(
                 1 for i in range(0, n, b) if all(bits[i : i + b])
             )
-            assert value(p, BitVector.of(bits)) == n - b * complete
+            assert value(p, BitVector(bits)) == n - b * complete
 
         n, b = 10, 5
         p = trap(n, b)
@@ -276,7 +276,7 @@ def test_evaluators_match_exhaustive_oracles():
                 ones = sum(bits[i : i + b])
                 score = b if ones == b else b - 1 - ones
                 expected += b - score
-            assert value(p, BitVector.of(bits)) == expected
+            assert value(p, BitVector(bits)) == expected
 
         n, k = 8, 3
         p = hiff(n)
@@ -287,14 +287,14 @@ def test_evaluators_match_exhaustive_oracles():
                 for start in range(0, n, size):
                     if len(set(bits[start : start + size])) == 1:
                         f += size
-            assert value(p, BitVector.of(bits)) == n * (k + 1) - f
+            assert value(p, BitVector(bits)) == n * (k + 1) - f
 
         # TSP tour lengths against full enumeration
         text, coords = random_tsplib_text(5, 7)
         p = parse_tsplib(text)
         for rest in itertools.permutations(range(1, 5)):
             tour = (0,) + rest
-            assert value(p, Permutation.of(tour)) == tour_length(tour, coords)
+            assert value(p, Permutation(tour)) == tour_length(tour, coords)
 
         # MAX-SAT against a clause-scan oracle on every assignment
         env = env_new(99)
@@ -319,7 +319,7 @@ def test_evaluators_match_exhaustive_oracles():
                 for cl in clauses
                 if not any((lit > 0) == bool(bits[abs(lit) - 1]) for lit in cl)
             )
-            assert value(p, BitVector.of(bits)) == unsat
+            assert value(p, BitVector(bits)) == unsat
 
         # magic square: identity layout summed by hand
         grid = [[r * 3 + c + 1 for c in range(3)] for r in range(3)]
@@ -329,7 +329,7 @@ def test_evaluators_match_exhaustive_oracles():
         deviation += abs(sum(grid[i][i] for i in range(3)) - magic)
         deviation += abs(sum(grid[i][2 - i] for i in range(3)) - magic)
         assert deviation == 24
-        assert value(magic_square(3), Permutation.of(range(9))) == 24
+        assert value(magic_square(3), Permutation(range(9))) == 24
 
     report("benchmark evaluators equal exhaustive oracles", check)
 

@@ -72,7 +72,7 @@ class TestBitflip:
 
     def test_representation_mismatch(self):
         with pytest.raises(ComponentContractError):
-            perturb_bitflip(1)(Permutation.of([0, 1]), env_new(0))
+            perturb_bitflip(1)(Permutation([0, 1]), env_new(0))
 
     def test_k_larger_than_n(self):
         with pytest.raises(ComponentContractError):
@@ -91,13 +91,13 @@ class TestBitflip:
 
 class TestPermutationPerturbs:
     def test_swap_two_elements(self):
-        out, _ = perturb_swap()(Permutation.of([0, 1]), env_new(1))
-        assert out == Permutation.of([1, 0])
+        out, _ = perturb_swap()(Permutation([0, 1]), env_new(1))
+        assert out == Permutation([1, 0])
 
     def test_two_opt_segment_reversal(self):
         # scan seeds for draws yielding cuts (1, 3)
-        base = Permutation.of([0, 1, 2, 3, 4])
-        target = Permutation.of([0, 3, 2, 1, 4])
+        base = Permutation([0, 1, 2, 3, 4])
+        target = Permutation([0, 3, 2, 1, 4])
         found = any(
             perturb_two_opt()(base, env_new(s))[0] == target for s in range(200)
         )
@@ -105,7 +105,7 @@ class TestPermutationPerturbs:
 
     def test_outputs_remain_bijections(self):
         env = env_new(7)
-        sol = Permutation.of(range(9))
+        sol = Permutation(range(9))
         for component in (perturb_swap(), perturb_two_opt()):
             for _ in range(500):
                 sol, env = component(sol, env)
@@ -125,7 +125,7 @@ class TestGaussian:
         # oracle: replay the same uniform draws through the formula
         sigma = 0.5
         env = env_new(11)
-        sol = RealVector.of([1.0, -2.0, 0.25])
+        sol = RealVector([1.0, -2.0, 0.25])
         out, _ = perturb_gaussian(sigma)(sol, env)
         u1, e = rng_uniform(env)
         u2, e = rng_uniform(e)
@@ -148,7 +148,7 @@ class TestGaussian:
         env = env_new(13)
         samples = []
         component = perturb_gaussian(sigma)
-        zero = RealVector.of([0.0])
+        zero = RealVector([0.0])
         for _ in range(10**5 // 2):
             out, env = component(zero, env)
             samples.append(out.coords[0])
@@ -158,7 +158,7 @@ class TestGaussian:
     def test_clamps_to_bounds(self):
         env = env_new(1).put(K_BOUNDS, EnvValue.of_rseq([-1.0, 1.0]))
         component = perturb_gaussian(100.0)
-        out, _ = component(RealVector.of([0.0, 0.0, 0.0]), env)
+        out, _ = component(RealVector([0.0, 0.0, 0.0]), env)
         assert all(-1.0 <= c <= 1.0 for c in out.coords)
 
     def test_representation_mismatch(self):
@@ -375,10 +375,10 @@ class TestInstrumentedAccess:
 
     def test_perturbs(self):
         self._check(perturb_bitflip(1), A, env_new(1))
-        self._check(perturb_swap(), Permutation.of(range(5)), env_new(2))
-        self._check(perturb_two_opt(), Permutation.of(range(5)), env_new(3))
+        self._check(perturb_swap(), Permutation(range(5)), env_new(2))
+        self._check(perturb_two_opt(), Permutation(range(5)), env_new(3))
         env = env_new(4).put(K_BOUNDS, EnvValue.of_rseq([-1.0, 1.0]))
-        self._check(perturb_gaussian(0.5), RealVector.of([0.0, 1.0]), env)
+        self._check(perturb_gaussian(0.5), RealVector([0.0, 1.0]), env)
 
     def test_accepts(self):
         for component, extra in (

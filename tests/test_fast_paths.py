@@ -187,7 +187,7 @@ def test_compiled_maxsat_equals_clause_loop(case):
         [f"p cnf {n} {len(clauses)}"] + [" ".join(map(str, c + [0])) for c in clauses]
     )
     problem = parse_dimacs_cnf(text)
-    value, _ = problem.evaluate(BitVector.of(bits), env_new(0))
+    value, _ = problem.evaluate(BitVector(bits), env_new(0))
     assert value == ref_maxsat(problem.metadata["clauses"], bits)
 
 
@@ -207,7 +207,7 @@ def ref_bitflip(k, sol, env):
     seed=seeds,
 )
 def test_bitflip_equals_tuple_rebuild(k, bits, seed):
-    sol, env = BitVector.of(bits), env_new(seed)
+    sol, env = BitVector(bits), env_new(seed)
     out, out_env = perturb_bitflip(k)(sol, env)
     ref, ref_env = ref_bitflip(k, sol, env)
     assert out == ref
@@ -239,7 +239,7 @@ def test_two_cuts_equals_the_inline_draw(n, seed, counter):
     if n <= 64:  # swap exchanges the drawn pair, in either order
         order = list(range(n))
         order[i], order[j] = order[j], order[i]
-        child, swap_env = perturb_swap()(Permutation.of(range(n)), env)
+        child, swap_env = perturb_swap()(Permutation(range(n)), env)
         assert child.order == tuple(order) and swap_env.rng == ref_out.rng
 
 
@@ -273,7 +273,7 @@ def ref_bits_to_text(bits):
 
 
 def ref_text_to_bitvector(text):
-    return BitVector.of(int(c) for c in text)
+    return BitVector(tuple(int(c) for c in text))
 
 
 def ref_digest(text):
@@ -519,10 +519,10 @@ def test_unchecked_producers_build_what_the_checked_constructor_builds(n, seed, 
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: BitVector.of([0, 2]), ValueError),
+        (lambda: BitVector([0, 2]), ValueError),
         (lambda: BitVector.from_string("012"), ValueError),
         (lambda: Permutation((0, 0, 1)), ValueError),
-        (lambda: Permutation.of([1, 2]), ValueError),
+        (lambda: Permutation([1, 2]), ValueError),
         (lambda: solution_from_json({"t": "perm", "v": [0, 2]}), SolutionFormatError),
         (lambda: solution_from_json({"t": "bits", "v": "2"}), SolutionFormatError),
     ],

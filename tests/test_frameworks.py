@@ -1,6 +1,8 @@
+import inspect
+
 import pytest
 
-from metafold.assembly import ConfigurationSpec, parse_initializers, validate
+from metafold.assembly import ConfigurationSpec, instantiate, parse_initializers, validate
 from metafold.components import (
     Component,
     ComponentDescriptor,
@@ -13,7 +15,7 @@ from metafold.components import (
 )
 from metafold.env import EnvValue, env_new
 from metafold.frameworks import (
-    InnerSearch,
+    FRAMEWORKS,
     crossover_one_point,
     crossover_order1,
     crossover_blend,
@@ -212,7 +214,8 @@ class TestSimulatedAnnealingPreset:
 
 class TestIteratedLocalSearch:
     def _inner(self, budget=20):
-        return InnerSearch(perturb_bitflip(1), accept_improving(), terminate_iterations(budget))
+        # the inner perturb, accept and terminate, in the template's order
+        return perturb_bitflip(1), accept_improving(), terminate_iterations(budget)
 
     def test_zero_outer_budget(self):
         p = onemax(8)
@@ -221,7 +224,7 @@ class TestIteratedLocalSearch:
             start,
             p.evaluate,
             perturb_bitflip(3),
-            self._inner(),
+            *self._inner(),
             accept_improving(),
             terminate_iterations(0),
             env,
@@ -237,7 +240,7 @@ class TestIteratedLocalSearch:
             start,
             p.evaluate,
             identity,
-            self._inner(budget=0),
+            *self._inner(budget=0),
             accept_improving(),
             terminate_iterations(5),
             env,
@@ -251,7 +254,7 @@ class TestIteratedLocalSearch:
             start,
             p.evaluate,
             perturb_bitflip(4),
-            self._inner(),
+            *self._inner(),
             accept_improving(),
             terminate_iterations(15),
             env,
@@ -268,7 +271,7 @@ class TestIteratedLocalSearch:
             start,
             p.evaluate,
             perturb_bitflip(4),
-            self._inner(50),
+            *self._inner(50),
             accept_improving(),
             terminate_iterations(10),
             env,
@@ -289,8 +292,8 @@ class TestCrossovers:
         pytest.fail("no seed produced cut 2")
 
     def test_order1_children_are_permutations(self):
-        a = Permutation.of(range(7))
-        b = Permutation.of([6, 5, 4, 3, 2, 1, 0])
+        a = Permutation(range(7))
+        b = Permutation([6, 5, 4, 3, 2, 1, 0])
         env = env_new(9)
         for _ in range(200):
             (c1, c2), env = crossover_order1()((a, b), env)
@@ -298,8 +301,8 @@ class TestCrossovers:
             assert sorted(c2.order) == list(range(7))
 
     def test_blend_stays_in_segment(self):
-        a = RealVector.of([0.0, 10.0])
-        b = RealVector.of([1.0, -10.0])
+        a = RealVector([0.0, 10.0])
+        b = RealVector([1.0, -10.0])
         env = env_new(10)
         for _ in range(100):
             (c1, c2), env = crossover_blend()((a, b), env)
@@ -461,7 +464,9 @@ class TestWhatTerminateReceives:
             B("0000"),
             p.evaluate,
             sequence("kick", "perturb", [B("1000"), B("1110"), B("0000")]),
-            InnerSearch(perturb_bitflip(1), accept_improving(), terminate_iterations(0)),
+            perturb_bitflip(1),
+            accept_improving(),
+            terminate_iterations(0),
             ALWAYS_INCOMING,
             recording_terminate(calls, 3),
             env_new(2),
@@ -478,11 +483,9 @@ class TestWhatTerminateReceives:
             B("0000"),
             p.evaluate,
             stub("identity", "perturb", lambda s, e: (s, e)),
-            InnerSearch(
-                sequence("seq", "perturb", [B("1000"), B("0000"), B("1100")]),
-                accept_improving(),
-                terminate_iterations(1),
-            ),
+            sequence("seq", "perturb", [B("1000"), B("0000"), B("1100")]),
+            accept_improving(),
+            terminate_iterations(1),
             accept_improving(),
             recording_terminate(calls, 3),
             env_new(3),
@@ -528,11 +531,42 @@ class TestRunResultEvaluations:
             start, p.evaluate, perturb_bitflip(1), accept_improving(),
             terminate_iterations(7), env,
         )
-        inner = InnerSearch(perturb_bitflip(1), accept_improving(), terminate_iterations(4))
         ils = iterated_local_search(
-            start, p.evaluate, perturb_bitflip(2), inner, accept_improving(),
-            terminate_iterations(3), env,
+            start, p.evaluate, perturb_bitflip(2),
+            perturb_bitflip(1), accept_improving(), terminate_iterations(4),
+            accept_improving(), terminate_iterations(3), env,
         )
         assert ls.evaluations == ls.trace[-1][1] == 8
         # per outer step: the kicked start plus 4 inner moves
         assert ils.evaluations == ils.trace[-1][1] == 1 + 3 * 5
+
+
+class TestTemplateTable:
+    """A template takes its parts by slot name, so `FRAMEWORKS` alone
+    declares a slot."""
+
+    TEMPLATES = {
+        "local_search": local_search, "ils": iterated_local_search, "ga": genetic_algorithm,
+    }
+
+    def test_each_slot_and_param_is_a_parameter_of_its_template(self):
+        assert set(self.TEMPLATES) == set(FRAMEWORKS)
+        for name, framework in FRAMEWORKS.items():
+            parameters = inspect.signature(self.TEMPLATES[name]).parameters
+            for slot, _kind in framework.slots:
+                assert slot in parameters, (name, slot)
+            for param in framework.params:
+                assert param.name in parameters, (name, param.name)
+
+    @pytest.mark.parametrize("params", [{"pop_size": 20.0}, {"tournament_size": 2.0}])
+    def test_an_integral_float_ga_param_runs_as_its_int(self, params):
+        def run(framework_params):
+            spec = ConfigurationSpec.make(
+                "ga",
+                {"mutate": ("bitflip", {"k": 1}), "terminate": ("max_iterations", {"max": 3})},
+                framework_params=framework_params,
+            )
+            return instantiate(spec, default_registry(), onemax(8), 5)()
+
+        ints = {name: int(value) for name, value in params.items()}
+        assert run(params) == run(ints) == run({})

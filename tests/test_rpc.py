@@ -170,7 +170,7 @@ class TestClientProxies:
             for _ in range(n + 2):
                 b, env = rng_below(env, 2)
                 sol_bits.append(b)
-            sol = BitVector.of(sol_bits)
+            sol = BitVector(sol_bits)
             out_r, env_r = remote(sol, env)
             out_l, env_l = local(sol, env)
             assert out_r == out_l

@@ -2,8 +2,10 @@
 names them: an unknown key in a wire Environment, an experiment that lists
 its configs and also names what configs are enumerated from, a `compare`
 file that holds one trial twice, a configuration or grid value listed
-twice, a grid no slot reads, an initializer key given twice, and a run
-with no configuration."""
+twice, a grid no slot reads, an initializer key given twice, a run with
+no configuration, a `budget` or `registry` that is present but is no
+object or file name, an empty file name on the command line, and a
+missing required key."""
 
 import csv
 import json
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from test_rpc_client import StubServer
 from test_rpc_threads import START, recording_registry
 
+from metafold import rpc
 from metafold.cli import main
 from metafold.components import perturb_bitflip
 from metafold.env import EnvKey, EnvValue, Environment, RngState, env_new
@@ -284,3 +287,103 @@ def test_a_default_from_the_registry_file_counts_as_bound(tmp_path, capsys):
         tmp_path, capsys, {**experiment, "configs": [flip({}), flip({"k": 1}), flip({"k": 2})]},
         "configs[2] repeats configs[0]",
     )
+
+
+@pytest.mark.parametrize("value, got", [([], "list"), (0, "int"), (False, "bool"), ("", "str"),
+                                         (None, "NoneType")])
+def test_a_budget_that_is_present_but_no_object_exits_2(tmp_path, capsys, value, got):
+    # only an absent budget runs each trial uncapped
+    run_exits_2(
+        tmp_path, capsys, {**LISTED, "budget": value}, f"budget must be an object, got {got}"
+    )
+
+
+@pytest.mark.parametrize("value, got", [([], "list"), (0, "int"), (False, "bool"),
+                                         (None, "NoneType")])
+def test_a_registry_that_is_present_but_no_string_exits_2(tmp_path, capsys, value, got):
+    # only an absent registry runs the built-in palette
+    run_exits_2(
+        tmp_path, capsys, {**LISTED, "registry": value}, f"registry must be a string, got {got}"
+    )
+
+
+def test_an_empty_registry_name_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({**LISTED, "registry": "", "out": str(out)}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+    assert not out.exists()
+
+
+def test_an_empty_file_name_on_the_command_line_exits_2(tmp_path, capsys, monkeypatch):
+    def serve(*args, **kwargs):
+        raise AssertionError("served the built-in palette")
+
+    monkeypatch.setattr(rpc, "serve", serve)
+    assert main(["serve", "--port", "0", "--registry", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    registry = write_registry(tmp_path, "bitflip", "improving", "max_iterations")
+    for flag in ("--grids", "--initializers"):
+        assert main(["enumerate", registry, "--framework", "local_search", flag, ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def with_slot(config, slot, entry):
+    return {**config, "slots": {**config["slots"], slot: entry}}
+
+
+@pytest.mark.parametrize(
+    "experiment, message",
+    [
+        (without(ENUMERATED, "problems"), "missing key 'problems' at experiment"),
+        (without(ENUMERATED, "seeds"), "missing key 'seeds' at experiment"),
+        (without(ENUMERATED, "framework"), "missing key 'framework' at experiment"),
+        ({**ENUMERATED, "problems": [{"kind": "onemax"}]}, "missing key 'n' at problems[0]"),
+        ({**ENUMERATED, "problems": [{"kind": "trap", "n": 8}]}, "missing key 'b' at problems[0]"),
+        ({**LISTED, "configs": [without(CONFIG, "framework")]},
+         "missing key 'framework' at configs[0]"),
+        ({**LISTED, "configs": [CONFIG, without(CONFIG, "slots")]},
+         "missing key 'slots' at configs[1]"),
+        ({**LISTED, "configs": [with_slot(CONFIG, "accept", {"params": {}})]},
+         "missing key 'component' at configs[0].slots.accept"),
+        ({**ENUMERATED, "initializers": [without(TEMPERATURE, "key")]},
+         "missing key 'key' at initializers[0]"),
+        ({**ENUMERATED, "initializers": [TABU, without(TEMPERATURE, "value")]},
+         "missing key 'value' at initializers[1]"),
+        ({**ENUMERATED, "initializers": [{**TEMPERATURE, "value": {"v": 1.0}}]},
+         "missing key 't' at initializers[0].value"),
+        ({**LISTED, "configs": [{**CONFIG, "initializers": [{**TABU, "value": {"t": "dseq"}}]}]},
+         "missing key 'v' at configs[0].initializers[0].value"),
+    ],
+)
+def test_a_missing_key_is_named_with_where_it_is(tmp_path, capsys, experiment, message):
+    run_exits_2(tmp_path, capsys, experiment, message)
+
+
+def test_a_missing_out_is_named(tmp_path, capsys):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(ENUMERATED))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: missing key 'out' at experiment\n"
+
+
+@pytest.mark.parametrize(
+    "registry, message",
+    [
+        ({}, "missing key 'components' at registry"),
+        ({"components": [{"impl": "bitflip"}, {"name": "flip"}]},
+         "missing key 'impl' at components[1]"),
+    ],
+)
+def test_a_missing_key_of_a_registry_file_is_named(tmp_path, capsys, registry, message):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(registry))
+    run_exits_2(tmp_path, capsys, {**ENUMERATED, "registry": str(path)}, message)
+    assert main(["enumerate", str(path), "--framework", "local_search"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

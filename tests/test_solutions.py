@@ -19,29 +19,29 @@ from metafold.solutions import (
 
 def test_bitvector_validates():
     with pytest.raises(ValueError):
-        BitVector.of([0, 2])
+        BitVector([0, 2])
     with pytest.raises(ValueError):
         BitVector(())
 
 
 def test_permutation_validates():
     with pytest.raises(ValueError):
-        Permutation.of([0, 0, 1])
+        Permutation([0, 0, 1])
     with pytest.raises(ValueError):
-        Permutation.of([1, 2, 3])
+        Permutation([1, 2, 3])
 
 
 def test_realvector_rejects_nonfinite():
     with pytest.raises(ValueError):
-        RealVector.of([float("inf")])
+        RealVector([float("inf")])
 
 
 @pytest.mark.parametrize(
     "sol",
     [
         BitVector.from_string("010011"),
-        Permutation.of([3, 0, 2, 1]),
-        RealVector.of([0.1 + 0.2, -1e-12, 4e300]),
+        Permutation([3, 0, 2, 1]),
+        RealVector([0.1 + 0.2, -1e-12, 4e300]),
     ],
 )
 def test_serialization_round_trip(sol):
@@ -62,7 +62,7 @@ def test_deserialize_checks_representation_tag():
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
 def test_real_round_trip_exact(coords):
-    sol = RealVector.of(coords)
+    sol = RealVector(coords)
     assert deserialize_solution(serialize_solution(sol), "real") == sol
 
 
@@ -170,7 +170,7 @@ def test_a_real_payload_no_float_holds_is_a_format_error(payload):
         (Permutation(range(3)), Permutation((0, 1, 2))),
         (Permutation((True, False)), Permutation((1, 0))),
         (Permutation([1.0, 0.0]), Permutation((1, 0))),
-        (RealVector((1, 2)), RealVector.of((1, 2))),
+        (RealVector((1, 2)), RealVector((1, 2))),
         (RealVector([True, 0.5]), RealVector((1.0, 0.5))),
     ],
 )

@@ -243,12 +243,12 @@ class TestRewrite:
         ones = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
         problem = rewrite_to_tsp(match_tsp(tsp_model(3, ones)))
         for perm in itertools.permutations(range(3)):
-            v, _ = problem.evaluate(Permutation.of(perm), env_new(0))
+            v, _ = problem.evaluate(Permutation(perm), env_new(0))
             assert v == 3.0
 
     def test_hand_sum(self):
         problem = rewrite_to_tsp(match_tsp(tsp_model()))
-        v, _ = problem.evaluate(Permutation.of([0, 1, 2, 3]), env_new(0))
+        v, _ = problem.evaluate(Permutation([0, 1, 2, 3]), env_new(0))
         assert v == W4[0][1] + W4[1][2] + W4[2][3] + W4[3][0]
 
     def test_minimum_matches_brute_force(self):
@@ -261,7 +261,7 @@ class TestRewrite:
             for p in itertools.permutations(range(n))
         )
         rewritten = min(
-            problem.evaluate(Permutation.of(p), env_new(0))[0]
+            problem.evaluate(Permutation(p), env_new(0))[0]
             for p in itertools.permutations(range(n))
         )
         assert rewritten == brute
@@ -391,7 +391,7 @@ class TestRewrittenEvaluatorContract:
 
     def test_wrong_length_permutation_is_a_contract_error(self):
         with pytest.raises(ComponentContractError, match="expected length 3, got 2"):
-            self.problem().evaluate(Permutation.of([0, 1]), env_new(0))
+            self.problem().evaluate(Permutation([0, 1]), env_new(0))
 
     def test_bit_vector_is_a_contract_error(self):
         with pytest.raises(ComponentContractError, match="expected Permutation"):
@@ -402,5 +402,5 @@ class TestRewrittenEvaluatorContract:
         problem = rewrite_to_tsp(match_tsp(model))
         names = [v.name for v in model.variables]
         for perm in itertools.permutations(range(4)):
-            value, _ = problem.evaluate(Permutation.of(perm), env_new(0))
+            value, _ = problem.evaluate(Permutation(perm), env_new(0))
             assert objective_value(model, dict(zip(names, perm))) == value
