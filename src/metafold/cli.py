@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -403,7 +404,8 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache  # once per process: parsing leaves the parser as it was
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="metafold")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -436,8 +438,11 @@ def main(argv=None) -> int:
     p_solve.add_argument("--seed", type=int, default=1)
     p_solve.add_argument("--penalty", type=float, default=DEFAULT_PENALTY)
     p_solve.set_defaults(func=cmd_solve)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

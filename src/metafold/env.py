@@ -150,9 +150,12 @@ class EnvValue(namedtuple("EnvValue", "tag value")):
     def from_json(obj: dict) -> "EnvValue":
         """The value `to_json` wrote, as its tag's `of_<tag>` builds it. A
         payload whose JSON type does not fit its tag raises ValueError
-        instead of being coerced, and so does a key `to_json` does not
-        write."""
-        tag, payload = obj["t"], obj["v"]
+        instead of being coerced, and so does a missing key or one that
+        `to_json` does not write."""
+        try:
+            tag, payload = obj["t"], obj["v"]
+        except KeyError:  # name the missing key
+            tag, payload = required(obj, "t", "env entry"), required(obj, "v", "env entry")
         if len(obj) != 2:  # a key besides these two
             require_keys(obj, ("t", "v"), "env entry")
         if tag not in VALUE_TAGS:
@@ -284,10 +287,14 @@ class Environment(namedtuple("Environment", "entries rng")):
     def from_json(obj: dict) -> "Environment":
         """The Environment `to_json` wrote. The rng seed and counter must
         each be an integer or a decimal string in [0, 2^64); anything else
-        raises ValueError instead of being coerced, and so does a key
-        `to_json` does not write."""
-        rng, entries = obj["rng"], obj["entries"]
-        seed, counter = rng["seed"], rng["counter"]
+        raises ValueError instead of being coerced, and so does a missing
+        key or one that `to_json` does not write."""
+        try:
+            rng, entries = obj["rng"], obj["entries"]
+            seed, counter = rng["seed"], rng["counter"]
+        except KeyError:  # name the missing key
+            rng, entries = required(obj, "rng", "env"), required(obj, "entries", "env")
+            seed, counter = required(rng, "seed", "env.rng"), required(rng, "counter", "env.rng")
         if len(obj) != 2 or len(rng) != 2:  # a key besides these two
             require_keys(obj, ("rng", "entries"), "env")
             require_keys(rng, ("seed", "counter"), "env.rng")

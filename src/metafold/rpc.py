@@ -31,8 +31,6 @@ import socket
 import socketserver
 import threading
 import time
-import urllib.error
-import urllib.request
 from http import HTTPStatus
 from typing import Dict, Optional, Tuple
 
@@ -376,6 +374,8 @@ def serve(registry: Registry, host: str = "127.0.0.1", port: int = 0) -> RpcServ
 def _post(endpoint: str, request: dict, read):
     """`read` of the result of `request` at `endpoint`. Raises RemoteUnavailableError
     if it cannot be reached, RemoteProtocolError for an error or unreadable reply."""
+    import urllib.error  # here: it and urllib.request bring in http.client and ssl
+    import urllib.request
     req = urllib.request.Request(
         endpoint, json.dumps(request).encode("utf-8"), {"Content-Type": "application/json"}
     )

@@ -190,10 +190,10 @@ class RealVector:
         coords = tuple(coords)
         try:
             finite = all(map(math.isfinite, coords))
-        except OverflowError:  # an int too large for a float
+        except (OverflowError, TypeError):  # an int too large for a float, or no number
             finite = False
         if not finite:
-            raise ValueError("coordinates must be finite")
+            raise ValueError("coordinates must be finite real numbers")
         object.__setattr__(self, "coords", tuple(map(float, coords)))
 
     def __len__(self):

@@ -299,7 +299,8 @@ def tsplib_explicit_text(match: TspMatch, name: str = "rewritten") -> str:
         "EDGE_WEIGHT_FORMAT : FULL_MATRIX",
         "EDGE_WEIGHT_SECTION",
     ]
-    lines.extend(" ".join(str(w) for w in row) for row in match.weights)
+    row_text = " ".join(["%d"] * match.n)  # one % formats a whole row
+    lines.extend(row_text % tuple(row) for row in match.weights)
     lines.append("EOF")
     return "\n".join(lines) + "\n"
 

@@ -1474,3 +1474,96 @@ def test_enumerate_ids_are_the_config_ids_run_writes(tmp_path, capsys):
     exp = minimal_run(tmp_path, registry=reg, grids=grids, initializers=SA_INIT)
     assert main(["run", exp]) == 0
     assert [row["config_id"] for row in read_results(tmp_path / "out")] == ids
+
+
+class TestSolveInOneProcess:
+    """`main` builds its parser once per process, so each call must parse
+    as the first did, and each subcommand must read the module's globals
+    when it is called."""
+
+    def test_a_refused_command_line_leaves_the_next_solve_alone(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", TestSolve().tsp_doc())
+
+        def solve():
+            assert main(["solve", model, "--budget", "300", "--seed", "5"]) == 0
+            return capsys.readouterr().out, (tmp_path / "m.tsplib").read_text()
+
+        first = solve()
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", model, "--budget", "x"])
+        assert caught.value.code == 2 and "--budget" in capsys.readouterr().err
+        assert solve() == first and json.loads(first[0])["route_taken"] == "tsp"
+
+    def test_a_patched_global_takes_effect_after_the_first_call(self, tmp_path, capsys, monkeypatch):
+        model = write_json(tmp_path / "m.json", generic_doc())
+        assert main(["solve", model, "--budget", "50"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        original = cli.dispatch_solve
+        calls = []
+
+        def dispatch(model, budget, env, penalty):
+            calls.append(budget)
+            return original(model, budget, env, penalty=penalty)
+
+        monkeypatch.setattr(cli, "dispatch_solve", dispatch)
+        assert main(["solve", model, "--budget", "50"]) == 0
+        assert calls == [50] and json.loads(capsys.readouterr().out) == first
+
+
+# values a JSON table or weight matrix may hold where a 64-bit integer
+# belongs; true and 1.0 are equal to the 1 that a row may also hold
+NOT_INT64 = [True, 1.0, 2**63, -(2**63) - 1, "1"]
+INT64 = st.integers(-(2**63), 2**63 - 1) | st.integers(-2, 2)
+
+
+@st.composite
+def tables_with_one_bad_value(draw):
+    """A model with 1-3 tables, one value of one of them replaced by a
+    NOT_INT64, and the path that names the row that holds it."""
+    names = ["a", "b", "c"]
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, 3))
+        row = st.lists(INT64, min_size=width, max_size=width)
+        tables.append({
+            "type": "table",
+            "vars": draw(st.lists(st.sampled_from(names), min_size=width, max_size=width)),
+            "tuples": draw(st.lists(row, min_size=1, max_size=5)),
+        })
+    i = draw(st.integers(0, len(tables) - 1))
+    rows = tables[i]["tuples"]
+    j = draw(st.integers(0, len(rows) - 1))
+    rows[j][draw(st.integers(0, len(rows[j]) - 1))] = draw(st.sampled_from(NOT_INT64))
+    doc = {
+        "variables": [{"name": n, "lo": 0, "hi": 2} for n in names],
+        "constraints": [{"type": "all_different", "vars": names}, *tables],
+    }
+    return doc, f"$.constraints[{i + 1}].tuples[{j}]"
+
+
+@st.composite
+def weights_with_one_bad_value(draw):
+    """A circuit_sum model whose n x n weights hold one NOT_INT64, and the
+    path that names its row."""
+    n = draw(st.integers(2, 5))
+    cell = st.integers(0, 2**63 - 1) | st.integers(0, 2)
+    weights = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    weights[j][k] = draw(st.sampled_from(NOT_INT64))
+    names = [f"x{m}" for m in range(n)]
+    doc = {
+        "variables": [{"name": v, "lo": 0, "hi": n - 1} for v in names],
+        "constraints": [{"type": "all_different", "vars": names}],
+        "objective": {"type": "circuit_sum", "vars": names, "weights": weights},
+    }
+    return doc, f"$.objective.weights[{j}]"
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=tables_with_one_bad_value() | weights_with_one_bad_value())
+def test_one_value_no_int64_in_a_table_or_weights_exits_2_naming_its_row(tmp_path, capsys, case):
+    doc, where = case
+    model = write_json(tmp_path / "m.json", doc)
+    exits_2_naming(capsys, ["solve", model, "--budget", "20"], f"error: {where} must be a list of")

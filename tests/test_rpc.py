@@ -302,3 +302,33 @@ def test_component_params_are_checked_before_the_build(component, params, code):
     response = handle_rpc(default_registry(), body)
     assert response["id"] == 5
     assert response["error"]["code"] == code
+
+
+@pytest.mark.parametrize(
+    "mutate, missing",
+    [
+        (lambda env: env["entries"].update({"framework.iteration": {"v": 1}}), "'t' at env entry"),
+        (lambda env: env["entries"].update({"framework.iteration": {"t": "int"}}), "'v' at env entry"),
+        # a key in its place: still the missing one is named
+        (lambda env: env["entries"].update({"framework.iteration": {"v": 1, "x": 2}}), "'t' at env entry"),
+        (lambda env: env["rng"].pop("counter"), "'counter' at env.rng"),
+        (lambda env: env["rng"].pop("seed"), "'seed' at env.rng"),
+        (lambda env: env.pop("rng"), "'rng' at env"),
+        (lambda env: env.pop("entries"), "'entries' at env"),
+    ],
+    ids=["entry-t", "entry-v", "entry-t-for-x", "rng-counter", "rng-seed", "env-rng", "env-entries"],
+)
+def test_an_env_without_a_key_is_refused_naming_the_key(mutate, missing):
+    env = env_new(0).to_json()
+    mutate(env)
+    params = {
+        "component": "bitflip",
+        "params": {},
+        "solution": solution_to_json(BitVector.from_string("01")),
+        "env": env,
+    }
+    body = json.dumps({"jsonrpc": "2.0", "id": 6, "method": "perturb", "params": params})
+    response = handle_rpc(default_registry(), body.encode())
+    assert response["error"] == {
+        "code": ERR_INVALID_PARAMS, "message": f"malformed params: missing key {missing}"
+    }

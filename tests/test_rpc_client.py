@@ -2,13 +2,18 @@
 JSON, lookup or type error, for any reply it cannot read."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+from metafold import rpc
 from metafold.components import perturb_bitflip
 from metafold.env import env_new
 from metafold.palette import default_registry
@@ -219,3 +224,15 @@ def test_an_http_error_status_is_a_protocol_error_at_once(monkeypatch):
     assert caught.value.code == ERR_BAD_REPLY
     assert str(caught.value) == f"[{ERR_BAD_REPLY}] {endpoint}: HTTP status 404"
     assert attempts == [endpoint] and took < BACKOFF_S
+
+
+def test_importing_the_rpc_module_leaves_the_http_client_unloaded():
+    # only a proxy's call needs urllib.request, and with it http.client
+    src = str(Path(rpc.__file__).resolve().parent.parent)
+    code = (
+        "import sys, metafold.rpc; "
+        "print(sorted(m for m in ('urllib.request', 'http.client') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -188,6 +188,12 @@ def test_realvector_refuses_what_is_not_a_number(coords):
         RealVector(coords)
 
 
+@pytest.mark.parametrize("coords", [("1.5",), (None,), ([1.0],), (0.5, b"1")])
+def test_realvector_refuses_what_is_not_a_number_with_value_error(coords):
+    with pytest.raises(ValueError, match="coordinates must be finite real numbers"):
+        RealVector(coords)
+
+
 def test_realvector_refuses_an_int_no_float_holds():
     with pytest.raises(ValueError, match="coordinates must be finite"):
         RealVector((10**400,))

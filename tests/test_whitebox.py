@@ -3,7 +3,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from metafold.env import env_new
@@ -404,3 +404,27 @@ class TestRewrittenEvaluatorContract:
         for perm in itertools.permutations(range(4)):
             value, _ = problem.evaluate(Permutation(perm), env_new(0))
             assert objective_value(model, dict(zip(names, perm))) == value
+
+
+def reference_tsplib_text(match):
+    """The audit text as it was rendered one weight at a time."""
+    head = [
+        "NAME : rewritten", "TYPE : TSP", f"DIMENSION : {match.n}", "EDGE_WEIGHT_TYPE : EXPLICIT",
+        "EDGE_WEIGHT_FORMAT : FULL_MATRIX", "EDGE_WEIGHT_SECTION",
+    ]
+    rows = [" ".join(str(w) for w in row) for row in match.weights]
+    return "\n".join([*head, *rows, "EOF"]) + "\n"
+
+
+def square_matrices(weight):
+    return st.integers(2, 12).flatmap(
+        lambda n: st.lists(st.lists(weight, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=square_matrices(st.sampled_from([0, 7, 10, 999, 2**63 - 1]) | st.integers(0, 2**63 - 1)))
+@example(weights=[[0, 12, 305], [0, 0, 7], [4000, 1, 0]])
+def test_tsplib_text_renders_each_row_as_its_weights_one_by_one(weights):
+    match = match_tsp(tsp_model(len(weights), weights))
+    assert tsplib_explicit_text(match) == reference_tsplib_text(match)
