@@ -30,6 +30,7 @@ from .solutions import (
     Permutation,
     RealVector,
     _child,
+    _two_cuts,
     solution_digest,
 )
 
@@ -179,16 +180,6 @@ def perturb_bitflip(k: int = 1) -> Component:
         return _child(sol, bytes(bits), tuple(chosen)), env
 
     return Component(desc, step)
-
-
-def _two_cuts(env: Environment, n: int):
-    """Two distinct cut points in 0..n-1 as (i, j) with i < j, for n >= 2:
-    i is drawn below n, then j below n - 1 skipping over i."""
-    i, env = rng_below(env, n)
-    j, env = rng_below(env, n - 1)
-    if j >= i:
-        return (i, j + 1), env
-    return (j, i), env
 
 
 def perturb_swap() -> Component:

@@ -17,7 +17,6 @@ one function whose parameters are its slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Dict, Tuple
 
 from .components import (
@@ -30,11 +29,10 @@ from .components import (
     K_ITERATION,
     K_TEMPERATURE,
     Param,
-    _two_cuts,
     accept_metropolis,
 )
-from .env import EnvValue, Environment, _new, rng_below, rng_uniform
-from .solutions import BitVector, Permutation, RealVector, Solution, _child
+from .env import EnvValue, Environment, _new, rng_below
+from .solutions import REPRESENTATIONS, Solution
 
 
 @dataclass(frozen=True)
@@ -153,85 +151,6 @@ def iterated_local_search(
 # Genetic algorithm
 
 
-def crossover_one_point():
-    """Bit-vector one-point crossover at a cut in 1..n-1. A 1-bit vector
-    has no cut, so its parents pass through unchanged and nothing is drawn.
-
-    If a parent was scored, each child is built with `_child` from its
-    nearer parent, the one it differs from in fewer positions, with those
-    positions as its move (see `solutions`)."""
-
-    def step(pair, env):
-        a, b = pair
-        n = len(a)
-        if n < 2:
-            return (a, b), env
-        cut, env = rng_below(env, n - 1)
-        cut += 1
-        pa, pb = a.packed, b.packed
-        c1, c2 = pa[:cut] + pb[cut:], pb[:cut] + pa[cut:]
-        if a._memo is None and b._memo is None:
-            return (BitVector._unchecked(c1), BitVector._unchecked(c2)), env
-        # 1 where the parents differ: c1 differs from a after the cut and
-        # from b before it, c2 from b after it and from a before it
-        d = (int.from_bytes(pa, "big") ^ int.from_bytes(pb, "big")).to_bytes(n, "big")
-        if d.count(1, cut) <= d.count(1, 0, cut):
-            move = tuple(compress(range(cut, n), d[cut:]))
-            return (_child(a, c1, move), _child(b, c2, move)), env
-        move = tuple(compress(range(cut), d[:cut]))
-        return (_child(b, c1, move), _child(a, c2, move)), env
-
-    return step
-
-
-def crossover_order1():
-    """Order-1 permutation crossover over a random segment. One element has
-    no two cuts, so its parents pass through unchanged and nothing is drawn."""
-
-    def step(pair, env):
-        a, b = pair
-        if len(a) < 2:
-            return (a, b), env
-        (i, j), env = _two_cuts(env, len(a))
-
-        def child(keep, fill):
-            segment = keep.order[i : j + 1]
-            held = set(segment)
-            rest = [g for g in fill.order if g not in held]
-            out = rest[:i] + list(segment) + rest[i:]
-            return Permutation(tuple(out))
-
-        return (child(a, b), child(b, a)), env
-
-    return step
-
-
-def crossover_blend():
-    """Real-vector blend: per coordinate, children are the two convex mixes
-    with a fresh uniform weight."""
-
-    def step(pair, env):
-        a, b = pair
-        c1, c2 = [], []
-        for x, y in zip(a.coords, b.coords):
-            u, env = rng_uniform(env)
-            c1.append(u * x + (1 - u) * y)
-            c2.append(u * y + (1 - u) * x)
-        return (RealVector(tuple(c1)), RealVector(tuple(c2))), env
-
-    return step
-
-
-def crossover_for(representation: str):
-    if representation == "bits":
-        return crossover_one_point()
-    if representation == "perm":
-        return crossover_order1()
-    if representation == "real":
-        return crossover_blend()
-    raise ValueError(f"no crossover for representation {representation!r}")
-
-
 def _evaluate_all(evaluate, solutions, env):
     values = []
     for sol in solutions:
@@ -343,9 +262,11 @@ def _from_a_start(template):
 
 
 def _run_ga(problem, parts, params, env):
-    crossover = crossover_for(problem.representation)
+    crossover = REPRESENTATIONS[problem.representation].crossover
+    if crossover is None:
+        raise ValueError(f"no crossover for representation {problem.representation!r}")
     return genetic_algorithm(
-        init=problem.sample_initial, evaluate=problem.evaluate, crossover=crossover,
+        init=problem.sample_initial, evaluate=problem.evaluate, crossover=crossover(),
         **parts, **params, env=env,
     )
 

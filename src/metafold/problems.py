@@ -1,9 +1,9 @@
-"""Benchmark problems: evaluators, instance parsers, initial-solution samplers.
+"""Benchmark problems: evaluators and instance parsers.
 
 All objectives are minimized with known optimum 0 where stated. Evaluators
 are plain components that reject a solution of the wrong representation or
-length with ComponentContractError; samplers draw exclusively from the
-threaded RNG so initial solutions replay from the seed.
+length with ComponentContractError; start samplers (in `solutions`) draw
+exclusively from the threaded RNG so initial solutions replay from the seed.
 """
 
 from __future__ import annotations
@@ -16,14 +16,8 @@ from itertools import compress, repeat
 from typing import Callable, Dict, Optional, Tuple
 
 from .components import Component, ComponentDescriptor
-from .env import (
-    ComponentContractError,
-    Environment,
-    rng_below,
-    rng_bits,
-    rng_uniform,
-)
-from .solutions import Assignment, BitVector, Permutation, RealVector, Solution
+from .env import ComponentContractError, Environment
+from .solutions import REPRESENTATIONS, BitVector, Permutation, Solution
 
 
 # The most elements (bits, reals, permutation entries) a problem that
@@ -42,65 +36,10 @@ class ParseError(Exception):
 @dataclass(frozen=True)
 class ProblemInstance:
     name: str
-    representation: str  # a key of REPRESENTATIONS
+    representation: str  # a key of solutions.REPRESENTATIONS
     evaluate: Component
     sample_initial: Callable[[Environment], Tuple[Solution, Environment]]
     metadata: Dict
-
-
-def sample_bits(n: int):
-    def sample(env):
-        bits, env = rng_bits(env, n)
-        return BitVector._unchecked(bits), env
-
-    return sample
-
-
-def sample_permutation(n: int):
-    # Fisher-Yates, descending index order.
-    def sample(env):
-        order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j, env = rng_below(env, i + 1)
-            order[i], order[j] = order[j], order[i]
-        return Permutation._unchecked(tuple(order)), env
-
-    return sample
-
-
-def sample_box(d: int, lo: float, hi: float):
-    def sample(env):
-        coords = []
-        for _ in range(d):
-            u, env = rng_uniform(env)
-            coords.append(lo + u * (hi - lo))
-        return RealVector(tuple(coords)), env
-
-    return sample
-
-
-def sample_assignment(domains: Dict[str, Tuple[int, int]]):
-    # each variable uniform in its domain lo..hi, drawn in `domains` order
-    def sample(env):
-        assignment = Assignment()
-        for name, (lo, hi) in domains.items():
-            offset, env = rng_below(env, hi - lo + 1)
-            assignment[name] = lo + offset
-        return assignment, env
-
-    return sample
-
-
-# representation -> (the Solution class its evaluators take, the start
-# sampler for a problem of that many elements and that metadata); an
-# "assignment" maps a model's variable names to integers, and its sampler
-# draws a solutions.Assignment, though its evaluators take any dict
-REPRESENTATIONS = {
-    "bits": (BitVector, lambda n, metadata: sample_bits(n)),
-    "perm": (Permutation, lambda n, metadata: sample_permutation(n)),
-    "real": (RealVector, lambda d, metadata: sample_box(d, *metadata["bounds"])),
-    "assignment": (dict, lambda n, metadata: sample_assignment(metadata["domains"])),
-}
 
 
 def problem_instance(
@@ -120,7 +59,8 @@ def problem_instance(
     by `delta` from the parent's aux; every other solution by `value`.
     Both must give the same score, and `delta` must leave the aux it is
     given as it was: the parent's memo still holds it."""
-    expected, sampler = REPRESENTATIONS[representation]
+    record = REPRESENTATIONS[representation]
+    expected = record.cls
     owner = object()
 
     def step(sol, env):
@@ -144,7 +84,7 @@ def problem_instance(
 
     metadata = {"n": size, **metadata}
     evaluate = Component(ComponentDescriptor(kind, "evaluate"), step)
-    return ProblemInstance(name, representation, evaluate, sampler(size, metadata), metadata)
+    return ProblemInstance(name, representation, evaluate, record.sampler(size, metadata), metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Dict, Optional, Tuple
 
 from .assembly import Registry, UnknownComponentError, unknown_key
 from .components import Component, ComponentDescriptor
-from .env import Environment
+from .env import Environment, required
 from .solutions import solution_from_json, solution_to_json
 
 ERR_PARSE = -32700
@@ -184,8 +184,8 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
         return _error(req_id, ERR_INVALID_PARAMS, f"unknown params member {unknown!r}")
     name = params.get("component")
     try:
-        env = Environment.from_json(params["env"])
-        payload = decode_in(params[in_name])
+        env = Environment.from_json(required(params, "env", "params"))
+        payload = decode_in(required(params, in_name, "params"))
     except Exception as exc:
         return _error(req_id, ERR_INVALID_PARAMS, f"malformed params: {exc}")
     try:

@@ -1,10 +1,11 @@
 """Candidate-solution representations and their canonical serialization.
 
-Three closed representations: bit vectors, permutations, and real vectors,
-and a model's assignment for `metafold solve`'s generic route, which has
-no wire form. The JSON serialization here is the wire/digest canonical
-form used by both the RPC tier and tabu digests. A solution travels as
-``{"t": tag, "v": payload}``:
+Four representations: bit vectors, permutations, real vectors, and a
+model's assignment for `metafold solve`'s generic route. `REPRESENTATIONS`
+holds one record per tag: the class its evaluators take, its JSON payload
+both ways, its start sampler and its GA crossover. The JSON form is the
+wire/digest canonical form of the RPC tier and tabu digests; a solution
+travels as ``{"t": tag, "v": payload}``:
 
 - ``bits``: ``v`` is a string of ``0``/``1`` characters, one per bit
   (``{"t": "bits", "v": "0110"}``); any other payload, a list of numbers
@@ -14,6 +15,8 @@ form used by both the RPC tier and tabu digests. A solution travels as
   are a `SolutionFormatError`, not read as ``(0, 1)`` or ``(1, 0)``.
 - ``real``: ``v`` is a list of finite JSON numbers (not booleans, not
   strings such as ``"1.5"``).
+- ``assignment``: ``v`` is an object from variable names to JSON integers
+  (not booleans or floats); a plain dict serializes as an `Assignment`.
 
 A `BitVector` stores its bits in one `bytes` object, `packed`, one 0 or 1
 byte per bit. The constructor takes a tuple, list, `bytes` or `bytearray`
@@ -46,7 +49,7 @@ invalid (an overflow to inf, parents of unequal length).
 
 An `Assignment` is the generic route's solution (see
 `whitebox.generic_solve`): a dict from a model's variable names to ints,
-which `problems.sample_assignment` draws. Any dict is an assignment to
+which `sample_assignment` draws. Any dict is an assignment to
 its evaluators; this subclass only adds the two attributes below.
 
 A `BitVector`, a `Permutation` and an `Assignment` also have two
@@ -73,9 +76,10 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Tuple, Union
+from itertools import compress
+from typing import Callable, Dict, Optional, Tuple, Union
 
-from .env import _from_lanes, _to_lanes
+from .env import Environment, _from_lanes, _to_lanes, rng_below, rng_bits, rng_uniform
 
 
 class SolutionFormatError(Exception):
@@ -140,6 +144,8 @@ class BitVector:
     def from_string(text: str) -> "BitVector":
         # Any byte but '0'/'1' maps to 2, which the constructor rejects;
         # non-ASCII text raises UnicodeEncodeError, a ValueError.
+        if type(text) is not str:
+            raise TypeError(f"bits payload must be a 0/1 string, got {type(text).__name__}")
         return BitVector(text.encode("ascii").translate(_TEXT_TO_BITS))
 
     def to_string(self) -> str:
@@ -217,7 +223,7 @@ class Assignment(dict):
         return type(self), (dict(self),)
 
 
-Solution = Union[BitVector, Permutation, RealVector]
+Solution = Union[BitVector, Permutation, RealVector, Assignment]
 
 
 def _child(parent, value, move):
@@ -235,35 +241,184 @@ def _child(parent, value, move):
     return child
 
 
+def sample_bits(n: int):
+    def sample(env):
+        bits, env = rng_bits(env, n)
+        return BitVector._unchecked(bits), env
+
+    return sample
+
+
+def sample_permutation(n: int):
+    # Fisher-Yates, descending index order.
+    def sample(env):
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j, env = rng_below(env, i + 1)
+            order[i], order[j] = order[j], order[i]
+        return Permutation._unchecked(tuple(order)), env
+
+    return sample
+
+
+def sample_box(d: int, lo: float, hi: float):
+    def sample(env):
+        coords = []
+        for _ in range(d):
+            u, env = rng_uniform(env)
+            coords.append(lo + u * (hi - lo))
+        return RealVector(tuple(coords)), env
+
+    return sample
+
+
+def sample_assignment(domains: Dict[str, Tuple[int, int]]):
+    # each variable uniform in its domain lo..hi, drawn in `domains` order
+    def sample(env):
+        assignment = Assignment()
+        for name, (lo, hi) in domains.items():
+            offset, env = rng_below(env, hi - lo + 1)
+            assignment[name] = lo + offset
+        return assignment, env
+
+    return sample
+
+
+def _two_cuts(env: Environment, n: int):
+    """Two distinct cut points in 0..n-1 as (i, j) with i < j, for n >= 2:
+    i is drawn below n, then j below n - 1 skipping over i."""
+    i, env = rng_below(env, n)
+    j, env = rng_below(env, n - 1)
+    if j >= i:
+        return (i, j + 1), env
+    return (j, i), env
+
+
+def crossover_one_point():
+    """Bit-vector one-point crossover at a cut in 1..n-1. A 1-bit vector
+    has no cut, so its parents pass through unchanged and nothing is drawn.
+
+    If a parent was scored, each child is built with `_child` from its
+    nearer parent, the one it differs from in fewer positions, with those
+    positions as its move (see the module docstring)."""
+
+    def step(pair, env):
+        a, b = pair
+        n = len(a)
+        if n < 2:
+            return (a, b), env
+        cut, env = rng_below(env, n - 1)
+        cut += 1
+        pa, pb = a.packed, b.packed
+        c1, c2 = pa[:cut] + pb[cut:], pb[:cut] + pa[cut:]
+        if a._memo is None and b._memo is None:
+            return (BitVector._unchecked(c1), BitVector._unchecked(c2)), env
+        # 1 where the parents differ: c1 differs from a after the cut and
+        # from b before it, c2 from b after it and from a before it
+        d = (int.from_bytes(pa, "big") ^ int.from_bytes(pb, "big")).to_bytes(n, "big")
+        if d.count(1, cut) <= d.count(1, 0, cut):
+            move = tuple(compress(range(cut, n), d[cut:]))
+            return (_child(a, c1, move), _child(b, c2, move)), env
+        move = tuple(compress(range(cut), d[:cut]))
+        return (_child(b, c1, move), _child(a, c2, move)), env
+
+    return step
+
+
+def crossover_order1():
+    """Order-1 permutation crossover over a random segment. One element has
+    no two cuts, so its parents pass through unchanged and nothing is drawn."""
+
+    def step(pair, env):
+        a, b = pair
+        if len(a) < 2:
+            return (a, b), env
+        (i, j), env = _two_cuts(env, len(a))
+
+        def child(keep, fill):
+            segment = keep.order[i : j + 1]
+            held = set(segment)
+            rest = [g for g in fill.order if g not in held]
+            out = rest[:i] + list(segment) + rest[i:]
+            return Permutation(tuple(out))
+
+        return (child(a, b), child(b, a)), env
+
+    return step
+
+
+def crossover_blend():
+    """Real-vector blend: per coordinate, children are the two convex mixes
+    with a fresh uniform weight."""
+
+    def step(pair, env):
+        a, b = pair
+        c1, c2 = [], []
+        for x, y in zip(a.coords, b.coords):
+            u, env = rng_uniform(env)
+            c1.append(u * x + (1 - u) * y)
+            c2.append(u * y + (1 - u) * x)
+        return (RealVector(tuple(c1)), RealVector(tuple(c2))), env
+
+    return step
+
+
+def _json_items(payload, kind, types, tag: str, what: str):
+    """`payload` if it is a `kind` (list or dict) whose items, a dict's values, have
+    types all in `types` (a bool is not an int here); else SolutionFormatError."""
+    items = payload.values() if type(payload) is dict else payload
+    if type(payload) is not kind or not set(map(type, items)) <= types:
+        raise SolutionFormatError(f"{tag} payload must be {what}")
+    return payload
+
+
+@dataclass(frozen=True)
+class Representation:
+    cls: type  # the class its evaluators take; a solution's record is the first its MRO names
+    to_json: Callable  # solution -> JSON payload
+    from_json: Callable  # JSON payload -> solution; raises on an invalid one
+    sampler: Callable  # (size, metadata) -> start sampler, env -> (solution, env)
+    crossover: Optional[Callable]  # () -> GA crossover, or None where a GA has none
+
+
+REPRESENTATIONS: Dict[str, Representation] = {
+    "bits": Representation(
+        BitVector, BitVector.to_string, BitVector.from_string, lambda n, _: sample_bits(n),
+        crossover_one_point,
+    ),
+    "perm": Representation(
+        Permutation, lambda sol: list(sol.order),
+        lambda v: Permutation(_json_items(v, list, {int}, "perm", "a list of JSON integers")),
+        lambda n, _: sample_permutation(n), crossover_order1,
+    ),
+    "real": Representation(
+        RealVector, lambda sol: list(sol.coords),
+        lambda v: RealVector(_json_items(v, list, {int, float}, "real", "a list of JSON numbers")),
+        lambda d, meta: sample_box(d, *meta["bounds"]), crossover_blend,
+    ),
+    "assignment": Representation(
+        dict, dict,
+        lambda v: Assignment(_json_items(v, dict, {int}, "assignment", "an object of JSON integers")),
+        lambda n, meta: sample_assignment(meta["domains"]), None,
+    ),
+}
+_TAG_OF = {record.cls: tag for tag, record in REPRESENTATIONS.items()}
+
+
 def representation_of(sol: Solution) -> str:
-    if isinstance(sol, BitVector):
-        return "bits"
-    if isinstance(sol, Permutation):
-        return "perm"
-    if isinstance(sol, RealVector):
-        return "real"
+    for cls in type(sol).__mro__:
+        if cls in _TAG_OF:
+            return _TAG_OF[cls]
     raise TypeError(f"not a solution: {type(sol).__name__}")
 
 
 def solution_to_json(sol: Solution) -> dict:
     tag = representation_of(sol)
-    if tag == "bits":
-        return {"t": "bits", "v": sol.to_string()}
-    if tag == "perm":
-        return {"t": "perm", "v": list(sol.order)}
-    return {"t": "real", "v": list(sol.coords)}
+    return {"t": tag, "v": REPRESENTATIONS[tag].to_json(sol)}
 
 
 def serialize_solution(sol: Solution) -> str:
     return json.dumps(solution_to_json(sol), sort_keys=True, separators=(",", ":"))
-
-
-def _json_list(payload, types, tag: str, what: str) -> list:
-    """`payload` if it is a list of items whose types are all in `types`
-    (a bool is not an int here); raises SolutionFormatError otherwise."""
-    if type(payload) is not list or not set(map(type, payload)) <= types:
-        raise SolutionFormatError(f"{tag} payload must be a list of JSON {what}")
-    return payload
 
 
 def solution_from_json(obj: dict) -> Solution:
@@ -271,20 +426,13 @@ def solution_from_json(obj: dict) -> Solution:
         tag, payload = obj["t"], obj["v"]
     except (TypeError, KeyError) as exc:
         raise SolutionFormatError(f"malformed solution object: {obj!r}") from exc
+    record = REPRESENTATIONS.get(tag) if type(tag) is str else None
+    if record is None:
+        raise SolutionFormatError(f"unknown representation tag: {tag!r}")
     try:
-        if tag == "bits":
-            if not isinstance(payload, str):
-                raise SolutionFormatError(
-                    f"bits payload must be a 0/1 string, got {type(payload).__name__}"
-                )
-            return BitVector.from_string(payload)
-        if tag == "perm":
-            return Permutation(_json_list(payload, {int}, "perm", "integers"))
-        if tag == "real":
-            return RealVector(_json_list(payload, {int, float}, "real", "numbers"))
+        return record.from_json(payload)
     except (ValueError, TypeError) as exc:
         raise SolutionFormatError(str(exc)) from exc
-    raise SolutionFormatError(f"unknown representation tag: {tag!r}")
 
 
 def deserialize_solution(text: str, representation: str) -> Solution:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from metafold.components import (
     FRAMEWORK_KEYS,
     K_EVALUATIONS,
-    _two_cuts,
     perturb_bitflip,
     perturb_swap,
     perturb_two_opt,
@@ -31,12 +30,15 @@ from metafold.env import (
     rng_bits,
     rng_uniform,
 )
-from metafold.frameworks import crossover_one_point
-from metafold.problems import parse_dimacs_cnf, sample_bits, sample_permutation, trap
+from metafold.problems import parse_dimacs_cnf, trap
 from metafold.solutions import (
     BitVector,
     Permutation,
     SolutionFormatError,
+    _two_cuts,
+    crossover_one_point,
+    sample_bits,
+    sample_permutation,
     solution_digest,
     solution_from_json,
     solution_to_json,

@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -16,9 +17,6 @@ from metafold.components import (
 from metafold.env import EnvValue, env_new
 from metafold.frameworks import (
     FRAMEWORKS,
-    crossover_one_point,
-    crossover_order1,
-    crossover_blend,
     genetic_algorithm,
     iterated_local_search,
     local_search,
@@ -26,8 +24,15 @@ from metafold.frameworks import (
     terminate_any,
 )
 from metafold.palette import default_registry
-from metafold.problems import onemax, magic_square, sphere
-from metafold.solutions import BitVector, Permutation, RealVector
+from metafold.problems import onemax, magic_square, problem_instance, sphere
+from metafold.solutions import (
+    BitVector,
+    Permutation,
+    RealVector,
+    crossover_blend,
+    crossover_one_point,
+    crossover_order1,
+)
 
 
 def stub(name, kind, fn):
@@ -320,6 +325,22 @@ class TestGeneticAlgorithm:
             perturb_bitflip(1), terminate_iterations(3), env_new(1),
         )
         assert [row[1] for row in r.trace] == [10, 15, 20]
+
+    def test_a_representation_without_a_crossover_is_refused_before_any_draw(self):
+        drawn = []
+
+        def sample(env):
+            drawn.append(env)
+            return {"x": 0}, env
+
+        problem = replace(
+            problem_instance("zero", "zero", "assignment", 1, lambda a: 0, domains={"x": (0, 1)}),
+            sample_initial=sample,
+        )
+        parts = {"mutate": stub("m", "perturb", None), "terminate": terminate_iterations(1)}
+        with pytest.raises(ValueError, match="no crossover for representation 'assignment'"):
+            FRAMEWORKS["ga"].run(problem, parts, {"pop_size": 4, "tournament_size": 2}, env_new(1))
+        assert drawn == []
 
     def test_rejects_pop_size_below_2(self):
         p = onemax(8)

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from metafold.components import Component, perturb_bitflip, perturb_two_opt, terminate_evaluations
 from metafold.env import env_new
-from metafold.frameworks import crossover_one_point, genetic_algorithm
+from metafold.frameworks import genetic_algorithm
 from metafold.problems import onemax, parse_dimacs_cnf
-from metafold.solutions import Assignment, BitVector, Permutation, _child
+from metafold.solutions import Assignment, BitVector, Permutation, _child, crossover_one_point
 from metafold.whitebox import TspMatch, rewrite_to_tsp
 
 

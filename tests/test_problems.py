@@ -394,7 +394,7 @@ class TestSamplers:
         for i in range(n - 1, 0, -1):
             j, e = rng_below(e, i + 1)
             order[i], order[j] = order[j], order[i]
-        from metafold.problems import sample_permutation
+        from metafold.solutions import sample_permutation
 
         sampled, _ = sample_permutation(n)(env)
         assert list(sampled.order) == order

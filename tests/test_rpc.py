@@ -332,3 +332,28 @@ def test_an_env_without_a_key_is_refused_naming_the_key(mutate, missing):
     assert response["error"] == {
         "code": ERR_INVALID_PARAMS, "message": f"malformed params: missing key {missing}"
     }
+
+
+@pytest.mark.parametrize(
+    "method, component, missing",
+    [
+        ("perturb", "bitflip", "env"),
+        ("perturb", "bitflip", "solution"),
+        ("evaluate", "onemax", "env"),
+        ("evaluate", "onemax", "solution"),
+        ("terminate", "max_iterations", "env"),
+        ("terminate", "max_iterations", "solution"),
+        ("accept", "improving", "env"),
+        ("accept", "improving", "solutions"),
+    ],
+)
+def test_a_request_without_its_env_or_solution_is_refused_naming_the_key(method, component, missing):
+    sol = solution_to_json(BitVector.from_string("01"))
+    field = {"accept": ("solutions", [sol, sol])}.get(method, ("solution", sol))
+    params = {"component": component, "params": {}, "env": env_new(0).to_json(), field[0]: field[1]}
+    del params[missing]
+    body = json.dumps({"jsonrpc": "2.0", "id": 7, "method": method, "params": params})
+    response = handle_rpc(default_registry(), body.encode())
+    assert response["error"] == {
+        "code": ERR_INVALID_PARAMS, "message": f"malformed params: missing key {missing!r} at params"
+    }

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from metafold.env import env_new
+from metafold.palette import default_registry
+from metafold.rpc import ERR_INVALID_PARAMS, handle_rpc
 from metafold.solutions import (
+    REPRESENTATIONS,
+    Assignment,
     BitVector,
     Permutation,
     RealVector,
@@ -197,3 +202,46 @@ def test_realvector_refuses_what_is_not_a_number_with_value_error(coords):
 def test_realvector_refuses_an_int_no_float_holds():
     with pytest.raises(ValueError, match="coordinates must be finite"):
         RealVector((10**400,))
+
+
+# For each tag of the table, a pair of equal solutions built from different
+# inputs (an assignment's partner is a plain dict, its items in reverse
+# order); a tag without a strategy here fails the test below.
+EQUAL_PAIRS = {
+    "bits": st.lists(st.sampled_from([0, 1]), min_size=1, max_size=40).map(
+        lambda bits: (BitVector(bits), BitVector(tuple(map(float, bits))))
+    ),
+    "perm": st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))).map(
+        lambda order: (Permutation(order), Permutation(tuple(map(float, order))))
+    ),
+    "real": st.lists(st.integers(-10**6, 10**6), max_size=8).map(
+        lambda coords: (RealVector(coords), RealVector(tuple(map(float, coords))))
+    ),
+    "assignment": st.dictionaries(st.text(max_size=4), st.integers(), max_size=6).map(
+        lambda items: (Assignment(items), dict(reversed(items.items())))
+    ),
+}
+
+
+@given(st.sampled_from(sorted(REPRESENTATIONS)).flatmap(lambda t: st.tuples(st.just(t), EQUAL_PAIRS[t])))
+def test_every_representation_round_trips_and_digests_equal_solutions_alike(tagged):
+    assert set(EQUAL_PAIRS) == set(REPRESENTATIONS)
+    tag, (sol, equal) = tagged
+    assert sol == equal
+    assert solution_to_json(sol)["t"] == tag
+    assert solution_from_json(solution_to_json(sol)) == sol
+    assert deserialize_solution(serialize_solution(sol), tag) == sol
+    assert serialize_solution(sol) == serialize_solution(equal)
+    assert solution_digest(sol) == solution_digest(equal)
+
+
+@pytest.mark.parametrize(
+    "payload", [{"x": True}, {"x": 1.0}, [1], "x"], ids=["bool", "float", "list", "string"]
+)
+def test_a_bad_assignment_payload_is_a_format_error_and_invalid_params_on_the_wire(payload):
+    obj = {"t": "assignment", "v": payload}
+    with pytest.raises(SolutionFormatError, match="^assignment payload must be an object of JSON integers"):
+        solution_from_json(obj)
+    params = {"component": "bitflip", "params": {}, "env": env_new(0).to_json(), "solution": obj}
+    body = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "perturb", "params": params})
+    assert handle_rpc(default_registry(), body.encode())["error"]["code"] == ERR_INVALID_PARAMS
