@@ -42,13 +42,20 @@ class InvalidConfigurationError(Exception):
 
 
 _JSON_SHAPES = {dict: "an object", list: "a list", str: "a string"}
+# JSON's name for each type `json.loads` builds
+_JSON_TYPES = {
+    type(None): "null", bool: "boolean", int: "number", float: "number",
+    str: "string", list: "array", dict: "object",
+}
 
 
 def require_shape(value, shape: type, where: str):
     """`value` itself when it is a `shape` (dict, list or str); raises
-    ValueError naming `where` otherwise. Guards JSON read from files."""
+    ValueError naming `where` and the JSON type of `value` otherwise
+    (a type JSON has no name for goes by its Python name). Guards JSON
+    read from files."""
     if not isinstance(value, shape):
-        got = type(value).__name__
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
         raise ValueError(f"{where} must be {_JSON_SHAPES[shape]}, got {got}")
     return value
 

@@ -21,8 +21,9 @@ from .env import (
     EnvKey,
     EnvValue,
     Environment,
+    _advanced,
+    _below,
     _new,
-    rng_below,
     rng_uniform,
 )
 from .solutions import (
@@ -150,6 +151,12 @@ def _require(env: Environment, key: EnvKey, tag: str, who: str):
     return v.value
 
 
+# What a hot read gets for an absent key: a (tag, value) pair of no tag. A
+# step reads its keys in place with it and calls `_require`, which raises,
+# only when a key is absent or of another tag.
+_ABSENT = (None, None)
+
+
 # ---------------------------------------------------------------------------
 # Perturbation
 
@@ -170,10 +177,12 @@ def perturb_bitflip(k: int = 1) -> Component:
         n = len(sol)
         if k > n:
             raise ComponentContractError(f"bitflip: k={k} exceeds length {n}")
+        seed, counter = env.rng
         chosen = set()
         while len(chosen) < k:
-            idx, env = rng_below(env, n)
+            idx, counter = _below(seed, counter, n)
             chosen.add(idx)
+        env = _new(Environment, (env.entries, _advanced(seed, counter)))
         bits = bytearray(sol.packed)
         for i in chosen:
             bits[i] ^= 1
@@ -259,6 +268,11 @@ def perturb_gaussian(sigma: float = 0.1) -> Component:
 
 
 def _framework_values(env: Environment, who: str) -> Tuple[float, float]:
+    entries = env.entries
+    incumbent = entries.get(K_INCUMBENT_VALUE, _ABSENT)
+    incoming = entries.get(K_INCOMING_VALUE, _ABSENT)
+    if incumbent[0] == "real" == incoming[0]:
+        return incumbent[1], incoming[1]
     return (
         _require(env, K_INCUMBENT_VALUE, "real", who),
         _require(env, K_INCOMING_VALUE, "real", who),
@@ -299,7 +313,9 @@ def accept_metropolis(cooling: float = 0.99) -> Component:
     def step(pair, env):
         incumbent, incoming = pair
         incumbent_value, incoming_value = _framework_values(env, "metropolis")
-        temperature = _require(env, K_TEMPERATURE, "real", "metropolis")
+        tag, temperature = env.entries.get(K_TEMPERATURE, _ABSENT)
+        if tag != "real":
+            temperature = _require(env, K_TEMPERATURE, "real", "metropolis")
         delta = incoming_value - incumbent_value
         if delta <= 0:
             chosen = incoming
@@ -349,7 +365,10 @@ def _threshold(name: str, key: EnvKey, tag: str, param: Param, reached) -> Compo
     bound = desc.params[0].default
 
     def step(sol, env):
-        return reached(_require(env, key, tag, name), bound), env
+        held, value = env.entries.get(key, _ABSENT)
+        if held != tag:
+            value = _require(env, key, tag, name)
+        return reached(value, bound), env
 
     return Component(desc, step)
 

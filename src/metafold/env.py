@@ -13,6 +13,15 @@ tuple of its fields, so it also equals a plain tuple of the same fields,
 and the records hash as that tuple (an Environment holds a dict, so it
 does not hash). Tuples make building, hashing and reading them C-level
 work on the hot path.
+
+A draw reads its raw word from its stream's block of 64 consecutive
+counters, all 64 mixed at once and cached: at most 64 blocks, about
+62 KB, across all streams. The values are those of the scalar
+splitmix64, `_raw64`, whatever the order of draws. A stream drawing in
+order mixes each block once; interleaving more than 64 streams draw by
+draw (a server with that many concurrent client streams, say) evicts
+each block before its next draw and pays a block's mixing, about 7-9 µs,
+per draw, and no value changes.
 """
 
 from __future__ import annotations
@@ -244,6 +253,8 @@ def _advanced(seed: int, counter: int) -> RngState:
 
 
 def _raw64(seed: int, counter: int) -> int:
+    """The raw draw at `counter`, one word at a time: the definition the
+    draws' blocks (`_raw_block`) are checked against."""
     # splitmix64: the counter's point on the golden-ratio sequence, finalized
     x = (seed + (counter + 1) * _GOLDEN) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -317,21 +328,30 @@ def env_new(seed: int) -> Environment:
 def rng_uniform(env: Environment) -> Tuple[float, Environment]:
     """One uniform draw in [0, 1); advances the counter by exactly 1."""
     seed, counter = env.rng
-    value = (_raw64(seed, counter) >> 11) * (2.0 ** -53)
+    value = (_raw_block(seed, counter >> 6)[counter & 63] >> 11) * (2.0 ** -53)
     return value, _new(Environment, (env.entries, _advanced(seed, counter + 1)))
+
+
+def _below(seed: int, counter: int, n: int) -> Tuple[int, int]:
+    """An unbiased integer in [0, n) by rejection over the raw draws from
+    `counter` on, and the counter after them. A caller that draws several
+    times threads the counter and builds one Environment at the end, whose
+    `_advanced` raises past the stream's end."""
+    if not 1 <= n <= 1 << 64:  # above 2^64 no raw draw would be accepted
+        raise ValueError("rng_below requires 1 <= n <= 2^64")
+    limit = (1 << 64) - ((1 << 64) % n)  # below it a raw draw maps to [0, n) without bias
+    while True:
+        raw = _raw_block(seed, counter >> 6)[counter & 63]
+        counter += 1
+        if raw < limit:
+            return raw % n, counter
 
 
 def rng_below(env: Environment, n: int) -> Tuple[int, Environment]:
     """Unbiased integer in [0, n) via rejection over the raw 64-bit draw."""
-    if not 1 <= n <= 1 << 64:  # above 2^64 no raw draw would be accepted
-        raise ValueError("rng_below requires 1 <= n <= 2^64")
-    limit = (1 << 64) - ((1 << 64) % n)  # below it a raw draw maps to [0, n) without bias
     seed, counter = env.rng
-    while True:
-        raw = _raw64(seed, counter)
-        counter += 1
-        if raw < limit:
-            return raw % n, _new(Environment, (env.entries, _advanced(seed, counter)))
+    value, counter = _below(seed, counter, n)
+    return value, _new(Environment, (env.entries, _advanced(seed, counter)))
 
 
 # Lanes: `count` 64-bit words held as one int, word i in the low half of
@@ -373,6 +393,17 @@ def _mixed_lanes(seed: int, counter: int, count: int) -> Tuple[int, int]:
     x = ((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
     x = ((x ^ (x >> 27)) & low) * 0x94D049BB133111EB & low
     return x ^ (x >> 31), ones
+
+
+@functools.lru_cache(maxsize=64)
+def _raw_block(seed: int, block: int) -> memoryview:
+    """The raw draws at counters 64·block .. 64·block + 63 of `seed`'s
+    stream, mixed at once: `_raw64`'s values, as a read-only view of 64
+    native words that a draw reads one at a time. A stream drawing in
+    order mixes each block once. The cache holds 64 blocks, about 62 KB;
+    as tuples of ints they would take about 190 KB."""
+    x, _ = _mixed_lanes(seed, block << 6, 64)
+    return memoryview(_from_lanes(x, 64).tobytes()).cast("Q")
 
 
 def rng_bits(env: Environment, count: int) -> Tuple[bytes, Environment]:

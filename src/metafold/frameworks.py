@@ -31,7 +31,7 @@ from .components import (
     Param,
     accept_metropolis,
 )
-from .env import EnvValue, Environment, _new, rng_below
+from .env import EnvValue, Environment, _advanced, _below, _new
 from .solutions import REPRESENTATIONS, Solution
 
 
@@ -44,22 +44,23 @@ class RunResult:
     evaluations: int  # spent in all, the start's included
 
 
-# `_publish` and `_choose` build their values as `EnvValue.of_int` and
-# `of_real` would, without the calls: the counters are ints already.
+# `_publish` and `_choose` copy the entries once and set their keys in
+# place, building each value as `EnvValue.of_int` and `of_real` would,
+# without the calls: the counters are ints already.
 def _publish(env, iteration, evaluations, best_value):
-    return env.put_many({
-        K_ITERATION: _new(EnvValue, ("int", iteration)),
-        K_EVALUATIONS: _new(EnvValue, ("int", evaluations)),
-        K_BEST_VALUE: _new(EnvValue, ("real", float(best_value))),
-    })
+    entries = dict(env.entries)
+    entries[K_ITERATION] = _new(EnvValue, ("int", iteration))
+    entries[K_EVALUATIONS] = _new(EnvValue, ("int", evaluations))
+    entries[K_BEST_VALUE] = _new(EnvValue, ("real", float(best_value)))
+    return _new(Environment, (entries, env.rng))
 
 
 def _choose(accept, incumbent, value, incoming, incoming_value, env):
     """Publish both values, let `accept` pick, return the survivor and its value."""
-    env = env.put_many({
-        K_INCUMBENT_VALUE: _new(EnvValue, ("real", float(value))),
-        K_INCOMING_VALUE: _new(EnvValue, ("real", float(incoming_value))),
-    })
+    entries = dict(env.entries)
+    entries[K_INCUMBENT_VALUE] = _new(EnvValue, ("real", float(value)))
+    entries[K_INCOMING_VALUE] = _new(EnvValue, ("real", float(incoming_value)))
+    env = _new(Environment, (entries, env.rng))
     chosen, env = accept((incumbent, incoming), env)
     if chosen is incoming or chosen == incoming:
         return incoming, incoming_value, env
@@ -188,13 +189,14 @@ def genetic_algorithm(
 
     def tournament(env):
         # ties go to the first-drawn contestant for replay determinism
+        seed, counter = env.rng
         winner = None
         winner_value = None
         for _ in range(tournament_size):
-            idx, env = rng_below(env, pop_size)
+            idx, counter = _below(seed, counter, pop_size)
             if winner is None or values[idx] < winner_value:
                 winner, winner_value = idx, values[idx]
-        return winner, env
+        return winner, _new(Environment, (env.entries, _advanced(seed, counter)))
 
     def advance(best, best_value, env):
         nonlocal population, values

@@ -198,7 +198,11 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
         out, env = component(payload, env)
         result = {"env": env.to_json(), out_name: encode_out(out)}
     except Exception as exc:
-        return _error(req_id, ERR_COMPONENT_FAILURE, f"{name}: {exc}")
+        # a built-in's own error starts with its name already; an alias's does not
+        message, named = str(exc), f"{name}: "
+        if not message.startswith(named):
+            message = named + message
+        return _error(req_id, ERR_COMPONENT_FAILURE, message)
     return _result(req_id, result)
 
 

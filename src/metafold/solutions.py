@@ -79,7 +79,17 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from .env import Environment, _from_lanes, _to_lanes, rng_below, rng_bits, rng_uniform
+from .env import (
+    Environment,
+    _advanced,
+    _below,
+    _from_lanes,
+    _new,
+    _to_lanes,
+    rng_below,
+    rng_bits,
+    rng_uniform,
+)
 
 
 class SolutionFormatError(Exception):
@@ -287,8 +297,10 @@ def sample_assignment(domains: Dict[str, Tuple[int, int]]):
 def _two_cuts(env: Environment, n: int):
     """Two distinct cut points in 0..n-1 as (i, j) with i < j, for n >= 2:
     i is drawn below n, then j below n - 1 skipping over i."""
-    i, env = rng_below(env, n)
-    j, env = rng_below(env, n - 1)
+    seed, counter = env.rng
+    i, counter = _below(seed, counter, n)
+    j, counter = _below(seed, counter, n - 1)
+    env = _new(Environment, (env.entries, _advanced(seed, counter)))
     if j >= i:
         return (i, j + 1), env
     return (j, i), env

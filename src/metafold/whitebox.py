@@ -18,7 +18,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from .assembly import unknown_key
 from .components import accept_improving, perturb_two_opt, terminate_evaluations
-from .env import ComponentContractError, Environment, rng_below
+from .env import ComponentContractError, Environment, _advanced, _below, _new
 from .frameworks import FRAMEWORKS
 from .problems import ProblemInstance, problem_instance
 from .solutions import Permutation, _child
@@ -525,12 +525,13 @@ def generic_solve(
     )
 
     def reassign(assignment, env):
-        idx, env = rng_below(env, len(variables))
+        seed, counter = env.rng
+        idx, counter = _below(seed, counter, len(variables))
         v = variables[idx]
-        offset, env = rng_below(env, v.hi - v.lo + 1)
+        offset, counter = _below(seed, counter, v.hi - v.lo + 1)
         child = _child(assignment, assignment, (v.name, assignment[v.name]))
         child[v.name] = v.lo + offset  # not yet scored, so still free to change
-        return child, env
+        return child, _new(Environment, (env.entries, _advanced(seed, counter)))
 
     return _solve(model, problem, reassign, budget, env, "generic", dict)
 

@@ -12,7 +12,7 @@ from metafold.components import (
 )
 from metafold.env import env_new, rng_below
 from metafold.frameworks import local_search
-from metafold.palette import default_registry
+from metafold.palette import default_registry, registry_from_json
 from metafold.problems import onemax
 from metafold.rpc import (
     ERR_INVALID_PARAMS,
@@ -157,6 +157,24 @@ class TestServer:
         )
         assert response["error"]["code"] == -32002
         assert "swap" in response["error"]["message"]
+
+    @pytest.mark.parametrize("name, message", [
+        ("bitflip", "bitflip: expected a bit vector"),
+        ("kick", "kick: bitflip: expected a bit vector"),
+    ])
+    def test_component_failure_names_component_once(self, name, message):
+        # a built-in's error already starts with its name; an alias backed
+        # by it is named in front of that
+        registry = registry_from_json({"components": [{"name": name, "impl": "bitflip"}]})
+        params = {
+            "component": name,
+            "params": {},
+            "solution": {"t": "assignment", "v": {"x": 1}},
+            "env": env_new(0).to_json(),
+        }
+        body = json.dumps({"jsonrpc": "2.0", "id": 6, "method": "perturb", "params": params})
+        response = handle_rpc(registry, body.encode())
+        assert response["error"] == {"code": -32002, "message": message}
 
 
 class TestClientProxies:

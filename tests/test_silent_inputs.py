@@ -289,8 +289,8 @@ def test_a_default_from_the_registry_file_counts_as_bound(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("value, got", [([], "list"), (0, "int"), (False, "bool"), ("", "str"),
-                                         (None, "NoneType")])
+@pytest.mark.parametrize("value, got", [([], "array"), (0, "number"), (False, "boolean"),
+                                         ("", "string"), (None, "null")])
 def test_a_budget_that_is_present_but_no_object_exits_2(tmp_path, capsys, value, got):
     # only an absent budget runs each trial uncapped
     run_exits_2(
@@ -298,8 +298,8 @@ def test_a_budget_that_is_present_but_no_object_exits_2(tmp_path, capsys, value,
     )
 
 
-@pytest.mark.parametrize("value, got", [([], "list"), (0, "int"), (False, "bool"),
-                                         (None, "NoneType")])
+@pytest.mark.parametrize("value, got", [([], "array"), (0, "number"), (False, "boolean"),
+                                         (None, "null")])
 def test_a_registry_that_is_present_but_no_string_exits_2(tmp_path, capsys, value, got):
     # only an absent registry runs the built-in palette
     run_exits_2(
