@@ -9,7 +9,6 @@ in a deterministic order so configuration ids are stable everywhere.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -49,14 +48,18 @@ _JSON_TYPES = {
 }
 
 
+def _json_type(value) -> str:
+    """JSON's name for the type of `value`; a type JSON has no name for goes
+    by its Python name."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def require_shape(value, shape: type, where: str):
     """`value` itself when it is a `shape` (dict, list or str); raises
-    ValueError naming `where` and the JSON type of `value` otherwise
-    (a type JSON has no name for goes by its Python name). Guards JSON
-    read from files."""
+    ValueError naming `where` and the JSON type of `value` otherwise.
+    Guards JSON read from files."""
     if not isinstance(value, shape):
-        got = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise ValueError(f"{where} must be {_JSON_SHAPES[shape]}, got {got}")
+        raise ValueError(f"{where} must be {_JSON_SHAPES[shape]}, got {_json_type(value)}")
     return value
 
 
@@ -168,6 +171,8 @@ class ConfigurationSpec:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
     def content_hash(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()[:16]
 
 

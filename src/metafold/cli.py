@@ -3,12 +3,12 @@ design-space enumeration, the RPC server, and white-box solving.
 
 Results are plain CSV so they diff and feed external analysis; everything
 except wall-clock time is a pure function of the experiment file bytes.
+A command loads what only it uses (argparse, csv, the statistics, the RPC
+server) on its first call.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import json
 import math
@@ -38,7 +38,6 @@ from .env import env_new
 from .frameworks import terminate_any
 from .palette import default_registry, load_registry
 from .problems import ParseError, ProblemInstance
-from .stats import interquartile_range, mann_whitney_u, median
 from .whitebox import (
     DEFAULT_PENALTY, ModelError, dispatch_solve, match_tsp, parse_model, tsplib_explicit_text,
 )
@@ -220,6 +219,8 @@ def cmd_run(args) -> int:
          for problem in problems for config_id, config in configs for seed in seeds),
         key=lambda t: (t[0].name, t[1], t[3]),
     )
+    import csv
+
     failed = False
     try:
         with open(out_dir / "results.csv", "w", newline="") as fh:
@@ -257,6 +258,10 @@ COMPARE_COLUMNS = ("problem", "config_id", "best_value")
 
 
 def cmd_compare(args) -> int:
+    import csv
+
+    from .stats import interquartile_range, mann_whitney_u, median
+
     try:
         with open(args.results, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -379,14 +384,20 @@ def cmd_solve(args) -> int:
         return EXIT_INPUT_ERROR
     try:
         model = parse_model(Path(args.model).read_text())
+        match = match_tsp(model)
+        audit_path = Path(args.model).with_suffix(".tsplib")
+        # the model itself, by its name, through a link, or in another case
+        # on a file system that ignores case
+        if match is not None and audit_path.exists() and audit_path.samefile(args.model):
+            print(f"error: the audit file {audit_path} would overwrite the model", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         result, _env = dispatch_solve(model, args.budget, env_new(args.seed), penalty=args.penalty)
     except (OSError, UnicodeDecodeError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if result.route == "tsp":
-        audit_path = Path(args.model).with_suffix(".tsplib")
         try:
-            audit_path.write_text(tsplib_explicit_text(match_tsp(model)))
+            audit_path.write_text(tsplib_explicit_text(match))
         except OSError as exc:
             print(f"error: cannot write the audit file: {exc}", file=sys.stderr)
             return EXIT_ENVIRONMENT_ERROR
@@ -405,7 +416,9 @@ def cmd_solve(args) -> int:
 
 
 @functools.cache  # once per process: parsing leaves the parser as it was
-def _parser() -> argparse.ArgumentParser:
+def _parser():
+    import argparse
+
     parser = argparse.ArgumentParser(prog="metafold")
     sub = parser.add_subparsers(dest="command", required=True)
 

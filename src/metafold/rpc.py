@@ -2,11 +2,8 @@
 
 The server constructs the named component per request, threads the
 deserialized Environment through it, and returns the full Environment in
-the response; nothing survives between requests. Each connection is served
-at once on a thread of its own. A thread whose connection is done takes the
-next one from a queue instead of exiting, and a connection that finds no
-idle thread starts a new one. Client proxies are ordinary components, so a
-framework cannot tell local from remote.
+the response; nothing survives between requests. Client proxies are
+ordinary components, so a framework cannot tell local from remote.
 
 The server reads the subset of HTTP/1.x (RFC 9112) that a proxy sends: one
 `POST /rpc` per connection, its body framed by `Content-Length`. It reads
@@ -18,6 +15,11 @@ to a request it did not read to its end (a bare status, or a body that
 `Content-Length` does not frame within MAX_REQUEST_BYTES), it reads and
 discards what the client still sends before closing, within bounds, so
 the client can read the reply.
+
+The HTTP server itself, which serves each connection on a thread of its
+own, is in `_rpc_server`. `serve` loads it on its first call and
+`RpcServer` names its class, so a client that imports this module for its
+proxies loads neither the server nor urllib until it calls.
 """
 
 from __future__ import annotations
@@ -25,13 +27,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import queue
 import re
-import socket
-import socketserver
-import threading
 import time
-from http import HTTPStatus
 from typing import Dict, Optional, Tuple
 
 from .assembly import Registry, UnknownComponentError, unknown_key
@@ -207,9 +204,15 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
 
 
 _REPLY_HEAD = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+# The phrases are http.HTTPStatus's of Python 3.10-3.12, written out so that
+# no client loads the http package for them and the bytes do not vary with
+# the interpreter (3.13 renamed 414 "URI Too Long").
 _BARE = {
-    status: b"HTTP/1.0 %d %s\r\nContent-Length: 0\r\n\r\n" % (status, HTTPStatus(status).phrase.encode())
-    for status in (400, 404, 414, 431, 501)
+    status: b"HTTP/1.0 %d %s\r\nContent-Length: 0\r\n\r\n" % (status, phrase)
+    for status, phrase in (
+        (400, b"Bad Request"), (404, b"Not Found"), (414, b"Request-URI Too Long"),
+        (431, b"Request Header Fields Too Large"), (501, b"Not Implemented"),
+    )
 }
 _VERSION = re.compile(rb"HTTP/1\.[0-9]+")
 _BLANK = (b"\r\n", b"\n")  # a bare LF ends a line too (RFC 9112 §2.2)
@@ -265,114 +268,23 @@ def _answer(registry: Registry, rfile) -> Tuple[Optional[bytes], bool]:
     return _REPLY_HEAD % len(data) + data, not framed
 
 
-def _drain(sock) -> None:
-    """Ends a connection whose request may not have been read to its end:
-    with the reply sent, it reads and discards what the client still sends
-    until the client closes, for at most MAX_DRAIN_BYTES and
-    REQUEST_TIMEOUT_S."""
-    try:
-        sock.shutdown(socket.SHUT_WR)  # the client reads the reply to its end
-    except OSError:  # the client has reset the connection already
-        return
-    deadline = time.monotonic() + REQUEST_TIMEOUT_S
-    left = MAX_DRAIN_BYTES
-    while left > 0:
-        wait = deadline - time.monotonic()
-        if wait <= 0:
-            return
-        sock.settimeout(wait)
-        chunk = sock.recv(min(left, 65536))
-        if not chunk:
-            return
-        left -= len(chunk)
-
-
-class _Server(socketserver.TCPServer):
-    """Serves each connection at once on a thread of its own, so a stalled
-    connection delays no other. A thread whose connection is done waits on
-    one queue for the next instead of exiting; a connection that finds no
-    idle thread starts a new one. `server_close` ends the idle threads and
-    waits for the busy ones."""
-
-    allow_reuse_address = True
-
-    def __init__(self, server_address, registry: Registry):
-        self.registry = registry
-        # set before binding, as a failed bind calls server_close
-        self._idle_lock = threading.Lock()
-        self._idle = 0  # threads that will take a connection off _queue
-        self._queue = queue.SimpleQueue()  # (request, client_address), or None to end a thread
-        self._threads = []
-        super().__init__(server_address, None)
-
-    def process_request(self, request, client_address):
-        connection = (request, client_address)
-        with self._idle_lock:
-            idle = self._idle > 0
-            self._idle -= idle
-        if idle:
-            self._queue.put(connection)
-        else:
-            thread = threading.Thread(target=self._work, args=(connection,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _work(self, connection):
-        """Serves `connection`, then each connection that it takes off the
-        queue, until it takes None."""
-        for request, client_address in itertools.chain([connection], iter(self._queue.get, None)):
-            try:
-                request.settimeout(REQUEST_TIMEOUT_S)  # a read or write past it ends the connection
-                with request.makefile("rb") as rfile:
-                    reply, unread = _answer(self.registry, rfile)
-                if reply is not None:
-                    request.sendall(reply)
-                    if unread:
-                        _drain(request)
-            except (ConnectionError, TimeoutError):  # the client left, or stalled
-                pass
-            except Exception:
-                self.handle_error(request, client_address)
-            # idle before the connection is closed, so a client that reads
-            # to the close finds this thread free for its next one
-            with self._idle_lock:
-                self._idle += 1
-            self.shutdown_request(request)
-
-    def server_close(self):
-        super().server_close()
-        for _ in self._threads:
-            self._queue.put(None)
-        for thread in self._threads:
-            thread.join()
-
-
-class RpcServer:
-    """Background HTTP server hosting a registry at POST /rpc."""
-
-    def __init__(self, registry: Registry, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = _Server((host, port), registry)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}/rpc"
-
-    def serve_forever(self):
-        self._thread.join()
-
-    def close(self):
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join()
-
-
-def serve(registry: Registry, host: str = "127.0.0.1", port: int = 0) -> RpcServer:
+def serve(registry: Registry, host: str = "127.0.0.1", port: int = 0):
+    """A running `RpcServer` hosting `registry` at POST /rpc on `host`:`port`
+    (0 picks a free port)."""
     if not registry.descriptors:
         raise ValueError("registry is empty")
+    from ._rpc_server import RpcServer
+
     return RpcServer(registry, host, port)
+
+
+def __getattr__(name: str):
+    # PEP 562: `RpcServer` loads the server module only when it is named
+    if name == "RpcServer":
+        from ._rpc_server import RpcServer
+
+        return RpcServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _post(endpoint: str, request: dict, read):

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import itemgetter, mul
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from .assembly import unknown_key
+from .assembly import _JSON_TYPES, _json_type, unknown_key
 from .components import accept_improving, perturb_two_opt, terminate_evaluations
 from .env import ComponentContractError, Environment, _advanced, _below, _new
 from .frameworks import FRAMEWORKS
@@ -92,9 +92,12 @@ _INT64 = 1 << 63  # model integers are 64-bit signed, so a domain size fits one 
 
 
 def _shaped(value, shape, path):
-    """`value` if it is a `shape`; raises ModelError naming `path` otherwise."""
+    """`value` if it is a `shape` (list or str); raises ModelError naming
+    `path`, the JSON type wanted and the one `value` has otherwise."""
     if not isinstance(value, shape):
-        raise ModelError(f"{path} must be a {shape.__name__}")
+        want = _JSON_TYPES[shape]
+        article = "an" if want[0] in "aeiou" else "a"
+        raise ModelError(f"{path} must be {article} {want}, got {_json_type(value)}")
     return value
 
 
@@ -130,7 +133,7 @@ def _integer_rows(rows, width: int, path: str) -> Tuple[Tuple[Tuple[int, ...], .
                 return tuple(map(tuple, rows)), low
     for j, row in enumerate(rows):
         if type(row) is not list or len(row) != width or not all(map(_int64, row)):
-            raise ModelError(f"{path}[{j}] must be a list of {width} 64-bit integers")
+            raise ModelError(f"{path}[{j}] must be an array of {width} 64-bit integers")
     raise AssertionError("the row loop names every row the checks above refuse")
 
 

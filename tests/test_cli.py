@@ -455,6 +455,39 @@ class TestSolve:
         assert err.startswith("error:") and "budget" in err
         assert not (tmp_path / "m.tsplib").exists()
 
+    @pytest.mark.parametrize("linked", [False, True], ids=["named .tsplib", "linked from .tsplib"])
+    def test_a_tsp_model_at_its_audit_path_exits_2_before_the_search(
+        self, tmp_path, capsys, monkeypatch, linked
+    ):
+        # the audit would overwrite the model; through a link it would too
+        if linked:
+            model = write_json(tmp_path / "m.json", self.tsp_doc())
+            (tmp_path / "m.tsplib").symlink_to("m.json")
+        else:
+            model = write_json(tmp_path / "m.tsplib", self.tsp_doc())
+        before = (tmp_path / "m.tsplib").read_bytes()
+
+        def search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(cli, "dispatch_solve", search)
+        assert main(["solve", model, "--budget", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the audit file {tmp_path / 'm.tsplib'} would overwrite the model\n"
+        assert (tmp_path / "m.tsplib").read_bytes() == before
+
+    def test_a_generic_model_at_the_audit_path_still_solves(self, tmp_path, capsys):
+        # the generic route writes no audit
+        doc = self.tsp_doc()
+        doc["constraints"].append({"type": "table", "vars": ["x0"], "tuples": [[0]]})
+        model = write_json(tmp_path / "m.tsplib", doc)
+        before = (tmp_path / "m.tsplib").read_bytes()
+        for _ in range(2):
+            assert main(["solve", model, "--budget", "50"]) == 0
+            assert json.loads(capsys.readouterr().out)["route_taken"] == "generic"
+        assert (tmp_path / "m.tsplib").read_bytes() == before
+
 
 class TestServe:
     def test_port_in_use_exit_3(self, capsys):
@@ -1566,4 +1599,4 @@ def weights_with_one_bad_value(draw):
 def test_one_value_no_int64_in_a_table_or_weights_exits_2_naming_its_row(tmp_path, capsys, case):
     doc, where = case
     model = write_json(tmp_path / "m.json", doc)
-    exits_2_naming(capsys, ["solve", model, "--budget", "20"], f"error: {where} must be a list of")
+    exits_2_naming(capsys, ["solve", model, "--budget", "20"], f"error: {where} must be an array of")

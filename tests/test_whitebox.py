@@ -77,15 +77,15 @@ class TestParseModel:
     @pytest.mark.parametrize(
         "weights, message",
         [
-            ("[[0, 1], [1, 0]]", "$.objective.weights must be a list"),
-            ([[0, 1], "10"], "$.objective.weights[1] must be a list of 2 64-bit integers"),
-            ([[0, 1], [1]], "$.objective.weights[1] must be a list of 2 64-bit integers"),
-            ([[0, 1, 2], [1, 0]], "$.objective.weights[0] must be a list of 2 64-bit integers"),
-            ([[0, True], [1, 0]], "$.objective.weights[0] must be a list of 2 64-bit integers"),
-            ([[0, 1], [1.0, 0]], "$.objective.weights[1] must be a list of 2 64-bit integers"),
-            ([[0, 1], [2**63, 0]], "$.objective.weights[1] must be a list of 2 64-bit integers"),
-            ([[0, 1], [0, -(2**63) - 1]], "$.objective.weights[1] must be a list of 2 64-bit integers"),
-            ([[0, None], [{}, 0]], "$.objective.weights[0] must be a list of 2 64-bit integers"),
+            ("[[0, 1], [1, 0]]", "$.objective.weights must be an array, got string"),
+            ([[0, 1], "10"], "$.objective.weights[1] must be an array of 2 64-bit integers"),
+            ([[0, 1], [1]], "$.objective.weights[1] must be an array of 2 64-bit integers"),
+            ([[0, 1, 2], [1, 0]], "$.objective.weights[0] must be an array of 2 64-bit integers"),
+            ([[0, True], [1, 0]], "$.objective.weights[0] must be an array of 2 64-bit integers"),
+            ([[0, 1], [1.0, 0]], "$.objective.weights[1] must be an array of 2 64-bit integers"),
+            ([[0, 1], [2**63, 0]], "$.objective.weights[1] must be an array of 2 64-bit integers"),
+            ([[0, 1], [0, -(2**63) - 1]], "$.objective.weights[1] must be an array of 2 64-bit integers"),
+            ([[0, None], [{}, 0]], "$.objective.weights[0] must be an array of 2 64-bit integers"),
             ([[0, 1]], "weight matrix must be 2x2 at $.objective.weights"),
             ([[0, 1], [1, 0], [0, 0]], "weight matrix must be 2x2 at $.objective.weights"),
             ([[0, 2**63 - 1], [-1, 0]], "negative weight at $.objective.weights"),
@@ -102,11 +102,11 @@ class TestParseModel:
     @pytest.mark.parametrize(
         "tuples, message",
         [
-            ([[1, 2], [3]], "$.constraints[1].tuples[1] must be a list of 2 64-bit integers"),
-            ([[1, 2], [3, False]], "$.constraints[1].tuples[1] must be a list of 2 64-bit integers"),
-            ([[1, "2"], [3, 4]], "$.constraints[1].tuples[0] must be a list of 2 64-bit integers"),
-            ([[1, 2], 5], "$.constraints[1].tuples[1] must be a list of 2 64-bit integers"),
-            ({"a": 1}, "$.constraints[1].tuples must be a list"),
+            ([[1, 2], [3]], "$.constraints[1].tuples[1] must be an array of 2 64-bit integers"),
+            ([[1, 2], [3, False]], "$.constraints[1].tuples[1] must be an array of 2 64-bit integers"),
+            ([[1, "2"], [3, 4]], "$.constraints[1].tuples[0] must be an array of 2 64-bit integers"),
+            ([[1, 2], 5], "$.constraints[1].tuples[1] must be an array of 2 64-bit integers"),
+            ({"a": 1}, "$.constraints[1].tuples must be an array, got object"),
         ],
     )
     def test_a_bad_table_is_named_as_before(self, tuples, message):
