@@ -40,7 +40,7 @@ class InvalidConfigurationError(Exception):
         super().__init__("; ".join(self.violations))
 
 
-_JSON_SHAPES = {dict: "an object", list: "a list", str: "a string"}
+_JSON_SHAPES = {dict: "an object", list: "an array", str: "a string"}
 # JSON's name for each type `json.loads` builds
 _JSON_TYPES = {
     type(None): "null", bool: "boolean", int: "number", float: "number",

@@ -371,6 +371,15 @@ def cmd_serve(args) -> int:
     return EXIT_OK
 
 
+_AUDIT_FIRST_LINE = b"NAME : rewritten"  # of every tsplib_explicit_text that solve writes
+
+
+def _is_audit(path: Path) -> bool:
+    """Whether the file at `path` starts as an audit that solve wrote."""
+    with path.open("rb") as f:
+        return f.readline(64).rstrip(b"\r\n") == _AUDIT_FIRST_LINE
+
+
 def cmd_solve(args) -> int:
     if args.budget <= 0:
         print("error: --budget must be positive", file=sys.stderr)
@@ -390,6 +399,14 @@ def cmd_solve(args) -> int:
         # on a file system that ignores case
         if match is not None and audit_path.exists() and audit_path.samefile(args.model):
             print(f"error: the audit file {audit_path} would overwrite the model", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        # a file of the user's own there, and not an earlier audit; a
+        # directory there fails the write below
+        if match is not None and audit_path.is_file() and not _is_audit(audit_path):
+            print(
+                f"error: the audit file {audit_path} would overwrite a file that is not an audit",
+                file=sys.stderr,
+            )
             return EXIT_INPUT_ERROR
         result, _env = dispatch_solve(model, args.budget, env_new(args.seed), penalty=args.penalty)
     except (OSError, UnicodeDecodeError, ModelError) as exc:

@@ -477,6 +477,36 @@ class TestSolve:
         assert captured.err == f"error: the audit file {tmp_path / 'm.tsplib'} would overwrite the model\n"
         assert (tmp_path / "m.tsplib").read_bytes() == before
 
+    def test_a_foreign_file_at_the_audit_path_exits_2_before_the_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        model = write_json(tmp_path / "m.json", self.tsp_doc())
+        # the user's own tour file, whose first line is not the audit's
+        (tmp_path / "m.tsplib").write_bytes(b"NAME : mine\r\nTYPE : TSP\r\n")
+        before = (tmp_path / "m.tsplib").read_bytes()
+
+        def search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(cli, "dispatch_solve", search)
+        assert main(["solve", model, "--budget", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the audit file {tmp_path / 'm.tsplib'} would overwrite a file that is not an audit\n"
+        )
+        assert (tmp_path / "m.tsplib").read_bytes() == before
+
+    def test_an_earlier_audit_at_the_audit_path_is_overwritten(self, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", self.tsp_doc())
+        assert main(["solve", model, "--budget", "50"]) == 0
+        audit = (tmp_path / "m.tsplib").read_bytes()
+        first = capsys.readouterr().out
+        (tmp_path / "m.tsplib").write_bytes(audit + b"stale\n")
+        assert main(["solve", model, "--budget", "50"]) == 0
+        assert capsys.readouterr().out == first
+        assert (tmp_path / "m.tsplib").read_bytes() == audit
+
     def test_a_generic_model_at_the_audit_path_still_solves(self, tmp_path, capsys):
         # the generic route writes no audit
         doc = self.tsp_doc()
@@ -696,6 +726,13 @@ class TestWrongJsonShapesExit2:
     def test_run_on_a_document_that_is_not_an_object(self, tmp_path, capsys):
         path = write_json(tmp_path / "e.json", [{"problems": []}])
         exits_2_naming(capsys, ["run", path], "experiment must be an object")
+
+    def test_run_names_a_json_array_as_an_array(self, tmp_path, capsys):
+        # the words of a model file's errors, not Python's "list"
+        path = minimal_run(tmp_path, problems={"kind": "onemax", "n": 8})
+        assert main(["run", path]) == 2
+        assert capsys.readouterr().err == "error: problems must be an array, got object\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "grids, where", [([1], "grids"), ({"bitflip": {"k": 3}}, "grids.bitflip.k")]
