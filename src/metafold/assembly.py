@@ -21,7 +21,7 @@ from .components import (
     K_BOUNDS,
     Param,
 )
-from .env import EnvKey, EnvValue, env_new, require_keys, required, unknown_key
+from .env import EnvKey, EnvValue, _ENV_VALUE, env_new, read
 from .frameworks import FRAMEWORKS, Framework, RunResult, terminate_any
 from .problems import ProblemInstance
 
@@ -40,27 +40,17 @@ class InvalidConfigurationError(Exception):
         super().__init__("; ".join(self.violations))
 
 
-_JSON_SHAPES = {dict: "an object", list: "an array", str: "a string"}
-# JSON's name for each type `json.loads` builds
-_JSON_TYPES = {
-    type(None): "null", bool: "boolean", int: "number", float: "number",
-    str: "string", list: "array", dict: "object",
+# A listed configuration, and an initializer entry, as `read` takes them;
+# the parameters that slot and framework_params bind are checked against
+# their Params.
+_SLOT = {"component": "string", "params": ("optional", "object")}
+_CONFIG = {
+    "framework": "string",
+    "slots": ("object of", _SLOT),
+    "initializers": ("optional", "any"),  # read by parse_initializers
+    "framework_params": ("optional", "object"),
 }
-
-
-def _json_type(value) -> str:
-    """JSON's name for the type of `value`; a type JSON has no name for goes
-    by its Python name."""
-    return _JSON_TYPES.get(type(value), type(value).__name__)
-
-
-def require_shape(value, shape: type, where: str):
-    """`value` itself when it is a `shape` (dict, list or str); raises
-    ValueError naming `where` and the JSON type of `value` otherwise.
-    Guards JSON read from files."""
-    if not isinstance(value, shape):
-        raise ValueError(f"{where} must be {_JSON_SHAPES[shape]}, got {_json_type(value)}")
-    return value
+_INITIALIZER = {"key": "string", "value": _ENV_VALUE}
 
 
 @dataclass(frozen=True)
@@ -97,7 +87,7 @@ class Registry:
 def register(reg: Registry, descriptor: ComponentDescriptor, factory, impl: Optional[str] = None) -> Registry:
     key = (descriptor.kind, descriptor.name)
     if key in reg.descriptors:
-        raise RegistrationError(f"duplicate component {key}")
+        raise RegistrationError(f"duplicate component {descriptor.kind} {descriptor.name!r}")
     descriptors = dict(reg.descriptors)
     factories = dict(reg.factories)
     impls = dict(reg.impls)
@@ -149,22 +139,13 @@ class ConfigurationSpec:
     def from_json(obj: dict, where: str = "config") -> "ConfigurationSpec":
         """Raises ValueError naming the path of any part of `obj` whose
         JSON shape is wrong."""
-        known = ("framework", "slots", "initializers", "framework_params")
-        require_keys(require_shape(obj, dict, where), known, where)
-        slots = {}
-        listed = require_shape(required(obj, "slots", where), dict, f"{where}.slots")
-        for slot, entry in listed.items():
-            at = f"{where}.slots.{slot}"
-            require_keys(require_shape(entry, dict, at), ("component", "params"), at)
-            slots[slot] = (
-                require_shape(required(entry, "component", at), str, f"{at}.component"),
-                require_shape(entry.get("params", {}), dict, f"{at}.params"),
-            )
+        read(obj, _CONFIG, where)
+        slots = obj["slots"]
         return ConfigurationSpec.make(
-            require_shape(required(obj, "framework", where), str, f"{where}.framework"),
-            slots,
+            obj["framework"],
+            {slot: (entry["component"], entry.get("params", {})) for slot, entry in slots.items()},
             parse_initializers(obj.get("initializers", []), f"{where}.initializers"),
-            require_shape(obj.get("framework_params", {}), dict, f"{where}.framework_params"),
+            obj.get("framework_params", {}),
         )
 
     def serialize(self) -> str:
@@ -179,16 +160,8 @@ class ConfigurationSpec:
 def parse_initializers(entries, where: str = "initializers") -> Tuple[Tuple[EnvKey, EnvValue], ...]:
     """A JSON list of {"key", "value"} objects as (EnvKey, EnvValue) pairs.
     A key may appear once, so that no value is silently overwritten."""
-    out = []
-    for i, e in enumerate(require_shape(entries, list, where)):
-        at = f"{where}[{i}]"
-        require_keys(require_shape(e, dict, at), ("key", "value"), at)
-        key = EnvKey.parse(require_shape(required(e, "key", at), str, f"{at}.key"))
-        value = require_shape(required(e, "value", at), dict, f"{at}.value")
-        require_keys(value, ("t", "v"), f"{at}.value")
-        for part in ("t", "v"):
-            required(value, part, f"{at}.value")
-        out.append((key, EnvValue.from_json(value)))
+    read(entries, ("array of", _INITIALIZER), where)
+    out = [(EnvKey.parse(e["key"]), EnvValue.from_json(e["value"])) for e in entries]
     repeats = _repeated_keys(out, where)
     if repeats:
         raise ValueError(repeats[0])

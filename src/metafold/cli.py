@@ -27,14 +27,11 @@ from .assembly import (
     enumerate_valid,
     instantiate,
     parse_initializers,
-    require_keys,
-    require_shape,
-    required,
     runs_as,
     validate,
 )
 from .components import Param, terminate_evaluations, terminate_iterations
-from .env import env_new
+from .env import ShapeError, env_new, read, read_variant
 from .frameworks import terminate_any
 from .palette import default_registry, load_registry
 from .problems import ParseError, ProblemInstance
@@ -81,11 +78,32 @@ PROBLEM_KINDS = {
 }
 
 
-# the keys of an experiment file; "workers", from older files, is ignored
-EXPERIMENT_KEYS = (
-    "problems", "registry", "framework", "grids", "initializers", "framework_params",
-    "configs", "seeds", "budget", "trace_stride", "out", "workers",
-)
+# kind -> the shape of its entries, as `read` takes it: "kind" and its
+# fields, a path as a string and any other field read by its Param
+_PROBLEM_SHAPES = {
+    kind: {"kind": "string", **{f.name: "string" if f.type == "path" else "any" for f in fields}}
+    for kind, (_, fields) in PROBLEM_KINDS.items()
+}
+
+# An experiment file. Each problem entry is read by its kind, the seeds by
+# SEED, and the keys configs are made from by `_configs_for`, which
+# `enumerate` shares; "workers", from older files, is ignored.
+_EXPERIMENT = {
+    "problems": "array",
+    "seeds": "array",
+    "out": "string",
+    "registry": ("optional", "string"),
+    "budget": ("optional", "object"),
+    "trace_stride": ("optional", "any"),
+    "workers": ("optional", "any"),
+    "framework": ("optional", "any"),
+    "grids": ("optional", "any"),
+    "initializers": ("optional", "any"),
+    "framework_params": ("optional", "any"),
+    "configs": ("optional", "any"),
+}
+# component -> param -> the values its grid takes
+_GRIDS = ("object of", ("object of", "array"))
 
 # experiment fields that are integers
 SEED = Param("seed", "int", None, min=0, max=2**64 - 1)
@@ -93,28 +111,14 @@ TRACE_STRIDE = Param("trace_stride", "int", None, min=1)
 
 
 def _build_problem(entry: Dict, where: str) -> ProblemInstance:
-    require_shape(entry, dict, where)
-    kind = entry.get("kind")
-    if not isinstance(kind, str) or kind not in PROBLEM_KINDS:
-        raise ValueError(f"unknown problem kind: {kind!r}")
-    ctor, fields = PROBLEM_KINDS[kind]
-    require_keys(entry, ("kind", *(field.name for field in fields)), where)
-    args = []
-    for field in fields:
-        value = required(entry, field.name, where)
-        if field.type == "path":
-            args.append(Path(require_shape(value, str, f"{where}.{field.name}")).read_text())
-        else:
-            args.append(field.checked(where, value))
-    return ctor(*args)
-
-
-def _grids(obj) -> Dict[str, Dict[str, list]]:
-    """Parameter grids read from JSON: component -> param -> list of values."""
-    for name, grid in require_shape(obj, dict, "grids").items():
-        for pname, values in require_shape(grid, dict, f"grids.{name}").items():
-            require_shape(values, list, f"grids.{name}.{pname}")
-    return obj
+    if read_variant(entry, _PROBLEM_SHAPES, "kind", where) is None:
+        raise ValueError(f"unknown problem kind: {entry['kind']!r}")
+    ctor, fields = PROBLEM_KINDS[entry["kind"]]
+    return ctor(*(
+        Path(entry[field.name]).read_text() if field.type == "path"
+        else field.checked(where, entry[field.name])
+        for field in fields
+    ))
 
 
 def _budget_terminate(budget: Dict):
@@ -142,17 +146,17 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
             raise ValueError(f"an experiment with configs cannot have {', '.join(ignored)}")
         configs = [
             ConfigurationSpec.from_json(c, f"configs[{i}]")
-            for i, c in enumerate(require_shape(spec["configs"], list, "configs"))
+            for i, c in enumerate(read(spec["configs"], "array", "configs"))
         ]
+    elif "framework" not in spec:
+        raise ShapeError("missing key 'framework' at experiment")
     else:
         configs = enumerate_valid(
             registry,
-            require_shape(required(spec, "framework", "experiment"), str, "framework"),
-            _grids(spec.get("grids", {})),
+            read(spec["framework"], "string", "framework"),
+            read(spec.get("grids", {}), _GRIDS, "grids"),
             initializers=parse_initializers(spec.get("initializers", [])),
-            framework_params=require_shape(
-                spec.get("framework_params", {}), dict, "framework_params"
-            ),
+            framework_params=read(spec.get("framework_params", {}), "object", "framework_params"),
         )
     numbered = [(f"{i:04d}-{c.content_hash()}", c) for i, c in enumerate(configs)]
     if "configs" in spec:  # enumerate_valid yields valid configurations only
@@ -172,10 +176,9 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
 
 def cmd_run(args) -> int:
     try:
-        spec = require_shape(json.loads(Path(args.experiment).read_text()), dict, "experiment")
-        require_keys(spec, EXPERIMENT_KEYS, "experiment")
-        entries = require_shape(required(spec, "problems", "experiment"), list, "problems")
-        problems = [_build_problem(e, f"problems[{i}]") for i, e in enumerate(entries)]
+        spec = json.loads(Path(args.experiment).read_text())
+        read(spec, _EXPERIMENT, "experiment", "")
+        problems = [_build_problem(e, f"problems[{i}]") for i, e in enumerate(spec["problems"])]
         names = [p.name for p in problems]  # a name keys each row and trace file
         for i, name in enumerate(names):
             if "/" in name or "\0" in name:
@@ -183,8 +186,7 @@ def cmd_run(args) -> int:
             first = names.index(name)
             if first < i:
                 raise ValueError(f"problems[{i}] repeats the name {name!r} of problems[{first}]")
-        seeds = require_shape(required(spec, "seeds", "experiment"), list, "seeds")
-        seeds = [SEED.checked("experiment", s) for s in seeds]
+        seeds = [SEED.checked("experiment", s) for s in spec["seeds"]]
         for i, seed in enumerate(seeds):
             if seeds.index(seed) < i:
                 raise ValueError(f"seeds[{i}] repeats seed {seed}")
@@ -192,17 +194,13 @@ def cmd_run(args) -> int:
             raise ValueError("problems and seeds must be nonempty")
         # only an absent registry or budget takes the default: "registry": ""
         # names no file, and "budget": null is no object
-        registry = (
-            load_registry(require_shape(spec["registry"], str, "registry"))
-            if "registry" in spec
-            else default_registry()
-        )
+        registry = load_registry(spec["registry"]) if "registry" in spec else default_registry()
         configs = _configs_for(spec, registry)
         if not configs:
             raise ValueError("the experiment yields no configuration to run")
-        budget = _budget_terminate(require_shape(spec.get("budget", {}), dict, "budget"))
+        budget = _budget_terminate(spec.get("budget", {}))
         stride = TRACE_STRIDE.checked("experiment", spec.get("trace_stride", 1))
-        out_dir = Path(require_shape(required(spec, "out", "experiment"), str, "out"))
+        out_dir = Path(spec["out"])
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

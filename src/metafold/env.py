@@ -50,22 +50,80 @@ def unknown_key(obj: dict, known) -> Optional[str]:
     return next((key for key in obj if key not in known), None)
 
 
-def require_keys(obj: dict, known, where: str) -> dict:
-    """`obj` itself when each of its keys is `known`; raises ValueError
-    naming `where` and the first key that is not. Closes the objects of
-    JSON read from files or the wire, so a misspelt key is never ignored."""
-    key = unknown_key(obj, known)
-    if key is not None:
-        raise ValueError(f"unknown key {key!r} at {where}")
-    return obj
+# JSON's name for the type of each value `json.loads` builds
+_JSON_TYPES = {
+    type(None): "null", bool: "boolean", int: "number", float: "number",
+    str: "string", list: "array", dict: "object",
+}
 
 
-def required(obj: dict, key: str, where: str):
-    """`obj[key]`; raises ValueError naming `key` and `where` when `obj`
-    lacks it, the other half of `require_keys`."""
-    if key not in obj:
-        raise ValueError(f"missing key {key!r} at {where}")
-    return obj[key]
+class ShapeError(ValueError):
+    """A JSON value from a file or the wire does not have its declared
+    shape; the message names the part at fault by its path."""
+
+
+def read(value, shape, where: str, parts: Optional[str] = None):
+    """`value` itself when it has `shape`; raises ShapeError naming the
+    first part that does not, as `missing key 'k' at W`, `unknown key 'k'
+    at W` or `W must be an object, got array`. A shape is plain data:
+    - "any", for a value that a later check reads;
+    - "object", "array", "string", "integer", "number" or "boolean": a
+      value of that JSON type (a bool is no number);
+    - ("array of", s), an array whose items have shape s, or ("object of",
+      s), an object with any keys whose values have shape s;
+    - a dict, a closed object: it holds each of the dict's keys and no
+      other, each value of its key's shape; a key whose shape is
+      ("optional", s) may be absent.
+    An object's keys are checked before its values, a missing key before
+    an unknown one. `where` names `value`, and `parts` (by default `where`)
+    starts the paths of its parts: `<parts>.key`, `<parts>[i]`, or `key`
+    for a file that names its parts from its top."""
+    if shape == "any":
+        return value
+    if type(shape) is str:
+        got = _JSON_TYPES.get(type(value))
+        if got == shape or shape == "integer" and type(value) is int:
+            return value
+        got = got or type(value).__name__
+        raise ShapeError(f"{where} must be {'an' if shape[0] in 'aio' else 'a'} {shape}, got {got}")
+    at = where if parts is None else parts
+    if type(shape) is dict:
+        if type(value) is not dict:
+            read(value, "object", where)
+        if value.keys() != shape.keys():  # else no key is missing or unknown
+            for key, part in shape.items():
+                if key not in value and (type(part) is not tuple or part[0] != "optional"):
+                    raise ShapeError(f"missing key {key!r} at {where}")
+            if not value.keys() <= shape.keys():
+                raise ShapeError(f"unknown key {unknown_key(value, shape)!r} at {where}")
+        for key, part in shape.items():
+            # a part of the JSON type its shape names is read here, without a call
+            if part != "any" and key in value and _JSON_TYPES.get(type(value[key])) != part:
+                read(value[key], part, f"{at}.{key}" if at else key)
+        return value
+    kind, part = shape
+    if kind == "optional":
+        return read(value, part, where, parts)
+    if kind == "array of":
+        items = enumerate(read(value, "array", where))
+    else:
+        items = read(value, "object", where).items()
+    for step, item in items:
+        if part != "any" and _JSON_TYPES.get(type(item)) != part:
+            read(item, part, f"{at}[{step}]" if kind == "array of" else f"{at}.{step}" if at else step)
+    return value
+
+
+def read_variant(value, shapes: dict, key: str, where: str):
+    """`value`, an object, read against the shape in `shapes` that its
+    `key` names; None, and nothing read past `key`, if it names none."""
+    tag = read(value, "object", where).get(key)
+    shape = shapes.get(tag) if type(tag) is str else None
+    if shape is not None:
+        return read(value, shape, where)
+    if key not in value:
+        raise ShapeError(f"missing key {key!r} at {where}")
+    return None
 
 
 class ConfigurationError(Exception):
@@ -159,21 +217,24 @@ class EnvValue(namedtuple("EnvValue", "tag value")):
     def from_json(obj: dict) -> "EnvValue":
         """The value `to_json` wrote, as its tag's `of_<tag>` builds it. A
         payload whose JSON type does not fit its tag raises ValueError
-        instead of being coerced, and so does a missing key or one that
-        `to_json` does not write."""
-        try:
-            tag, payload = obj["t"], obj["v"]
-        except KeyError:  # name the missing key
-            tag, payload = required(obj, "t", "env entry"), required(obj, "v", "env entry")
-        if len(obj) != 2:  # a key besides these two
-            require_keys(obj, ("t", "v"), "env entry")
+        instead of being coerced, and so does an object not of `_ENV_VALUE`'s
+        shape."""
+        read(obj, _ENV_VALUE, "env entry")
+        tag, payload = obj["t"], obj["v"]
         if tag not in VALUE_TAGS:
             raise ValueError(f"unknown EnvValue tag: {tag!r}")
-        want, read = _PAYLOADS[tag]
-        value = read(payload)
+        want, read_payload = _PAYLOADS[tag]
+        value = read_payload(payload)
         if value is None:
             raise ValueError(f"EnvValue {tag} payload must be {want}")
         return _new(EnvValue, (tag, value))
+
+
+# The wire's shapes, for `read`: an Environment, and an entry or any other
+# Environment value; a payload is read by `_PAYLOADS`, the rng's words by
+# `_is_digest`.
+_ENV_VALUE = {"t": "string", "v": "any"}
+_ENVIRONMENT = {"rng": {"seed": "any", "counter": "any"}, "entries": "object"}
 
 
 def _is_int(x) -> bool:
@@ -298,22 +359,15 @@ class Environment(namedtuple("Environment", "entries rng")):
     def from_json(obj: dict) -> "Environment":
         """The Environment `to_json` wrote. The rng seed and counter must
         each be an integer or a decimal string in [0, 2^64); anything else
-        raises ValueError instead of being coerced, and so does a missing
-        key or one that `to_json` does not write."""
-        try:
-            rng, entries = obj["rng"], obj["entries"]
-            seed, counter = rng["seed"], rng["counter"]
-        except KeyError:  # name the missing key
-            rng, entries = required(obj, "rng", "env"), required(obj, "entries", "env")
-            seed, counter = required(rng, "seed", "env.rng"), required(rng, "counter", "env.rng")
-        if len(obj) != 2 or len(rng) != 2:  # a key besides these two
-            require_keys(obj, ("rng", "entries"), "env")
-            require_keys(rng, ("seed", "counter"), "env.rng")
+        raises ValueError instead of being coerced, and so does an object
+        not of `_ENVIRONMENT`'s shape."""
+        rng = read(obj, _ENVIRONMENT, "env")["rng"]
+        seed, counter = rng["seed"], rng["counter"]
         if not (_is_digest(seed) and _is_digest(counter)):
             raise ValueError(
                 "rng seed and counter must be integers or decimal strings in [0, 2^64)"
             )
-        entries = {EnvKey.parse(k): EnvValue.from_json(v) for k, v in entries.items()}
+        entries = {EnvKey.parse(k): EnvValue.from_json(v) for k, v in obj["entries"].items()}
         return Environment(entries, RngState(int(seed), int(counter)))
 
     @staticmethod

@@ -12,8 +12,9 @@ import json
 from typing import Dict
 
 from . import components as c
-from .assembly import Registry, _check_bounds, register, require_keys, require_shape, required
+from .assembly import Registry, RegistrationError, _check_bounds, register
 from .components import Component
+from .env import read
 
 # impl name -> constructor; kind, parameters and defaults are what the
 # constructor, called with no arguments, declares
@@ -28,10 +29,8 @@ BUILTIN_IMPLS = {
 
 
 def add_builtin(reg: Registry, impl: str, name: str = None, defaults: Dict = None) -> Registry:
-    """Register a built-in implementation under `name` with default params;
-    raises ValueError naming each default its declared Params reject."""
-    if impl not in BUILTIN_IMPLS:
-        raise KeyError(f"unknown built-in implementation {impl!r}")
+    """Register the built-in implementation `impl` under `name` with default
+    params; raises ValueError naming each default its declared Params reject."""
     ctor = BUILTIN_IMPLS[impl]
     name = name or impl
     declared = ctor().descriptor.params
@@ -69,17 +68,23 @@ def registry_to_json(reg: Registry) -> dict:
     return {"components": out}
 
 
+# A registry file, as `read` takes it: each entry binds a name, by default
+# its implementation's, to a built-in implementation with default params.
+_REGISTRY_FILE = {"components": ("array of", {
+    "impl": "string", "name": ("optional", "string"), "defaults": ("optional", "object"),
+})}
+
+
 def registry_from_json(obj: dict) -> Registry:
     reg = Registry()
-    require_keys(require_shape(obj, dict, "registry"), ("components",), "registry")
-    entries = require_shape(required(obj, "components", "registry"), list, "components")
-    for i, entry in enumerate(entries):
-        at = f"components[{i}]"
-        require_keys(require_shape(entry, dict, at), ("name", "impl", "defaults"), at)
-        impl = require_shape(required(entry, "impl", at), str, f"{at}.impl")
-        name = require_shape(entry.get("name", impl), str, f"{at}.name")
-        defaults = require_shape(entry.get("defaults", {}), dict, f"{at}.defaults")
-        reg = add_builtin(reg, impl, name, defaults)
+    for i, entry in enumerate(read(obj, _REGISTRY_FILE, "registry", "")["components"]):
+        impl = entry["impl"]
+        if impl not in BUILTIN_IMPLS:
+            raise ValueError(f"components[{i}].impl: unknown built-in implementation {impl!r}")
+        try:
+            reg = add_builtin(reg, impl, entry.get("name", impl), entry.get("defaults", {}))
+        except RegistrationError as exc:
+            raise RegistrationError(f"components[{i}]: {exc}") from None
     return reg
 
 

@@ -31,9 +31,9 @@ import re
 import time
 from typing import Dict, Optional, Tuple
 
-from .assembly import Registry, UnknownComponentError, unknown_key
+from .assembly import Registry, UnknownComponentError
 from .components import Component, ComponentDescriptor
-from .env import Environment, required
+from .env import Environment, read, unknown_key
 from .solutions import solution_from_json, solution_to_json
 
 ERR_PARSE = -32700
@@ -89,35 +89,25 @@ def _loads(body: bytes):
 
 
 def _pair_from_json(obj):
+    if len(obj) != 2:
+        raise ValueError(f"params.solutions must hold two solutions, not {len(obj)}")
     incumbent, incoming = obj
     return solution_from_json(incumbent), solution_from_json(incoming)
-
-
-# A reply's value must be a JSON number and its flag a JSON boolean; no
-# other JSON type is read as one.
-def _number_from_json(obj) -> float:
-    if type(obj) not in (int, float):  # a bool is an int, but no JSON number
-        raise TypeError(f"value must be a number, not {obj!r}")
-    return float(obj)
-
-
-def _bool_from_json(obj) -> bool:
-    if type(obj) is not bool:
-        raise TypeError(f"flag must be a boolean, not {obj!r}")
-    return obj
 
 
 # The wire table. Each component method is named after the component kind
 # it calls and maps to its request field and its reply field, each given as
 # (name, to JSON, from JSON). A request's params are {"component",
 # "params", "env", <request field>}; its result is {"env", <reply field>}.
+# A reply's value must be a JSON number and its flag a JSON boolean; no
+# other JSON type is read as one.
 _SOLUTION = ("solution", solution_to_json, solution_from_json)
 _PAIR = ("solutions", lambda pair: [solution_to_json(s) for s in pair], _pair_from_json)
 _METHODS = {
     "perturb": (_SOLUTION, _SOLUTION),
     "accept": (_PAIR, _SOLUTION),
-    "evaluate": (_SOLUTION, ("value", float, _number_from_json)),
-    "terminate": (_SOLUTION, ("flag", bool, _bool_from_json)),
+    "evaluate": (_SOLUTION, ("value", float, lambda obj: float(read(obj, "number", "value")))),
+    "terminate": (_SOLUTION, ("flag", bool, lambda obj: read(obj, "boolean", "flag"))),
 }
 
 
@@ -139,11 +129,21 @@ def _result(req_id, payload):
     return {"jsonrpc": "2.0", "id": req_id, "result": payload}
 
 
-# The members a request may hold; any other is refused, as is a component
-# method's params member that is not in `_METHOD_PARAMS` or the method's
-# request field, so a misspelt key is never ignored.
+# The members a request may hold; any other is refused, as is a member of a
+# component method's params that its shape in `_PARAMS` lacks, so a
+# misspelt key is never ignored.
 _REQUEST_MEMBERS = frozenset(("jsonrpc", "id", "method", "params"))
-_METHOD_PARAMS = frozenset(("component", "params", "env"))
+# method -> the shape of its params, as `read` takes it; the env is read by
+# Environment.from_json, a solution's payload by its representation, and
+# the component's params by its Params
+_SOLUTION_SHAPE = {"t": "string", "v": "any"}
+_CALL = {"component": "string", "params": ("optional", "object"), "env": "any"}
+_PARAMS = {
+    "perturb": {**_CALL, "solution": _SOLUTION_SHAPE},
+    "accept": {**_CALL, "solutions": ("array of", _SOLUTION_SHAPE)},
+    "evaluate": {**_CALL, "solution": _SOLUTION_SHAPE},
+    "terminate": {**_CALL, "solution": _SOLUTION_SHAPE},
+}
 
 
 def handle_rpc(registry: Registry, body: bytes) -> dict:
@@ -173,18 +173,17 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
     if not isinstance(method, str) or method not in _METHODS:
         return _error(req_id, ERR_INVALID_REQUEST, f"unknown method {method!r}")
     (in_name, _, decode_in), (out_name, encode_out, _) = _METHODS[method]
-    params = request.get("params")
-    if not isinstance(params, dict):
-        return _error(req_id, ERR_INVALID_PARAMS, "params must be an object")
-    unknown = unknown_key(params, _METHOD_PARAMS | {in_name})
+    params, shape = request.get("params"), _PARAMS[method]
+    unknown = unknown_key(params, shape) if type(params) is dict else None
     if unknown is not None:
         return _error(req_id, ERR_INVALID_PARAMS, f"unknown params member {unknown!r}")
-    name = params.get("component")
     try:
-        env = Environment.from_json(required(params, "env", "params"))
-        payload = decode_in(required(params, in_name, "params"))
+        read(params, shape, "params")
+        env = Environment.from_json(params["env"])
+        payload = decode_in(params[in_name])
     except Exception as exc:
         return _error(req_id, ERR_INVALID_PARAMS, f"malformed params: {exc}")
+    name = params["component"]
     try:
         component = registry.build(method, name, params.get("params", {}))
     except UnknownComponentError as exc:
@@ -287,8 +286,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _post(endpoint: str, request: dict, read):
-    """`read` of the result of `request` at `endpoint`. Raises RemoteUnavailableError
+def _post(endpoint: str, request: dict, decode):
+    """`decode` of the result of `request` at `endpoint`. Raises RemoteUnavailableError
     if it cannot be reached, RemoteProtocolError for an error or unreadable reply."""
     import urllib.error  # here: it and urllib.request bring in http.client and ssl
     import urllib.request
@@ -310,9 +309,9 @@ def _post(endpoint: str, request: dict, read):
     try:
         response = _loads(body)
         if "error" not in response:
-            return read(response["result"])
+            return decode(response["result"])
         code, message = response["error"]["code"], response["error"]["message"]
-    except Exception as exc:  # not JSON, not a response object, not a result `read` takes
+    except Exception as exc:  # not JSON, not a response object, not a result `decode` takes
         raise RemoteProtocolError(ERR_BAD_REPLY, f"{endpoint}: unreadable reply: {exc!r}") from exc
     raise RemoteProtocolError(code, message)
 
@@ -331,14 +330,14 @@ def _remote(endpoint: str, method: str, name: str, params: Optional[Dict]) -> Co
     bindings = dict(params or {})
     (in_name, encode_in, _), (out_name, _, decode_out) = _METHODS[method]
 
-    def read(result):
+    def decode(result):
         return decode_out(result[out_name]), Environment.from_json(result["env"])
 
     def step(payload, env):
         req_params = {"component": name, "params": bindings, "env": env.to_json()}
         req_params[in_name] = encode_in(payload)
         request = {"jsonrpc": "2.0", "id": next(ids), "method": method, "params": req_params}
-        return _post(endpoint, request, read)
+        return _post(endpoint, request, decode)
 
     return Component(descriptor, step)
 

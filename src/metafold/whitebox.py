@@ -16,9 +16,10 @@ from itertools import chain
 from operator import itemgetter, mul
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from .assembly import _JSON_TYPES, _json_type, unknown_key
 from .components import accept_improving, perturb_two_opt, terminate_evaluations
-from .env import ComponentContractError, Environment, _advanced, _below, _new
+from .env import (
+    ComponentContractError, Environment, ShapeError, _advanced, _below, _new, read, read_variant,
+)
 from .frameworks import FRAMEWORKS
 from .problems import ProblemInstance, problem_instance
 from .solutions import Permutation, _child
@@ -91,29 +92,6 @@ class ModelDescription:
 _INT64 = 1 << 63  # model integers are 64-bit signed, so a domain size fits one RNG draw
 
 
-def _shaped(value, shape, path):
-    """`value` if it is a `shape` (list or str); raises ModelError naming
-    `path`, the JSON type wanted and the one `value` has otherwise."""
-    if not isinstance(value, shape):
-        want = _JSON_TYPES[shape]
-        article = "an" if want[0] in "aeiou" else "a"
-        raise ModelError(f"{path} must be {article} {want}, got {_json_type(value)}")
-    return value
-
-
-def _expect(obj, key, path, shape=None):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ModelError(f"missing {path}.{key}")
-    return obj[key] if shape is None else _shaped(obj[key], shape, f"{path}.{key}")
-
-
-def _closed(obj: dict, known: Tuple[str, ...], path: str) -> None:
-    """Raises ModelError naming the first key of `obj` that is not `known`."""
-    key = unknown_key(obj, known)
-    if key is not None:
-        raise ModelError(f"unknown key {key!r} at {path}")
-
-
 def _int64(x) -> bool:
     return type(x) is int and -_INT64 <= x < _INT64  # a bool is not an int here
 
@@ -122,7 +100,6 @@ def _integer_rows(rows, width: int, path: str) -> Tuple[Tuple[Tuple[int, ...], .
     """`rows`, a list of lists of `width` 64-bit integers, as tuples, and
     the least of their entries (0 if there are none); raises ModelError
     naming the first row that is not one."""
-    rows = _shaped(rows, list, path)
     # The checks run at C level over all rows at once; the row loop below
     # runs only to name the first bad row.
     if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
@@ -137,6 +114,25 @@ def _integer_rows(rows, width: int, path: str) -> Tuple[Tuple[Tuple[int, ...], .
     raise AssertionError("the row loop names every row the checks above refuse")
 
 
+# A model file, as `read` takes it. A constraint's or an objective's shape
+# is the one its "type" names. Domain bounds and coefficients are read by
+# value checks, and the rows of tables and weights by `_integer_rows`.
+_VARS = ("array of", "string")
+_MODEL = {
+    "variables": ("array of", {"name": "string", "lo": "any", "hi": "any"}),
+    "constraints": ("optional", "array"),
+    "objective": ("optional", "any"),
+}
+_CONSTRAINTS = {
+    "all_different": {"type": "string", "vars": _VARS},
+    "table": {"type": "string", "vars": _VARS, "tuples": "array"},
+}
+_OBJECTIVES = {
+    "circuit_sum": {"type": "string", "vars": _VARS, "weights": "array"},
+    "linear_sum": {"type": "string", "vars": _VARS, "coeffs": "array"},
+}
+
+
 def parse_model(text: str) -> ModelDescription:
     """The model that `text` describes; raises ModelError naming the JSON
     path of the first part that breaks the schema."""
@@ -144,13 +140,18 @@ def parse_model(text: str) -> ModelDescription:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: also ints too long to read
         raise ModelError(f"not valid JSON: {exc}") from exc
+    try:
+        return _model(doc)
+    except ShapeError as exc:
+        raise ModelError(str(exc)) from None
+
+
+def _model(doc) -> ModelDescription:
+    """The model of `doc`, a JSON value; raises ShapeError or ModelError."""
     declared = {}
-    for i, v in enumerate(_expect(doc, "variables", "$", list)):
+    for i, v in enumerate(read(doc, _MODEL, "$")["variables"]):
         path = f"$.variables[{i}]"
-        name = _expect(v, "name", path, str)
-        _closed(v, ("name", "lo", "hi"), path)
-        lo = _expect(v, "lo", path)
-        hi = _expect(v, "hi", path)
+        name, lo, hi = v["name"], v["lo"], v["hi"]
         if not _int64(lo) or not _int64(hi) or lo > hi:
             raise ModelError(f"bad domain at {path}: want 64-bit integers lo <= hi")
         if name in declared:
@@ -158,49 +159,44 @@ def parse_model(text: str) -> ModelDescription:
         declared[name] = Variable(name, lo, hi)
     if not declared:
         raise ModelError("$.variables must not be empty")
-    _closed(doc, ("variables", "constraints", "objective"), "$")
     variables = tuple(declared.values())
 
     def read_vars(obj, path):
-        vs = tuple(_expect(obj, "vars", path, list))
+        vs = tuple(obj["vars"])
         for vn in vs:
-            if not isinstance(vn, str) or vn not in declared:
+            if vn not in declared:
                 raise ModelError(f"dangling variable reference {vn!r} at {path}")
         return vs
 
     constraints = []
-    for i, con in enumerate(_shaped(doc.get("constraints", []), list, "$.constraints")):
+    for i, con in enumerate(doc.get("constraints", [])):
         path = f"$.constraints[{i}]"
-        ctype = _expect(con, "type", path)
+        if read_variant(con, _CONSTRAINTS, "type", path) is None:
+            raise ModelError(f"unknown constraint type {con['type']!r} at {path}")
         vs = read_vars(con, path)
-        if ctype == "all_different":
-            _closed(con, ("type", "vars"), path)
+        if con["type"] == "all_different":
             constraints.append(Constraint("all_different", vs))
-        elif ctype == "table":
-            _closed(con, ("type", "vars", "tuples"), path)
-            rows, _ = _integer_rows(_expect(con, "tuples", path), len(vs), f"{path}.tuples")
-            constraints.append(Constraint("table", vs, rows))
         else:
-            raise ModelError(f"unknown constraint type {ctype!r} at {path}")
+            rows, _ = _integer_rows(con["tuples"], len(vs), f"{path}.tuples")
+            constraints.append(Constraint("table", vs, rows))
 
     objective = None
     raw_obj = doc.get("objective")
     if raw_obj is not None:
         path = "$.objective"
-        otype = _expect(raw_obj, "type", path)
+        if read_variant(raw_obj, _OBJECTIVES, "type", path) is None:
+            raise ModelError(f"unknown objective type {raw_obj['type']!r} at {path}")
         vs = read_vars(raw_obj, path)
         n = len(vs)
-        if otype == "circuit_sum":
-            _closed(raw_obj, ("type", "vars", "weights"), path)
-            weights, lowest = _integer_rows(_expect(raw_obj, "weights", path), n, f"{path}.weights")
+        if raw_obj["type"] == "circuit_sum":
+            weights, lowest = _integer_rows(raw_obj["weights"], n, f"{path}.weights")
             if len(weights) != n:
                 raise ModelError(f"weight matrix must be {n}x{n} at {path}.weights")
             if lowest < 0:
                 raise ModelError(f"negative weight at {path}.weights")
             objective = Objective("circuit_sum", vs, weights)
-        elif otype == "linear_sum":
-            _closed(raw_obj, ("type", "vars", "coeffs"), path)
-            coeffs = _expect(raw_obj, "coeffs", path, list)
+        else:
+            coeffs = raw_obj["coeffs"]
             if len(coeffs) != n:
                 raise ModelError(f"coeffs/vars length mismatch at {path}")
             for k, x in enumerate(coeffs):
@@ -215,8 +211,6 @@ def parse_model(text: str) -> ModelDescription:
             if sum(abs(c) / limit * r for c, r in zip(coeffs, reach)) > 1:
                 raise ModelError(f"{path}: linear_sum may exceed {limit:g} in magnitude")
             objective = Objective("linear_sum", vs, coeffs=coeffs)
-        else:
-            raise ModelError(f"unknown objective type {otype!r} at {path}")
     return ModelDescription(variables, tuple(constraints), objective)
 
 
@@ -230,34 +224,6 @@ def _check_circuit_domains(model: ModelDescription) -> None:
             v = model.variable(vn)
             if v.lo < 0 or v.hi >= len(obj.vars):
                 raise ModelError(f"domain of {vn!r} exceeds the rows of $.objective.weights")
-
-
-def serialize_model(model: ModelDescription) -> str:
-    doc = {
-        "variables": [{"name": v.name, "lo": v.lo, "hi": v.hi} for v in model.variables],
-        "constraints": [
-            {"type": c.type, "vars": list(c.vars)}
-            if c.type == "all_different"
-            else {"type": "table", "vars": list(c.vars), "tuples": [list(t) for t in c.tuples]}
-            for c in model.constraints
-        ],
-        "objective": None,
-    }
-    if model.objective is not None:
-        o = model.objective
-        if o.type == "circuit_sum":
-            doc["objective"] = {
-                "type": "circuit_sum",
-                "vars": list(o.vars),
-                "weights": [list(row) for row in o.weights],
-            }
-        else:
-            doc["objective"] = {
-                "type": "linear_sum",
-                "vars": list(o.vars),
-                "coeffs": list(o.coeffs),
-            }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

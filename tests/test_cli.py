@@ -777,6 +777,19 @@ class TestProblemTable:
     def test_bad_fields_exit_2(self, tmp_path, capsys, entry, message):
         exits_2_naming(capsys, ["run", minimal_run(tmp_path, problems=[entry])], message)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"n": 8}, "missing key 'kind' at problems[0]"),
+            (["onemax", 8], "problems[0] must be an object, got array"),
+            ({"kind": "dimacs", "path": ["f.cnf"]}, "problems[0].path must be a string, got array"),
+            ({"kind": "onemax", "n": 8, "size": 9}, "unknown key 'size' at problems[0]"),
+        ],
+    )
+    def test_a_bad_entry_is_named_exactly(self, tmp_path, capsys, entry, message):
+        assert main(["run", minimal_run(tmp_path, problems=[entry])]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_sphere_whose_span_overflows_exits_2(self, tmp_path, capsys):
         # hi - lo is inf, so every start the sampler drew would be inf
         entry = {"kind": "sphere", "d": 2, "lo": -1e308, "hi": 1e308}
@@ -851,6 +864,23 @@ class TestRegistrationErrorsExit2:
         exits_2_naming(capsys, ["enumerate", reg, "--framework", "local_search"], message)
         exits_2_naming(capsys, ["run", minimal_run(tmp_path, registry=reg)], message)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"components": [{"impl": "flip"}]}, "components[0].impl: unknown built-in implementation 'flip'"),
+            (DUPLICATE, "components[1]: duplicate component perturb 'bitflip'"),
+            ({"components": [{"impl": "bitflip", "name": "a"}, {"impl": "swap", "name": "a"}]},
+             "components[1]: duplicate component perturb 'a'"),
+        ],
+    )
+    def test_a_bad_entry_is_named_by_its_path(self, tmp_path, capsys, doc, message):
+        reg = write_json(tmp_path / "registry.json", doc)
+        for argv in (["enumerate", reg, "--framework", "local_search"],
+                     ["run", minimal_run(tmp_path, registry=reg)],
+                     ["serve", "--port", "0", "--registry", reg]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_serve_duplicate(self, tmp_path, capsys):
         reg = write_json(tmp_path / "registry.json", self.DUPLICATE)
@@ -932,6 +962,19 @@ class TestSolveModelBoundary:
     def test_malformed_model_exits_2_naming_its_path(self, tmp_path, capsys, doc, where):
         model = write_json(tmp_path / "m.json", doc)
         exits_2_naming(capsys, ["solve", model, "--budget", "50"], where)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "$ must be an object, got array"),
+            ({"variables": [5]}, "$.variables[0] must be an object, got number"),
+            ({"variables": [{"lo": 0, "hi": 1}]}, "missing key 'name' at $.variables[0]"),
+        ],
+    )
+    def test_a_model_of_the_wrong_shape_exits_2_with_the_readers_words(self, tmp_path, capsys, doc, message):
+        model = write_json(tmp_path / "m.json", doc)
+        assert main(["solve", model, "--budget", "50"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "doc, where, key",

@@ -335,6 +335,56 @@ def test_an_unknown_key_is_named_in_its_error(request_, code, message):
     assert RAN == []
 
 
+def with_params(name, **changes):
+    """VALID[name] with its params changed: a value of None drops the key."""
+    params = {**VALID[name]["params"], **changes}
+    return {**VALID[name], "params": {k: v for k, v in params.items() if v is not None}}
+
+
+GOOD_RNG = GOOD_ENV["rng"]
+
+
+@pytest.mark.parametrize(
+    "request_, message",
+    [
+        (with_params("bitflip", component=None), "missing key 'component' at params"),
+        (with_params("bitflip", component=5), "params.component must be a string, got number"),
+        (with_params("bitflip", component=["bitflip"]), "params.component must be a string, got array"),
+        (with_params("bitflip", params=[1]), "params.params must be an object, got array"),
+        (with_params("bitflip", params="k=1"), "params.params must be an object, got string"),
+        (with_params("bitflip", env=[]), "env must be an object, got array"),
+        (with_params("bitflip", env={"rng": [], "entries": {}}), "env.rng must be an object, got array"),
+        (with_params("bitflip", env={"rng": GOOD_RNG, "entries": []}),
+         "env.entries must be an object, got array"),
+        (with_params("bitflip", env={"rng": GOOD_RNG, "entries": {"a.b": 3}}),
+         "env entry must be an object, got number"),
+        (with_params("bitflip", solution=[0, 1]), "params.solution must be an object, got array"),
+        (with_params("bitflip", solution={**GOOD_SOLUTION, "x": 1}), "unknown key 'x' at params.solution"),
+        (with_params("bitflip", solution={"v": "01"}), "missing key 't' at params.solution"),
+        (with_params("bitflip", solution={"t": 5, "v": "01"}), "params.solution.t must be a string, got number"),
+        (with_params("tabu", solutions=GOOD_SOLUTION), "params.solutions must be an array, got object"),
+        (with_params("tabu", solutions=[GOOD_SOLUTION]), "params.solutions must hold two solutions, not 1"),
+        (with_params("tabu", solutions=[GOOD_SOLUTION] * 3), "params.solutions must hold two solutions, not 3"),
+        (with_params("tabu", solutions=[GOOD_SOLUTION, None]), "params.solutions[1] must be an object, got null"),
+        ({**VALID["bitflip"], "params": [1]}, "params must be an object, got array"),
+        ({k: v for k, v in VALID["bitflip"].items() if k != "params"}, "params must be an object, got null"),
+    ],
+    ids=[
+        "no-component", "component-number", "component-array", "component-params-array",
+        "component-params-string", "env-array", "rng-array", "entries-array", "entry-number",
+        "solution-array", "solution-extra-key", "solution-no-tag", "solution-tag-number",
+        "solutions-object", "one-solution", "three-solutions", "solution-null", "params-array", "no-params",
+    ],
+)
+def test_a_malformed_params_member_is_named_by_its_path(request_, message):
+    RAN.clear()
+    response = handle_rpc(RECORDING, json.dumps(request_).encode())
+    assert response == {"jsonrpc": "2.0", "id": request_["id"], "error": {
+        "code": ERR_INVALID_PARAMS, "message": f"malformed params: {message}",
+    }}
+    assert RAN == []
+
+
 @pytest.mark.parametrize("params", [{}, []])
 def test_describe_with_empty_params_describes(params):
     response = handle_rpc(REGISTRY, json.dumps({**VALID["describe"], "params": params}).encode())
