@@ -36,7 +36,8 @@ from .frameworks import terminate_any
 from .palette import default_registry, load_registry
 from .problems import ParseError, ProblemInstance
 from .whitebox import (
-    DEFAULT_PENALTY, ModelError, dispatch_solve, match_tsp, parse_model, tsplib_explicit_text,
+    AUDIT_FIRST_LINE, DEFAULT_PENALTY, ModelError, dispatch_solve, match_tsp, parse_model,
+    tsplib_explicit_text,
 )
 
 EXIT_OK = 0
@@ -369,13 +370,10 @@ def cmd_serve(args) -> int:
     return EXIT_OK
 
 
-_AUDIT_FIRST_LINE = b"NAME : rewritten"  # of every tsplib_explicit_text that solve writes
-
-
 def _is_audit(path: Path) -> bool:
     """Whether the file at `path` starts as an audit that solve wrote."""
     with path.open("rb") as f:
-        return f.readline(64).rstrip(b"\r\n") == _AUDIT_FIRST_LINE
+        return f.readline(64).rstrip(b"\r\n") == AUDIT_FIRST_LINE.encode("ascii")
 
 
 def cmd_solve(args) -> int:

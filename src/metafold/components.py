@@ -24,6 +24,7 @@ from .env import (
     _advanced,
     _below,
     _new,
+    read,
     rng_uniform,
 )
 from .solutions import (
@@ -53,6 +54,12 @@ KINDS = ("perturb", "accept", "terminate", "evaluate")
 
 
 PARAM_TYPES = {"int": int, "real": float}  # Param.type -> the type values are coerced to
+# What a Param's and a descriptor's `to_json` write, as `read` takes it;
+# Param.from_json reads a type and bounds, the constructor a kind and keys.
+_PARAM = {"name": "string", "type": "string", "default": "number", "min": "any", "max": "any",
+          "min_exclusive": "boolean"}
+_DESCRIPTOR = {"name": "string", "kind": "string", "params": ("array of", _PARAM),
+               "requires": ("array of", "string"), "provides": ("array of", "string")}
 
 
 @dataclass(frozen=True)
@@ -82,17 +89,28 @@ class Param:
 
     def checked(self, who: str, value):
         """`value` as this parameter's type; raises ValueError naming what
-        is wrong with it otherwise."""
+        is wrong with it, or with the type, otherwise."""
+        convert = PARAM_TYPES.get(self.type)
+        if convert is None:
+            raise ValueError(f"{who}.{self.name}: unknown param type {self.type!r}")
         problem = self.violation(who, value)
         if problem is not None:
             raise ValueError(problem)
-        return PARAM_TYPES[self.type](value)
+        return convert(value)
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @staticmethod
-    def from_json(obj: dict) -> "Param":
+    def from_json(obj: dict, where: str = "param") -> "Param":
+        """The Param `to_json` wrote; raises ValueError naming the part at
+        fault by its path from `where`."""
+        read(obj, _PARAM, where)
+        if obj["type"] not in PARAM_TYPES:
+            raise ValueError(f"{where}.type must be one of {', '.join(PARAM_TYPES)}, got {obj['type']!r}")
+        for bound in ("min", "max"):  # each a number or null
+            if obj[bound] is not None:
+                read(obj[bound], "number", f"{where}.{bound}")
         return Param(**obj)
 
 
@@ -122,11 +140,14 @@ class ComponentDescriptor:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "ComponentDescriptor":
+    def from_json(obj: dict, where: str = "descriptor") -> "ComponentDescriptor":
+        """The descriptor `to_json` wrote; raises ValueError, naming a part
+        of the wrong shape by its path from `where`."""
+        read(obj, _DESCRIPTOR, where)
         return ComponentDescriptor(
             name=obj["name"],
             kind=obj["kind"],
-            params=tuple(Param.from_json(p) for p in obj["params"]),
+            params=tuple(Param.from_json(p, f"{where}.params[{i}]") for i, p in enumerate(obj["params"])),
             requires=frozenset(EnvKey.parse(k) for k in obj["requires"]),
             provides=frozenset(EnvKey.parse(k) for k in obj["provides"]),
         )

@@ -1,8 +1,8 @@
-"""Built-in component palette and registry (de)serialization.
+"""Built-in component palette and the registry file reader.
 
 A registry file lists named components, each bound to one of the built-in
 implementations with optional default parameter overrides; descriptors are
-regenerated on load, so serialization round-trips.
+regenerated from the implementations on load.
 """
 
 from __future__ import annotations
@@ -52,20 +52,6 @@ def default_registry() -> Registry:
     for impl in BUILTIN_IMPLS:
         reg = add_builtin(reg, impl)
     return reg
-
-
-def registry_to_json(reg: Registry) -> dict:
-    out = []
-    for (kind, name), desc in sorted(reg.descriptors.items()):
-        impl = reg.impls.get((kind, name), name)
-        out.append(
-            {
-                "name": name,
-                "impl": impl,
-                "defaults": {p.name: p.default for p in desc.params},
-            }
-        )
-    return {"components": out}
 
 
 # A registry file, as `read` takes it: each entry binds a name, by default

@@ -32,9 +32,9 @@ import time
 from typing import Dict, Optional, Tuple
 
 from .assembly import Registry, UnknownComponentError
-from .components import Component, ComponentDescriptor
-from .env import Environment, read, unknown_key
-from .solutions import solution_from_json, solution_to_json
+from .components import _DESCRIPTOR, Component, ComponentDescriptor
+from .env import Environment, ShapeError, read, unknown_key
+from .solutions import _SOLUTION_SHAPE, SolutionFormatError, solution_from_json, solution_to_json
 
 ERR_PARSE = -32700
 ERR_INVALID_REQUEST = -32600
@@ -97,17 +97,28 @@ def _pair_from_json(obj):
 
 # The wire table. Each component method is named after the component kind
 # it calls and maps to its request field and its reply field, each given as
-# (name, to JSON, from JSON). A request's params are {"component",
-# "params", "env", <request field>}; its result is {"env", <reply field>}.
-# A reply's value must be a JSON number and its flag a JSON boolean; no
-# other JSON type is read as one.
-_SOLUTION = ("solution", solution_to_json, solution_from_json)
-_PAIR = ("solutions", lambda pair: [solution_to_json(s) for s in pair], _pair_from_json)
+# (name, shape, to JSON, from JSON), the shape as `read` takes it. A
+# request's params are {"component", "params", "env", <request field>}; its
+# result is {"env", <reply field>}. A reply's value must be a JSON number
+# and its flag a JSON boolean; no other JSON type is read as one.
+_SOLUTION = ("solution", _SOLUTION_SHAPE, solution_to_json, solution_from_json)
+_PAIR = ("solutions", ("array of", _SOLUTION_SHAPE),
+         lambda pair: list(map(solution_to_json, pair)), _pair_from_json)
 _METHODS = {
     "perturb": (_SOLUTION, _SOLUTION),
     "accept": (_PAIR, _SOLUTION),
-    "evaluate": (_SOLUTION, ("value", float, lambda obj: float(read(obj, "number", "value")))),
-    "terminate": (_SOLUTION, ("flag", bool, lambda obj: read(obj, "boolean", "flag"))),
+    "evaluate": (_SOLUTION, ("value", "number", float, float)),
+    "terminate": (_SOLUTION, ("flag", "boolean", bool, bool)),
+}
+# method -> the shape of its params and of its result, closed: the env is
+# read by Environment.from_json, a solution's payload by its
+# representation, the component's params by its Params, and a described
+# component by ComponentDescriptor.from_json
+_CALL = {"component": "string", "params": ("optional", "object"), "env": "any"}
+_PARAMS = {method: {**_CALL, name: shape} for method, ((name, shape, _, _), _) in _METHODS.items()}
+_RESULTS = {
+    "describe": {"components": ("array of", _DESCRIPTOR)},
+    **{method: {"env": "any", name: shape} for method, (_, (name, shape, _, _)) in _METHODS.items()},
 }
 
 
@@ -129,21 +140,16 @@ def _result(req_id, payload):
     return {"jsonrpc": "2.0", "id": req_id, "result": payload}
 
 
+# A response, as `read` takes it; it holds one of result and error
+# (JSON-RPC 2.0 §5).
+_RESPONSE = {
+    "jsonrpc": "string", "id": "any", "result": ("optional", "any"),
+    "error": ("optional", {"code": "integer", "message": "string", "data": ("optional", "any")}),
+}
 # The members a request may hold; any other is refused, as is a member of a
 # component method's params that its shape in `_PARAMS` lacks, so a
 # misspelt key is never ignored.
 _REQUEST_MEMBERS = frozenset(("jsonrpc", "id", "method", "params"))
-# method -> the shape of its params, as `read` takes it; the env is read by
-# Environment.from_json, a solution's payload by its representation, and
-# the component's params by its Params
-_SOLUTION_SHAPE = {"t": "string", "v": "any"}
-_CALL = {"component": "string", "params": ("optional", "object"), "env": "any"}
-_PARAMS = {
-    "perturb": {**_CALL, "solution": _SOLUTION_SHAPE},
-    "accept": {**_CALL, "solutions": ("array of", _SOLUTION_SHAPE)},
-    "evaluate": {**_CALL, "solution": _SOLUTION_SHAPE},
-    "terminate": {**_CALL, "solution": _SOLUTION_SHAPE},
-}
 
 
 def handle_rpc(registry: Registry, body: bytes) -> dict:
@@ -172,7 +178,7 @@ def handle_rpc(registry: Registry, body: bytes) -> dict:
         return _error(req_id, ERR_INVALID_PARAMS, f"describe takes no params{named}")
     if not isinstance(method, str) or method not in _METHODS:
         return _error(req_id, ERR_INVALID_REQUEST, f"unknown method {method!r}")
-    (in_name, _, decode_in), (out_name, encode_out, _) = _METHODS[method]
+    (in_name, _, _, decode_in), (out_name, _, encode_out, _) = _METHODS[method]
     params, shape = request.get("params"), _PARAMS[method]
     unknown = unknown_key(params, shape) if type(params) is dict else None
     if unknown is not None:
@@ -287,8 +293,9 @@ def __getattr__(name: str):
 
 
 def _post(endpoint: str, request: dict, decode):
-    """`decode` of the result of `request` at `endpoint`. Raises RemoteUnavailableError
-    if it cannot be reached, RemoteProtocolError for an error or unreadable reply."""
+    """`decode` of the result of `request` at `endpoint`, read against its
+    method's shape in `_RESULTS`. Raises RemoteUnavailableError if it cannot
+    be reached, RemoteProtocolError for an error or unreadable reply."""
     import urllib.error  # here: it and urllib.request bring in http.client and ssl
     import urllib.request
     req = urllib.request.Request(
@@ -307,12 +314,16 @@ def _post(endpoint: str, request: dict, decode):
                 raise RemoteUnavailableError(f"{endpoint}: {exc}") from exc
             time.sleep(BACKOFF_S)
     try:
-        response = _loads(body)
-        if "error" not in response:
-            return decode(response["result"])
+        response = read(_loads(body), _RESPONSE, "response")
+        if ("result" in response) == ("error" in response):
+            raise ShapeError("response must hold one of 'result' and 'error'")
+        if "result" in response:
+            return decode(read(response["result"], _RESULTS[request["method"]], "result"))
         code, message = response["error"]["code"], response["error"]["message"]
-    except Exception as exc:  # not JSON, not a response object, not a result `decode` takes
-        raise RemoteProtocolError(ERR_BAD_REPLY, f"{endpoint}: unreadable reply: {exc!r}") from exc
+    # not JSON, too deep, a part not of its shape or refused by its codec, or
+    # a value no float holds
+    except (ValueError, RecursionError, SolutionFormatError, OverflowError) as exc:
+        raise RemoteProtocolError(ERR_BAD_REPLY, f"{endpoint}: unreadable reply: {exc}") from exc
     raise RemoteProtocolError(code, message)
 
 
@@ -321,14 +332,15 @@ def _remote(endpoint: str, method: str, name: str, params: Optional[Dict]) -> Co
     descriptor = _post(
         endpoint, {"jsonrpc": "2.0", "id": next(ids), "method": "describe"},
         lambda result: next((
-            ComponentDescriptor.from_json(obj) for obj in result["components"]
+            ComponentDescriptor.from_json(obj, f"result.components[{i}]")
+            for i, obj in enumerate(result["components"])
             if obj["kind"] == method and obj["name"] == name
         ), None),
     )
     if descriptor is None:
         raise UnknownComponentError(f"no {method} component named {name!r} at {endpoint}")
     bindings = dict(params or {})
-    (in_name, encode_in, _), (out_name, _, decode_out) = _METHODS[method]
+    (in_name, _, encode_in, _), (out_name, _, _, decode_out) = _METHODS[method]
 
     def decode(result):
         return decode_out(result[out_name]), Environment.from_json(result["env"])

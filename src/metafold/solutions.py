@@ -86,6 +86,7 @@ from .env import (
     _from_lanes,
     _new,
     _to_lanes,
+    read,
     rng_below,
     rng_bits,
     rng_uniform,
@@ -433,17 +434,19 @@ def serialize_solution(sol: Solution) -> str:
     return json.dumps(solution_to_json(sol), sort_keys=True, separators=(",", ":"))
 
 
+# A solution's JSON, as `read` takes it; its payload is read by its
+# representation's `from_json`.
+_SOLUTION_SHAPE = {"t": "string", "v": "any"}
+
+
 def solution_from_json(obj: dict) -> Solution:
     try:
-        tag, payload = obj["t"], obj["v"]
-    except (TypeError, KeyError) as exc:
-        raise SolutionFormatError(f"malformed solution object: {obj!r}") from exc
-    record = REPRESENTATIONS.get(tag) if type(tag) is str else None
-    if record is None:
-        raise SolutionFormatError(f"unknown representation tag: {tag!r}")
-    try:
+        tag, payload = read(obj, _SOLUTION_SHAPE, "solution")["t"], obj["v"]
+        record = REPRESENTATIONS.get(tag)
+        if record is None:
+            raise SolutionFormatError(f"unknown representation tag: {tag!r}")
         return record.from_json(payload)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # a ShapeError, or a payload its record refuses
         raise SolutionFormatError(str(exc)) from exc
 
 

@@ -259,9 +259,13 @@ def match_tsp(model: ModelDescription) -> Optional[TspMatch]:
     return TspMatch(n=n, weights=obj.weights, variables=obj.vars)
 
 
-def tsplib_explicit_text(match: TspMatch, name: str = "rewritten") -> str:
+# Every audit's first line: `metafold solve` overwrites no file that lacks it.
+AUDIT_FIRST_LINE = "NAME : rewritten"
+
+
+def tsplib_explicit_text(match: TspMatch) -> str:
     lines = [
-        f"NAME : {name}",
+        AUDIT_FIRST_LINE,
         "TYPE : TSP",
         f"DIMENSION : {match.n}",
         "EDGE_WEIGHT_TYPE : EXPLICIT",

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -21,10 +22,11 @@ from metafold.components import (
 )
 from metafold.env import EnvKey, EnvValue, env_new
 from metafold.palette import (
+    BUILTIN_IMPLS,
     add_builtin,
     default_registry,
+    load_registry,
     registry_from_json,
-    registry_to_json,
 )
 from metafold.problems import onemax
 
@@ -59,16 +61,26 @@ class TestRegister:
         reg2 = register(reg, ComponentDescriptor("improving", "accept"), lambda p: accept_improving())
         assert not reg.descriptors and len(reg2.descriptors) == 1
 
-    def test_serialization_round_trip(self):
-        reg = default_registry()
-        assert registry_from_json(registry_to_json(reg)).to_json() == reg.to_json()
+    def test_a_file_of_every_builtin_with_its_defaults_loads_as_the_default_registry(self, tmp_path):
+        entries = [
+            {"name": impl, "impl": impl, "defaults": {p.name: p.default for p in ctor().descriptor.params}}
+            for impl, ctor in BUILTIN_IMPLS.items()
+        ]
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps({"components": entries}))
+        loaded = load_registry(str(path))
+        assert loaded.to_json() == default_registry().to_json()
+        assert loaded.impls == {(d.kind, d.name): d.name for d in loaded.descriptors.values()}
 
-    def test_custom_names_round_trip(self):
+    def test_custom_names_load(self):
         reg = Registry()
         reg = add_builtin(reg, "bitflip", "bitflip_2", {"k": 2})
         reg = add_builtin(reg, "tabu", "tabu_long", {"tenure": 20})
-        loaded = registry_from_json(registry_to_json(reg))
-        assert loaded.to_json() == reg.to_json()
+        loaded = registry_from_json({"components": [
+            {"name": "bitflip_2", "impl": "bitflip", "defaults": {"k": 2}},
+            {"name": "tabu_long", "impl": "tabu", "defaults": {"tenure": 20}},
+        ]})
+        assert loaded.to_json() == reg.to_json() and loaded.impls == reg.impls
         built = loaded.build("perturb", "bitflip_2", {})
         assert built.descriptor.params[0].default == 2
 

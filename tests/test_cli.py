@@ -507,6 +507,16 @@ class TestSolve:
         assert capsys.readouterr().out == first
         assert (tmp_path / "m.tsplib").read_bytes() == audit
 
+    def test_what_tsplib_explicit_text_writes_is_an_audit(self, tmp_path):
+        from metafold.whitebox import match_tsp, parse_model, tsplib_explicit_text
+
+        text = tsplib_explicit_text(match_tsp(parse_model(json.dumps(self.tsp_doc()))))
+        path = tmp_path / "m.tsplib"
+        path.write_text(text)
+        assert cli._is_audit(path)
+        path.write_text(text.replace("NAME : rewritten", "NAME : mine", 1))
+        assert not cli._is_audit(path)
+
     def test_a_generic_model_at_the_audit_path_still_solves(self, tmp_path, capsys):
         # the generic route writes no audit
         doc = self.tsp_doc()

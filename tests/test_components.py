@@ -15,6 +15,7 @@ from metafold.components import (
     K_INCUMBENT_VALUE,
     K_TABU_LIST,
     K_TEMPERATURE,
+    Param,
     accept_improving,
     accept_metropolis,
     accept_tabu,
@@ -357,6 +358,35 @@ class TestDescriptors:
         # initializers are (key, value) pairs of a spec, not components
         with pytest.raises(ValueError, match="unknown component kind"):
             ComponentDescriptor("x", "initializer")
+
+    def test_an_unknown_param_type_is_a_value_error_naming_it(self):
+        with pytest.raises(ValueError, match=r"^x\.k: unknown param type 'foo'$"):
+            ComponentDescriptor("x", "perturb", (Param("k", "foo", 1),))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("type", "foo", "param.type must be one of int, real, got 'foo'"),
+            ("min", "1", "param.min must be a number, got string"),
+            ("max", True, "param.max must be a number, got boolean"),
+            ("max", [1], "param.max must be a number, got array"),
+            ("default", None, "param.default must be a number, got null"),
+        ],
+    )
+    def test_a_param_json_outside_its_shape_is_a_value_error(self, field, value, message):
+        obj = {**Param("k", "int", 1, min=1).to_json(), field: value}
+        with pytest.raises(ValueError) as caught:
+            Param.from_json(obj)
+        assert str(caught.value) == message
+
+    def test_a_descriptor_json_names_the_part_at_fault(self):
+        obj = perturb_bitflip(1).descriptor.to_json()
+        obj["params"][0]["min"] = "1"
+        with pytest.raises(ValueError, match=r"^descriptor\.params\[0\]\.min must be a number, got string$"):
+            ComponentDescriptor.from_json(obj)
+        del obj["params"][0]["min"]
+        with pytest.raises(ValueError, match=r"^missing key 'min' at at\.params\[0\]$"):
+            ComponentDescriptor.from_json(obj, "at")
 
 
 def declared_access_violations(component, payload, env):

@@ -85,6 +85,21 @@ def test_solution_from_json_rejects_garbage():
         solution_from_json(["not", "an", "object"])
 
 
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (["not", "an", "object"], "solution must be an object, got array"),
+        ({"t": "bits"}, "missing key 'v' at solution"),
+        ({"t": "bits", "v": "01", "w": 1}, "unknown key 'w' at solution"),
+        ({"t": 1, "v": "01"}, "solution.t must be a string, got number"),
+    ],
+)
+def test_a_solution_object_outside_its_shape_names_the_part(obj, message):
+    with pytest.raises(SolutionFormatError) as caught:
+        solution_from_json(obj)
+    assert str(caught.value) == message
+
 @pytest.mark.parametrize("payload", [[0, 1], [1], (0, 1), 1, None, b"01", {"0": 1}])
 def test_bits_payload_must_be_a_string(payload):
     with pytest.raises(SolutionFormatError):
