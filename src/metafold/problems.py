@@ -261,20 +261,19 @@ def sphere(d: int, lo: float, hi: float) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 # MAX-SAT (DIMACS CNF)
 
-# K and F of parse_dimacs_cnf's cost rule, measured as its docstring shows
+# K of parse_dimacs_cnf's lane rule, which bounds the lanes' memory
 _LANE_BYTES_PER_LITERAL = 128
-_LANE_MIN_FLIPS = 8
 
 
 def _clause_counts(packed, satisfies, zero_counts, lanes=None):
     """Each clause's number of true literals under the packed bit vector
-    `packed`. With `lanes = (diff, base)` (see _clause_lanes), the bytes of
-    base plus the diff of every true variable. Otherwise a copy of
-    `zero_counts` with one added to every clause that `satisfies` lists for
-    each true literal."""
+    `packed`. With `lanes = (diff, base)` (see _clause_lanes), the int
+    base plus the diff of every true variable, whose lane c is clause c's
+    count. Otherwise a copy of `zero_counts` with one added to every clause
+    that `satisfies` lists for each true literal."""
     if lanes is not None:
         diff, base = lanes
-        return bytearray(sum(compress(diff, packed), base).to_bytes(len(zero_counts), "little"))
+        return sum(compress(diff, packed), base)
     counts = zero_counts[:]
     for clauses_of in compress(satisfies, packed + packed.translate(_NOT_BITS)):
         for c in clauses_of:
@@ -282,22 +281,25 @@ def _clause_counts(packed, satisfies, zero_counts, lanes=None):
     return counts
 
 
-def _clause_lanes(satisfies, num_vars: int, num_clauses: int):
-    """`(diff, base)`, ints whose byte c is a count for clause c: diff[v]
-    is the clauses that variable v satisfies less those that its negation
-    satisfies, and base the clauses' true literals when every variable is
-    false. Any vector's counts are then base plus the diff of each true
-    variable, exactly, as long as every count fits a byte. One scratch
-    lane of num_clauses bytes builds them all, one literal at a time."""
-    lane = bytearray(num_clauses)
+def _clause_lanes(satisfies, num_vars: int, num_clauses: int, width: int):
+    """`(diff, base)`, ints whose lane c, the `width` bits from bit
+    width*c, is a count for clause c: diff[v] is the clauses that variable
+    v satisfies less those that its negation satisfies, and base the
+    clauses' true literals when every variable is false. Any vector's
+    counts are then base plus the diff of each true variable, exactly, as
+    long as every count is below 2**width; width divides 8. Each literal's
+    counts are added into the bytes of a fresh lane, 8/width clauses to a
+    byte, and read as one int: no count carries into the next lane."""
+    per_byte = 8 // width
+    size = -(-num_clauses // per_byte)
+    byte_of = [c // per_byte for c in range(num_clauses)]
+    one_of = [1 << width * (c % per_byte) for c in range(num_clauses)]
 
     def read(clauses_of):
+        lane = bytearray(size)
         for c in clauses_of:
-            lane[c] += 1
-        value = int.from_bytes(lane, "little")
-        for c in clauses_of:
-            lane[c] = 0
-        return value
+            lane[byte_of[c]] += one_of[c]
+        return int.from_bytes(lane, "little")
 
     diff = tuple(read(satisfies[v]) - read(satisfies[num_vars + v]) for v in range(num_vars))
     return diff, read(tuple(chain.from_iterable(satisfies[num_vars:])))
@@ -309,33 +311,33 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
     A scored vector keeps its clause counts, made on one of two paths that
     give the same integers. The list path adds one per true literal, one
     Python-level add per literal occurrence. The lane path keeps one int
-    per variable whose byte c is a count for clause c (_clause_lanes) and
-    adds whole ints in C. An instance of n variables, m clauses and L
-    literal occurrences takes the lanes when every clause has under 256
-    literals and n*m <= K*L, K = _LANE_BYTES_PER_LITERAL = 128, which also
-    caps the lanes at K bytes per literal occurrence. Its full path sums
-    the lanes of the true variables, and a child of at least F =
-    _LANE_MIN_FLIPS = 8 flips adds each flipped variable's lane to its
-    parent's counts or takes it away. A child of fewer flips, and every
-    vector of any other instance, takes the list path.
+    per variable whose lane c, w bits wide, is a count for clause c
+    (_clause_lanes), and adds whole ints in C; w is 1, 2, 4 or 8, the
+    fewest bits that hold the longest clause's length, so 2 for 3-SAT. An
+    instance of n variables, m clauses and L literal occurrences takes the
+    lanes when every clause has under 256 literals and n*m <= K*L, K =
+    _LANE_BYTES_PER_LITERAL = 128, which caps the lanes at K*w/8 bytes
+    per literal occurrence. Its full path sums the lanes of the true
+    variables, and every child adds each flipped variable's lane to its
+    parent's counts or takes it away; the nonzero lanes are then counted
+    with log2(w) shift-ORs, one mask and one bit count. Every vector of
+    any other instance takes the list path.
 
     Timed per call on random k-SAT (µs, list/lanes, the parse in ms;
-    timeit minimum, Python 3.11 on a 2-CPU Xeon VM), the full path gains up
-    to n*m/L near 200 but a child of many flips only up to about 140, and
-    at n*m/L = 83 a child gains from 8 flips on. Random 3-SAT has
-    n*m/L = n/3:
+    timeit minimum, Python 3.11 on a 2-CPU Xeon VM), the lanes win every
+    column but the parse, on every instance here, past n*m/L = K as well.
+    Random 3-SAT has n*m/L = n/3:
 
-        n*m/L  instance           parse     full     1 flip    4 flips   8 flips    16 flips   32 flips
-        42     125v/532c          0.7/1.2   46/13    1.8/2.6   4.0/3.1   6.8/3.7    12.5/5.4   25.0/8.4
-        83     250v/1065c         1.6/2.7   89/40    2.2/3.9   4.6/5.2   6.5/6.4    12.8/9.2   24.7/14.8
-        100    1000v/2000c k=10   6.8/14.6  493/263  2.7/5.8   5.0/7.3   10.3/9.8   18.0/14.2  33.2/22.5
-        120    360v/1534c         2.3/4.2   126/73   2.2/5.0   4.4/6.4   8.2/8.2    13.6/11.5  26.8/19.5
-        167    500v/2130c         3.2/6.5   177/145  2.9/6.4   5.1/8.2   7.9/10.4   12.7/15.0  24.1/24.1
-        233    700v/2982c         4.5/10.6  240/265  3.0/8.5   4.5/9.9   7.8/13.6   13.3/19.8  24.9/31.7
-        333    1000v/4260c        6.4/20.1  341/536  3.6/11.3  5.4/14.9  8.8/20.1   14.1/27.1  25.5/43.6
+        n*m/L  instance           parse      full       1 flip    8 flips   32 flips
+        42     125v/532c          0.8/1.1    43/2.8     1.8/1.1   6.4/1.6   23.0/3.5
+        83     250v/1065c         1.6/2.3    83/3.8     2.3/1.2   7.7/1.9   25.3/4.5
+        100    1000v/2000c k=10   6.9/13.2   488/10.3   3.6/2.6   9.5/4.8   34.0/13.3
+        120    360v/1534c         2.3/3.5    121/4.6    2.3/1.4   7.8/2.3   26.3/5.5
+        167    500v/2130c         3.2/5.0    167/5.9    2.9/1.5   8.0/2.8   25.5/6.9
+        233    700v/2982c         4.5/7.3    236/7.5    2.8/1.8   9.7/3.3   27.8/9.1
+        333    1000v/4260c        6.4/11.2   329/10.0   3.6/2.3   9.3/4.9   26.4/13.6
 
-    The lanes of 250v/1065c retain 266 KB, and their parse peaks 13 KB
-    above that (tracemalloc)."""
+    The lanes of 250v/1065c hold 72 KB (sys.getsizeof)."""
     num_vars = num_clauses = None
     clauses = []
     current = []
@@ -395,52 +397,73 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
             occurrences[lit - 1 if lit > 0 else num_vars - lit - 1].append(c)
     satisfies = tuple(map(tuple, occurrences))
 
-    # A scored vector's aux is `(unsatisfied, counts)`: counts[c] is the
+    # A scored vector's aux is `(unsatisfied, counts)`, counts[c] the
     # number of true literals in clause c. The full path counts them; a
-    # child copies its parent's counts and updates the clauses of its
-    # flipped variables. Both give the same integer. A count never exceeds
-    # its clause's length, so the counts are bytes when every clause has
-    # under 256 literals; they copy as one memcpy, as a list would not.
-    # Such an instance keeps clause-count lanes when the docstring's rule
-    # says they win.
+    # child updates its parent's counts for its flipped variables. Both
+    # give the same integers. A count never exceeds its clause's length, so
+    # the counts are bytes when every clause has under 256 literals; they
+    # copy as one memcpy, as a list would not. Such an instance keeps its
+    # counts as one int of clause-count lanes when the docstring's rule
+    # allows, each lane the fewest bits, 1, 2, 4 or 8, that hold the
+    # longest clause's length.
+    longest = max(map(len, clauses), default=0)
     lanes = None
-    if max(map(len, clauses), default=0) < 256:
+    if longest < 256:
         zero_counts = bytearray(num_clauses)
         if num_vars * num_clauses <= _LANE_BYTES_PER_LITERAL * sum(map(len, clauses)):
-            lanes = _clause_lanes(satisfies, num_vars, num_clauses)
+            width = 1
+            while 1 << width <= longest:
+                width *= 2
+            lanes = _clause_lanes(satisfies, num_vars, num_clauses, width)
     else:
         zero_counts = array("Q", bytes(8 * num_clauses))
 
-    def value(sol: BitVector):
-        counts = _clause_counts(sol.packed, satisfies, zero_counts, lanes)
-        unsatisfied = counts.count(0)
-        return unsatisfied, (unsatisfied, counts)
+    if lanes is None:
 
-    def delta(aux, flipped, sol: BitVector):
-        packed = sol.packed
-        if lanes is not None and len(flipped) >= _LANE_MIN_FLIPS:
-            diff = lanes[0]
-            y = int.from_bytes(aux[1], "little")
-            for v in flipped:
-                if packed[v]:
-                    y += diff[v]
-                else:
-                    y -= diff[v]
-            counts = bytearray(y.to_bytes(num_clauses, "little"))
+        def tally(counts):
             unsatisfied = counts.count(0)
             return unsatisfied, (unsatisfied, counts)
-        counts = aux[1][:]
-        for v in flipped:
-            if packed[v]:
-                made, broken = satisfies[v], satisfies[num_vars + v]
-            else:
-                made, broken = satisfies[num_vars + v], satisfies[v]
-            for c in made:
-                counts[c] += 1
-            for c in broken:
-                counts[c] -= 1
-        unsatisfied = counts.count(0)
-        return unsatisfied, (unsatisfied, counts)
+
+        def delta(aux, flipped, sol: BitVector):
+            packed = sol.packed
+            counts = aux[1][:]
+            for v in flipped:
+                if packed[v]:
+                    made, broken = satisfies[v], satisfies[num_vars + v]
+                else:
+                    made, broken = satisfies[num_vars + v], satisfies[v]
+                for c in made:
+                    counts[c] += 1
+                for c in broken:
+                    counts[c] -= 1
+            return tally(counts)
+
+    else:
+        diff = lanes[0]
+        # bit width*c of each clause c; shifting a lane's bits down onto its
+        # low bit, log2(width) ORs, leaves that bit set iff the count is not 0
+        low = ((1 << width * num_clauses) - 1) // ((1 << width) - 1)
+        shifts = tuple(1 << i for i in range(width.bit_length() - 1))
+
+        def tally(counts):
+            nonzero = counts
+            for shift in shifts:
+                nonzero |= nonzero >> shift
+            unsatisfied = num_clauses - (nonzero & low).bit_count()
+            return unsatisfied, (unsatisfied, counts)
+
+        def delta(aux, flipped, sol: BitVector):
+            packed = sol.packed
+            counts = aux[1]
+            for v in flipped:
+                if packed[v]:
+                    counts += diff[v]
+                else:
+                    counts -= diff[v]
+            return tally(counts)
+
+    def value(sol: BitVector):
+        return tally(_clause_counts(sol.packed, satisfies, zero_counts, lanes))
 
     return problem_instance(
         "maxsat", f"maxsat_{num_vars}v_{num_clauses}c", "bits", num_vars, value,

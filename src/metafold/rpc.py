@@ -95,6 +95,16 @@ def _pair_from_json(obj):
     return solution_from_json(incumbent), solution_from_json(incoming)
 
 
+def _value_from_json(value) -> float:
+    """An evaluate reply's value, a JSON number, as a float."""
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest float
+        raise ShapeError(
+            f"result.value must be a number a float holds, got an integer of {len(str(abs(value)))} digits"
+        ) from None
+
+
 # The wire table. Each component method is named after the component kind
 # it calls and maps to its request field and its reply field, each given as
 # (name, shape, to JSON, from JSON), the shape as `read` takes it. A
@@ -107,7 +117,7 @@ _PAIR = ("solutions", ("array of", _SOLUTION_SHAPE),
 _METHODS = {
     "perturb": (_SOLUTION, _SOLUTION),
     "accept": (_PAIR, _SOLUTION),
-    "evaluate": (_SOLUTION, ("value", "number", float, float)),
+    "evaluate": (_SOLUTION, ("value", "number", float, _value_from_json)),
     "terminate": (_SOLUTION, ("flag", "boolean", bool, bool)),
 }
 # method -> the shape of its params and of its result, closed: the env is
@@ -320,9 +330,8 @@ def _post(endpoint: str, request: dict, decode):
         if "result" in response:
             return decode(read(response["result"], _RESULTS[request["method"]], "result"))
         code, message = response["error"]["code"], response["error"]["message"]
-    # not JSON, too deep, a part not of its shape or refused by its codec, or
-    # a value no float holds
-    except (ValueError, RecursionError, SolutionFormatError, OverflowError) as exc:
+    # not JSON, too deep, or a part not of its shape or refused by its codec
+    except (ValueError, RecursionError, SolutionFormatError) as exc:
         raise RemoteProtocolError(ERR_BAD_REPLY, f"{endpoint}: unreadable reply: {exc}") from exc
     raise RemoteProtocolError(code, message)
 

@@ -80,7 +80,9 @@ from itertools import compress
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from .env import (
+    _JSON_TYPES,
     Environment,
+    ShapeError,
     _advanced,
     _below,
     _from_lanes,
@@ -156,7 +158,8 @@ class BitVector:
         # Any byte but '0'/'1' maps to 2, which the constructor rejects;
         # non-ASCII text raises UnicodeEncodeError, a ValueError.
         if type(text) is not str:
-            raise TypeError(f"bits payload must be a 0/1 string, got {type(text).__name__}")
+            got = _JSON_TYPES.get(type(text)) or type(text).__name__
+            raise TypeError(f"bits payload must be a 0/1 string, got {got}")
         return BitVector(text.encode("ascii").translate(_TEXT_TO_BITS))
 
     def to_string(self) -> str:
@@ -451,7 +454,10 @@ def solution_from_json(obj: dict) -> Solution:
 
 
 def deserialize_solution(text: str, representation: str) -> Solution:
-    obj = json.loads(text)
+    try:
+        obj = read(json.loads(text), "object", "solution")
+    except ShapeError as exc:
+        raise SolutionFormatError(str(exc)) from exc
     if obj.get("t") != representation:
         raise SolutionFormatError(
             f"expected representation {representation!r}, got {obj.get('t')!r}"

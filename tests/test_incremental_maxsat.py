@@ -61,17 +61,22 @@ def full_path(problem, sol):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Each clause-count vector that the full path returns."""
-    returned, clause_counts = [], problems._clause_counts
+    """The arguments of each call of the full path's `_clause_counts`."""
+    calls, clause_counts = [], problems._clause_counts
     monkeypatch.setattr(
-        problems, "_clause_counts", lambda *args: returned.append(clause_counts(*args)) or returned[-1]
+        problems, "_clause_counts", lambda *args: calls.append(args) or clause_counts(*args)
     )
-    return returned
+    return calls
 
 
-def took_the_delta(counted, sol):
-    _, (_, counts) = sol._memo
-    return not any(counts is full for full in counted)
+def scored(counted, problem, sol):
+    """The score of `sol`, and whether it took the delta: a child scored
+    from its parent's counts makes no `_clause_counts` call, the full path
+    one."""
+    calls = len(counted)
+    value = score(problem, sol)
+    assert len(counted) - calls in (0, 1)
+    return value, len(counted) == calls
 
 
 @st.composite
@@ -116,12 +121,10 @@ def test_a_walk_of_single_flips_takes_the_delta_after_the_start(counted):
     problem = cnf(3, [[1, -2], [2, 3], [-1, -3], [1, 2, 3]])
     env = env_new(4)
     current = BitVector([0, 0, 0])
-    score(problem, current)
-    assert not took_the_delta(counted, current)
+    assert scored(counted, problem, current) == (ref_maxsat(problem.metadata["clauses"], current.bits), False)
     for _ in range(20):
         child, env = perturb_bitflip(1)(current, env)
-        assert score(problem, child) == ref_maxsat(problem.metadata["clauses"], child.bits)
-        assert took_the_delta(counted, child)
+        assert scored(counted, problem, child) == (ref_maxsat(problem.metadata["clauses"], child.bits), True)
         current = child
 
 
@@ -133,21 +136,18 @@ def test_two_problems_of_one_size_share_no_memo(counted):
     warm, env = perturb_bitflip(1)(parent, env)  # of an unscored parent: no provenance
     score(a, parent), score(a, warm)
     child, env = perturb_bitflip(2)(parent, env)
-    assert score(b, child) == ref_maxsat(b.metadata["clauses"], child.bits)
-    assert not took_the_delta(counted, child)  # the parent's memo is a's
-    assert score(a, child) == ref_maxsat(a.metadata["clauses"], child.bits)
-    assert took_the_delta(counted, child)
+    # the parent's memo is a's
+    assert scored(counted, b, child) == (ref_maxsat(b.metadata["clauses"], child.bits), False)
+    assert scored(counted, a, child) == (ref_maxsat(a.metadata["clauses"], child.bits), True)
     score(b, parent)  # the parent's memo is b's now
     other, env = perturb_bitflip(1)(parent, env)
-    assert score(a, other) == ref_maxsat(a.metadata["clauses"], other.bits)
-    assert not took_the_delta(counted, other)
+    assert scored(counted, a, other) == (ref_maxsat(a.metadata["clauses"], other.bits), False)
 
 
 def test_a_child_of_an_unscored_parent_takes_the_full_path(counted):
     problem = cnf(4, [[1, 2], [-3], [4, -1]])
     child, _ = perturb_bitflip(2)(BitVector([1, 1, 0, 0]), env_new(6))
-    assert score(problem, child) == ref_maxsat(problem.metadata["clauses"], child.bits)
-    assert not took_the_delta(counted, child)
+    assert scored(counted, problem, child) == (ref_maxsat(problem.metadata["clauses"], child.bits), False)
 
 
 def test_a_decoded_child_takes_the_full_path(counted):
@@ -159,8 +159,9 @@ def test_a_decoded_child_takes_the_full_path(counted):
     child, _ = perturb_bitflip(1)(parent, env)
     decoded = solution_from_json(solution_to_json(child))
     assert decoded._provenance is None
-    assert score(problem, decoded) == score(problem, child)
-    assert not took_the_delta(counted, decoded) and took_the_delta(counted, child)
+    decoded_value, decoded_took_the_delta = scored(counted, problem, decoded)
+    value, took_the_delta = scored(counted, problem, child)
+    assert decoded_value == value and not decoded_took_the_delta and took_the_delta
 
 
 def test_provenance_and_memo_are_invisible():
@@ -183,12 +184,10 @@ def test_provenance_and_memo_are_invisible():
 def test_a_child_of_a_fully_scored_parent_leaves_the_parent_as_it_was(counted):
     problem = cnf(4, [[1, 2], [-3], [4, -1], [2, 3, -4]])
     parent = BitVector([1, 0, 1, 0])
-    score(problem, parent)
+    assert scored(counted, problem, parent) == (ref_maxsat(problem.metadata["clauses"], parent.bits), False)
     memo = parent._memo
-    assert not took_the_delta(counted, parent)
     child, _ = perturb_bitflip(2)(parent, env_new(11))
-    assert score(problem, child) == ref_maxsat(problem.metadata["clauses"], child.bits)
-    assert took_the_delta(counted, child)
+    assert scored(counted, problem, child) == (ref_maxsat(problem.metadata["clauses"], child.bits), True)
     assert parent._memo is memo
 
 

@@ -2,12 +2,13 @@
 
 An instance whose clauses all have under 256 literals, and whose
 variables times clauses is at most `_LANE_BYTES_PER_LITERAL` times its
-literal occurrences, keeps one int of byte-wide clause counts per variable
-(`problems._clause_lanes`). Its full path sums those lanes, and a child
-with at least `_LANE_MIN_FLIPS` flips adds them to its parent's counts.
-Every other instance, and every child with fewer flips, counts clause by
-clause. Whichever path runs, every score must equal the plain clause loop
-and the full path of an equal vector that carries no provenance.
+literal occurrences, keeps one int of clause-count lanes per variable
+(`problems._clause_lanes`), each lane the fewest of 1, 2, 4 or 8 bits
+that hold its longest clause's length. Its full path sums those lanes,
+and every child adds them to its parent's counts, one lane per flipped
+variable. Every other instance counts clause by clause. Whichever path
+runs, every score must equal the plain clause loop and the full path of
+an equal vector that carries no provenance.
 
 Which path ran is seen through two seams, not through timing: the
 `lanes` argument that `problems._clause_counts` gets, and reads of the
@@ -25,7 +26,6 @@ from metafold.problems import parse_dimacs_cnf
 from metafold.solutions import BitVector, crossover_one_point
 
 K = problems._LANE_BYTES_PER_LITERAL
-F = problems._LANE_MIN_FLIPS
 
 
 def ref_maxsat(clauses, bits):
@@ -48,7 +48,7 @@ class Paths:
     """What the scoring of one instance did, read through its seams."""
 
     def __init__(self, monkeypatch):
-        self.built = 0  # instances that built lanes
+        self.widths = []  # per instance that built lanes: their width in bits
         self.full = []  # per full path: whether it summed lanes
         self.lane_reads = 0  # per-variable lanes read by lane children
         clause_counts, clause_lanes = problems._clause_counts, problems._clause_lanes
@@ -59,9 +59,9 @@ class Paths:
                 paths.lane_reads += 1
                 return tuple.__getitem__(self, v)
 
-        def lanes(*args):
-            self.built += 1
-            diff, base = clause_lanes(*args)
+        def lanes(satisfies, num_vars, num_clauses, width):
+            self.widths.append(width)
+            diff, base = clause_lanes(satisfies, num_vars, num_clauses, width)
             return Read(diff), base
 
         def counts(packed, satisfies, zero_counts, lanes=None):
@@ -84,9 +84,9 @@ def score(problem, sol):
 
 def scored_on_its_path(paths, problem, sol, lanes):
     """The score of `sol`, after checking the path it took: a child of a
-    scored parent takes the lane delta when the instance has lanes and the
-    child at least F flips, the list delta otherwise; any other vector the
-    full path of its instance."""
+    scored parent takes the lane delta, one lane read per flipped
+    variable, when the instance has lanes, the list delta otherwise; any
+    other vector the full path of its instance."""
     full_paths, reads = len(paths.full), paths.lane_reads
     move = sol._provenance[1] if sol._provenance is not None else None
     value = score(problem, sol)
@@ -95,8 +95,7 @@ def scored_on_its_path(paths, problem, sol, lanes):
         assert paths.lane_reads == reads
     else:
         assert len(paths.full) == full_paths
-        took_lanes = lanes and len(move) >= F
-        assert paths.lane_reads == reads + (len(move) if took_lanes else 0)
+        assert paths.lane_reads == reads + (len(move) if lanes else 0)
     return value
 
 
@@ -146,7 +145,7 @@ def walk(draw, instance):
     # ("flip", k): a bitflip(k) child of the current vector, kept;
     # ("cross", k): one-point crossover with a fresh partner, and a
     # bitflip(k) mutant of each child, composed with the crossover's move
-    k = st.one_of(st.integers(1, n), st.just(n), st.integers(1, min(n, 2 * F)))
+    k = st.one_of(st.integers(1, n), st.just(n), st.integers(1, min(n, 16)))
     steps = draw(st.lists(st.tuples(st.sampled_from(["flip", "cross"]), k), min_size=1, max_size=12))
     return n, clauses, draw(bits), draw(bits), draw(st.booleans()), steps, draw(st.integers(0, 2**32))
 
@@ -160,7 +159,7 @@ def walk_and_check(paths, case, lanes):
     n, clauses, bits, partner_bits, partner_scored, steps, seed = case
     assert takes_the_lanes(n, clauses) == lanes
     problem = parse_dimacs_cnf(cnf_text(n, clauses))
-    assert paths.built == lanes
+    assert len(paths.widths) == lanes
     env = env_new(seed)
     current = BitVector(bits)
     assert scored_on_its_path(paths, problem, current, lanes) == ref_maxsat(clauses, bits)
@@ -204,18 +203,55 @@ def test_an_instance_with_a_clause_of_256_literals_counts_in_64_bits(case):
     walk_both_paths(case, lanes=False)
 
 
+# the longest clause's length -> the width of its instance's lanes: the
+# fewest bits of 1, 2, 4 and 8 that hold it; at 256 the list path
+WIDTHS = {1: 1, 3: 2, 4: 4, 15: 4, 16: 8, 255: 8, 256: None}
+
+
+@st.composite
+def longest_clause_of(draw, longest):
+    """n*m/L <= 12 * 4 < K: at most 12 variables, one clause of `longest`
+    literals and none longer, and at most 3 empty clauses."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    var, literal = literal_of(n)
+    # its count can reach its length only when one literal fills it
+    clauses = [draw(st.one_of(
+        literal.map(lambda lit: [lit] * longest), st.lists(literal, min_size=longest, max_size=longest)
+    ))]
+    clause = st.one_of(
+        st.lists(literal, min_size=1, max_size=min(longest, 5)),
+        st.tuples(literal, st.integers(1, longest)).map(lambda rep: [rep[0]] * rep[1]),  # repeated
+        var.map(lambda v: [v, -v][:longest]),  # a tautology, when two literals fit
+    )
+    clauses += draw(st.lists(clause, max_size=20)) + [[]] * draw(st.integers(0, 3))
+    return n, draw(st.permutations(clauses))
+
+
+@pytest.mark.parametrize("longest, width", WIDTHS.items())
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_lanes_are_the_fewest_bits_that_hold_the_longest_clause(longest, width, data):
+    case = data.draw(walk(longest_clause_of(longest)))
+    assert max(map(len, case[1])) == longest
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        paths = Paths(monkeypatch)
+        walk_and_check(paths, case, lanes=width is not None)
+        assert paths.widths == ([] if width is None else [width])
+
+
 @pytest.mark.parametrize("n, lanes", [(K, True), (K + 1, False)])
 def test_the_rule_holds_at_its_boundary(paths, n, lanes):
     # one clause of one literal: n*m = n against K*L = K
     problem = parse_dimacs_cnf(cnf_text(n, [[n]]))
-    assert paths.built == lanes
+    assert len(paths.widths) == lanes
     ones = BitVector([1] * n)
     assert scored_on_its_path(paths, problem, ones, lanes) == 0
 
 
 def test_the_lanes_and_the_list_give_the_same_counts(monkeypatch):
-    # every aux is (unsatisfied, bytearray counts), so either path can
-    # score a child of a vector that the other scored
+    # a lane instance keeps its counts as one int whose lane c, the 2 bits
+    # from bit 2c (its longest clause has 3 literals), is clause c's count;
+    # decoded, they are the bytearray that the list path keeps
     clauses = [[1, -2, 3], [-1, -1], [2, -2], [], [3, 2, 1], [-3]]
     text = cnf_text(3, clauses)
     with_lanes = parse_dimacs_cnf(text)
@@ -225,6 +261,8 @@ def test_the_lanes_and_the_list_give_the_same_counts(monkeypatch):
         bits = [(x >> i) & 1 for i in range(3)]
         a, b = BitVector(bits), BitVector(bits)
         score(with_lanes, a), score(listed, b)
-        assert a._memo[1] == b._memo[1]
-        assert type(a._memo[1][1]) is type(b._memo[1][1]) is bytearray
-        assert a._memo[1][0] == ref_maxsat(clauses, bits)
+        (unsatisfied, lanes), (listed_unsatisfied, counts) = a._memo[1], b._memo[1]
+        assert type(lanes) is int and type(counts) is bytearray
+        assert bytearray(lanes >> 2 * c & 3 for c in range(len(clauses))) == counts
+        assert lanes >> 2 * len(clauses) == 0
+        assert unsatisfied == listed_unsatisfied == ref_maxsat(clauses, bits)

@@ -182,4 +182,7 @@ def test_a_value_no_float_holds_is_an_unreadable_reply(stub, value):
     with pytest.raises(RemoteProtocolError) as caught:
         outcome(stub, "evaluate", reply)
     assert caught.value.code == ERR_BAD_REPLY
-    assert str(caught.value).startswith(f"[{ERR_BAD_REPLY}] {stub.endpoint}: unreadable reply: ")
+    assert str(caught.value) == (
+        f"[{ERR_BAD_REPLY}] {stub.endpoint}: unreadable reply: "
+        "result.value must be a number a float holds, got an integer of 401 digits"
+    )

@@ -260,3 +260,28 @@ def test_a_bad_assignment_payload_is_a_format_error_and_invalid_params_on_the_wi
     params = {"component": "bitflip", "params": {}, "env": env_new(0).to_json(), "solution": obj}
     body = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "perturb", "params": params})
     assert handle_rpc(default_registry(), body.encode())["error"]["code"] == ERR_INVALID_PARAMS
+
+
+@pytest.mark.parametrize(
+    "payload, json_type",
+    [(None, "null"), (True, "boolean"), (1, "number"), (0.5, "number"), ([0, 1], "array"), ({}, "object")],
+)
+def test_a_bits_payload_that_is_no_string_is_named_by_its_json_type(payload, json_type):
+    message = f"bits payload must be a 0/1 string, got {json_type}"
+    solution = {"t": "bits", "v": payload}
+    with pytest.raises(SolutionFormatError) as caught:
+        solution_from_json(solution)
+    assert str(caught.value) == message
+    params = {"component": "bitflip", "params": {}, "env": env_new(0).to_json(), "solution": solution}
+    body = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "perturb", "params": params})
+    assert handle_rpc(default_registry(), body.encode())["error"] == {
+        "code": ERR_INVALID_PARAMS, "message": f"malformed params: {message}",
+    }
+
+
+@pytest.mark.parametrize(
+    "text, json_type", [("[1]", "array"), ("null", "null"), ('"01"', "string"), ("3", "number")]
+)
+def test_deserialize_refuses_json_that_is_no_object(text, json_type):
+    with pytest.raises(SolutionFormatError, match=f"^solution must be an object, got {json_type}$"):
+        deserialize_solution(text, "bits")
