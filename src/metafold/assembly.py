@@ -26,15 +26,15 @@ from .frameworks import FRAMEWORKS, Framework, RunResult, terminate_any
 from .problems import ProblemInstance
 
 
-class RegistrationError(Exception):
+class RegistrationError(ValueError):
     pass
 
 
-class UnknownComponentError(Exception):
+class UnknownComponentError(ValueError):
     pass
 
 
-class InvalidConfigurationError(Exception):
+class InvalidConfigurationError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))

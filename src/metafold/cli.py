@@ -22,8 +22,6 @@ from .assembly import (
     ConfigurationSpec,
     InvalidConfigurationError,
     Registry,
-    RegistrationError,
-    UnknownComponentError,
     enumerate_valid,
     instantiate,
     parse_initializers,
@@ -31,12 +29,12 @@ from .assembly import (
     validate,
 )
 from .components import Param, terminate_evaluations, terminate_iterations
-from .env import ShapeError, env_new, read, read_variant
+from .env import ShapeError, env_new, loads, read, read_variant
 from .frameworks import terminate_any
 from .palette import default_registry, load_registry
-from .problems import ParseError, ProblemInstance
+from .problems import ProblemInstance
 from .whitebox import (
-    AUDIT_FIRST_LINE, DEFAULT_PENALTY, ModelError, dispatch_solve, match_tsp, parse_model,
+    AUDIT_FIRST_LINE, DEFAULT_PENALTY, dispatch_solve, match_tsp, parse_model,
     tsplib_explicit_text,
 )
 
@@ -48,12 +46,17 @@ EXIT_ENVIRONMENT_ERROR = 3
 MIN_SEEDS_FOR_COMPARE = 5
 
 
-# what a bad input file raises at the `run`, `enumerate` and `serve`
-# boundaries; RecursionError is JSON nested too deep to read
-INPUT_ERRORS = (
-    OSError, KeyError, ValueError, RecursionError, ParseError, RegistrationError,
-    UnknownComponentError, InvalidConfigurationError,
-)
+# what bad input raises at each command's boundary: every reader refuses
+# bad outside input with a ValueError, its own error classes included;
+# RecursionError is JSON nested too deep to read
+INPUT_ERRORS = (OSError, KeyError, ValueError, RecursionError)
+
+
+def _refuse(message, code: int = EXIT_INPUT_ERROR) -> int:
+    """`code`, after printing `error: <message>` to stderr."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
 
 # kind -> (constructor, its fields in call order); a "path" field hands the
 # constructor the text of the named file. Sizes are capped so that no
@@ -177,7 +180,7 @@ def _configs_for(spec: Dict, registry: Registry) -> List[Tuple[str, Configuratio
 
 def cmd_run(args) -> int:
     try:
-        spec = json.loads(Path(args.experiment).read_text())
+        spec = loads(Path(args.experiment).read_text())
         read(spec, _EXPERIMENT, "experiment", "")
         problems = [_build_problem(e, f"problems[{i}]") for i, e in enumerate(spec["problems"])]
         names = [p.name for p in problems]  # a name keys each row and trace file
@@ -203,14 +206,12 @@ def cmd_run(args) -> int:
         stride = TRACE_STRIDE.checked("experiment", spec.get("trace_stride", 1))
         out_dir = Path(spec["out"])
     except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _refuse(exc)
     traces_dir = out_dir / "traces"
     try:
         traces_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create the output directory: {exc}", file=sys.stderr)
-        return EXIT_ENVIRONMENT_ERROR
+        return _refuse(f"cannot create the output directory: {exc}", EXIT_ENVIRONMENT_ERROR)
 
     # in output order, so each trial's row and trace are written as it ends
     trials = sorted(
@@ -248,8 +249,7 @@ def cmd_run(args) -> int:
                         if (i + 1) % stride == 0 or i == last:
                             twriter.writerow([iteration, evals, repr(value)])
     except OSError as exc:  # say, results.csv is a directory
-        print(f"error: cannot write the results: {exc}", file=sys.stderr)
-        return EXIT_ENVIRONMENT_ERROR
+        return _refuse(f"cannot write the results: {exc}", EXIT_ENVIRONMENT_ERROR)
     return EXIT_TRIAL_FAILURES if failed else EXIT_OK
 
 
@@ -267,11 +267,9 @@ def cmd_compare(args) -> int:
             missing = [c for c in COMPARE_COLUMNS if c not in (reader.fieldnames or ())]
             rows = list(reader)
     except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8
-        print(f"error: {args.results}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _refuse(f"{args.results}: {exc}")
     if missing:
-        print(f"error: {args.results} lacks column(s): {', '.join(missing)}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _refuse(f"{args.results} lacks column(s): {', '.join(missing)}")
     groups: Dict[str, List[float]] = {}
     trials: Dict[Tuple[str, str], int] = {}  # (config_id, seed) -> its first row's number
     for number, row in enumerate(rows, start=1):
@@ -282,37 +280,27 @@ def cmd_compare(args) -> int:
         except (TypeError, ValueError):  # None when the row is short
             value = math.nan
         if math.isnan(value):  # a nan does not order, so no rank test can use it
-            print(
-                f"error: {args.results} row {number}: best_value "
-                f"{row['best_value']!r} is not a number",
-                file=sys.stderr,
+            return _refuse(
+                f"{args.results} row {number}: best_value {row['best_value']!r} is not a number"
             )
-            return EXIT_INPUT_ERROR
         if row["config_id"] is None:  # a short row whose header puts config_id last
-            print(f"error: {args.results} row {number}: no config_id", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            return _refuse(f"{args.results} row {number}: no config_id")
         if "seed" in reader.fieldnames:  # one trial counted twice would be two samples
             first = trials.setdefault((row["config_id"], row["seed"]), number)
             if first != number:
-                print(
-                    f"error: {args.results} rows {first} and {number} repeat config "
-                    f"{row['config_id']} seed {row['seed']}",
-                    file=sys.stderr,
+                return _refuse(
+                    f"{args.results} rows {first} and {number} repeat config "
+                    f"{row['config_id']} seed {row['seed']}"
                 )
-                return EXIT_INPUT_ERROR
         groups.setdefault(row["config_id"], []).append(value)
     config_ids = sorted(groups)
     if len(config_ids) < 2:
-        print("error: need at least 2 configs for the named problem", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _refuse("need at least 2 configs for the named problem")
     for cid in config_ids:
         if len(groups[cid]) < MIN_SEEDS_FOR_COMPARE:
-            print(
-                f"error: config {cid} has {len(groups[cid])} seeds; "
-                f"minimum is {MIN_SEEDS_FOR_COMPARE}",
-                file=sys.stderr,
+            return _refuse(
+                f"config {cid} has {len(groups[cid])} seeds; minimum is {MIN_SEEDS_FOR_COMPARE}"
             )
-            return EXIT_INPUT_ERROR
     print(f"problem: {args.problem}  metric: {args.metric}")
     print(f"{'config':<24} {'n':>4} {'median':>12} {'iqr':>12}")
     for cid in config_ids:
@@ -331,13 +319,12 @@ def cmd_enumerate(args) -> int:
     try:
         registry = load_registry(args.registry)
         if args.grids is not None:
-            spec["grids"] = json.loads(Path(args.grids).read_text())
+            spec["grids"] = loads(Path(args.grids).read_text())
         if args.initializers is not None:
-            spec["initializers"] = json.loads(Path(args.initializers).read_text())
+            spec["initializers"] = loads(Path(args.initializers).read_text())
         configs = _configs_for(spec, registry)
     except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _refuse(exc)
     out = {
         "count": len(configs),
         "configs": [{"id": config_id, "spec": c.to_json()} for config_id, c in configs],
@@ -352,16 +339,13 @@ def cmd_serve(args) -> int:
     try:
         registry = default_registry() if args.registry is None else load_registry(args.registry)
     except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _refuse(exc)
     try:
         server = serve(registry, host=args.host, port=args.port)
     except (ValueError, OverflowError) as exc:  # an empty registry, a port past 0-65535
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _refuse(exc)
     except OSError as exc:
-        print(f"error: cannot bind port {args.port}: {exc}", file=sys.stderr)
-        return EXIT_ENVIRONMENT_ERROR
+        return _refuse(f"cannot bind port {args.port}: {exc}", EXIT_ENVIRONMENT_ERROR)
     print(f"serving on {server.endpoint}", flush=True)
     try:
         server.serve_forever()
@@ -378,15 +362,12 @@ def _is_audit(path: Path) -> bool:
 
 def cmd_solve(args) -> int:
     if args.budget <= 0:
-        print("error: --budget must be positive", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _refuse("--budget must be positive")
     seed_problem = SEED.violation("solve", args.seed)
     if seed_problem is not None:
-        print(f"error: {seed_problem}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _refuse(seed_problem)
     if not 0.0 <= args.penalty < math.inf:  # NaN fails both
-        print(f"error: --penalty must be finite and >= 0, not {args.penalty}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _refuse(f"--penalty must be finite and >= 0, not {args.penalty}")
     try:
         model = parse_model(Path(args.model).read_text())
         match = match_tsp(model)
@@ -394,26 +375,21 @@ def cmd_solve(args) -> int:
         # the model itself, by its name, through a link, or in another case
         # on a file system that ignores case
         if match is not None and audit_path.exists() and audit_path.samefile(args.model):
-            print(f"error: the audit file {audit_path} would overwrite the model", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            return _refuse(f"the audit file {audit_path} would overwrite the model")
         # a file of the user's own there, and not an earlier audit; a
         # directory there fails the write below
         if match is not None and audit_path.is_file() and not _is_audit(audit_path):
-            print(
-                f"error: the audit file {audit_path} would overwrite a file that is not an audit",
-                file=sys.stderr,
+            return _refuse(
+                f"the audit file {audit_path} would overwrite a file that is not an audit"
             )
-            return EXIT_INPUT_ERROR
         result, _env = dispatch_solve(model, args.budget, env_new(args.seed), penalty=args.penalty)
-    except (OSError, UnicodeDecodeError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except INPUT_ERRORS as exc:
+        return _refuse(exc)
     if result.route == "tsp":
         try:
             audit_path.write_text(tsplib_explicit_text(match))
         except OSError as exc:
-            print(f"error: cannot write the audit file: {exc}", file=sys.stderr)
-            return EXIT_ENVIRONMENT_ERROR
+            return _refuse(f"cannot write the audit file: {exc}", EXIT_ENVIRONMENT_ERROR)
     print(
         json.dumps(
             {

@@ -126,6 +126,23 @@ def read_variant(value, shapes: dict, key: str, where: str):
     return None
 
 
+# Python's words for a JSON integer longer than sys.get_int_max_str_digits()
+_LONG_INT = re.compile(r"Exceeds the limit \((\d+) digits\) .*: value has (\d+) digits")
+
+
+def loads(text: str, decode=json.loads):
+    """`decode(text)`; a JSON integer too long to convert raises ValueError
+    in metafold's words, not Python's advice to raise the limit."""
+    try:
+        return decode(text)
+    except ValueError as exc:
+        long_int = _LONG_INT.match(str(exc))
+        if long_int is None:
+            raise
+        limit, digits = long_int.groups()
+        raise ValueError(f"integer of {digits} digits exceeds the {limit}-digit limit") from None
+
+
 class ConfigurationError(Exception):
     """A component's environment-key requirement was not satisfied."""
 
@@ -372,7 +389,7 @@ class Environment(namedtuple("Environment", "entries rng")):
 
     @staticmethod
     def deserialize(text: str) -> "Environment":
-        return Environment.from_json(json.loads(text))
+        return Environment.from_json(loads(text))
 
 
 def env_new(seed: int) -> Environment:

@@ -8,13 +8,12 @@ regenerated from the implementations on load.
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Dict
 
 from . import components as c
 from .assembly import Registry, RegistrationError, _check_bounds, register
 from .components import Component
-from .env import read
+from .env import loads, read
 
 # impl name -> constructor; kind, parameters and defaults are what the
 # constructor, called with no arguments, declares
@@ -76,4 +75,4 @@ def registry_from_json(obj: dict) -> Registry:
 
 def load_registry(path: str) -> Registry:
     with open(path) as fh:
-        return registry_from_json(json.load(fh))
+        return registry_from_json(loads(fh.read()))

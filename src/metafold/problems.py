@@ -27,7 +27,7 @@ from .solutions import REPRESENTATIONS, BitVector, Permutation, Solution
 MAX_SIZE = 2**20
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
@@ -315,18 +315,18 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
     (_clause_lanes), and adds whole ints in C; w is 1, 2, 4 or 8, the
     fewest bits that hold the longest clause's length, so 2 for 3-SAT. An
     instance of n variables, m clauses and L literal occurrences takes the
-    lanes when every clause has under 256 literals and n*m <= K*L, K =
-    _LANE_BYTES_PER_LITERAL = 128, which caps the lanes at K*w/8 bytes
-    per literal occurrence. Its full path sums the lanes of the true
-    variables, and every child adds each flipped variable's lane to its
-    parent's counts or takes it away; the nonzero lanes are then counted
-    with log2(w) shift-ORs, one mask and one bit count. Every vector of
-    any other instance takes the list path.
+    lanes when every clause has under 256 literals and n*m*w <= 8*K*L, K =
+    _LANE_BYTES_PER_LITERAL = 128: the lanes hold n*m*w/8 bytes, at most
+    K per literal occurrence, so 3-SAT up to n = 1536. Its full path sums
+    the lanes of the true variables, and every child adds each flipped
+    variable's lane to its parent's counts or takes it away; the nonzero
+    lanes are then counted with log2(w) shift-ORs, one mask and one bit
+    count. Every vector of any other instance takes the list path.
 
     Timed per call on random k-SAT (µs, list/lanes, the parse in ms;
     timeit minimum, Python 3.11 on a 2-CPU Xeon VM), the lanes win every
-    column but the parse, on every instance here, past n*m/L = K as well.
-    Random 3-SAT has n*m/L = n/3:
+    column but the parse on every instance here, all of which take them
+    (at 1 flip on 900v/200c, a tie). Random 3-SAT has n*m/L = n/3:
 
         n*m/L  instance           parse      full       1 flip    8 flips   32 flips
         42     125v/532c          0.8/1.1    43/2.8     1.8/1.1   6.4/1.6   23.0/3.5
@@ -335,6 +335,7 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
         120    360v/1534c         2.3/3.5    121/4.6    2.3/1.4   7.8/2.3   26.3/5.5
         167    500v/2130c         3.2/5.0    167/5.9    2.9/1.5   8.0/2.8   25.5/6.9
         233    700v/2982c         4.5/7.3    236/7.5    2.8/1.8   9.7/3.3   27.8/9.1
+        300    900v/200c          0.4/1.3    71/25      1.3/1.3   2.5/1.8   6.7/3.8
         333    1000v/4260c        6.4/11.2   329/10.0   3.6/2.3   9.3/4.9   26.4/13.6
 
     The lanes of 250v/1065c hold 72 KB (sys.getsizeof)."""
@@ -410,10 +411,11 @@ def parse_dimacs_cnf(text: str) -> ProblemInstance:
     lanes = None
     if longest < 256:
         zero_counts = bytearray(num_clauses)
-        if num_vars * num_clauses <= _LANE_BYTES_PER_LITERAL * sum(map(len, clauses)):
-            width = 1
-            while 1 << width <= longest:
-                width *= 2
+        width = 1
+        while 1 << width <= longest:
+            width *= 2
+        # the lanes hold n*m*w/8 bytes, at most K per literal occurrence
+        if num_vars * num_clauses * width <= 8 * _LANE_BYTES_PER_LITERAL * sum(map(len, clauses)):
             lanes = _clause_lanes(satisfies, num_vars, num_clauses, width)
     else:
         zero_counts = array("Q", bytes(8 * num_clauses))

@@ -33,8 +33,8 @@ from typing import Dict, Optional, Tuple
 
 from .assembly import Registry, UnknownComponentError
 from .components import _DESCRIPTOR, Component, ComponentDescriptor
-from .env import Environment, ShapeError, read, unknown_key
-from .solutions import _SOLUTION_SHAPE, SolutionFormatError, solution_from_json, solution_to_json
+from .env import Environment, ShapeError, loads, read, unknown_key
+from .solutions import _SOLUTION_SHAPE, solution_from_json, solution_to_json
 
 ERR_PARSE = -32700
 ERR_INVALID_REQUEST = -32600
@@ -85,7 +85,7 @@ _DECODER = json.JSONDecoder(parse_constant=_not_json)
 
 def _loads(body: bytes):
     """`body` decoded as json.loads decodes bytes, but by `_DECODER`."""
-    return _DECODER.decode(body.decode(json.detect_encoding(body), "surrogatepass"))
+    return loads(body.decode(json.detect_encoding(body), "surrogatepass"), _DECODER.decode)
 
 
 def _pair_from_json(obj):
@@ -331,7 +331,7 @@ def _post(endpoint: str, request: dict, decode):
             return decode(read(response["result"], _RESULTS[request["method"]], "result"))
         code, message = response["error"]["code"], response["error"]["message"]
     # not JSON, too deep, or a part not of its shape or refused by its codec
-    except (ValueError, RecursionError, SolutionFormatError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise RemoteProtocolError(ERR_BAD_REPLY, f"{endpoint}: unreadable reply: {exc}") from exc
     raise RemoteProtocolError(code, message)
 

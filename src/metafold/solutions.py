@@ -82,12 +82,12 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from .env import (
     _JSON_TYPES,
     Environment,
-    ShapeError,
     _advanced,
     _below,
     _from_lanes,
     _new,
     _to_lanes,
+    loads,
     read,
     rng_below,
     rng_bits,
@@ -95,7 +95,7 @@ from .env import (
 )
 
 
-class SolutionFormatError(Exception):
+class SolutionFormatError(ValueError):
     """Serialized solution text violates the representation invariants."""
 
 
@@ -455,8 +455,8 @@ def solution_from_json(obj: dict) -> Solution:
 
 def deserialize_solution(text: str, representation: str) -> Solution:
     try:
-        obj = read(json.loads(text), "object", "solution")
-    except ShapeError as exc:
+        obj = read(loads(text), "object", "solution")
+    except (ValueError, RecursionError) as exc:  # not JSON, too deep, or no object
         raise SolutionFormatError(str(exc)) from exc
     if obj.get("t") != representation:
         raise SolutionFormatError(

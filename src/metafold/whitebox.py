@@ -8,7 +8,6 @@ penalty-based local search over full assignments.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -18,14 +17,15 @@ from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from .components import accept_improving, perturb_two_opt, terminate_evaluations
 from .env import (
-    ComponentContractError, Environment, ShapeError, _advanced, _below, _new, read, read_variant,
+    ComponentContractError, Environment, ShapeError, _advanced, _below, _new, loads, read,
+    read_variant,
 )
 from .frameworks import FRAMEWORKS
 from .problems import ProblemInstance, problem_instance
 from .solutions import Permutation, _child
 
 
-class ModelError(Exception):
+class ModelError(ValueError):
     """Model text violates the schema; message carries the JSON path."""
 
 
@@ -137,8 +137,8 @@ def parse_model(text: str) -> ModelDescription:
     """The model that `text` describes; raises ModelError naming the JSON
     path of the first part that breaks the schema."""
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # ValueError: also ints too long to read
+        doc = loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ModelError(f"not valid JSON: {exc}") from exc
     try:
         return _model(doc)

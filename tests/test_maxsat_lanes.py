@@ -1,10 +1,11 @@
 """MAX-SAT's two scoring paths, on both sides of the rule that picks one.
 
-An instance whose clauses all have under 256 literals, and whose
-variables times clauses is at most `_LANE_BYTES_PER_LITERAL` times its
-literal occurrences, keeps one int of clause-count lanes per variable
-(`problems._clause_lanes`), each lane the fewest of 1, 2, 4 or 8 bits
-that hold its longest clause's length. Its full path sums those lanes,
+An instance whose clauses all have under 256 literals keeps one int of
+clause-count lanes per variable (`problems._clause_lanes`), each lane the
+fewest of 1, 2, 4 or 8 bits that hold its longest clause's length, when
+those lanes hold at most `_LANE_BYTES_PER_LITERAL` bytes per literal
+occurrence: variables times clauses times the lane width is at most 8
+times that many. Its full path sums those lanes,
 and every child adds them to its parent's counts, one lane per flipped
 variable. Every other instance counts clause by clause. Whichever path
 runs, every score must equal the plain clause loop and the full path of
@@ -40,8 +41,9 @@ def cnf_text(n, clauses):
 
 def takes_the_lanes(n, clauses):
     """The rule, as the parse docstring states it."""
-    literals = sum(map(len, clauses))
-    return max(map(len, clauses), default=0) < 256 and n * len(clauses) <= K * literals
+    literals, longest = sum(map(len, clauses)), max(map(len, clauses), default=0)
+    width = next((w for w in (1, 2, 4, 8) if longest < 1 << w), None)
+    return width is not None and n * len(clauses) * width <= 8 * K * literals
 
 
 class Paths:
@@ -106,8 +108,9 @@ def literal_of(n):
 
 @st.composite
 def narrow(draw):
-    """n*m/L <= 12 * 4 < K: at most 12 variables, and at most 3 empty
-    clauses besides at least one that is not."""
+    """n*m*w/L <= 12 * 4 * 4 < 8K: at most 12 variables, clauses of at
+    most 5 literals, and at most 3 empty clauses besides at least one that
+    is not."""
     n = draw(st.integers(min_value=1, max_value=12))
     var, literal = literal_of(n)
     clause = st.one_of(
@@ -122,11 +125,13 @@ def narrow(draw):
 
 @st.composite
 def wide(draw):
-    """n*m/L >= n/2 > K: over 2K variables and clauses of at most 2
-    literals, at least one of them."""
+    """n*m*w/L >= 4n > 8K: over 2K variables, one clause of 16 literals,
+    so w = 8, and a >= 14 clauses of at most 1 literal, so m = a + 1 and
+    L <= a + 16."""
     n = draw(st.integers(min_value=2 * K + 1, max_value=3 * K))
     _, literal = literal_of(n)
-    return n, draw(st.lists(st.lists(literal, max_size=2), min_size=1, max_size=40))
+    clauses = draw(st.lists(st.lists(literal, max_size=1), min_size=14, max_size=40))
+    return n, draw(st.permutations(clauses + [draw(st.lists(literal, min_size=16, max_size=16))]))
 
 
 @st.composite
@@ -210,8 +215,8 @@ WIDTHS = {1: 1, 3: 2, 4: 4, 15: 4, 16: 8, 255: 8, 256: None}
 
 @st.composite
 def longest_clause_of(draw, longest):
-    """n*m/L <= 12 * 4 < K: at most 12 variables, one clause of `longest`
-    literals and none longer, and at most 3 empty clauses."""
+    """n*m*w/L <= 12 * 4 * 8 < 8K: at most 12 variables, one clause of
+    `longest` literals and none longer, and at most 3 empty clauses."""
     n = draw(st.integers(min_value=1, max_value=12))
     var, literal = literal_of(n)
     # its count can reach its length only when one literal fills it
@@ -239,13 +244,23 @@ def test_the_lanes_are_the_fewest_bits_that_hold_the_longest_clause(longest, wid
         assert paths.widths == ([] if width is None else [width])
 
 
-@pytest.mark.parametrize("n, lanes", [(K, True), (K + 1, False)])
+@pytest.mark.parametrize("n, lanes", [(8 * K, True), (8 * K + 1, False)])
 def test_the_rule_holds_at_its_boundary(paths, n, lanes):
-    # one clause of one literal: n*m = n against K*L = K
+    # one clause of one literal, on 1-bit lanes: n*m*w = n against 8*K*L = 8K
     problem = parse_dimacs_cnf(cnf_text(n, [[n]]))
     assert len(paths.widths) == lanes
     ones = BitVector([1] * n)
     assert scored_on_its_path(paths, problem, ones, lanes) == 0
+
+
+@pytest.mark.parametrize("n, lanes", [(1536, True), (1537, False)])
+def test_3_sat_takes_the_lanes_up_to_1536_variables_whatever_its_clauses(paths, n, lanes):
+    # 2-bit lanes and L = 3m: n*m*2 against 8*K*3m, so n against 1536
+    clauses = [[n, 1 - n, 2], [-1, 2, -3], [3, -2, n - 1]]
+    problem = parse_dimacs_cnf(cnf_text(n, clauses))
+    assert paths.widths == ([2] if lanes else [])
+    ones = BitVector([1] * n)
+    assert scored_on_its_path(paths, problem, ones, lanes) == ref_maxsat(clauses, [1] * n) == 0
 
 
 def test_the_lanes_and_the_list_give_the_same_counts(monkeypatch):
