@@ -172,6 +172,12 @@ def _require(env: Environment, key: EnvKey, tag: str, who: str):
     return v.value
 
 
+def _optional(env: Environment, key: EnvKey, tag: str, who: str):
+    """The value of `key`, or None if it is absent; a value of another tag
+    raises as `_require` does."""
+    return _require(env, key, tag, who) if key in env.entries else None
+
+
 # What a hot read gets for an absent key: a (tag, value) pair of no tag. A
 # step reads its keys in place with it and calls `_require`, which raises,
 # only when a key is absent or of another tag.
@@ -261,7 +267,8 @@ def _box_muller_pairs(env: Environment, count: int):
 
 
 def perturb_gaussian(sigma: float = 0.1) -> Component:
-    """Add N(0, sigma^2) noise per coordinate; clamps to problem.bounds when set."""
+    """Add N(0, sigma^2) noise per coordinate; clamps to problem.bounds, an
+    rseq of two numbers lo <= hi, when it is set."""
     desc = ComponentDescriptor(
         name="gaussian",
         kind="perturb",
@@ -273,11 +280,15 @@ def perturb_gaussian(sigma: float = 0.1) -> Component:
     def step(sol, env):
         if not isinstance(sol, RealVector):
             raise ComponentContractError("gaussian: expected a real vector")
+        bounds = _optional(env, K_BOUNDS, "rseq", "gaussian")
+        if bounds is not None and not (len(bounds) == 2 and bounds[0] <= bounds[1]):
+            raise ComponentContractError(
+                f"gaussian: {K_BOUNDS.render()} must be two numbers lo <= hi, got {list(bounds)}"
+            )
         zs, env = _box_muller_pairs(env, len(sol))
         coords = [c + sigma * z for c, z in zip(sol.coords, zs)]
-        bounds = env.get(K_BOUNDS)
-        if bounds is not None and bounds.tag == "rseq" and len(bounds.value) == 2:
-            lo, hi = bounds.value
+        if bounds is not None:
+            lo, hi = bounds
             coords = [min(max(c, lo), hi) for c in coords]
         return RealVector(tuple(coords)), env
 
@@ -364,8 +375,7 @@ def accept_tabu(tenure: int = 5) -> Component:
 
     def step(pair, env):
         incumbent, incoming = pair
-        stored = env.get(K_TABU_LIST)
-        tabu = tuple(stored.value) if stored is not None and stored.tag == "dseq" else ()
+        tabu = tuple(_optional(env, K_TABU_LIST, "dseq", "tabu") or ())
         digest = solution_digest(incoming)
         if digest in tabu:
             return incumbent, env

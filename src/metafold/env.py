@@ -171,9 +171,6 @@ class EnvKey(namedtuple("EnvKey", "namespace name")):
         return EnvKey(ns, name)
 
 
-VALUE_TAGS = ("int", "real", "bool", "text", "rseq", "iseq", "dseq", "sol")
-
-
 class EnvValue(namedtuple("EnvValue", "tag value")):
     """Closed tagged union of storable values.
 
@@ -222,13 +219,8 @@ class EnvValue(namedtuple("EnvValue", "tag value")):
         return EnvValue("sol", str(text))
 
     def to_json(self) -> dict:
-        if self.tag == "dseq":
-            payload: Any = [str(d) for d in self.value]
-        elif self.tag in ("rseq", "iseq"):
-            payload = list(self.value)
-        else:
-            payload = self.value
-        return {"t": self.tag, "v": payload}
+        tag, value = self
+        return {"t": tag, "v": _PAYLOADS[tag][2](value)}
 
     @staticmethod
     def from_json(obj: dict) -> "EnvValue":
@@ -238,9 +230,9 @@ class EnvValue(namedtuple("EnvValue", "tag value")):
         shape."""
         read(obj, _ENV_VALUE, "env entry")
         tag, payload = obj["t"], obj["v"]
-        if tag not in VALUE_TAGS:
+        if tag not in _PAYLOADS:
             raise ValueError(f"unknown EnvValue tag: {tag!r}")
-        want, read_payload = _PAYLOADS[tag]
+        want, read_payload, _ = _PAYLOADS[tag]
         value = read_payload(payload)
         if value is None:
             raise ValueError(f"EnvValue {tag} payload must be {want}")
@@ -248,8 +240,8 @@ class EnvValue(namedtuple("EnvValue", "tag value")):
 
 
 # The wire's shapes, for `read`: an Environment, and an entry or any other
-# Environment value; a payload is read by `_PAYLOADS`, the rng's words by
-# `_is_digest`.
+# Environment value; a payload is read and written by `_PAYLOADS`, the
+# rng's words read by `_is_digest`.
 _ENV_VALUE = {"t": "string", "v": "any"}
 _ENVIRONMENT = {"rng": {"seed": "any", "counter": "any"}, "entries": "object"}
 
@@ -297,17 +289,24 @@ def _is_str(x) -> bool:
     return isinstance(x, str)
 
 
-# tag -> (what its JSON payload must be, the payload's value or None if it is not that)
+def _same(x):
+    return x
+
+
+# tag -> (what its JSON payload must be, the payload's value or None if it
+# is not that, the value's payload); its keys are VALUE_TAGS
 _PAYLOADS = {
-    "int": ("an integer", _scalar(int, _is_int)),
-    "real": ("a number", _scalar(float, _is_number)),
-    "bool": ("true or false", _scalar(bool, lambda x: isinstance(x, bool))),
-    "text": ("a string", _scalar(str, _is_str)),
-    "sol": ("a string", _scalar(str, _is_str)),
-    "iseq": ("a list of integers", _sequence(int, _is_int)),
-    "rseq": ("a list of numbers", _sequence(float, _is_number)),
-    "dseq": ("a list of integers or decimal strings in [0, 2^64)", _digests),
+    "int": ("an integer", _scalar(int, _is_int), _same),
+    "real": ("a number", _scalar(float, _is_number), _same),
+    "bool": ("true or false", _scalar(bool, lambda x: isinstance(x, bool)), _same),
+    "text": ("a string", _scalar(str, _is_str), _same),
+    "rseq": ("a list of numbers", _sequence(float, _is_number), list),
+    "iseq": ("a list of integers", _sequence(int, _is_int), list),
+    "dseq": ("a list of integers or decimal strings in [0, 2^64)", _digests,
+             lambda ds: [str(d) for d in ds]),
+    "sol": ("a string", _scalar(str, _is_str), _same),
 }
+VALUE_TAGS = tuple(_PAYLOADS)
 
 
 class RngState(namedtuple("RngState", "seed counter")):

@@ -51,8 +51,8 @@ def perturb(server, seed=1):
 def wait_until_idle(server, count):
     """Wait until exactly `count` of the server's threads are idle."""
     deadline = time.monotonic() + 5.0
-    while server._httpd._idle != count:
-        assert time.monotonic() < deadline, f"{server._httpd._idle} idle, not {count}"
+    while server._idle != count:
+        assert time.monotonic() < deadline, f"{server._idle} idle, not {count}"
         time.sleep(0.005)
 
 
@@ -105,6 +105,25 @@ def test_close_ends_every_thread_idle_or_busy(monkeypatch):
     assert len({t.ident for t in threads}) == 2
     assert [t for t in threading.enumerate() if t not in before] == []
 
+
+
+def test_an_idle_server_closes_within_a_poll():
+    # the accept loop looks for a shutdown every 0.05 s; at socketserver's
+    # default of 0.5 s, a close 0.1 s after the start took about 0.4 s
+    s = serve(recording_registry([]))
+    time.sleep(0.1)
+    started = time.monotonic()
+    s.close()
+    assert time.monotonic() - started < 0.25
+
+
+def test_a_with_block_closes_the_server():
+    before = set(threading.enumerate())
+    threads = []
+    with serve(recording_registry(threads)) as s:
+        perturb(s)
+    assert len(threads) == 1
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 def test_a_reset_mid_request_leaves_its_thread_reusable(capfd):
     threads = []
